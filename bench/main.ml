@@ -640,31 +640,54 @@ let pipeline_reports () =
         engines)
     pipelines
 
+(* Drive a plan on a real transport with one recording trace per
+   session; returns the result, one spe-metrics report per session,
+   and the payload bytes summed over every session's endpoint logs. *)
+let execute_traced ~protocol ~workers engine plan =
+  let module Endpoint = Spe_net.Endpoint in
+  let module Plan = Spe_core.Plan in
+  (* A full pipeline has long compute rounds; local transports are
+     reliable, so wait out the compute instead of Nacking it. *)
+  let config = { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. } in
+  let engine_name = match engine with `Memory -> "memory" | `Socket -> "socket" in
+  let r, runs =
+    Plan.execute ~config ~workers ~traces:(fun _ -> Spe_obs.Trace.create ()) ~engine plan
+  in
+  let payload =
+    List.fold_left
+      (fun acc (run : Plan.run) ->
+        let res = run.Plan.endpoint in
+        acc
+        + (Spe_net.Net_wire.totals
+             (Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes))
+            .Spe_net.Net_wire.payload_bytes)
+      0 runs
+  in
+  let reports =
+    List.map
+      (fun (run : Plan.run) ->
+        Spe_obs.Metrics.of_trace ~protocol ~engine:engine_name ~parties:run.Plan.parties
+          run.Plan.trace)
+      runs
+  in
+  (r, reports, payload)
+
 (* Sharding ablation: the links pipeline cut into k shards on every
    engine (DESIGN.md, "Sharded execution"), j = 4 concurrent sessions
-   on the real transports — the memory engine's blocking worker pool
-   (the differential oracle) and the socket engine's reactor shard
-   pool, where j bounds sessions in flight on the one loop thread,
-   not a thread count.  Payload bytes are asserted k-invariant across
+   on the real transports, where j bounds sessions in flight on the
+   one reactor loop.  Payload bytes are asserted k-invariant across
    all twelve rows; each row's wall_s is the observed end-to-end wall
    clock of the whole plan (the per-shard session walls live in the
-   row's shards table), so the socket rows price the reactor's
+   row's shards table), so the transport rows price the reactor's
    per-shard cost directly. *)
 let sharding_reports () =
   let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
   let module Plan = Spe_core.Plan in
   let module Shard = Spe_core.Shard in
   let module Metrics = Spe_obs.Metrics in
   let s, g, log = workload ~seed:67 ~n:120 ~edges:480 ~actions:16 in
   let logs = Partition.exclusive s log ~m:3 in
   let config = Protocol4.default_config ~h:2 in
-  (* A full pipeline has long compute rounds; local transports are
-     reliable, so wait out the compute instead of Nacking it. *)
-  let pool_config =
-    { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-  in
   let payload_ref = ref None in
   let check_payload p =
     match !payload_ref with
@@ -692,41 +715,9 @@ let sharding_reports () =
               Metrics.of_trace ~protocol ~engine:"sim"
                 ~parties:(Array.length session.Session.parties) trace
             | (`Memory | `Socket) as engine ->
-              let engine_name = match engine with `Memory -> "memory" | `Socket -> "socket" in
-              let reports = ref [] and payload = ref 0 in
-              List.iter
-                (fun (stage : Plan.stage) ->
-                  let traces =
-                    Array.map (fun _ -> Spe_obs.Trace.create ()) stage.Plan.sessions
-                  in
-                  let out =
-                    match engine with
-                    | `Memory ->
-                      Endpoint.run_sessions_memory ~config:pool_config ~workers:4 ~traces
-                        stage.Plan.sessions
-                    | `Socket ->
-                      Endpoint.run_sessions_socket ~config:pool_config ~workers:4 ~traces
-                        stage.Plan.sessions
-                  in
-                  Array.iteri
-                    (fun i ((), (res : Endpoint.result)) ->
-                      let totals =
-                        Net_wire.totals
-                          (Array.map
-                             (fun (o : Endpoint.outcome) -> o.Endpoint.sent)
-                             res.Endpoint.outcomes)
-                      in
-                      payload := !payload + totals.Net_wire.payload_bytes;
-                      reports :=
-                        Metrics.of_trace ~protocol ~engine:engine_name
-                          ~parties:(Array.length stage.Plan.sessions.(i).Session.parties)
-                          traces.(i)
-                        :: !reports)
-                    out)
-                plan.Plan.stages;
-              ignore (plan.Plan.result ());
-              check_payload !payload;
-              Metrics.merge (List.rev !reports)
+              let _, reports, payload = execute_traced ~protocol ~workers:4 engine plan in
+              check_payload payload;
+              Metrics.merge reports
           in
           { report with Metrics.wall_s = Unix.gettimeofday () -. t0 })
         [ `Sim; `Memory; `Socket ])
@@ -739,8 +730,6 @@ let sharding_reports () =
    in BENCH_protocols.json beside the links/scores/stream families. *)
 let rank_reports () =
   let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
   let module Plan = Spe_core.Plan in
   let module Metrics = Spe_obs.Metrics in
   let module Oracle = Spe_rank.Oracle in
@@ -756,9 +745,6 @@ let rank_reports () =
       Array.iteri (fun i v -> activity.(i) <- activity.(i) + v) (Log.user_activity l))
     logs;
   let reference = Oracle.fixed oracle g ~activity in
-  let pool_config =
-    { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-  in
   let payload_ref = ref None in
   let check_payload p =
     match !payload_ref with
@@ -784,41 +770,9 @@ let rank_reports () =
               ~parties:(Array.length session.Session.parties) trace,
             r )
         | (`Memory | `Socket) as engine ->
-          let engine_name = match engine with `Memory -> "memory" | `Socket -> "socket" in
-          let reports = ref [] and payload = ref 0 in
-          List.iter
-            (fun (stage : Plan.stage) ->
-              let traces =
-                Array.map (fun _ -> Spe_obs.Trace.create ()) stage.Plan.sessions
-              in
-              let out =
-                match engine with
-                | `Memory ->
-                  Endpoint.run_sessions_memory ~config:pool_config ~workers:4 ~traces
-                    stage.Plan.sessions
-                | `Socket ->
-                  Endpoint.run_sessions_socket ~config:pool_config ~workers:4 ~traces
-                    stage.Plan.sessions
-              in
-              Array.iteri
-                (fun i ((), (res : Endpoint.result)) ->
-                  let totals =
-                    Net_wire.totals
-                      (Array.map
-                         (fun (o : Endpoint.outcome) -> o.Endpoint.sent)
-                         res.Endpoint.outcomes)
-                  in
-                  payload := !payload + totals.Net_wire.payload_bytes;
-                  reports :=
-                    Metrics.of_trace ~protocol:"rank" ~engine:engine_name
-                      ~parties:(Array.length stage.Plan.sessions.(i).Session.parties)
-                      traces.(i)
-                    :: !reports)
-                out)
-            plan.Plan.stages;
-          let r = plan.Plan.result () in
-          check_payload !payload;
-          (Metrics.merge (List.rev !reports), r)
+          let r, reports, payload = execute_traced ~protocol:"rank" ~workers:4 engine plan in
+          check_payload payload;
+          (Metrics.merge reports, r)
       in
       assert (result.Protocol_rank.ranks_fx = reference);
       { report with Metrics.wall_s = Unix.gettimeofday () -. t0 })
@@ -888,8 +842,6 @@ let serve_reports () =
   let module Job = Spe_serve.Job in
   let module Daemon = Spe_serve.Daemon in
   let module Client = Spe_serve.Client in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Plan = Spe_core.Plan in
   let module Shard = Spe_core.Shard in
   let module Metrics = Spe_obs.Metrics in
   let module Transport = Spe_net.Transport in
@@ -900,9 +852,6 @@ let serve_reports () =
   let m = Array.length logs in
   let pseed = workload.Schedule.wseed + 1 in
   let config = Protocol4.default_config ~h:2 in
-  let pool_config =
-    { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-  in
   (* Row 1: per-job spawn, sequential — each job stands its sessions'
      socket groups up from scratch and tears them down again. *)
   let respawn_reports = ref [] in
@@ -911,27 +860,16 @@ let serve_reports () =
     let plan =
       Shard.links_exclusive (State.create ~seed:pseed ()) ~graph ~logs ~shards:2 config
     in
-    List.iter
-      (fun (stage : Plan.stage) ->
-        let traces = Array.map (fun _ -> Spe_obs.Trace.create ()) stage.Plan.sessions in
-        let out =
-          Endpoint.run_sessions_socket ~config:pool_config ~workers:4 ~traces
-            stage.Plan.sessions
-        in
-        Array.iteri
-          (fun i ((), (_ : Endpoint.result)) ->
-            respawn_reports :=
-              Metrics.of_trace ~protocol ~engine:"respawn"
-                ~parties:(Array.length stage.Plan.sessions.(i).Spe_mpc.Session.parties)
-                traces.(i)
-              :: !respawn_reports)
-          out)
-      plan.Plan.stages;
-    ignore (plan.Plan.result ())
+    let _, reports, _ = execute_traced ~protocol ~workers:4 `Socket plan in
+    respawn_reports := List.rev_append reports !respawn_reports
   done;
   let respawn_wall = Unix.gettimeofday () -. t0 in
   let respawn =
-    { (Metrics.merge (List.rev !respawn_reports)) with Metrics.wall_s = respawn_wall }
+    {
+      (Metrics.merge (List.rev !respawn_reports)) with
+      Metrics.engine = "respawn";
+      wall_s = respawn_wall;
+    }
   in
   (* Row 2: one persistent deployment, all 50 jobs pipelined at once
      through H's admission queue. *)
@@ -1078,28 +1016,6 @@ let stream_reports () =
     Array.iter Stream.clear_dirty streams;
     (!arrivals, { Delta.epoch; dirty_users; dirty_pairs; inputs })
   in
-  let pool_config =
-    { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-  in
-  let run_stage_sessions engine (stage : Plan.stage) =
-    let traces = Array.map (fun _ -> Spe_obs.Trace.create ()) stage.Plan.sessions in
-    (match engine with
-    | `Memory ->
-      ignore
-        (Endpoint.run_sessions_memory ~config:pool_config ~workers:2 ~traces
-           stage.Plan.sessions)
-    | `Socket ->
-      ignore
-        (Endpoint.run_sessions_socket ~config:pool_config ~workers:2 ~traces
-           stage.Plan.sessions));
-    Array.to_list
-      (Array.mapi
-         (fun i trace ->
-           Metrics.of_trace ~protocol:"stream" ~engine:"-"
-             ~parties:(Array.length stage.Plan.sessions.(i).Session.parties)
-             trace)
-         traces)
-  in
   let run_epoch_plan engine (plan : Delta.release Plan.t) =
     match engine with
     | `Sim ->
@@ -1112,10 +1028,8 @@ let stream_reports () =
             ~parties:(Array.length session.Session.parties) trace;
         ] )
     | (`Memory | `Socket) as engine ->
-      let reports =
-        List.concat_map (run_stage_sessions engine) plan.Plan.stages
-      in
-      (plan.Plan.result (), reports)
+      let release, reports, _ = execute_traced ~protocol:"stream" ~workers:2 engine plan in
+      (release, reports)
   in
   let run_mode mode engine_name engine =
     let d, srcs, accs = instance () in

@@ -275,8 +275,8 @@ let pipeline_transport_arg =
         ~doc:
           "How to execute the protocol pipeline: the central reference implementation \
            (central), the composed party programs on the in-process engine (sim), or \
-           each party on its own thread over in-memory channels (memory) or Unix-domain \
-           sockets (socket).  The results and the NR/NM statistics are \
+           each party as a networked endpoint over in-memory channels (memory) or \
+           Unix-domain sockets (socket).  The results and the NR/NM statistics are \
            engine-independent; the real transports also report measured framed bytes.")
 
 (* Run a composed pipeline session on the chosen non-central engine;
@@ -331,19 +331,17 @@ let workers_arg =
     value & opt int 4
     & info [ "workers" ] ~docv:"J"
         ~doc:
-          "Worker threads driving a sharded stage's sessions on the memory/socket \
-           transports (at most one per shard is ever active).")
+          "Shard sessions of a stage in flight at once on the memory/socket \
+           transports.")
 
-(* Run a sharded Plan on a real transport: each stage's sessions go to
-   the Endpoint worker pool, with one recording trace per shard when
-   observability was asked for.  Returns the merged result, aggregate
-   wire statistics (NR = the plan's declared rounds, NM/MS summed over
-   every shard's Net_wire log), a transcript grouped by shard, the
-   Net_wire accounting, and the per-shard trace sections for
-   Metrics.merge. *)
+(* Run a sharded Plan on a real transport with Plan.execute, one
+   recording trace per shard when observability was asked for.
+   Returns the merged result, aggregate wire statistics (NR = the
+   plan's declared rounds, NM/MS summed over every shard's Net_wire
+   log), a transcript grouped by shard, the Net_wire accounting, and
+   the per-shard trace sections for Metrics.merge. *)
 let run_pipeline_plan ~trace ~workers transport (plan : _ Spe_core.Plan.t) =
   let module Plan = Spe_core.Plan in
-  let module Session = Spe_mpc.Session in
   let module Endpoint = Spe_net.Endpoint in
   let module Net_wire = Spe_net.Net_wire in
   (* Same compute-friendly timeouts as the unsharded transport path. *)
@@ -351,38 +349,23 @@ let run_pipeline_plan ~trace ~workers transport (plan : _ Spe_core.Plan.t) =
     { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
   in
   let recording = Spe_obs.Trace.enabled trace in
-  let sections = ref [] and logs_rev = ref [] and transcript_rev = ref [] in
-  let transport_total = ref 0 in
-  List.iter
-    (fun (stage : Plan.stage) ->
-      let traces =
-        Array.map
-          (fun _ ->
-            if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
-          stage.Plan.sessions
-      in
-      let out =
-        match transport with
-        | `Memory ->
-          Endpoint.run_sessions_memory ~config ~workers ~traces stage.Plan.sessions
-        | `Socket ->
-          Endpoint.run_sessions_socket ~config ~workers ~traces stage.Plan.sessions
-      in
-      Array.iteri
-        (fun i ((), (res : Endpoint.result)) ->
-          transport_total := !transport_total + res.Endpoint.transport_bytes;
-          let logs =
-            Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
-          in
-          logs_rev := logs :: !logs_rev;
-          transcript_rev := Wire.messages (Net_wire.merge logs) :: !transcript_rev;
-          let parties = Array.length stage.Plan.sessions.(i).Session.parties in
-          sections :=
-            (Printf.sprintf "%s[%d]" stage.Plan.label i, traces.(i), parties) :: !sections)
-        out)
-    plan.Plan.stages;
-  let r = plan.Plan.result () in
-  let totals = Net_wire.totals (Array.concat (List.rev !logs_rev)) in
+  let r, runs =
+    Plan.execute ~config ~workers
+      ~traces:(fun _ ->
+        if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
+      ~engine:transport plan
+  in
+  let results = List.map (fun (run : Plan.run) -> run.Plan.endpoint) runs in
+  let logs =
+    List.map
+      (fun (res : Endpoint.result) ->
+        Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes)
+      results
+  in
+  let totals = Net_wire.totals (Array.concat logs) in
+  let transport_bytes =
+    List.fold_left (fun acc (res : Endpoint.result) -> acc + res.Endpoint.transport_bytes) 0 results
+  in
   let stats =
     {
       Wire.rounds = Plan.total_rounds plan;
@@ -392,9 +375,12 @@ let run_pipeline_plan ~trace ~workers transport (plan : _ Spe_core.Plan.t) =
   in
   ( r,
     stats,
-    List.concat (List.rev !transcript_rev),
-    Some (!transport_total, totals),
-    List.rev !sections )
+    List.concat_map (fun l -> Wire.messages (Net_wire.merge l)) logs,
+    Some (transport_bytes, totals),
+    List.map
+      (fun (run : Plan.run) ->
+        (Printf.sprintf "%s[%d]" run.Plan.stage run.Plan.index, run.Plan.trace, run.Plan.parties))
+      runs )
 
 let transport_bytes_summary (stats : Wire.stats) = function
   | None -> ()
@@ -1439,22 +1425,8 @@ let stream_cmd =
         let endpoint_config =
           { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
         in
-        let run_plan engine (plan : _ Plan.t) =
-          match engine with
-          | `Sim -> Session.run (Plan.to_session plan) ~wire:(Wire.create ())
-          | (`Memory | `Socket) as e ->
-            List.iter
-              (fun (stage : Plan.stage) ->
-                ignore
-                  (match e with
-                  | `Memory ->
-                    Endpoint.run_sessions_memory ~config:endpoint_config ~workers:2
-                      stage.Plan.sessions
-                  | `Socket ->
-                    Endpoint.run_sessions_socket ~config:endpoint_config ~workers:2
-                      stage.Plan.sessions))
-              plan.Plan.stages;
-            plan.Plan.result ()
+        let run_plan engine plan =
+          fst (Plan.execute ~config:endpoint_config ~workers:2 ~engine plan)
         in
         let d, srcs, accs = instance () in
         let full_i = if verify_full then Some (instance ()) else None in
@@ -1944,7 +1916,7 @@ let serve_cmd =
     Arg.(
       value & opt int 4
       & info [ "max-sessions" ] ~docv:"N"
-          ~doc:"Concurrent pipeline jobs (worker threads at H; admission control bound).")
+          ~doc:"Concurrent pipeline jobs at H (admission control bound).")
   in
   let max_queue_arg =
     Arg.(

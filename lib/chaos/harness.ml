@@ -278,39 +278,18 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
   in
   let protocol = Schedule.pipeline_name sched.Schedule.pipeline in
   let engine = Schedule.engine_name sched.Schedule.engine in
-  let collected = ref [] in
-  let current_base = ref 0 in
   let t0 = Unix.gettimeofday () in
-  let drive () =
-    List.iter
-      (fun (st : Plan.stage) ->
-        let ns = Array.length st.Plan.sessions in
-        let base = !current_base in
-        let faults =
-          Array.init ns (fun i -> Schedule.fault_for sched ~session:(base + i))
-        in
-        let kills = Array.init ns (fun i -> Schedule.kills_session sched (base + i)) in
-        let traces =
-          Array.init ns (fun _ -> Trace.create ~clock:(Trace.ticking ()) ())
-        in
-        let rs =
-          match sched.Schedule.engine with
-          | Schedule.Memory ->
-            Endpoint.run_sessions_memory ~config ~workers:sched.Schedule.workers ~faults
-              ~kills ~traces st.Plan.sessions
-          | Schedule.Socket ->
-            Endpoint.run_sessions_socket ~config ~workers:sched.Schedule.workers ~faults
-              ~kills ~traces st.Plan.sessions
-        in
-        Array.iteri
-          (fun i ((), res) ->
-            let m = Array.length st.Plan.sessions.(i).Session.parties in
-            collected := (base + i, traces.(i), m, res) :: !collected)
-          rs;
-        current_base := base + ns)
-      plan.Plan.stages
-  in
-  match drive () with
+  match
+    Plan.execute ~config ~workers:sched.Schedule.workers
+      ~faults:(fun session -> Schedule.fault_for sched ~session)
+      ~kills:(Schedule.kills_session sched)
+      ~traces:(fun _ -> Trace.create ~clock:(Trace.ticking ()) ())
+      ~engine:
+        (match sched.Schedule.engine with
+        | Schedule.Memory -> `Memory
+        | Schedule.Socket -> `Socket)
+      plan
+  with
   | exception e -> (
     let elapsed = Unix.gettimeofday () -. t0 in
     match (Schedule.fatal sched, e) with
@@ -328,8 +307,7 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
           oracle = "termination";
           detail = Printf.sprintf "typed failure, but only after %.1f s" elapsed;
         }
-    | Some fatal_ev, Endpoint.Shard_failed { shard; exn; _ } -> (
-      let global = !current_base + shard in
+    | Some fatal_ev, Endpoint.Shard_failed { shard = global; exn; _ } -> (
       match (fatal_ev, exn) with
       | Schedule.Kill { session }, Endpoint.Worker_killed when global = session -> Pass
       | Schedule.Kill { session }, _ ->
@@ -365,7 +343,7 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
           oracle = "termination";
           detail = "the failure escaped the pool untyped: " ^ Printexc.to_string e;
         })
-  | () ->
+  | matches_oracle, runs ->
     let elapsed = Unix.gettimeofday () -. t0 in
     if elapsed > wall_budget then
       Fail
@@ -375,12 +353,10 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
         }
     else begin
       let acct =
-        List.fold_left
-          (fun acc (gi, trace, m, res) ->
-            match acc with
-            | Some _ -> acc
-            | None -> check_accounting sched ~sid ~protocol ~engine gi trace m res)
-          None (List.rev !collected)
+        List.mapi (fun gi r -> (gi, r)) runs
+        |> List.find_map (fun (gi, (r : Plan.run)) ->
+               check_accounting sched ~sid ~protocol ~engine gi r.Plan.trace r.Plan.parties
+                 r.Plan.endpoint)
       in
       match acct with
       | Some f -> Fail f
@@ -391,7 +367,7 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
               oracle = "result";
               detail = "merged result differs from the central oracle (planted bug)";
             }
-        else if not (plan.Plan.result ()) then
+        else if not matches_oracle then
           Fail
             {
               oracle = "result";

@@ -1,4 +1,5 @@
 module Session = Spe_mpc.Session
+module Endpoint = Spe_net.Endpoint
 
 type stage = { label : string; epoch : int option; sessions : unit Session.t array }
 
@@ -44,3 +45,53 @@ let to_session t =
         (session_of_stage s0) rest
     in
     Session.map (fun () -> t.result ()) combined
+
+type run = {
+  stage : string;
+  index : int;
+  parties : int;
+  trace : Spe_obs.Trace.t;
+  endpoint : Endpoint.result;
+}
+
+let execute ?config ?workers ?(faults = fun _ -> None) ?(kills = fun _ -> false)
+    ?(traces = fun _ -> Spe_obs.Trace.disabled ()) ~engine t =
+  match engine with
+  | `Sim -> (Session.run ~trace:(traces 0) (to_session t) ~wire:(Spe_mpc.Wire.create ()), [])
+  | (`Memory | `Socket) as engine ->
+    let run_stage =
+      match engine with
+      | `Memory -> Endpoint.run_sessions_memory
+      | `Socket -> Endpoint.run_sessions_socket
+    in
+    let runs = ref [] and base = ref 0 in
+    List.iter
+      (fun stage ->
+        let b = !base and ns = Array.length stage.sessions in
+        let stage_traces = Array.init ns (fun i -> traces (b + i)) in
+        let out =
+          match
+            run_stage ?config ?workers
+              ~faults:(Array.init ns (fun i -> faults (b + i)))
+              ~kills:(Array.init ns (fun i -> kills (b + i)))
+              ~traces:stage_traces stage.sessions
+          with
+          | out -> out
+          | exception Endpoint.Shard_failed { shard; phase; exn } ->
+            raise (Endpoint.Shard_failed { shard = b + shard; phase; exn })
+        in
+        Array.iteri
+          (fun i ((), endpoint) ->
+            runs :=
+              {
+                stage = stage.label;
+                index = i;
+                parties = Array.length stage.sessions.(i).Session.parties;
+                trace = stage_traces.(i);
+                endpoint;
+              }
+              :: !runs)
+          out;
+        base := b + ns)
+      t.stages;
+    (t.result (), List.rev !runs)

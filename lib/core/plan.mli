@@ -7,12 +7,13 @@
     A plan is engine-agnostic data.  {!to_session} lowers it to one
     ordinary session (stage sessions multiplexed with
     {!Spe_mpc.Session.all}, stages sequenced with
-    {!Spe_mpc.Session.seq}) for the simulated engine; the transport
-    engines instead walk {!field-stages} in order and hand each stage's
-    array to a worker pool, one connection group per session.  Both
-    executions drive the same party closures, so {!field-result} reads
-    the same answer either way — the sharded pipelines in [Shard] rely
-    on this to stay bit-identical across engines and shard counts. *)
+    {!Spe_mpc.Session.seq}) for the simulated engine; on the transport
+    engines {!execute} instead walks {!field-stages} in order and hands
+    each stage's array to the [Spe_net.Endpoint] shard pool, one
+    connection group per session.  Both executions drive the same party
+    closures, so {!field-result} reads the same answer either way — the
+    sharded pipelines in [Shard] rely on this to stay bit-identical
+    across engines and shard counts. *)
 
 type stage = {
   label : string;  (** Stage name for progress/observability. *)
@@ -54,3 +55,37 @@ val to_session : 'r t -> 'r Spe_mpc.Session.t
     stage's sessions are multiplexed with {!Spe_mpc.Session.all}
     (single-session stages are taken as-is, keeping their own phase
     labels), and stages are sequenced with {!Spe_mpc.Session.seq}. *)
+
+type run = {
+  stage : string;  (** Label of the session's stage. *)
+  index : int;  (** The session's position within its stage. *)
+  parties : int;  (** The session's party count. *)
+  trace : Spe_obs.Trace.t;  (** The trace the session ran under. *)
+  endpoint : Spe_net.Endpoint.result;
+      (** The session's per-endpoint logs and transport bytes. *)
+}
+(** What one session of a plan executed on a transport leaves behind. *)
+
+val execute :
+  ?config:Spe_net.Endpoint.config ->
+  ?workers:int ->
+  ?faults:(int -> Spe_net.Fault.t option) ->
+  ?kills:(int -> bool) ->
+  ?traces:(int -> Spe_obs.Trace.t) ->
+  engine:[< `Sim | `Memory | `Socket ] ->
+  'r t ->
+  'r * run list
+(** Drive every stage in order on [engine] and read the result.
+
+    On [`Sim] the plan is lowered with {!to_session} and run under
+    {!Spe_mpc.Session.run} on a fresh wire with trace [traces 0]; the
+    run list is empty, and [config], [workers], [faults] and [kills] do
+    not apply.
+
+    On [`Memory] and [`Socket] each stage goes to
+    [Spe_net.Endpoint.run_sessions_memory] / [run_sessions_socket] with
+    [config] and [workers] (see there for the defaults).  The runs come
+    back one per session, in plan order; a session's position in that
+    order is its index for [faults], [kills] and [traces] (defaults: no
+    fault, no kill, a disabled trace), and the [shard] a
+    [Spe_net.Endpoint.Shard_failed] names. *)

@@ -31,334 +31,17 @@ type outcome = { rounds : int; sent : Net_wire.record list }
 
 type result = { outcomes : outcome array; transport_bytes : int }
 
-(* One endpoint: step the program, broadcast the round barrier, collect
-   the peers' barriers (Nacking silence), repeat until global
-   quiescence.  All state is thread-local; the transport is the only
-   shared object. *)
-let run_endpoint config trace (transport : Transport.t) parties program max_rounds k =
-  let m = Array.length parties in
-  let party = parties.(k) in
-  let me = Runtime.party_label party in
-  let tracing = Spe_obs.Trace.enabled trace in
-  let index_of p =
-    let rec go i = if i >= m then None else if parties.(i) = p then Some i else go (i + 1) in
-    go 0
-  in
-  let eors = Hashtbl.create 16 (* (round, sender) -> (total, to_me) *) in
-  let data_count = Hashtbl.create 16 (* (round, sender) -> frames received *) in
-  let pending = Hashtbl.create 16 (* round -> (sender, seq, message) list, reversed *) in
-  let seen = Hashtbl.create 64 (* (sender, round, seq) — retransmission dedup *) in
-  let cache = Hashtbl.create 16 (* round -> (dst, body) list — for Nack replays *) in
-  let fins = Array.make m false in
-  fins.(k) <- true;
-  let records = ref [] in
-  let resend round dst =
-    let bodies =
-      List.filter_map (fun (d, body) -> if d = dst then Some body else None)
-        (List.rev (Option.value ~default:[] (Hashtbl.find_opt cache round)))
-    in
-    if bodies <> [] then begin
-      transport.Transport.send_many dst bodies;
-      Spe_obs.Trace.count trace ~party:me ~round Spe_obs.Trace.Retransmits
-        (List.length bodies)
-    end
-  in
-  let handle body =
-    match Frame.decode body with
-    | Frame.Hello _ -> ()
-    | Frame.Data { round; seq; src; dst = _; payload } -> (
-      match index_of src with
-      | None -> () (* not a group member: ignore *)
-      | Some si ->
-        let key = (si, round, seq) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          Hashtbl.replace data_count (round, si)
-            (1 + Option.value ~default:0 (Hashtbl.find_opt data_count (round, si)));
-          Hashtbl.replace pending round
-            ((si, seq, { Runtime.src; dst = party; payload })
-            :: Option.value ~default:[] (Hashtbl.find_opt pending round))
-        end)
-    | Frame.End_of_round { round; sender; total; to_dst } ->
-      Hashtbl.replace eors (round, sender) (total, to_dst)
-    | Frame.Nack { round; sender } -> resend round sender
-    | Frame.Fin { sender } -> if sender >= 0 && sender < m then fins.(sender) <- true
-  in
-  (* A round's outbound frames are staged per destination and flushed
-     with one [send_many] per peer — one transport operation carries
-     the data frames and the barrier together.  The cache keeps every
-     staged body for Nack replays. *)
-  let outbox = Array.make m [] in
-  let stage_frame ~round dst frame =
-    let body = Frame.encode frame in
-    Hashtbl.replace cache round
-      ((dst, body) :: Option.value ~default:[] (Hashtbl.find_opt cache round));
-    outbox.(dst) <- body :: outbox.(dst)
-  in
-  let flush_outbox () =
-    for j = 0 to m - 1 do
-      match outbox.(j) with
-      | [] -> ()
-      | bodies ->
-        outbox.(j) <- [];
-        transport.Transport.send_many j (List.rev bodies)
-    done
-  in
-  let rec loop r inbox =
-    if r > max_rounds then failwith "Endpoint.run: protocol did not terminate";
-    (* The whole charged round — local step, barrier broadcast, barrier
-       collection — runs inside one [Round] span so per-phase wall
-       times can be summed from round envelopes. *)
-    let round_work () =
-      let sends =
-        if tracing then
-          Spe_obs.Trace.span trace ~party:me ~index:r Spe_obs.Trace.Compute "step" (fun () ->
-              program ~round:r ~inbox)
-        else program ~round:r ~inbox
-      in
-      List.iteri
-        (fun seq (msg : Runtime.message) ->
-          if msg.Runtime.src <> party then invalid_arg "Endpoint.run: forged source";
-          match index_of msg.Runtime.dst with
-          | None -> invalid_arg "Endpoint.run: message to unknown party"
-          | Some di ->
-            if di = k then invalid_arg "Endpoint.run: self-send";
-            let frame =
-              Frame.Data
-                { round = r; seq; src = msg.Runtime.src; dst = msg.Runtime.dst;
-                  payload = msg.Runtime.payload }
-            in
-            stage_frame ~round:r di frame;
-            let payload_bytes = Runtime.payload_bits msg.Runtime.payload / 8 in
-            let framed_bytes = Frame.framed_length frame in
-            if tracing then begin
-              Spe_obs.Trace.count trace ~party:me ~round:r Spe_obs.Trace.Messages 1;
-              Spe_obs.Trace.count trace ~party:me ~round:r Spe_obs.Trace.Payload_bytes
-                payload_bytes;
-              Spe_obs.Trace.count trace ~party:me ~round:r Spe_obs.Trace.Framed_bytes
-                framed_bytes
-            end;
-            records :=
-              {
-                Net_wire.round = r;
-                src = msg.Runtime.src;
-                dst = msg.Runtime.dst;
-                payload_bytes;
-                framed_bytes;
-              }
-              :: !records)
-        sends;
-      let own_total = List.length sends in
-      for j = 0 to m - 1 do
-        if j <> k then begin
-          let to_dst =
-            List.length
-              (List.filter
-                 (fun (msg : Runtime.message) -> index_of msg.Runtime.dst = Some j)
-                 sends)
-          in
-          stage_frame ~round:r j
-            (Frame.End_of_round { round = r; sender = k; total = own_total; to_dst })
-        end
-      done;
-      flush_outbox ();
-      (* Collect the barrier: every peer's End_of_round plus the data
-         frames it promised us. *)
-      let complete j =
-        match Hashtbl.find_opt eors (r, j) with
-        | None -> false
-        | Some (_, to_me) ->
-          Option.value ~default:0 (Hashtbl.find_opt data_count (r, j)) >= to_me
-      in
-      let all_complete () =
-        let rec go j = j >= m || ((j = k || complete j) && go (j + 1)) in
-        go 0
-      in
-      let retries = ref 0 in
-      let starvation () =
-        let missing =
-          List.filter_map
-            (fun j -> if j <> k && not (complete j) then Some parties.(j) else None)
-            (List.init m Fun.id)
-        in
-        Round_timeout
-          { party; round = r; phase = Spe_obs.Trace.phase_of_round trace r; missing }
-      in
-      (* [Closed] with [!retries > 0]: the group was torn down while
-         this round had already expired a full deadline with peers
-         missing — a sibling won the race to raise first.  Report the
-         starvation this party had diagnosed rather than the echo; a
-         party progressing normally (no retries yet) still propagates
-         [Closed], which keeps the pool's root-cause attribution
-         intact. *)
-      (try
-         while not (all_complete ()) do
-           let deadline = Unix.gettimeofday () +. config.round_timeout in
-           let rec drain () =
-             if not (all_complete ()) then
-               match transport.Transport.recv ~deadline with
-               | Some body ->
-                 handle body;
-                 drain ()
-               | None -> ()
-           in
-           drain ();
-           if not (all_complete ()) then begin
-             Spe_obs.Trace.count trace ~party:me ~round:r Spe_obs.Trace.Timeouts 1;
-             if !retries >= config.max_retries then raise (starvation ());
-             incr retries;
-             for j = 0 to m - 1 do
-               if j <> k && not (complete j) then begin
-                 transport.Transport.send j
-                   (Frame.encode (Frame.Nack { round = r; sender = k }));
-                 Spe_obs.Trace.count trace ~party:me ~round:r Spe_obs.Trace.Nacks 1
-               end
-             done
-           end
-         done
-       with Transport.Closed when !retries > 0 -> raise (starvation ()));
-      List.fold_left
-        (fun acc j -> if j = k then acc else acc + fst (Hashtbl.find eors (r, j)))
-        own_total
-        (List.init m Fun.id)
-    in
-    let grand_total =
-      if tracing then
-        Spe_obs.Trace.span trace ~party:me ~index:r Spe_obs.Trace.Round "round" round_work
-      else round_work ()
-    in
-    if grand_total = 0 then begin
-      (* Global quiescence, visible to everyone at this same round.
-         Confirm, then stay to replay the final barrier for any peer
-         that lost frames, leaving early once all have confirmed. *)
-      for j = 0 to m - 1 do
-        if j <> k then transport.Transport.send j (Frame.encode (Frame.Fin { sender = k }))
-      done;
-      let deadline = Unix.gettimeofday () +. config.linger in
-      let rec lingering () =
-        if (not (Array.for_all Fun.id fins)) && Unix.gettimeofday () < deadline then
-          match transport.Transport.recv ~deadline with
-          | Some body ->
-            handle body;
-            lingering ()
-          | None -> ()
-      in
-      lingering ();
-      r - 1
-    end
-    else begin
-      let inbox' =
-        Option.value ~default:[] (Hashtbl.find_opt pending r)
-        |> List.sort (fun (s1, q1, _) (s2, q2, _) -> compare (s1, q1) (s2, q2))
-        |> List.map (fun (_, _, msg) -> msg)
-      in
-      loop (r + 1) inbox'
-    end
-  in
-  let rounds = loop 1 [] in
-  { rounds; sent = List.rev !records }
-
-(* One party of a session over a caller-supplied transport — the
-   [Spe_serve] daemons drive exactly one seat of each session, with the
-   other seats living in other processes.  The phase map is installed
-   even on a disabled trace so a [Round_timeout] can name its phase. *)
-let run_party ?(config = default_config) ?(trace = Spe_obs.Trace.disabled ()) ~transport
-    ~(session : _ Session.t) ~index () =
-  let m = Array.length session.Session.parties in
-  if index < 0 || index >= m then invalid_arg "Endpoint.run_party: index out of range";
-  Spe_obs.Trace.set_phases trace session.Session.phases;
-  let outcome =
-    run_endpoint config trace transport session.Session.parties
-      session.Session.programs.(index)
-      (session.Session.rounds + 1) index
-  in
-  if outcome.rounds <> session.Session.rounds then
-    failwith
-      (Printf.sprintf "Endpoint.run_party: declared %d rounds but executed %d"
-         session.Session.rounds outcome.rounds);
-  outcome
-
-let run_group ?(config = default_config) ?(trace = Spe_obs.Trace.disabled ()) ~transports
-    ~parties ~programs ~max_rounds () =
-  let m = Array.length parties in
-  if Array.length transports <> m || Array.length programs <> m then
-    invalid_arg "Endpoint.run_group: one transport and one program per party";
-  let outcomes = Array.make m None in
-  let errors = Array.make m None in
-  let close_all () =
-    Array.iter (fun (t : Transport.t) -> try t.Transport.close () with _ -> ()) transports
-  in
-  let run_party k =
-    match run_endpoint config trace transports.(k) parties programs.(k) max_rounds k with
-    | outcome -> outcomes.(k) <- Some outcome
-    | exception e ->
-      errors.(k) <- Some e;
-      (* Tear the group down so the peers unwind promptly. *)
-      close_all ()
-  in
-  (* Party 0 runs on the calling thread — one fewer thread per group,
-     which matters when a pool drives many shard groups at once. *)
-  let threads = Array.init (m - 1) (fun i -> Thread.create run_party (i + 1)) in
-  run_party 0;
-  Array.iter Thread.join threads;
-  let transport_bytes =
-    Array.fold_left (fun acc (t : Transport.t) -> acc + t.Transport.sent_bytes ()) 0 transports
-  in
-  close_all ();
-  (* Surface the root cause, not the Closed cascade it triggered.  Two
-     parties can time out in the same run — the starved one, and a
-     peer that then starved waiting for it one round later — so among
-     timeouts the earliest round is the diagnosis, not the echo. *)
-  let better a b =
-    match (a, b) with
-    | ( Round_timeout { round = ra; _ },
-        Round_timeout { round = rb; _ } ) ->
-      ra < rb
-    | _ -> false
-  in
-  let root, any =
-    Array.fold_left
-      (fun (root, any) e ->
-        match e with
-        | None -> (root, any)
-        | Some Transport.Closed -> (root, if any = None then e else any)
-        | Some err ->
-          let root =
-            match root with
-            | None -> e
-            | Some r -> if better err r then e else root
-          in
-          (root, if any = None then e else any))
-      (None, None) errors
-  in
-  (match (root, any) with
-  | Some e, _ -> raise e
-  | None, Some e -> raise e
-  | None, None -> ());
-  { outcomes = Array.map Option.get outcomes; transport_bytes }
-
-let run_memory ?config ?fault ?trace ~parties ~programs ~max_rounds () =
-  let transports = Transport.Memory.create_group ?fault ?trace ~m:(Array.length parties) () in
-  run_group ?config ?trace ~transports ~parties ~programs ~max_rounds ()
-
 (* --- The event-driven endpoint machine ---------------------------------------- *)
 
-(* [Machine] is the reactor-resident twin of [run_endpoint]: the same
-   protocol — step, stage data + barriers, flush, collect (Nacking
-   silence), repeat to quiescence, then Fin + linger — re-expressed as
-   an explicit resumable state machine so one loop thread can carry
-   every party of every shard session at once.  Control never blocks:
-   the machine parks between events, woken by its transport's notify
-   hook (new frames), by a reactor timer (round deadline, linger
+(* [Machine] runs one party: step, stage data + barriers, flush,
+   collect (Nacking silence), repeat to quiescence, then Fin + linger —
+   as an explicit resumable state machine, so one loop thread can
+   carry every party of every shard session at once.  Control never
+   blocks: the machine parks between events, woken by its transport's
+   notify hook (new frames), by a reactor timer (round deadline, linger
    deadline), or by a self-post (next round, for fair interleaving
-   with its siblings).
-
-   Frame handling, byte/message accounting, retry/starvation typing
-   and the [Closed]-with-retries conversion are kept line-for-line
-   equivalent to the blocking engine — the blocking memory engine
-   stays behind as the differential oracle, and the cross-engine
-   bit-identity suites hold the two implementations to the same
-   answers. *)
+   with its siblings).  The simulated [Session.run] and the central
+   [Driver] are the oracles the cross-engine suites hold it to. *)
 module Machine = struct
   type state =
     | Idle
@@ -384,7 +67,7 @@ module Machine = struct
     party : Wire.party;
     me : string;
     tracing : bool;
-    (* Protocol state — identical tables to the blocking engine. *)
+    (* Protocol state. *)
     eors : (int * int, int * int) Hashtbl.t;
     data_count : (int * int, int) Hashtbl.t;
     pending : (int, (int * int * Runtime.message) list) Hashtbl.t;
@@ -498,11 +181,12 @@ module Machine = struct
         missing;
       }
 
-  (* Pull every frame already delivered.  [Closed] from the transport
-     converts exactly as in the blocking engine: with a retry already
-     on the books for this round it becomes the starvation this party
-     had diagnosed; a party progressing normally propagates the
-     [Closed] echo. *)
+  (* Pull every frame already delivered.  The callers convert a
+     [Closed] from the transport: with a retry already on the books
+     for this round it becomes the starvation this party had
+     diagnosed (a sibling won the race to raise first); a party
+     progressing normally propagates the [Closed] echo, which keeps
+     the pool's root-cause attribution intact. *)
   let drain t =
     let rec go () =
       match t.transport.Transport.try_recv () with
@@ -725,9 +409,9 @@ module Machine = struct
     t
 
   let start t =
-    (* The notify hook may fire from any thread (socket readers, a
-       daemon's connection threads); it coalesces into at most one
-       queued wake task at a time. *)
+    (* The notify hook may fire from any thread (a daemon's
+       connection threads); it coalesces into at most one queued wake
+       task at a time. *)
     t.transport.Transport.set_notify (fun () ->
         if not (Atomic.exchange t.wake_posted true) then
           Reactor.post t.reactor (fun () ->
@@ -737,8 +421,10 @@ module Machine = struct
 end
 
 (* Run a whole group as machines on [reactor]; [on_done] fires exactly
-   once with the same result/root-cause contract as the blocking
-   [run_group]. *)
+   once, with the result or the root cause: among several failures a
+   non-[Closed] error beats the [Closed] cascade it triggered, and
+   among timeouts the earliest round is the diagnosis — a peer that
+   then starved waiting for the starved party is the echo. *)
 let run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_rounds
     ~on_done =
   let m = Array.length parties in
@@ -755,7 +441,6 @@ let run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_
       Array.fold_left (fun acc (t : Transport.t) -> acc + t.Transport.sent_bytes ()) 0 transports
     in
     close_all ();
-    (* Root-cause fold: identical to the blocking engine. *)
     let better a b =
       match (a, b) with
       | Round_timeout { round = ra; _ }, Round_timeout { round = rb; _ } -> ra < rb
@@ -800,15 +485,23 @@ let run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_
   Array.iter Machine.start machines
 
 (* Drive one group to completion on a private reactor owned by the
-   calling thread. *)
-let run_group_reactor ~config ~trace ~reactor ~transports ~parties ~programs ~max_rounds () =
-  let result = ref None in
-  run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_rounds
-    ~on_done:(fun r -> result := Some r);
+   calling thread; [make_transports] builds the group on it. *)
+let run_group ~config ~trace ~make_transports ~parties ~programs ~max_rounds =
+  let reactor = Reactor.create () in
   Fun.protect
     ~finally:(fun () -> Reactor.destroy reactor)
-    (fun () -> Reactor.run reactor ~until:(fun () -> !result <> None));
-  match Option.get !result with Ok r -> r | Error e -> raise e
+    (fun () ->
+      let transports = make_transports reactor in
+      let result = ref None in
+      run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_rounds
+        ~on_done:(fun r -> result := Some r);
+      Reactor.run reactor ~until:(fun () -> !result <> None);
+      match Option.get !result with Ok r -> r | Error e -> raise e)
+
+let run_memory ?(config = default_config) ?fault ?(trace = Spe_obs.Trace.disabled ())
+    ~parties ~programs ~max_rounds () =
+  run_group ~config ~trace ~parties ~programs ~max_rounds ~make_transports:(fun reactor ->
+      Transport.Memory.create_group ?fault ~trace ~reactor ~m:(Array.length parties) ())
 
 let run_socket ?(config = default_config) ?addresses ?fault
     ?(trace = Spe_obs.Trace.disabled ()) ~parties ~programs ~max_rounds () =
@@ -817,13 +510,11 @@ let run_socket ?(config = default_config) ?addresses ?fault
     | Some a -> a
     | None -> Transport.Socket.temp_unix_addresses ~m:(Array.length parties)
   in
-  let reactor = Reactor.create () in
-  let transports = Transport.Socket.reactor_group ?fault ~trace ~reactor ~addresses () in
-  run_group_reactor ~config ~trace ~reactor ~transports ~parties ~programs ~max_rounds ()
+  run_group ~config ~trace ~parties ~programs ~max_rounds ~make_transports:(fun reactor ->
+      Transport.Socket.reactor_group ?fault ~trace ~reactor ~addresses ())
 
-(* One seat of a session as a reactor task chain — the event-driven
-   twin of [run_party], for hosts (the serve daemons) that already own
-   a reactor and must not block it. *)
+(* One seat of a session as a reactor task chain, for hosts (the serve
+   daemons) that already own a reactor and must not block it. *)
 let run_party_async ?(config = default_config) ?(trace = Spe_obs.Trace.disabled ()) ~reactor
     ~transport ~(session : _ Session.t) ~index ~on_done () =
   let m = Array.length session.Session.parties in
@@ -858,25 +549,21 @@ let check_session_rounds (session : _ Session.t) result =
       (Printf.sprintf "Endpoint.run_session: declared %d rounds but executed %d"
          session.Session.rounds executed)
 
-let run_session_memory ?config ?fault ?(trace = Spe_obs.Trace.disabled ()) session =
+let run_session run ~trace (session : _ Session.t) =
   Spe_obs.Trace.set_phases trace session.Session.phases;
   let result =
     Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
-        run_memory ?config ?fault ~trace ~parties:session.Session.parties
-          ~programs:session.Session.programs ~max_rounds:(session.Session.rounds + 1) ())
+        run ~parties:session.Session.parties ~programs:session.Session.programs
+          ~max_rounds:(session.Session.rounds + 1) ())
   in
   check_session_rounds session result;
   (session.Session.result (), result)
 
+let run_session_memory ?config ?fault ?(trace = Spe_obs.Trace.disabled ()) session =
+  run_session (run_memory ?config ?fault ~trace) ~trace session
+
 let run_session_socket ?config ?addresses ?fault ?(trace = Spe_obs.Trace.disabled ()) session =
-  Spe_obs.Trace.set_phases trace session.Session.phases;
-  let result =
-    Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
-        run_socket ?config ?addresses ?fault ~trace ~parties:session.Session.parties
-          ~programs:session.Session.programs ~max_rounds:(session.Session.rounds + 1) ())
-  in
-  check_session_rounds session result;
-  (session.Session.result (), result)
+  run_session (run_socket ?config ?addresses ?fault ~trace) ~trace session
 
 (* --- The shard worker pool ---------------------------------------------------- *)
 
@@ -893,91 +580,111 @@ let () =
     | Worker_killed -> Some "Endpoint.Worker_killed"
     | _ -> None)
 
-(* Up to [workers] threads claim shard sessions in index order; each
-   claimed shard gets its own fresh connection group (so the existing
-   per-group barrier/Nack/timeout machinery applies unchanged), and on
-   any shard failure every open sibling group is closed so its threads
-   unwind promptly instead of waiting out their timeouts. *)
-let run_pool ~workers ~config ~kills ~traces ~make_transports (sessions : _ Session.t array) =
+(* The shard pool: every concurrent shard session is a set of machines
+   on one reactor that the calling thread drives.  [workers] bounds the
+   sessions in flight; they launch in index order, each on its own
+   fresh group (so the per-group barrier/Nack/timeout machinery
+   applies unchanged), and on any shard failure every open sibling
+   group is closed so its machines unwind promptly instead of waiting
+   out their timeouts.  A group whose descriptors would not fit the
+   reactor waits until an earlier session closes; with none in flight
+   the shard fails. *)
+let run_pool ~who ~make_group ?(config = default_config) ?workers ?faults ?kills ?traces
+    (sessions : _ Session.t array) =
   let ns = Array.length sessions in
+  let per_session what default = function
+    | None -> Array.init ns default
+    | Some a ->
+      if Array.length a <> ns then
+        invalid_arg (Printf.sprintf "Endpoint.%s: one %s per session" who what);
+      a
+  in
+  let faults = per_session "fault spec" (fun _ -> None) faults in
+  let kills = per_session "kill flag" (fun _ -> false) kills in
+  (* A trace per session even when disabled: each carries its own
+     session's phase map. *)
+  let traces = per_session "trace" (fun _ -> Spe_obs.Trace.disabled ()) traces in
   let results = Array.make ns None in
   let errors = Array.make ns None in
-  let mutex = Mutex.create () in
+  let reactor = Reactor.create () in
   let next = ref 0 in
   let stopped = ref false in
+  let outstanding = ref 0 in
   let open_groups : (int, Transport.t array) Hashtbl.t = Hashtbl.create 8 in
   let close_group ts =
     Array.iter (fun (t : Transport.t) -> try t.Transport.close () with _ -> ()) ts
   in
   let cancel_all () =
-    Mutex.lock mutex;
     stopped := true;
     let groups = Hashtbl.fold (fun _ ts acc -> ts :: acc) open_groups [] in
-    Mutex.unlock mutex;
     List.iter close_group groups
   in
-  let claim () =
-    Mutex.lock mutex;
-    let r =
-      if !stopped || !next >= ns then None
-      else begin
-        let s = !next in
-        incr next;
-        Some s
-      end
-    in
-    Mutex.unlock mutex;
-    r
+  let nworkers = max 1 (min (Option.value workers ~default:ns) (max 1 ns)) in
+  let fail_shard s e =
+    let phase = match e with Round_timeout { phase; _ } -> phase | _ -> None in
+    errors.(s) <- Some (Shard_failed { shard = s; phase; exn = e });
+    cancel_all ()
   in
-  let run_one s =
+  let rec launch () =
+    if (not !stopped) && !next < ns && !outstanding < nworkers && start_one !next then begin
+      incr next;
+      launch ()
+    end
+  (* [false] when the session is held back for descriptors. *)
+  and start_one s =
     let session = sessions.(s) in
     let trace = traces.(s) in
     Spe_obs.Trace.set_phases trace session.Session.phases;
-    let transports = make_transports s ~m:(Array.length session.Session.parties) ~trace in
-    Mutex.lock mutex;
-    Hashtbl.replace open_groups s transports;
-    let bail = !stopped in
-    Mutex.unlock mutex;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock mutex;
-        Hashtbl.remove open_groups s;
-        Mutex.unlock mutex;
-        close_group transports)
-      (fun () ->
-        if not bail then begin
-          (* The kill hook fires after the group is registered, so the
-             teardown path it exercises is the real one: the dead
-             worker's siblings are cancelled and the pool attributes
-             the failure to this shard. *)
-          if kills.(s) then raise Worker_killed;
-          let result =
-            Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
-                run_group ~config ~trace ~transports ~parties:session.Session.parties
-                  ~programs:session.Session.programs
-                  ~max_rounds:(session.Session.rounds + 1) ())
-          in
-          check_session_rounds session result;
-          results.(s) <- Some (session.Session.result (), result)
-        end)
+    match
+      make_group ?fault:faults.(s) ?trace:(Some trace) ~reactor
+        ~m:(Array.length session.Session.parties) ()
+    with
+    | exception Transport.Descriptor_limit when !outstanding > 0 -> false
+    | exception e ->
+      fail_shard s e;
+      true
+    | transports ->
+      if kills.(s) then begin
+        (* The kill hook fires once the group exists, so the teardown
+           path it exercises is the real one: the dead shard's
+           siblings are cancelled and the pool attributes the failure
+           to this shard. *)
+        close_group transports;
+        fail_shard s Worker_killed
+      end
+      else begin
+        Hashtbl.replace open_groups s transports;
+        let tracing = Spe_obs.Trace.enabled trace in
+        let session_start = if tracing then Spe_obs.Trace.now trace else 0. in
+        incr outstanding;
+        run_group_async ~reactor ~config ~trace ~transports
+          ~parties:session.Session.parties ~programs:session.Session.programs
+          ~max_rounds:(session.Session.rounds + 1)
+          ~on_done:(fun res ->
+            decr outstanding;
+            Hashtbl.remove open_groups s;
+            close_group transports;
+            (match res with
+            | Ok result -> (
+              match
+                if tracing then
+                  Spe_obs.Trace.record_span trace Spe_obs.Trace.Session "session"
+                    ~start:session_start ~stop:(Spe_obs.Trace.now trace);
+                check_session_rounds session result;
+                (session.Session.result (), result)
+              with
+              | r -> results.(s) <- Some r
+              | exception e -> fail_shard s e)
+            | Error e -> fail_shard s e);
+            launch ())
+      end;
+      true
   in
-  let worker () =
-    let rec go () =
-      match claim () with
-      | None -> ()
-      | Some s ->
-        (try run_one s
-         with e ->
-           let phase = match e with Round_timeout { phase; _ } -> phase | _ -> None in
-           errors.(s) <- Some (Shard_failed { shard = s; phase; exn = e });
-           cancel_all ());
-        go ()
-    in
-    go ()
-  in
-  let nworkers = max 1 (min workers (max 1 ns)) in
-  let threads = Array.init nworkers (fun _ -> Thread.create worker ()) in
-  Array.iter Thread.join threads;
+  launch ();
+  Fun.protect
+    ~finally:(fun () -> Reactor.destroy reactor)
+    (fun () ->
+      Reactor.run reactor ~until:(fun () -> !outstanding = 0 && (!stopped || !next >= ns)));
   (* Surface the root cause, not the Closed cascade the teardown
      triggered in the sibling groups.  A killed worker outranks any
      timeout: the kill is the cause, a sibling that starved while the
@@ -1006,156 +713,8 @@ let run_pool ~workers ~config ~kills ~traces ~make_transports (sessions : _ Sess
   | None, None -> ());
   Array.map Option.get results
 
-let pool_defaults ?workers ?traces ns =
-  let workers = match workers with Some j -> j | None -> ns in
-  let traces =
-    match traces with
-    | Some t -> t
-    | None -> Array.init ns (fun _ -> Spe_obs.Trace.disabled ())
-  in
-  if Array.length traces <> ns then
-    invalid_arg "Endpoint.run_sessions: one trace per session";
-  (workers, traces)
+let run_sessions_memory ?config =
+  run_pool ~who:"run_sessions_memory" ~make_group:Transport.Memory.create_group ?config
 
-let pool_faults ~who ?faults ?kills ns =
-  let faults = match faults with Some f -> f | None -> Array.make ns None in
-  if Array.length faults <> ns then
-    invalid_arg (Printf.sprintf "Endpoint.%s: one fault spec per session" who);
-  let kills = match kills with Some k -> k | None -> Array.make ns false in
-  if Array.length kills <> ns then
-    invalid_arg (Printf.sprintf "Endpoint.%s: one kill flag per session" who);
-  (faults, kills)
-
-let run_sessions_memory ?(config = default_config) ?workers ?faults ?kills ?traces sessions =
-  let ns = Array.length sessions in
-  let workers, traces = pool_defaults ?workers ?traces ns in
-  let faults, kills = pool_faults ~who:"run_sessions_memory" ?faults ?kills ns in
-  run_pool ~workers ~config ~kills ~traces
-    ~make_transports:(fun s ~m ~trace ->
-      Transport.Memory.create_group ?fault:faults.(s) ~trace ~m ())
-    sessions
-
-(* The event-driven shard pool: same claim order, kill hook, sibling
-   cancellation and root-cause attribution as [run_pool], but every
-   concurrent shard session is a set of machines on one reactor —
-   [workers] bounds the shard sessions in flight, not a thread count,
-   and the process runs the whole pool on the calling thread. *)
-let run_pool_reactor ~workers ~config ~kills ~traces ~make_transports
-    (sessions : _ Session.t array) =
-  let ns = Array.length sessions in
-  let results = Array.make ns None in
-  let errors = Array.make ns None in
-  let reactor = Reactor.create () in
-  let next = ref 0 in
-  let stopped = ref false in
-  let outstanding = ref 0 in
-  let open_groups : (int, Transport.t array) Hashtbl.t = Hashtbl.create 8 in
-  let close_group ts =
-    Array.iter (fun (t : Transport.t) -> try t.Transport.close () with _ -> ()) ts
-  in
-  let cancel_all () =
-    stopped := true;
-    let groups = Hashtbl.fold (fun _ ts acc -> ts :: acc) open_groups [] in
-    List.iter close_group groups
-  in
-  let nworkers = max 1 (min workers (max 1 ns)) in
-  let fail_shard s e =
-    let phase = match e with Round_timeout { phase; _ } -> phase | _ -> None in
-    errors.(s) <- Some (Shard_failed { shard = s; phase; exn = e });
-    cancel_all ()
-  in
-  let rec launch () =
-    if (not !stopped) && !next < ns && !outstanding < nworkers then begin
-      let s = !next in
-      incr next;
-      start_one s;
-      launch ()
-    end
-  and start_one s =
-    let session = sessions.(s) in
-    let trace = traces.(s) in
-    Spe_obs.Trace.set_phases trace session.Session.phases;
-    match make_transports ~reactor s ~m:(Array.length session.Session.parties) ~trace with
-    | exception e -> fail_shard s e
-    | transports ->
-      Hashtbl.replace open_groups s transports;
-      if !stopped then begin
-        Hashtbl.remove open_groups s;
-        close_group transports
-      end
-      else if kills.(s) then begin
-        (* The kill hook fires after the group is registered, so the
-           teardown path it exercises is the real one: the dead
-           shard's siblings are cancelled and the pool attributes the
-           failure to this shard. *)
-        Hashtbl.remove open_groups s;
-        close_group transports;
-        fail_shard s Worker_killed
-      end
-      else begin
-        let tracing = Spe_obs.Trace.enabled trace in
-        let session_start = if tracing then Spe_obs.Trace.now trace else 0. in
-        incr outstanding;
-        run_group_async ~reactor ~config ~trace ~transports
-          ~parties:session.Session.parties ~programs:session.Session.programs
-          ~max_rounds:(session.Session.rounds + 1)
-          ~on_done:(fun res ->
-            decr outstanding;
-            Hashtbl.remove open_groups s;
-            close_group transports;
-            (match res with
-            | Ok result -> (
-              match
-                if tracing then
-                  Spe_obs.Trace.record_span trace Spe_obs.Trace.Session "session"
-                    ~start:session_start ~stop:(Spe_obs.Trace.now trace);
-                check_session_rounds session result;
-                (session.Session.result (), result)
-              with
-              | r -> results.(s) <- Some r
-              | exception e -> fail_shard s e)
-            | Error e -> fail_shard s e);
-            launch ())
-      end
-  in
-  launch ();
-  Fun.protect
-    ~finally:(fun () -> Reactor.destroy reactor)
-    (fun () ->
-      Reactor.run reactor ~until:(fun () -> !outstanding = 0 && (!stopped || !next >= ns)));
-  (* Root-cause fold: identical to the thread pool's. *)
-  let root, any =
-    Array.fold_left
-      (fun (root, any) e ->
-        match e with
-        | None -> (root, any)
-        | Some (Shard_failed { exn = Transport.Closed; _ }) ->
-          (root, if any = None then e else any)
-        | Some _ ->
-          let root =
-            match (root, e) with
-            | None, _ -> e
-            | Some (Shard_failed { exn = Worker_killed; _ }), _ -> root
-            | Some _, Some (Shard_failed { exn = Worker_killed; _ }) -> e
-            | _ -> root
-          in
-          (root, if any = None then e else any))
-      (None, None) errors
-  in
-  (match (root, any) with
-  | Some e, _ -> raise e
-  | None, Some e -> raise e
-  | None, None -> ());
-  Array.map Option.get results
-
-let run_sessions_socket ?(config = default_config) ?workers ?faults ?kills ?traces sessions =
-  let ns = Array.length sessions in
-  let workers, traces = pool_defaults ?workers ?traces ns in
-  let faults, kills = pool_faults ~who:"run_sessions_socket" ?faults ?kills ns in
-  (* Socketpair groups: a fresh connection group per shard session is
-     the pool's contract, and at that rate the addressed rendezvous
-     would cost more than the latency overlap sharding buys back. *)
-  run_pool_reactor ~workers ~config ~kills ~traces
-    ~make_transports:(fun ~reactor s ~m ~trace ->
-      Transport.Socket.reactor_group_local ?fault:faults.(s) ~trace ~reactor ~m ())
-    sessions
+let run_sessions_socket ?config =
+  run_pool ~who:"run_sessions_socket" ~make_group:Transport.Socket.reactor_group_local ?config

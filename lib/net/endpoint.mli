@@ -1,22 +1,29 @@
 (** Hosting {!Spe_mpc.Runtime.program}s over a real transport.
 
     {!Spe_mpc.Runtime.run} routes party closures through an in-process
-    hash table; this module gives each party its own thread and moves
-    the same programs over byte streams.  The round discipline is kept
-    by an [End_of_round] barrier: after stepping, a party tells every
-    peer how many data frames it sent that round (in total, and to that
-    peer specifically), and a party steps round [r + 1] only once it
-    holds the barrier frame and the promised data from all peers.
-    A round in which no party sent anything is globally visible through
-    the barrier counts, so every endpoint terminates on the same round
-    — exactly the engine's quiescence rule, and like the engine the
+    hash table; this module runs each party as a resumable state
+    machine on a {!Reactor} and moves the same programs over byte
+    streams — every party of every session a process hosts shares one
+    loop thread.  The round discipline is kept by an [End_of_round]
+    barrier: after stepping, a party tells every peer how many data
+    frames it sent that round (in total, and to that peer
+    specifically), and a party steps round [r + 1] only once it holds
+    the barrier frame and the promised data from all peers.  A round
+    in which no party sent anything is globally visible through the
+    barrier counts, so every endpoint terminates on the same round —
+    exactly the engine's quiescence rule, and like the engine the
     quiescent round is not charged.
 
     Loss is handled by receiver-driven retransmission: a party whose
     round fails to complete within [round_timeout] Nacks the incomplete
     peers, who replay their cached frames for that round; after
     [max_retries] fruitless timeouts the party raises {!Round_timeout}
-    instead of hanging, and the whole group is torn down. *)
+    instead of hanging, and the whole group is torn down.
+
+    The memory and socket engines differ only in the group they build
+    ({!Transport.Memory} or {!Transport.Socket}); the simulated
+    {!Spe_mpc.Session.run} and the central [Spe_core.Driver] are the
+    independent oracles the cross-engine suites hold both to. *)
 
 type config = {
   round_timeout : float;
@@ -40,7 +47,7 @@ exception Round_timeout of {
       (** The pipeline phase owning [round], read from the trace's
           phase map — so a stuck socket run reports ["p4-mask"] rather
           than a bare round number.  [None] when no phase map was
-          installed (e.g. {!run_group} on raw programs). *)
+          installed (e.g. {!run_memory} on raw programs). *)
   missing : Spe_mpc.Wire.party list;  (** Peers that never completed the round. *)
 }
 (** A registered [Printexc] printer renders the full context:
@@ -60,25 +67,6 @@ type result = {
           payloads, framing, barriers, handshakes, retransmissions. *)
 }
 
-val run_party :
-  ?config:config ->
-  ?trace:Spe_obs.Trace.t ->
-  transport:Transport.t ->
-  session:'r Spe_mpc.Session.t ->
-  index:int ->
-  unit ->
-  outcome
-(** Drive exactly one seat of a session on the calling thread, over a
-    caller-supplied transport whose group indices match the session's
-    party order — the building block for deployments where the other
-    seats live in other processes ([Spe_serve] daemons over a
-    session-multiplexed connection mesh, {!Mux}).  Installs the
-    session's phase map on [trace], enforces the declared round count
-    ([Failure] on mismatch), and raises exactly what {!run_group}'s
-    per-party loop raises ({!Round_timeout}, [Transport.Closed], ...).
-    The session's result thunk is {e not} called: only the seat that
-    owns the result state can read it. *)
-
 val run_party_async :
   ?config:config ->
   ?trace:Spe_obs.Trace.t ->
@@ -89,41 +77,22 @@ val run_party_async :
   on_done:((outcome, exn) Stdlib.result -> unit) ->
   unit ->
   unit
-(** The event-driven twin of {!run_party}: the seat runs as a
-    resumable state machine on [reactor] — parked between events,
-    woken by the transport's delivery hook, its round deadlines kept
-    by reactor timers — so a host (an [spe serve] daemon) runs every
-    seat of every concurrent session on one loop thread instead of one
-    thread each.  Must be called from the reactor thread; [on_done]
-    fires exactly once, on the reactor thread, with the outcome or
-    with exactly the exception {!run_party} would have raised.  The
-    transport's [try_recv]/[set_notify] interface is the only one
-    used, so both blocking-capable transports ({!Mux} sessions) and
-    reactor-owned ones work. *)
-
-val run_group :
-  ?config:config ->
-  ?trace:Spe_obs.Trace.t ->
-  transports:Transport.t array ->
-  parties:Spe_mpc.Wire.party array ->
-  programs:Spe_mpc.Runtime.program array ->
-  max_rounds:int ->
-  unit ->
-  result
-(** Drive one program per party, each on its own thread over its
-    transport, until global quiescence.  Mirrors the engine's contract:
-    raises [Failure "Endpoint.run: protocol did not terminate"] past
-    [max_rounds], [Invalid_argument] on a forged source or a message to
-    an unknown party, {!Round_timeout} when a peer stays silent.  Any
-    failure closes the whole group, so the remaining threads unwind
-    promptly instead of waiting out their timeouts.
-
-    When [trace] is recording, every endpoint thread records into it:
-    a [Round] span per charged round (local step in a nested [Compute]
-    span), [Messages]/[Payload_bytes]/[Framed_bytes] counts per data
-    frame first transmitted — byte-for-byte what lands in
-    {!Net_wire.record}s — plus [Retransmits], [Nacks] and [Timeouts]
-    as the loss recovery machinery fires. *)
+(** Drive exactly one seat of a session as a resumable state machine
+    on [reactor], over a caller-supplied transport whose group indices
+    match the session's party order — the building block for
+    deployments where the other seats live in other processes
+    ([Spe_serve] daemons over a session-multiplexed connection mesh,
+    {!Mux}).  The seat parks between events, woken by the transport's
+    delivery hook, its round deadlines kept by reactor timers, so a
+    host runs every seat of every concurrent session on one loop
+    thread.  Installs the session's phase map on [trace].  Must be
+    called from the reactor thread; [on_done] fires exactly once, on
+    the reactor thread, with the outcome or with the failure: a
+    [Failure] when the executed round count differs from the declared
+    one, {!Round_timeout}, [Transport.Closed], or the contract
+    violations {!run_memory} lists.  The session's result thunk is
+    {e not} called: only the seat that owns the result state can read
+    it. *)
 
 val run_memory :
   ?config:config ->
@@ -134,9 +103,24 @@ val run_memory :
   max_rounds:int ->
   unit ->
   result
-(** {!run_group} over a fresh {!Transport.Memory} group; [trace] is
-    shared with the transports, so fault decisions and transport bytes
-    land in the same event stream. *)
+(** Drive one program per party over a fresh {!Transport.Memory} group
+    until global quiescence, on a private {!Reactor} driven by the
+    calling thread.  Mirrors the engine's contract: raises [Failure
+    "Endpoint.run: protocol did not terminate"] past [max_rounds],
+    [Invalid_argument] on a forged source or a message to an unknown
+    party, {!Round_timeout} when a peer stays silent.  Any failure
+    closes the whole group, and the error raised is the root cause,
+    not the [Transport.Closed] cascade it triggered (among timeouts,
+    the earliest round).
+
+    [fault] and [trace] are shared with the transports, so fault
+    decisions and transport bytes land in the same event stream.  When
+    [trace] is recording, every endpoint records into it: a [Round]
+    span per charged round (local step in a nested [Compute] span),
+    [Messages]/[Payload_bytes]/[Framed_bytes] counts per data frame
+    first transmitted — byte-for-byte what lands in {!Net_wire.record}s
+    — plus [Retransmits], [Nacks] and [Timeouts] as the loss recovery
+    machinery fires. *)
 
 val run_socket :
   ?config:config ->
@@ -148,19 +132,10 @@ val run_socket :
   max_rounds:int ->
   unit ->
   result
-(** The {!run_group} contract over a fresh {!Transport.Socket} group
-    (fresh Unix-domain sockets in a temporary directory unless
-    [addresses] says otherwise); [fault] and [trace] are shared with
-    the transports, so the socket engine takes the same per-frame
-    fault policies the memory engine does.
-
-    Since the reactor rewrite this engine spawns no threads: the
-    parties run as state machines on a private {!Reactor} driven by
-    the calling thread, over reactor-owned connections
-    ({!Transport.Socket.reactor_group}).  Results, accounting and the
-    failure contract are unchanged — the cross-engine suites pin the
-    socket engine bit-identical to the blocking memory engine, which
-    stays as the differential oracle. *)
+(** The {!run_memory} contract over a fresh
+    {!Transport.Socket.reactor_group} (fresh Unix-domain sockets in a
+    temporary directory unless [addresses] says otherwise), whose
+    [transport_bytes] include the rendezvous Hellos. *)
 
 val run_session_memory :
   ?config:config ->
@@ -193,7 +168,7 @@ exception Shard_failed of {
       (** The phase a {!Round_timeout} named, when that was the cause. *)
   exn : exn;  (** The underlying failure. *)
 }
-(** Raised by the worker pool when one of its sessions fails; the pool
+(** Raised by the shard pool when one of its sessions fails; the pool
     closes every sibling connection group before re-raising, and the
     surfaced shard is the {e root cause} (a shard that died of
     [Transport.Closed] because the pool tore it down is only reported
@@ -202,13 +177,13 @@ exception Shard_failed of {
     ..."]. *)
 
 exception Worker_killed
-(** The injected worker-death fault: a pool worker whose session's
-    [kills] flag is set raises this immediately after its connection
-    group is registered, surfacing as {!Shard_failed} with this
-    exception inside.  In root-cause selection a killed worker outranks
-    any {!Round_timeout}: the sibling that starved while the pool tore
-    down is the echo, not the cause.  Only the chaos harness sets kill
-    flags; production pools never see this exception. *)
+(** The injected worker-death fault: a pool session whose [kills] flag
+    is set raises this as soon as its connection group exists,
+    surfacing as {!Shard_failed} with this exception inside.  In
+    root-cause selection a killed worker outranks any {!Round_timeout}:
+    the sibling that starved while the pool tore down is the echo, not
+    the cause.  Only the chaos harness sets kill flags; production
+    pools never see this exception. *)
 
 val run_sessions_memory :
   ?config:config ->
@@ -219,12 +194,13 @@ val run_sessions_memory :
   'r Spe_mpc.Session.t array ->
   ('r * result) array
 (** Drive an array of mutually independent sessions — one {!Plan}
-    stage's shards — on a pool of at most [workers] threads (default:
-    one per session), each claimed session running on its own fresh
-    {!Transport.Memory} group with the full {!run_session_memory}
-    contract (phase map installed, [Session] span, declared-rounds
-    check).  Results are in session order.  [faults], [kills] and
-    [traces], when given, must have one entry per session
+    stage's shards — each on its own fresh {!Transport.Memory} group
+    with the full {!run_session_memory} contract (phase map installed,
+    [Session] span, declared-rounds check).  Every session is a set of
+    machines on one reactor that the calling thread drives; [workers]
+    (default: one per session) bounds how many are in flight, not a
+    thread count.  Results are in session order.  [faults], [kills]
+    and [traces], when given, must have one entry per session
     ([Invalid_argument] otherwise); a session whose kill flag is set
     raises {!Worker_killed} instead of running (the chaos harness's
     worker-death fault).  On any failure the pool cancels the
@@ -240,12 +216,8 @@ val run_sessions_socket :
   ?traces:Spe_obs.Trace.t array ->
   'r Spe_mpc.Session.t array ->
   ('r * result) array
-(** The {!run_sessions_memory} contract over fresh socketpair groups,
-    with the same per-session [faults] and [kills] hooks — but since
-    the reactor rewrite the pool spawns no threads at all: [workers]
-    bounds how many shard sessions are {e in flight} on the one
-    reactor the calling thread drives, so k shards cost k sets of
-    state machines, not k×parties blocked threads.  Claim order,
-    sibling cancellation on failure and root-cause attribution
-    ({!Worker_killed} outranks timeouts, [Transport.Closed] is the
-    echo) are identical to the thread pool's. *)
+(** The {!run_sessions_memory} contract over fresh
+    {!Transport.Socket.reactor_group_local} groups.  A session whose
+    descriptors would not fit the reactor's [select] waits until an
+    earlier session has closed; if none is in flight, the pool fails
+    with {!Shard_failed} wrapping {!Transport.Descriptor_limit}. *)

@@ -7,15 +7,15 @@
     values: the connection layer registers a {e writer} per peer and
     feeds every inbound [(sid, body)] pair to {!deliver};
     {!open_session} hands one seat of one session to
-    {!Endpoint.run_party}, which then runs the standard barrier / Nack
-    / timeout machinery unchanged — the rendezvous and Hello exchange
+    {!Endpoint.run_party_async}, which then runs the standard barrier /
+    Nack / timeout machinery unchanged — the rendezvous and Hello exchange
     happened once, when the mesh came up, not per session.
 
     Frames for a session the local seat has not opened yet are
     buffered; frames for a session already closed or aborted are
     dropped (late retransmits after quiescence).  When a peer's
     connection dies, {!fail_peer} closes every open session seated with
-    it, so the endpoint threads fail promptly with [Transport.Closed]
+    it, so the seats fail promptly with [Transport.Closed]
     instead of waiting out their round timeouts — the daemon turns that
     into a typed job failure. *)
 

@@ -8,7 +8,12 @@
      makes interleaving between machines fair and deterministic.
    - Timers: a binary min-heap on (deadline, registration seq), so
      equal deadlines fire in registration order.  Cancellation marks
-     the node dead and lets the pop skip it — O(1) cancel, no sifting.
+     the node dead and lets the pop skip it — O(1) cancel, no sifting
+     — and swaps its task for [ignore] at once: a task closure holds
+     its endpoint machine, and a dead node can sit in the heap until
+     its deadline, minutes out.  A fired timer is retired the same
+     way, so a vacated array slot only ever points at a node still in
+     the heap or a spent one.
    - Descriptors: two fd-keyed tables (read/write interest).  select
      is fine at this repo's fan-in (a shard group is m·(m-1)
      descriptors, m ≤ a handful of parties), and it is the only
@@ -19,7 +24,12 @@
    is drained before dispatching, so a burst of posts costs one
    syscall. *)
 
-type timer = { t_deadline : float; t_seq : int; t_task : unit -> unit; mutable t_dead : bool }
+type timer = {
+  t_deadline : float;
+  t_seq : int;
+  mutable t_task : unit -> unit;
+  mutable t_dead : bool;
+}
 
 module Heap = struct
   type t = { mutable a : timer array; mutable len : int }
@@ -155,6 +165,7 @@ let at t deadline task =
 let cancel t tm =
   if not tm.t_dead then begin
     tm.t_dead <- true;
+    tm.t_task <- ignore;
     t.live_timers <- t.live_timers - 1
   end
 
@@ -166,6 +177,15 @@ let clear_writable t fd = Hashtbl.remove t.writers fd
 let forget_fd t fd =
   clear_readable t fd;
   clear_writable t fd
+
+(* [Unix.select] refuses the whole call with EINVAL when any
+   descriptor number reaches FD_SETSIZE, before any syscall; a
+   zero-timeout probe asks exactly the question [run] will. *)
+let selectable fds =
+  match Unix.select fds [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
 
 let iterations t = Atomic.get t.iterations
 let timer_fires t = Atomic.get t.fires
@@ -190,11 +210,21 @@ let due_timers t now =
       go acc
     | Some tm when tm.t_deadline <= now ->
       ignore (Heap.pop t.timers);
-      t.live_timers <- t.live_timers - 1;
       go (tm :: acc)
     | _ -> List.rev acc
   in
   go []
+
+(* A fired timer is spent exactly like a cancelled one, so a later
+   [cancel] of its handle is the documented no-op and the task closure
+   is released as it runs. *)
+let fire t tm =
+  if not tm.t_dead then begin
+    let task = tm.t_task in
+    cancel t tm;
+    Atomic.incr t.fires;
+    task ()
+  end
 
 let drain_wake_pipe t =
   let buf = Bytes.create 64 in
@@ -219,14 +249,7 @@ let run t ~until =
   while not (until ()) do
     Atomic.incr t.iterations;
     (* 1. Due timers, in (deadline, seq) order. *)
-    let due = due_timers t (Unix.gettimeofday ()) in
-    List.iter
-      (fun tm ->
-        if not tm.t_dead then begin
-          Atomic.incr t.fires;
-          tm.t_task ()
-        end)
-      due;
+    List.iter (fire t) (due_timers t (Unix.gettimeofday ()));
     if not (until ()) then begin
       (* 2. One ready snapshot. *)
       let batch = take_snapshot t in

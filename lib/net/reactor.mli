@@ -11,8 +11,8 @@
     {b Threading.}  Exactly one thread may call {!run}; every callback
     (task, timer, descriptor) fires on that thread, so state touched
     only from callbacks needs no locks.  {!post} alone is thread-safe:
-    other threads (socket reader threads, a daemon's connection
-    readers) hand work to the loop with it, and a self-pipe wakes the
+    other threads (a daemon's connection readers) hand work to the
+    loop with it, and a self-pipe wakes the
     loop if it is parked in [select].
 
     {b Determinism.}  Scheduling order is a function of the event
@@ -39,7 +39,8 @@ val at : t -> float -> (unit -> unit) -> timer
 
 val cancel : t -> timer -> unit
 (** Cancel a pending timer; cancelling a fired or already-cancelled
-    timer is a no-op.  Loop-thread only. *)
+    timer is a no-op.  The task closure is released at once, not when
+    the timer's deadline would have come.  Loop-thread only. *)
 
 val on_readable : t -> Unix.file_descr -> (unit -> unit) -> unit
 (** Install the read-readiness callback for a descriptor (replacing
@@ -59,6 +60,12 @@ val clear_writable : t -> Unix.file_descr -> unit
 val forget_fd : t -> Unix.file_descr -> unit
 (** Drop both interests — required before closing a descriptor the
     reactor watches. *)
+
+val selectable : Unix.file_descr list -> bool
+(** Whether {!run}'s [select] can watch every one of these
+    descriptors: [false] once a descriptor number reaches
+    [FD_SETSIZE] (1024 on Linux), where registering it would make
+    every later loop iteration fail. *)
 
 val run : t -> until:(unit -> bool) -> unit
 (** Drive the loop until [until ()] holds (checked between dispatch

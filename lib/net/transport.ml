@@ -1,206 +1,151 @@
 exception Closed
+exception Descriptor_limit
 
 type t = {
   self : int;
   peers : int;
   send : int -> bytes -> unit;
   send_many : int -> bytes list -> unit;
-  recv : deadline:float -> bytes option;
   try_recv : unit -> bytes option;
   set_notify : (unit -> unit) -> unit;
   close : unit -> unit;
   sent_bytes : unit -> int;
 }
 
-(* A mutex-guarded frame queue with a condition-variable-style parked
-   wait.  The stdlib [Condition] has no timed wait, and [recv] must
-   honour a deadline, so the condvar is pipe-backed: an empty [pop]
-   parks in [Unix.select] on a lazily-created wake pipe with exactly
-   the remaining time as the timeout, and a [push] into an empty queue
-   (or a [close]) writes one byte to wake it.  No polling, exact
-   deadlines — the old 0.5 ms [Thread.delay] poll burned a core for
-   the whole of a long compute phase on the far side.
-
-   The mailbox also carries the reactor-facing readiness interface:
-   [try_recv] (non-blocking pop) and a notify callback invoked after
-   every delivery and on close, which is how a push from a foreign
-   thread wakes a state machine parked on another thread's reactor. *)
-module Mailbox = struct
-  type m = {
-    lock : Mutex.t;
-    frames : bytes Queue.t;
-    mutable closed : bool;
-    mutable waiting : bool;  (* a popper is parked on the wake pipe *)
-    mutable wake : (Unix.file_descr * Unix.file_descr) option;
-        (* Owned by the parked popper for the duration of one park:
-           created before parking, removed under the lock and closed
-           right after the wait, so a pusher can never touch a stale
-           descriptor and nothing leaks on close. *)
-    mutable notify : (unit -> unit) option;
-  }
-
-  let create () =
-    {
-      lock = Mutex.create ();
-      frames = Queue.create ();
-      closed = false;
-      waiting = false;
-      wake = None;
-      notify = None;
-    }
-
-  let with_lock mb f =
-    Mutex.lock mb.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mb.lock) f
-
-  let wake_byte = Bytes.make 1 '!'
-
-  (* Call with the lock held; the write is safe under it because the
-     popper only ever reads the pipe outside the lock. *)
-  let signal_locked mb =
-    if mb.waiting then
-      match mb.wake with
-      | Some (_, w) -> ( try ignore (Unix.write w wake_byte 0 1) with Unix.Unix_error _ -> ())
-      | None -> ()
-
-  let notify_of mb = with_lock mb (fun () -> mb.notify)
-
-  let run_notify mb = match notify_of mb with Some f -> f () | None -> ()
-
-  let set_notify mb f = with_lock mb (fun () -> mb.notify <- Some f)
-
-  let push mb body =
-    with_lock mb (fun () ->
-        if mb.closed then raise Closed;
-        Queue.push body mb.frames;
-        signal_locked mb);
-    run_notify mb
-
-  let push_list mb bodies =
-    with_lock mb (fun () ->
-        if mb.closed then raise Closed;
-        List.iter (fun b -> Queue.push b mb.frames) bodies;
-        signal_locked mb);
-    run_notify mb
-
-  let try_pop mb =
-    with_lock mb (fun () ->
-        if mb.closed then raise Closed;
-        Queue.take_opt mb.frames)
-
-  let rec pop mb ~deadline =
-    let next =
-      with_lock mb (fun () ->
-          if mb.closed then raise Closed;
-          match Queue.take_opt mb.frames with
-          | Some _ as r -> `Frame r
-          | None ->
-            let remaining = deadline -. Unix.gettimeofday () in
-            if remaining <= 0. then `Expired
-            else begin
-              let r, w = Unix.pipe () in
-              Unix.set_nonblock w;
-              mb.wake <- Some (r, w);
-              mb.waiting <- true;
-              `Park (r, w, remaining)
-            end)
-    in
-    match next with
-    | `Frame r -> r
-    | `Expired -> None
-    | `Park (r, w, remaining) ->
-      (match Unix.select [ r ] [] [] remaining with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      with_lock mb (fun () ->
-          mb.waiting <- false;
-          mb.wake <- None);
-      (* Exclusive owner now — no pusher can signal a pipe that is no
-         longer registered, so closing cannot race a write. *)
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      (try Unix.close w with Unix.Unix_error _ -> ());
-      pop mb ~deadline
-
-  let close mb =
-    with_lock mb (fun () ->
-        mb.closed <- true;
-        signal_locked mb);
-    run_notify mb
-end
-
-let check_dst ~peers dst =
-  if dst < 0 || dst >= peers then invalid_arg "Transport.send: unknown peer"
-
 (* Endpoints are identified by group index at this layer; traces use
    ["#i"] labels since the transport does not know the party names. *)
 let index_label i = Printf.sprintf "#%d" i
 
+(* The per-endpoint inbox of a reactor group.  Single-threaded: the
+   reactor loop is the only reader and the only writer, so no lock —
+   only the notify hook, which posts the owning machine's wake task.
+   A closed inbox still hands out the frames it already holds. *)
+module Inbox = struct
+  type t = { q : bytes Queue.t; mutable closed : bool; mutable notify : (unit -> unit) option }
+
+  let create () = { q = Queue.create (); closed = false; notify = None }
+  let notify ib = match ib.notify with Some f -> f () | None -> ()
+
+  (* Enqueue without waking: callers notify once per burst. *)
+  let push ib body = if not ib.closed then Queue.push body ib.q
+
+  let try_pop ib =
+    if ib.closed && Queue.is_empty ib.q then raise Closed;
+    Queue.take_opt ib.q
+
+  let close ib =
+    ib.closed <- true;
+    notify ib
+end
+
+(* The state every reactor group shares: one inbox and one byte
+   counter per endpoint, the fault policy, and the close flag. *)
+type group = {
+  reactor : Reactor.t;
+  fault : Fault.t;
+  trace : Spe_obs.Trace.t;
+  m : int;
+  inboxes : Inbox.t array;
+  counters : int array;
+  mutable closed : bool;
+}
+
+let make_group ~reactor ~fault ~trace ~m =
+  {
+    reactor;
+    fault;
+    trace;
+    m;
+    inboxes = Array.init m (fun _ -> Inbox.create ());
+    counters = Array.make m 0;
+    closed = false;
+  }
+
+let charge g self cost =
+  g.counters.(self) <- g.counters.(self) + cost;
+  Spe_obs.Trace.count g.trace ~party:(index_label self) Spe_obs.Trace.Transport_bytes cost
+
+(* One outbound frame through the fault policy, identically on every
+   backend: the frame is charged {e before} the decision (a dropped
+   frame still counts as transmitted, so the framing closed form
+   survives faults), then [deliver] runs once, never, twice (a
+   [Duplicate] is charged twice), or once after a [Delay] hold on a
+   reactor timer — the injection point lives on the loop the machines
+   run on, and a late frame for a group closed meanwhile is
+   swallowed. *)
+let classify g ~self ~dst ~deliver ~deliver_late body =
+  let label = index_label self in
+  let note fmt =
+    Printf.ksprintf
+      (fun s -> if Spe_obs.Trace.enabled g.trace then Spe_obs.Trace.note g.trace ~party:label s)
+      fmt
+  in
+  let cost = Frame.length_prefix_bytes + Bytes.length body in
+  charge g self cost;
+  match Fault.decide g.fault ~src:self ~dst with
+  | Fault.Deliver -> deliver body
+  | Fault.Drop ->
+    Spe_obs.Trace.count g.trace ~party:label Spe_obs.Trace.Faults_dropped 1;
+    note "fault.drop ->#%d" dst
+  | Fault.Delay d ->
+    Spe_obs.Trace.count g.trace ~party:label Spe_obs.Trace.Faults_delayed 1;
+    note "fault.delay %.3fs ->#%d" d dst;
+    ignore
+      (Reactor.at g.reactor
+         (Unix.gettimeofday () +. d)
+         (fun () -> if not g.closed then deliver_late body))
+  | Fault.Duplicate ->
+    (* The copy crosses the wire too; the receiver's dedup keyed on
+       (sender, round, seq) absorbs the repeat. *)
+    charge g self cost;
+    note "fault.dup ->#%d" dst;
+    deliver body;
+    deliver body
+
+(* Endpoint [self] of a group; [write dst bodies] is the backend's
+   send path, called with a valid destination, an open group and at
+   least one frame. *)
+let endpoint g ~self ~write ~close =
+  let send_many dst = function
+    | [] -> ()
+    | bodies ->
+      if dst < 0 || dst >= g.m then invalid_arg "Transport.send: unknown peer";
+      if g.closed then raise Closed;
+      write dst bodies
+  in
+  {
+    self;
+    peers = g.m;
+    send = (fun dst body -> send_many dst [ body ]);
+    send_many;
+    try_recv = (fun () -> Inbox.try_pop g.inboxes.(self));
+    set_notify = (fun f -> g.inboxes.(self).Inbox.notify <- Some f);
+    close;
+    sent_bytes = (fun () -> g.counters.(self));
+  }
+
+let close_inboxes g =
+  if not g.closed then begin
+    g.closed <- true;
+    Array.iter Inbox.close g.inboxes
+  end
+
 module Memory = struct
-  let create_group ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~m () =
-    let mailboxes = Array.init m (fun _ -> Mailbox.create ()) in
-    let counters = Array.init m (fun _ -> Atomic.make 0) in
-    let close_all () = Array.iter Mailbox.close mailboxes in
+  let create_group ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~reactor ~m () =
+    let g = make_group ~reactor ~fault ~trace ~m in
+    let close () = close_inboxes g in
     Array.init m (fun self ->
-        let label = index_label self in
-        (* The fault decision and the byte accounting are per frame;
-           only the mailbox delivery batches.  Returns [None] when the
-           frame is dropped or delayed rather than delivered. *)
-        let stage dst body =
-          check_dst ~peers:m dst;
-          let cost = Frame.length_prefix_bytes + Bytes.length body in
-          Atomic.fetch_and_add counters.(self) cost |> ignore;
-          Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Transport_bytes cost;
-          match Fault.decide fault ~src:self ~dst with
-          | Fault.Deliver -> Some body
-          | Fault.Drop ->
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Faults_dropped 1;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label (Printf.sprintf "fault.drop ->#%d" dst);
-            None
-          | Fault.Delay d ->
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Faults_delayed 1;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label
-                (Printf.sprintf "fault.delay %.3fs ->#%d" d dst);
-            ignore
-              (Thread.create
-                 (fun () ->
-                   Thread.delay d;
-                   try Mailbox.push mailboxes.(dst) body with Closed -> ())
-                 ());
-            None
-          | Fault.Duplicate ->
-            (* The copy crosses the wire too: charge it and deliver it
-               ahead of the original; the receiver's dedup keyed on
-               (sender, round, seq) absorbs the repeat. *)
-            Atomic.fetch_and_add counters.(self) cost |> ignore;
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Transport_bytes cost;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label (Printf.sprintf "fault.dup ->#%d" dst);
-            (try Mailbox.push mailboxes.(dst) body with Closed -> ());
-            Some body
+        let write dst bodies =
+          let ib = g.inboxes.(dst) in
+          let before = Queue.length ib.Inbox.q in
+          List.iter
+            (classify g ~self ~dst ~deliver:(Inbox.push ib) ~deliver_late:(fun body ->
+                 Inbox.push ib body;
+                 Inbox.notify ib))
+            bodies;
+          if Queue.length ib.Inbox.q > before then Inbox.notify ib
         in
-        let send dst body =
-          match stage dst body with
-          | Some body -> Mailbox.push mailboxes.(dst) body
-          | None -> ()
-        in
-        let send_many dst bodies =
-          match List.filter_map (stage dst) bodies with
-          | [] -> ()
-          | delivered -> Mailbox.push_list mailboxes.(dst) delivered
-        in
-        {
-          self;
-          peers = m;
-          send;
-          send_many;
-          recv = (fun ~deadline -> Mailbox.pop mailboxes.(self) ~deadline);
-          try_recv = (fun () -> Mailbox.try_pop mailboxes.(self));
-          set_notify = (fun f -> Mailbox.set_notify mailboxes.(self) f);
-          close = close_all;
-          sent_bytes = (fun () -> Atomic.get counters.(self));
-        })
+        endpoint g ~self ~write ~close)
 end
 
 module Socket = struct
@@ -241,34 +186,17 @@ module Socket = struct
     | None -> None
     | Some prefix -> really_read fd (Int32.to_int (Bytes.get_int32_be prefix 0))
 
-  (* A full-duplex descriptor shared by one endpoint's sender and the
-     group's poller thread.  The send mutex makes teardown safe: the
-     poller closes the descriptor under the same mutex, so a send can
-     never race a close into a reused descriptor number. *)
-  type conn = { fd : Unix.file_descr; send_mx : Mutex.t; mutable fd_open : bool }
-
   (* Writes to a peer that already shut its end down must surface as
      [Closed], not kill the process. *)
   let ignore_sigpipe =
     lazy (if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
 
-  let conn_of fd = { fd; send_mx = Mutex.create (); fd_open = true }
-
-  let prefixed body =
-    let len = Bytes.length body in
-    let buf = Bytes.create (Frame.length_prefix_bytes + len) in
-    Bytes.set_int32_be buf 0 (Int32.of_int len);
-    Bytes.blit body 0 buf Frame.length_prefix_bytes len;
-    buf
-
   (* A byte window over a reusable backing buffer: valid bytes are
      [buf.(off) .. buf.(off + len - 1)].  Appends compact or grow in
-     place, so both send paths batch a round's frames into one reused
+     place, so the send path batches a round's frames into one reused
      buffer (one write, no per-frame [Bytes.create]/[Bytes.concat]),
-     and a reactor connection's read path reuses one buffer for the
-     whole session instead of [Bytes.cat]-ing a fresh copy per chunk
-     (the old poller's tail accumulation was quadratic on large
-     bursts). *)
+     and a connection's read path reuses one buffer for the whole
+     session instead of [Bytes.cat]-ing a fresh copy per chunk. *)
   module Slab = struct
     type s = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
@@ -292,11 +220,6 @@ module Socket = struct
           s.off <- 0
         end
 
-    let add s src off n =
-      reserve s n;
-      Bytes.blit src off s.buf (s.off + s.len) n;
-      s.len <- s.len + n
-
     (* One frame, length prefix included, appended in place. *)
     let add_framed s body =
       let len = Bytes.length body in
@@ -309,321 +232,91 @@ module Socket = struct
       s.off <- s.off + n;
       s.len <- s.len - n;
       if s.len = 0 then s.off <- 0
-
-    let clear s =
-      s.off <- 0;
-      s.len <- 0
   end
 
-  (* Everything past rendezvous is shared by both blocking
-     constructors: [spin_up] takes a fully-populated connection matrix
-     — where conns.(i).(j) is the descriptor endpoint i uses to
-     exchange frames with endpoint j — and returns the endpoint array,
-     owning the teardown protocol and the group's poller thread. *)
-  let spin_up ~fault ~trace ~m ~mailboxes ~counters ~conns =
-    let closed = Atomic.make false in
-    (* Teardown protocol: [close_all] only *shuts down* every socket —
-       that wakes any read blocked in the poller and fails any write in
-       a sender with EPIPE — and the poller alone closes descriptors,
-       once it has seen each one dead.  Closing a descriptor another
-       thread still reads would let the number be reused by the next
-       group and its frames be stolen. *)
-    let close_all () =
-      if not (Atomic.exchange closed true) then begin
-        Array.iter Mailbox.close mailboxes;
-        Array.iter
-          (Array.iter (function
-            | None -> ()
-            | Some c -> (
-              try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())))
-          conns
-      end
-    in
-    (* One poller thread reads every descriptor of the group and feeds
-       the owning endpoint's mailbox.  [Unix.select] costs nothing
-       while the group is quiet, and a ready descriptor always yields a
-       whole frame promptly because senders write frames atomically
-       under the connection mutex. *)
-    let reader_ends =
-      Array.to_list conns
-      |> List.concat_map Array.to_list
-      |> List.concat_map (function None -> [] | Some c -> [ c ])
-    in
-    let owner_of = Hashtbl.create 16 in
-    Array.iteri
-      (fun i row ->
-        Array.iter (function None -> () | Some c -> Hashtbl.replace owner_of c.fd i) row)
-      conns;
-    ignore
-      (Thread.create
-         (fun () ->
-           (* Buffered reads: one [Unix.read] pulls whatever burst the
-              sender wrote — typically a whole round's frames — and the
-              tail of any split frame waits in [tails] for the next
-              chunk.  Frame-per-syscall reading would cost a select
-              wakeup plus two reads per frame. *)
-           let chunk = Bytes.create 65536 in
-           let tails = Hashtbl.create 16 in
-           let live = ref (List.map (fun c -> c.fd) reader_ends) in
-           let drop fd = live := List.filter (fun f -> f <> fd) !live in
-           while !live <> [] do
-             match Unix.select !live [] [] (-1.) with
-             | ready, _, _ ->
-               List.iter
-                 (fun fd ->
-                   let i = Hashtbl.find owner_of fd in
-                   match Unix.read fd chunk 0 (Bytes.length chunk) with
-                   | 0 -> drop fd
-                   | nread ->
-                     let prev =
-                       Option.value ~default:Bytes.empty (Hashtbl.find_opt tails fd)
-                     in
-                     let data = Bytes.cat prev (Bytes.sub chunk 0 nread) in
-                     let total = Bytes.length data in
-                     let pos = ref 0 in
-                     let rec consume () =
-                       if total - !pos >= Frame.length_prefix_bytes then begin
-                         let flen = Int32.to_int (Bytes.get_int32_be data !pos) in
-                         if total - !pos >= Frame.length_prefix_bytes + flen then begin
-                           let body = Bytes.sub data (!pos + Frame.length_prefix_bytes) flen in
-                           (try Mailbox.push mailboxes.(i) body with Closed -> ());
-                           pos := !pos + Frame.length_prefix_bytes + flen;
-                           consume ()
-                         end
-                       end
-                     in
-                     consume ();
-                     Hashtbl.replace tails fd (Bytes.sub data !pos (total - !pos))
-                   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                   | exception Unix.Unix_error _ -> drop fd)
-                 ready
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-             | exception Unix.Unix_error _ -> live := []
-           done;
-           (* Every read end is dead; reclaim the descriptors.  The
-              mutex excludes any send still holding a descriptor. *)
-           List.iter
-             (fun c ->
-               Mutex.lock c.send_mx;
-               if c.fd_open then begin
-                 c.fd_open <- false;
-                 try Unix.close c.fd with Unix.Unix_error _ -> ()
-               end;
-               Mutex.unlock c.send_mx)
-             reader_ends)
-         ());
-    Array.init m (fun self ->
-        let label = index_label self in
-        let conn_to dst =
-          check_dst ~peers:m dst;
-          if Atomic.get closed then raise Closed;
-          match conns.(self).(dst) with
-          | None -> invalid_arg "Transport.send: unknown peer"
-          | Some c -> c
-        in
-        let count_frame body =
-          let cost = Frame.length_prefix_bytes + Bytes.length body in
-          Atomic.fetch_and_add counters.(self) cost |> ignore;
-          Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Transport_bytes cost
-        in
-        let locked_write c buf =
-          Mutex.lock c.send_mx;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock c.send_mx)
-            (fun () ->
-              if not c.fd_open then raise Closed;
-              try really_write c.fd buf 0 (Bytes.length buf)
-              with Unix.Unix_error _ -> raise Closed)
-        in
-        (* Frames bound for one peer accumulate, length-prefixed, in a
-           per-endpoint scratch slab that is reused across sends: no
-           per-frame [Bytes.create] or [Bytes.concat] on the steady
-           path.  The endpoint's owner thread is the only writer (the
-           rare Delay fault keeps a private copy for its timer
-           thread). *)
-        let scratch = Slab.create () in
-        (* Fault decisions mirror the memory backend exactly — charge
-           the frame *before* deciding (a dropped frame still counts as
-           transmitted, so the framing closed form survives faults),
-           then lose, hold or double the actual write. *)
-        let classify dst body =
-          count_frame body;
-          match Fault.decide fault ~src:self ~dst with
-          | Fault.Deliver -> Slab.add_framed scratch body
-          | Fault.Drop ->
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Faults_dropped 1;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label (Printf.sprintf "fault.drop ->#%d" dst)
-          | Fault.Delay d ->
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Faults_delayed 1;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label
-                (Printf.sprintf "fault.delay %.3fs ->#%d" d dst);
-            let buf = prefixed body in
-            ignore
-              (Thread.create
-                 (fun () ->
-                   Thread.delay d;
-                   match conn_to dst with
-                   | c -> ( try locked_write c buf with Closed -> ())
-                   | exception Closed -> ())
-                 ())
-          | Fault.Duplicate ->
-            count_frame body;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label (Printf.sprintf "fault.dup ->#%d" dst);
-            Slab.add_framed scratch body;
-            Slab.add_framed scratch body
-        in
-        (* One write per flush — a round's frames cost one syscall, one
-           poller wakeup, one burst read at the far end.  The slab is
-           reset even when the write dies so a later send to a live
-           peer never replays stale bytes. *)
-        let flush_scratch c =
-          if scratch.Slab.len > 0 then
-            Fun.protect
-              ~finally:(fun () -> Slab.clear scratch)
-              (fun () ->
-                Mutex.lock c.send_mx;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock c.send_mx)
-                  (fun () ->
-                    if not c.fd_open then raise Closed;
-                    try really_write c.fd scratch.Slab.buf scratch.Slab.off scratch.Slab.len
-                    with Unix.Unix_error _ -> raise Closed))
-        in
-        let send dst body =
-          let c = conn_to dst in
-          classify dst body;
-          flush_scratch c
-        in
-        let send_many dst bodies =
-          match bodies with
-          | [] -> ()
-          | bodies ->
-            let c = conn_to dst in
-            List.iter (classify dst) bodies;
-            flush_scratch c
-        in
-        {
-          self;
-          peers = m;
-          send;
-          send_many;
-          recv = (fun ~deadline -> Mailbox.pop mailboxes.(self) ~deadline);
-          try_recv = (fun () -> Mailbox.try_pop mailboxes.(self));
-          set_notify = (fun f -> Mailbox.set_notify mailboxes.(self) f);
-          close = close_all;
-          sent_bytes = (fun () -> Atomic.get counters.(self));
-        })
-
-  (* --- Reactor-driven groups -------------------------------------------------- *)
-
-  (* One direction-owning descriptor of a reactor group: endpoint
-     [owner] reads its inbound frames from [fd] and queues its
-     outbound bytes on [out] until the send-flush continuation has
-     drained them. *)
-  type rconn = {
-    r_fd : Unix.file_descr;
-    r_owner : int;
-    mutable r_open : bool;
-    r_in : Slab.s;
-    r_out : Slab.s;
-    mutable r_flushing : bool;  (* on_writable continuation installed *)
+  (* One direction-owning descriptor of a group: endpoint [owner]
+     reads its inbound frames from [fd] and queues its outbound bytes
+     on [out] until the send-flush continuation has drained them. *)
+  type conn = {
+    fd : Unix.file_descr;
+    owner : int;
+    mutable live : bool;
+    inbuf : Slab.s;
+    out : Slab.s;
+    mutable flushing : bool;  (* on_writable continuation installed *)
   }
 
-  (* The per-endpoint inbox of a reactor group.  Single-threaded: the
-     reactor loop is the only reader and (via the read callbacks) the
-     only writer, so no lock — only the notify hook, which posts the
-     owning machine's wake task. *)
-  type rinbox = {
-    q : bytes Queue.t;
-    mutable rx_closed : bool;
-    mutable rx_notify : (unit -> unit) option;
-  }
-
-  let spin_up_reactor ~reactor ~fault ~trace ~m ~counters ~conns =
-    let closed = ref false in
-    let inboxes =
-      Array.init m (fun _ -> { q = Queue.create (); rx_closed = false; rx_notify = None })
+  (* [conns.(i).(j)] is the descriptor endpoint [i] uses to exchange
+     frames with endpoint [j]. *)
+  let spin_up g fds =
+    let reactor = g.reactor and m = g.m in
+    let conns =
+      Array.mapi
+        (fun owner ->
+          Array.map
+            (Option.map (fun fd ->
+                 Unix.set_nonblock fd;
+                 {
+                   fd;
+                   owner;
+                   live = true;
+                   inbuf = Slab.create ();
+                   out = Slab.create ();
+                   flushing = false;
+                 })))
+        fds
     in
-    let rconns =
-      Array.map
-        (Array.map (Option.map (fun (owner, fd) ->
-             Unix.set_nonblock fd;
-             {
-               r_fd = fd;
-               r_owner = owner;
-               r_open = true;
-               r_in = Slab.create ();
-               r_out = Slab.create ();
-               r_flushing = false;
-             })))
-        conns
-    in
-    let notify_inbox ib = match ib.rx_notify with Some f -> f () | None -> () in
     let kill_conn c =
-      if c.r_open then begin
-        c.r_open <- false;
-        Reactor.forget_fd reactor c.r_fd;
-        (try Unix.close c.r_fd with Unix.Unix_error _ -> ())
+      if c.live then begin
+        c.live <- false;
+        Reactor.forget_fd reactor c.fd;
+        try Unix.close c.fd with Unix.Unix_error _ -> ()
       end
     in
-    let close_all () =
-      if not !closed then begin
-        closed := true;
-        Array.iter (Array.iter (function None -> () | Some c -> kill_conn c)) rconns;
-        Array.iter
-          (fun ib ->
-            ib.rx_closed <- true;
-            notify_inbox ib)
-          inboxes
+    let close () =
+      if not g.closed then begin
+        Array.iter (Array.iter (Option.iter kill_conn)) conns;
+        close_inboxes g
       end
     in
     (* The buffer-reusing read path: append whatever the kernel has
        into the connection's slab, slice out every complete frame in
        place, and wake the owning machine once per burst. *)
     let on_read c =
-      let ib = inboxes.(c.r_owner) in
-      Slab.reserve c.r_in 65536;
-      let s = c.r_in in
-      match Unix.read c.r_fd s.Slab.buf (s.Slab.off + s.Slab.len) 65536 with
+      let ib = g.inboxes.(c.owner) in
+      Slab.reserve c.inbuf 65536;
+      let s = c.inbuf in
+      match Unix.read c.fd s.Slab.buf (s.Slab.off + s.Slab.len) 65536 with
       | 0 -> kill_conn c
       | nread ->
         s.Slab.len <- s.Slab.len + nread;
-        let delivered = ref false in
+        let before = Queue.length ib.Inbox.q in
         let rec consume () =
           if s.Slab.len >= Frame.length_prefix_bytes then begin
             let flen = Int32.to_int (Bytes.get_int32_be s.Slab.buf s.Slab.off) in
             if s.Slab.len >= Frame.length_prefix_bytes + flen then begin
-              let body = Bytes.sub s.Slab.buf (s.Slab.off + Frame.length_prefix_bytes) flen in
+              Inbox.push ib (Bytes.sub s.Slab.buf (s.Slab.off + Frame.length_prefix_bytes) flen);
               Slab.consume s (Frame.length_prefix_bytes + flen);
-              if not ib.rx_closed then begin
-                Queue.push body ib.q;
-                delivered := true
-              end;
               consume ()
             end
           end
         in
         consume ();
-        if !delivered then notify_inbox ib
+        if Queue.length ib.Inbox.q > before then Inbox.notify ib
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> kill_conn c
     in
     Array.iter
-      (Array.iter (function
-        | None -> ()
-        | Some c -> Reactor.on_readable reactor c.r_fd (fun () -> on_read c)))
-      rconns;
+      (Array.iter (Option.iter (fun c -> Reactor.on_readable reactor c.fd (fun () -> on_read c))))
+      conns;
     (* The send-flush continuation: write as much pending output as
        the kernel will take; on a short write park a writability
        interest and resume there.  This is what lets m machines share
        one thread without a full socket buffer deadlocking the loop. *)
     let rec flush c =
-      let s = c.r_out in
-      if c.r_open && s.Slab.len > 0 then begin
-        match Unix.write c.r_fd s.Slab.buf s.Slab.off s.Slab.len with
+      let s = c.out in
+      if c.live && s.Slab.len > 0 then begin
+        match Unix.write c.fd s.Slab.buf s.Slab.off s.Slab.len with
         | n ->
           Slab.consume s n;
           if s.Slab.len > 0 then park c else unpark c
@@ -636,113 +329,81 @@ module Socket = struct
           s.Slab.off <- 0;
           kill_conn c
       end
-      else if c.r_open then unpark c
+      else if c.live then unpark c
     and park c =
-      if not c.r_flushing then begin
-        c.r_flushing <- true;
-        Reactor.on_writable reactor c.r_fd (fun () -> flush c)
+      if not c.flushing then begin
+        c.flushing <- true;
+        Reactor.on_writable reactor c.fd (fun () -> flush c)
       end
     and unpark c =
-      if c.r_flushing then begin
-        c.r_flushing <- false;
-        Reactor.clear_writable reactor c.r_fd
+      if c.flushing then begin
+        c.flushing <- false;
+        Reactor.clear_writable reactor c.fd
       end
     in
     Array.init m (fun self ->
-        let label = index_label self in
-        let conn_to dst =
-          check_dst ~peers:m dst;
-          if !closed then raise Closed;
-          match rconns.(self).(dst) with
-          | None -> invalid_arg "Transport.send: unknown peer"
-          | Some c -> c
-        in
-        let count_frame body =
-          let cost = Frame.length_prefix_bytes + Bytes.length body in
-          Atomic.fetch_and_add counters.(self) cost |> ignore;
-          Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Transport_bytes cost
-        in
-        (* Identical fault semantics to the blocking backends — charge
-           before deciding — except a [Delay] holds the frame on a
-           reactor timer instead of a helper thread: the injection
-           point lives on the loop the machines run on.  Delivered
-           frames append, length-prefixed, straight into the
+        (* Delivered frames append, length-prefixed, straight into the
            connection's pending-output slab: no intermediate copy. *)
-        let classify c dst body =
-          count_frame body;
-          match Fault.decide fault ~src:self ~dst with
-          | Fault.Deliver ->
-            if not c.r_open then raise Closed;
-            Slab.add_framed c.r_out body
-          | Fault.Drop ->
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Faults_dropped 1;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label (Printf.sprintf "fault.drop ->#%d" dst)
-          | Fault.Delay d ->
-            Spe_obs.Trace.count trace ~party:label Spe_obs.Trace.Faults_delayed 1;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label
-                (Printf.sprintf "fault.delay %.3fs ->#%d" d dst);
-            let buf = prefixed body in
-            ignore
-              (Reactor.at reactor
-                 (Unix.gettimeofday () +. d)
-                 (fun () ->
-                   if not !closed then
-                     match rconns.(self).(dst) with
-                     | Some c when c.r_open ->
-                       Slab.add c.r_out buf 0 (Bytes.length buf);
-                       flush c
-                     | _ -> ()))
-          | Fault.Duplicate ->
-            count_frame body;
-            if Spe_obs.Trace.enabled trace then
-              Spe_obs.Trace.note trace ~party:label (Printf.sprintf "fault.dup ->#%d" dst);
-            if not c.r_open then raise Closed;
-            Slab.add_framed c.r_out body;
-            Slab.add_framed c.r_out body
+        let deliver c body =
+          if not c.live then raise Closed;
+          Slab.add_framed c.out body
         in
-        let send_many dst bodies =
-          match bodies with
-          | [] -> ()
-          | bodies ->
-            let c = conn_to dst in
-            let before = c.r_out.Slab.len in
-            List.iter (classify c dst) bodies;
-            if c.r_out.Slab.len > before then flush c
+        let write dst bodies =
+          match conns.(self).(dst) with
+          | None -> invalid_arg "Transport.send: unknown peer"
+          | Some c ->
+            let before = c.out.Slab.len in
+            List.iter
+              (classify g ~self ~dst ~deliver:(deliver c) ~deliver_late:(fun body ->
+                   if c.live then begin
+                     Slab.add_framed c.out body;
+                     flush c
+                   end))
+              bodies;
+            if c.out.Slab.len > before then flush c
         in
-        let send dst body = send_many dst [ body ] in
-        let try_recv () =
-          let ib = inboxes.(self) in
-          if ib.rx_closed && Queue.is_empty ib.q then raise Closed;
-          Queue.take_opt ib.q
-        in
-        {
-          self;
-          peers = m;
-          send;
-          send_many;
-          recv =
-            (fun ~deadline:_ ->
-              invalid_arg "Transport: blocking recv on a reactor transport");
-          try_recv;
-          set_notify = (fun f -> inboxes.(self).rx_notify <- Some f);
-          close = close_all;
-          sent_bytes = (fun () -> Atomic.get counters.(self));
-        })
+        endpoint g ~self ~write ~close)
 
-  let create_group ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~addresses () =
+  (* Every pair joined by a kernel socketpair: no listener, no dial,
+     no Hello exchange and no filesystem path.  The shard pool creates
+     a fresh group per shard session, and at that rate the addressed
+     handshake (~0.7 ms per group) would dominate the very latency
+     overlap sharding exists to buy. *)
+  let reactor_group_local ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ())
+      ~reactor ~m () =
+    Lazy.force ignore_sigpipe;
+    if m < 2 then
+      invalid_arg "Transport.Socket.reactor_group_local: need at least two endpoints";
+    let fds = Array.make_matrix m m None and opened = ref [] in
+    let give_up () =
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !opened;
+      raise Descriptor_limit
+    in
+    (try
+       for j = 1 to m - 1 do
+         for i = 0 to j - 1 do
+           let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+           opened := a :: b :: !opened;
+           fds.(i).(j) <- Some a;
+           fds.(j).(i) <- Some b
+         done
+       done
+     with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> give_up ());
+    if not (Reactor.selectable !opened) then give_up ();
+    spin_up (make_group ~reactor ~fault ~trace ~m) fds
+
+  let reactor_group ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~reactor
+      ~addresses () =
     Lazy.force ignore_sigpipe;
     let m = Array.length addresses in
-    if m < 2 then invalid_arg "Transport.Socket.create_group: need at least two endpoints";
-    let mailboxes = Array.init m (fun _ -> Mailbox.create ()) in
-    let counters = Array.init m (fun _ -> Atomic.make 0) in
-    let conns = Array.make_matrix m m None in
+    if m < 2 then invalid_arg "Transport.Socket.reactor_group: need at least two endpoints";
+    let g = make_group ~reactor ~fault ~trace ~m in
+    let fds = Array.make_matrix m m None in
+    let domain = function Unix_domain _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET in
     let listeners =
       Array.mapi
         (fun i addr ->
-          let domain = match addr with Unix_domain _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET in
-          let sock = Unix.socket domain Unix.SOCK_STREAM 0 in
+          let sock = Unix.socket (domain addr) Unix.SOCK_STREAM 0 in
           (match addr with
           | Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
           | Tcp _ -> Unix.setsockopt sock Unix.SO_REUSEADDR true);
@@ -753,18 +414,17 @@ module Socket = struct
     in
     (* Dial first — the listen backlog holds the pending connections —
        then drain every listener in this same thread.  No handshake
-       threads: setup is a fixed sequence of non-blocking syscalls.
-       The dialer introduces itself with a Hello frame. *)
+       threads: setup is a fixed sequence of blocking syscalls before
+       the loop starts.  The dialer introduces itself with a Hello
+       frame, charged like any other. *)
     for j = 1 to m - 1 do
       for i = 0 to j - 1 do
-        let fd = Unix.socket (match addresses.(i) with Unix_domain _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET) Unix.SOCK_STREAM 0 in
+        let fd = Unix.socket (domain addresses.(i)) Unix.SOCK_STREAM 0 in
         Unix.connect fd (sockaddr_of addresses.(i));
         let hello = Frame.encode (Frame.Hello { sender = j }) in
         write_frame fd hello;
-        let cost = Frame.length_prefix_bytes + Bytes.length hello in
-        Atomic.fetch_and_add counters.(j) cost |> ignore;
-        Spe_obs.Trace.count trace ~party:(index_label j) Spe_obs.Trace.Transport_bytes cost;
-        conns.(j).(i) <- Some (conn_of fd)
+        charge g j (Frame.length_prefix_bytes + Bytes.length hello);
+        fds.(j).(i) <- Some fd
       done
     done;
     Array.iter
@@ -774,7 +434,7 @@ module Socket = struct
           match read_frame fd with
           | Some body -> (
             match Frame.decode body with
-            | Frame.Hello { sender } -> conns.(i).(sender) <- Some (conn_of fd)
+            | Frame.Hello { sender } -> fds.(i).(sender) <- Some fd
             | _ -> failwith "Transport.Socket: expected Hello")
           | None -> failwith "Transport.Socket: peer hung up during handshake"
         done;
@@ -787,114 +447,12 @@ module Socket = struct
         | Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
         | Tcp _ -> ())
       addresses;
-    spin_up ~fault ~trace ~m ~mailboxes ~counters ~conns
-
-  (* Same engine — kernel stream sockets, frames, poller, teardown —
-     minus the rendezvous: every pair is joined by [Unix.socketpair],
-     so there is no listener, no dial, no Hello exchange and no
-     filesystem path.  This is what the shard pool uses: it creates a
-     fresh group per shard session, and at that rate the addressed
-     handshake (~0.7 ms per group) would dominate the very latency
-     overlap sharding exists to buy. *)
-  let create_group_local ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~m () =
-    Lazy.force ignore_sigpipe;
-    if m < 2 then
-      invalid_arg "Transport.Socket.create_group_local: need at least two endpoints";
-    let mailboxes = Array.init m (fun _ -> Mailbox.create ()) in
-    let counters = Array.init m (fun _ -> Atomic.make 0) in
-    let conns = Array.make_matrix m m None in
-    for j = 1 to m - 1 do
-      for i = 0 to j - 1 do
-        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        conns.(i).(j) <- Some (conn_of a);
-        conns.(j).(i) <- Some (conn_of b)
-      done
-    done;
-    spin_up ~fault ~trace ~m ~mailboxes ~counters ~conns
-
-  (* The reactor twin of [create_group_local]: same socketpair mesh,
-     same frames and fault accounting, but every descriptor belongs to
-     [reactor] and the returned transports speak the non-blocking
-     readiness interface ([try_recv] + notify) instead of a blocking
-     [recv].  Zero threads: reads, writes, delays and teardown all
-     happen on the loop. *)
-  let reactor_group_local ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ())
-      ~reactor ~m () =
-    Lazy.force ignore_sigpipe;
-    if m < 2 then
-      invalid_arg "Transport.Socket.reactor_group_local: need at least two endpoints";
-    let counters = Array.init m (fun _ -> Atomic.make 0) in
-    let conns = Array.make_matrix m m None in
-    for j = 1 to m - 1 do
-      for i = 0 to j - 1 do
-        let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        conns.(i).(j) <- Some (i, a);
-        conns.(j).(i) <- Some (j, b)
-      done
-    done;
-    spin_up_reactor ~reactor ~fault ~trace ~m ~counters ~conns
-
-  (* The reactor twin of [create_group]: the addressed rendezvous and
-     its Hello accounting are identical (and still blocking — setup is
-     a fixed syscall sequence before the loop starts), then the
-     descriptors are handed to the reactor. *)
-  let reactor_group ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~reactor
-      ~addresses () =
-    Lazy.force ignore_sigpipe;
-    let m = Array.length addresses in
-    if m < 2 then invalid_arg "Transport.Socket.reactor_group: need at least two endpoints";
-    let counters = Array.init m (fun _ -> Atomic.make 0) in
-    let conns = Array.make_matrix m m None in
-    let listeners =
-      Array.mapi
-        (fun i addr ->
-          let domain = match addr with Unix_domain _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET in
-          let sock = Unix.socket domain Unix.SOCK_STREAM 0 in
-          (match addr with
-          | Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-          | Tcp _ -> Unix.setsockopt sock Unix.SO_REUSEADDR true);
-          Unix.bind sock (sockaddr_of addr);
-          Unix.listen sock m;
-          (i, sock))
-        addresses
-    in
-    for j = 1 to m - 1 do
-      for i = 0 to j - 1 do
-        let fd = Unix.socket (match addresses.(i) with Unix_domain _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET) Unix.SOCK_STREAM 0 in
-        Unix.connect fd (sockaddr_of addresses.(i));
-        let hello = Frame.encode (Frame.Hello { sender = j }) in
-        write_frame fd hello;
-        let cost = Frame.length_prefix_bytes + Bytes.length hello in
-        Atomic.fetch_and_add counters.(j) cost |> ignore;
-        Spe_obs.Trace.count trace ~party:(index_label j) Spe_obs.Trace.Transport_bytes cost;
-        conns.(j).(i) <- Some (j, fd)
-      done
-    done;
-    Array.iter
-      (fun (i, listener) ->
-        for _ = i + 1 to m - 1 do
-          let fd, _ = Unix.accept listener in
-          match read_frame fd with
-          | Some body -> (
-            match Frame.decode body with
-            | Frame.Hello { sender } -> conns.(i).(sender) <- Some (i, fd)
-            | _ -> failwith "Transport.Socket: expected Hello")
-          | None -> failwith "Transport.Socket: peer hung up during handshake"
-        done;
-        Unix.close listener)
-      listeners;
-    Array.iter
-      (function
-        | Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-        | Tcp _ -> ())
-      addresses;
-    spin_up_reactor ~reactor ~fault ~trace ~m ~counters ~conns
+    spin_up g fds
 
   (* One rendezvous directory per process, group sockets numbered
      within it — a fresh [Filename.temp_dir] per group costs directory
-     churn on every shard session.  Mutex-memoised: concurrent pool
-     workers create groups at the same time (and [Lazy] is not
-     thread-safe). *)
+     churn on every session.  Mutex-memoised so any thread may call
+     it ([Lazy] is not thread-safe). *)
   let temp_root = ref None
   let temp_lock = Mutex.create ()
   let temp_counter = Atomic.make 0

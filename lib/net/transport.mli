@@ -2,11 +2,12 @@
 
     A transport value is one endpoint's view of a fully-connected group
     of [peers] endpoints indexed [0 .. peers - 1]: it can push a frame
-    body to any peer and pull the next inbound frame body, with a
-    deadline.  Two backends implement it — {!Memory} (deterministic
-    in-process channels with optional fault injection) and {!Socket}
-    (real Unix-domain or TCP stream sockets, one length-prefixed frame
-    stream per connection).
+    body to any peer and take the next inbound frame body without
+    blocking, with a delivery hook that says when to look.  Two
+    backends implement it, both owned by one {!Reactor} — {!Memory}
+    (deterministic in-process channels with optional fault injection)
+    and {!Socket} (real Unix-domain or TCP stream sockets, one
+    length-prefixed frame stream per connection).
 
     Both backends account [sent_bytes] identically — every frame costs
     [Frame.length_prefix_bytes + body length], which on the socket
@@ -14,8 +15,16 @@
     comparable across backends. *)
 
 exception Closed
-(** Raised by {!send} and {!recv} once the transport is closed — the
-    group is tearing down (a peer failed or the run ended). *)
+(** Raised by {!send} once the transport is closed — the group is
+    tearing down (a peer failed or the run ended) — and by {!try_recv}
+    once it is closed and drained. *)
+
+exception Descriptor_limit
+(** Raised by {!Socket.reactor_group_local} when the group's
+    descriptors would not fit: a descriptor number at or past
+    [select]'s [FD_SETSIZE], or the process out of descriptors.
+    Nothing is left open; the group can be retried once other groups
+    have closed. *)
 
 type t = {
   self : int;  (** This endpoint's index in the group. *)
@@ -29,30 +38,21 @@ type t = {
           peer [dst], equivalent to [List.iter (send dst) bodies] —
           same per-frame byte accounting, same per-frame fault
           decisions on both backends — but batched into one transport
-          operation (one locked write on {!Socket}, one mailbox lock on
+          operation (one buffered write on {!Socket}, one wake-up on
           {!Memory}).  [send_many dst []] is a no-op. *)
-  recv : deadline:float -> bytes option;
-      (** Next inbound frame body, from any peer; [None] once
-          [Unix.gettimeofday () >= deadline] with nothing pending.
-          The wait is a parked condition-variable-style wait (no
-          polling): a push on the far side wakes it immediately.
-          Raises [Closed] after {!close}.  On a reactor transport
-          (where blocking the loop thread would deadlock the group)
-          this raises [Invalid_argument] — use {!try_recv}. *)
   try_recv : unit -> bytes option;
-      (** The non-blocking readiness interface: the next inbound frame
-          body if one is already queued, [None] otherwise.  Raises
-          [Closed] once the transport is closed.  This is what the
-          event-driven endpoint machines use — paired with
-          {!set_notify} so they only look when there is something to
-          see. *)
+      (** The next inbound frame body, from any peer, if one is already
+          queued; [None] otherwise.  Raises [Closed] once the transport
+          is closed and every queued frame has been taken.  The
+          endpoint machines pair it with {!set_notify} so they only
+          look when there is something to see. *)
   set_notify : (unit -> unit) -> unit;
       (** Install the delivery hook (replacing any previous one): it
-          fires after every frame delivery into this endpoint's queue
-          and once on close.  It may fire from a foreign thread (a
-          socket reader, a daemon connection thread); the endpoint
-          machines install a hook that posts a wake task to their
-          reactor, which is thread-safe. *)
+          fires after every delivery into this endpoint's queue and
+          once on close.  On a {!Mux} session it may fire from a
+          daemon's connection thread; the endpoint machines install a
+          hook that posts a wake task to their reactor, which is
+          thread-safe. *)
   close : unit -> unit;  (** Idempotent. *)
   sent_bytes : unit -> int;
       (** Framed bytes this endpoint has transmitted so far, length
@@ -61,11 +61,14 @@ type t = {
 }
 
 module Memory : sig
-  val create_group : ?fault:Fault.t -> ?trace:Spe_obs.Trace.t -> m:int -> unit -> t array
-  (** A fully-connected group of [m] in-memory endpoints.  Frames pass
-      through [fault] (default {!Fault.none}); delayed frames are
-      delivered by a helper thread after their hold time.  Closing any
-      member closes the whole group.
+  val create_group :
+    ?fault:Fault.t -> ?trace:Spe_obs.Trace.t -> reactor:Reactor.t -> m:int -> unit -> t array
+  (** A fully-connected group of [m] in-memory endpoints on [reactor]:
+      a send appends to the receiver's queue and fires its delivery
+      hook.  Frames pass through [fault] (default {!Fault.none}); a
+      {!Fault.Delay} holds its frame on a reactor timer.  Closing any
+      member closes the whole group.  All operations must run on the
+      reactor thread.
 
       When [trace] is recording, every send increments the
       [Transport_bytes] counter by its full framed cost and every fault
@@ -73,7 +76,7 @@ module Memory : sig
       note — endpoints are labelled ["#i"] by group index, the only
       identity this layer has.  A {!Fault.Duplicate} decision charges
       and delivers the frame twice; drops and delays charge the frame
-      once *before* the decision, so the framing closed form holds on
+      once {e before} the decision, so the framing closed form holds on
       faulted paths too. *)
 end
 
@@ -82,53 +85,20 @@ module Socket : sig
     | Unix_domain of string  (** Socket file path (created, not unlinked). *)
     | Tcp of string * int  (** Host, port — loopback in tests. *)
 
-  val create_group :
-    ?fault:Fault.t -> ?trace:Spe_obs.Trace.t -> addresses:address array -> unit -> t array
-  (** A fully-connected group over real stream sockets: endpoint [i]
-      listens on [addresses.(i)], every pair is connected once (the
-      higher index dials the lower and introduces itself with a
-      {!Frame.Hello}), and one poller thread multiplexes every
-      connection of the group into the receiver queues.  The endpoints
-      live in one process but share no state other than the sockets —
-      each sees only bytes.  Closing any member shuts every socket
-      down; the poller reclaims the descriptors once it has drained
-      them, so no send can race a close into a reused descriptor.
-
-      When [trace] is recording, every byte written — handshake frames
-      at dial time included — lands on the [Transport_bytes] counter,
-      labelled ["#i"] by group index.
-
-      [fault] (default {!Fault.none}) applies the same per-frame policy
-      the memory backend applies, with identical accounting: the frame
-      is charged before the decision, a [Drop] skips the write, a
-      [Delay] performs the write from a helper thread after the hold
-      time (swallowed if the group closed meanwhile), and a [Duplicate]
-      writes and charges the frame twice.  Handshake frames are never
-      subject to faults. *)
-
-  val create_group_local :
-    ?fault:Fault.t -> ?trace:Spe_obs.Trace.t -> m:int -> unit -> t array
-  (** Like {!create_group} but every pair is joined by a kernel
-      [socketpair] instead of a dialled connection: same stream
-      sockets, frames, poller and teardown, but no listener, no Hello
-      exchange and no rendezvous path — so [sent_bytes] starts at zero
-      rather than at the handshake cost.  The shard pool uses this:
-      one fresh group per shard session makes the addressed handshake
-      a per-shard tax that a socketpair group avoids. *)
-
   val reactor_group_local :
     ?fault:Fault.t -> ?trace:Spe_obs.Trace.t -> reactor:Reactor.t -> m:int -> unit -> t array
-  (** The event-driven twin of {!create_group_local}: the same
-      socketpair mesh, frames and fault/byte accounting, but every
-      descriptor is owned by [reactor] — reads happen in a
+  (** A fully-connected group over kernel stream sockets, every pair
+      joined by a [socketpair] — no listener, no Hello exchange and no
+      rendezvous path, so [sent_bytes] starts at zero.  Every
+      descriptor is owned by [reactor]: reads happen in a
       buffer-reusing readiness callback, writes are buffered and
       drained by a send-flush continuation when the socket is
-      writable, and a {!Fault.Delay} holds its frame on a reactor
-      timer instead of a helper thread.  The returned transports
-      support only the non-blocking interface: [recv] raises
-      [Invalid_argument]; drive them with [try_recv]/[set_notify] from
-      the reactor thread.  All operations (including [close]) must run
-      on the reactor thread. *)
+      writable.  [fault] and [trace] apply exactly as in
+      {!Memory.create_group}.  The shard pool uses this: one fresh
+      group per shard session makes an addressed handshake a per-shard
+      tax.  Raises {!Descriptor_limit} when the group's descriptors
+      would not fit the reactor.  All operations (including [close])
+      must run on the reactor thread. *)
 
   val reactor_group :
     ?fault:Fault.t ->
@@ -137,11 +107,15 @@ module Socket : sig
     addresses:address array ->
     unit ->
     t array
-  (** The event-driven twin of {!create_group}: identical addressed
-      rendezvous and Hello byte accounting (setup itself is still a
-      fixed blocking syscall sequence, before the loop starts), then
-      the connections are handed to [reactor] exactly as in
-      {!reactor_group_local}. *)
+  (** {!reactor_group_local} with an addressed rendezvous: endpoint [i]
+      listens on [addresses.(i)], every pair is connected once (the
+      higher index dials the lower and introduces itself with a
+      {!Frame.Hello}), then the connections are handed to [reactor].
+      Setup itself is a fixed blocking syscall sequence, before the
+      loop starts.  When [trace] is recording, every byte written —
+      handshake frames at dial time included — lands on the
+      [Transport_bytes] counter, and [sent_bytes] counts the Hellos
+      too.  Handshake frames are never subject to faults. *)
 
   val temp_unix_addresses : m:int -> address array
   (** Fresh Unix-domain socket paths in a private temporary directory,

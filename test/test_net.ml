@@ -273,40 +273,76 @@ let qcheck_reactor_tests =
         a = expected && b = expected && fired_a = live && fired_b = live);
   ]
 
+(* A cancelled timer must not keep its task closure reachable: a
+   daemon's round timers are minutes long, and each closure holds an
+   endpoint machine with its frame cache and inbox. *)
+let test_reactor_cancel_releases_closures () =
+  let r = Reactor.create () in
+  let finalised = ref 0 in
+  let deadline = Unix.gettimeofday () +. 300. in
+  let timers =
+    List.init 2000 (fun _ ->
+        let buf = Bytes.create 64 in
+        Gc.finalise (fun _ -> incr finalised) buf;
+        Reactor.at r deadline (fun () -> ignore (Bytes.length buf)))
+  in
+  List.iter (Reactor.cancel r) timers;
+  Reactor.run r ~until:(fun () -> Reactor.iterations r >= 1);
+  Gc.full_major ();
+  Alcotest.(check int) "every cancelled closure finalised" 2000 !finalised;
+  Alcotest.(check int) "no timer pending" 0 (Reactor.pending_timers r);
+  Reactor.destroy r
+
 (* --- transports ------------------------------------------------------------- *)
 
 let test_memory_transport_delivers () =
-  let group = Transport.Memory.create_group ~m:2 () in
+  let reactor = Reactor.create () in
+  let group = Transport.Memory.create_group ~reactor ~m:2 () in
   let a = group.(0) and b = group.(1) in
   a.Transport.send 1 (Bytes.of_string "one");
   a.Transport.send 1 (Bytes.of_string "two");
-  let deadline = Unix.gettimeofday () +. 1. in
   Alcotest.(check (option string)) "fifo 1" (Some "one")
-    (Option.map Bytes.to_string (b.Transport.recv ~deadline));
+    (Option.map Bytes.to_string (b.Transport.try_recv ()));
   Alcotest.(check (option string)) "fifo 2" (Some "two")
-    (Option.map Bytes.to_string (b.Transport.recv ~deadline));
-  Alcotest.(check (option string)) "empty queue times out" None
-    (Option.map Bytes.to_string (b.Transport.recv ~deadline:(Unix.gettimeofday () +. 0.01)));
+    (Option.map Bytes.to_string (b.Transport.try_recv ()));
+  Alcotest.(check (option string)) "empty queue yields nothing" None
+    (Option.map Bytes.to_string (b.Transport.try_recv ()));
   Alcotest.(check int) "framed bytes counted" (2 * (Frame.length_prefix_bytes + 3))
     (a.Transport.sent_bytes ());
   a.Transport.close ();
   Alcotest.check_raises "send after close" Transport.Closed (fun () ->
       b.Transport.send 0 (Bytes.of_string "x"));
   Alcotest.check_raises "recv after close" Transport.Closed (fun () ->
-      ignore (a.Transport.recv ~deadline))
+      ignore (a.Transport.try_recv ()));
+  Reactor.destroy reactor
 
 let test_socket_transport_delivers () =
+  let reactor = Reactor.create () in
   let group =
-    Transport.Socket.create_group ~addresses:(Transport.Socket.temp_unix_addresses ~m:3) ()
+    Transport.Socket.reactor_group ~reactor
+      ~addresses:(Transport.Socket.temp_unix_addresses ~m:3) ()
   in
-  let deadline = Unix.gettimeofday () +. 2. in
+  (* The higher index dials the lower and pays one Hello per
+     connection: endpoint 1 dialled 0, endpoint 2 dialled 0 and 1. *)
+  let hello = Frame.framed_length (Frame.Hello { sender = 0 }) in
+  Alcotest.(check (list int)) "Hello bytes counted by the dialler" [ 0; hello; 2 * hello ]
+    (Array.to_list (Array.map (fun (t : Transport.t) -> t.Transport.sent_bytes ()) group));
   group.(2).Transport.send 0 (Bytes.of_string "hello-from-2");
   group.(0).Transport.send 2 (Bytes.of_string "hello-from-0");
+  let got = Array.make 3 None in
+  let expired = ref false in
+  ignore (Reactor.at reactor (Unix.gettimeofday () +. 2.) (fun () -> expired := true));
+  Reactor.run reactor ~until:(fun () ->
+      List.iter
+        (fun i -> if got.(i) = None then got.(i) <- group.(i).Transport.try_recv ())
+        [ 0; 2 ];
+      !expired || (got.(0) <> None && got.(2) <> None));
   Alcotest.(check (option string)) "2 -> 0" (Some "hello-from-2")
-    (Option.map Bytes.to_string (group.(0).Transport.recv ~deadline));
+    (Option.map Bytes.to_string got.(0));
   Alcotest.(check (option string)) "0 -> 2" (Some "hello-from-0")
-    (Option.map Bytes.to_string (group.(2).Transport.recv ~deadline));
-  group.(0).Transport.close ()
+    (Option.map Bytes.to_string got.(2));
+  group.(0).Transport.close ();
+  Reactor.destroy reactor
 
 (* --- the Endpoint engine contract (Runtime.run edge cases) -------------------- *)
 
@@ -731,25 +767,11 @@ module Shard = Spe_core.Shard
 module Plan = Spe_core.Plan
 module Protocol5 = Spe_core.Protocol5
 
-(* Drive every stage of a plan through a transport worker pool,
-   keeping each shard session's group size and endpoint result for the
-   accounting checks below. *)
+(* Drive a plan on a transport engine, keeping each shard session's
+   group size and endpoint result for the accounting checks below. *)
 let run_plan_over engine ~workers (plan : _ Plan.t) =
-  let groups = ref [] in
-  List.iter
-    (fun (stage : Plan.stage) ->
-      let rs =
-        match engine with
-        | `Memory -> Endpoint.run_sessions_memory ~workers stage.Plan.sessions
-        | `Socket -> Endpoint.run_sessions_socket ~workers stage.Plan.sessions
-      in
-      Array.iteri
-        (fun i ((), res) ->
-          let m = Array.length stage.Plan.sessions.(i).Session.parties in
-          groups := (m, res) :: !groups)
-        rs)
-    plan.Plan.stages;
-  (plan.Plan.result (), List.rev !groups)
+  let result, runs = Plan.execute ~workers ~engine plan in
+  (result, List.map (fun (r : Plan.run) -> (r.Plan.parties, r.Plan.endpoint)) runs)
 
 (* Each shard session runs on its own connection group, so the framing
    closed form of the accounting tests must hold per group — with no
@@ -874,12 +896,10 @@ let test_sharded_scores_pool_cross_engine () =
       check_plan_accounting label plan groups ~payload_ref)
     session_engines
 
-(* Regression pinning the two execution engines to each other across
-   shard counts: the reactor pool (run_sessions_socket — machines on
-   one poll loop) and the blocking thread pool (run_sessions_memory —
-   the differential oracle it must never drift from) must produce
-   bit-identical links and scores results at k ∈ {1, 2, 4, 8}. *)
-let test_reactor_vs_blocking_k_sweep () =
+(* The one engine over both transports, pinned to the simulated
+   oracle across shard counts: memory and socket groups must produce
+   bit-identical links and scores results at k in {1, 2, 4, 8}. *)
+let test_memory_socket_sim_k_sweep () =
   let seed = 229 and n = 20 and edges = 55 and actions = 8 and m = 3 in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let links_config = Protocol4.default_config ~h:2 in
@@ -903,29 +923,84 @@ let test_reactor_vs_blocking_k_sweep () =
         Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards
           links_config
       in
-      let reactor_links, _ = run_plan_over `Socket ~workers:2 (links_plan ()) in
-      let blocking_links, _ = run_plan_over `Memory ~workers:2 (links_plan ()) in
+      let socket_links, _ = run_plan_over `Socket ~workers:2 (links_plan ()) in
+      let memory_links, _ = run_plan_over `Memory ~workers:2 (links_plan ()) in
       Alcotest.(check bool)
-        (Printf.sprintf "links k=%d: reactor = blocking oracle = sim" shards)
+        (Printf.sprintf "links k=%d: memory = socket = sim" shards)
         true
-        (reactor_links.Protocol4.strengths = blocking_links.Protocol4.strengths
-        && reactor_links.Protocol4.strengths = links_sim.Protocol4.strengths
-        && reactor_links.Protocol4.pair_estimates = links_sim.Protocol4.pair_estimates
-        && reactor_links.Protocol4.pairs = links_sim.Protocol4.pairs);
+        (socket_links.Protocol4.strengths = memory_links.Protocol4.strengths
+        && socket_links.Protocol4.strengths = links_sim.Protocol4.strengths
+        && socket_links.Protocol4.pair_estimates = links_sim.Protocol4.pair_estimates
+        && socket_links.Protocol4.pairs = links_sim.Protocol4.pairs);
       let scores_plan () =
         Shard.user_scores_exclusive (State.create ~seed:(seed + 2) ()) ~graph:g ~logs
           ~tau ~modulus ~shards scores_config
       in
-      let reactor_scores, _ = run_plan_over `Socket ~workers:2 (scores_plan ()) in
-      let blocking_scores, _ = run_plan_over `Memory ~workers:2 (scores_plan ()) in
+      let socket_scores, _ = run_plan_over `Socket ~workers:2 (scores_plan ()) in
+      let memory_scores, _ = run_plan_over `Memory ~workers:2 (scores_plan ()) in
       Alcotest.(check bool)
-        (Printf.sprintf "scores k=%d: reactor = blocking oracle = sim" shards)
+        (Printf.sprintf "scores k=%d: memory = socket = sim" shards)
         true
-        (reactor_scores.Driver_distributed.scores
-         = blocking_scores.Driver_distributed.scores
-        && reactor_scores.Driver_distributed.scores = scores_sim.Driver_distributed.scores
-        && reactor_scores.Driver_distributed.graphs = scores_sim.Driver_distributed.graphs))
+        (socket_scores.Driver_distributed.scores = memory_scores.Driver_distributed.scores
+        && socket_scores.Driver_distributed.scores = scores_sim.Driver_distributed.scores
+        && socket_scores.Driver_distributed.graphs = scores_sim.Driver_distributed.graphs))
     [ 1; 2; 4; 8 ]
+
+(* A stage wider than select's FD_SETSIZE allows at once: 200
+   three-party sessions with [workers] left at its default, so every
+   session is launched together.  A socket group whose descriptors
+   would reach the limit waits for an earlier session to close; a
+   memory group opens no descriptors.  Both must finish with the
+   simulated results.  With no session in flight to wait for, the
+   socket pool fails typed instead. *)
+let test_wide_stage_past_fd_setsize () =
+  let parties = providers 3 in
+  let session i =
+    P1d.make (State.create ~seed:(300 + i) ()) ~parties ~modulus:(1 lsl 20)
+      ~inputs:(Array.init 3 (fun k -> [| i + k; 7 * k |]))
+  in
+  let expected = Array.init 200 (fun i -> Session.run (session i) ~wire:(Wire.create ())) in
+  List.iter
+    (fun (label, engine) ->
+      let sessions = Array.init 200 session in
+      let plan =
+        Plan.make ~shards:1
+          ~stages:[ Plan.stage ~label:"wide" (Array.map (Session.map ignore) sessions) ]
+          ~result:(fun () -> Array.map (fun (s : _ Session.t) -> s.Session.result ()) sessions)
+      in
+      let got, _ = Plan.execute ~engine plan in
+      Alcotest.(check bool) (label ^ ": 200 sessions equal Session.run") true (got = expected))
+    [ ("memory", `Memory); ("socket", `Socket) ];
+  (* Take every descriptor below the limit, then free three: room for
+     the pool's reactor, not for a group. *)
+  let null = Unix.openfile Filename.null [ Unix.O_RDONLY ] 0 in
+  let rec fill acc =
+    match Unix.dup null with
+    | fd -> if Reactor.selectable [ fd ] then fill (fd :: acc) else fd :: acc
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> acc
+  in
+  let held = ref (fill []) in
+  for _ = 1 to 3 do
+    match !held with
+    | fd :: rest ->
+      Unix.close fd;
+      held := rest
+    | [] -> ()
+  done;
+  let one =
+    Plan.make ~shards:1
+      ~stages:[ Plan.stage ~label:"one" [| Session.map ignore (session 0) |] ]
+      ~result:ignore
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Unix.close (null :: !held))
+    (fun () ->
+      match Plan.execute ~engine:`Socket one with
+      | _ -> Alcotest.fail "a group that cannot fit must not run"
+      | exception Endpoint.Shard_failed { shard; exn; _ } ->
+        Alcotest.(check int) "names the session" 0 shard;
+        Alcotest.(check bool) "typed as the descriptor limit" true
+          (exn = Transport.Descriptor_limit))
 
 (* A shard whose group stops delivering must fail the stage naming the
    shard and its phase, and the pool must close the sibling groups
@@ -936,15 +1011,11 @@ let test_pool_stall_cancels_siblings () =
   let plan =
     Shard.links_exclusive (State.create ~seed:212 ()) ~graph:g ~logs ~shards:4 config
   in
-  let stage = List.hd plan.Plan.stages in
-  let ns = Array.length stage.Plan.sessions in
+  let ns = Array.length (List.hd plan.Plan.stages).Plan.sessions in
   Alcotest.(check bool) "plan cut into several shard sessions" true (ns >= 4);
-  let faults = Array.make ns None in
-  faults.(2) <- Some (Fault.blackhole ~src:0 ~dst:1);
+  let faults i = if i = 2 then Some (Fault.blackhole ~src:0 ~dst:1) else None in
   let t0 = Unix.gettimeofday () in
-  (match
-     Endpoint.run_sessions_memory ~config:fast ~workers:2 ~faults stage.Plan.sessions
-   with
+  (match Plan.execute ~config:fast ~workers:2 ~faults ~engine:`Memory plan with
   | _ -> Alcotest.fail "a stalled shard must not let the stage complete"
   | exception Endpoint.Shard_failed { shard; phase; exn } ->
     Alcotest.(check int) "names the stalled shard" 2 shard;
@@ -1020,6 +1091,11 @@ let () =
           Alcotest.test_case "encode_into allocates nothing" `Quick
             test_frame_encode_into_zero_alloc;
         ] );
+      ( "reactor",
+        [
+          Alcotest.test_case "cancel releases timer closures" `Quick
+            test_reactor_cancel_releases_closures;
+        ] );
       ( "transport",
         [
           Alcotest.test_case "memory delivery" `Quick test_memory_transport_delivers;
@@ -1071,8 +1147,10 @@ let () =
             test_sharded_links_non_exclusive_pool_cross_engine;
           Alcotest.test_case "sharded scores over pools" `Quick
             test_sharded_scores_pool_cross_engine;
-          Alcotest.test_case "reactor vs blocking oracle at k in {1,2,4,8}" `Quick
-            test_reactor_vs_blocking_k_sweep;
+          Alcotest.test_case "memory = socket = sim at every k" `Quick
+            test_memory_socket_sim_k_sweep;
+          Alcotest.test_case "200-session stage past FD_SETSIZE" `Quick
+            test_wide_stage_past_fd_setsize;
           Alcotest.test_case "stalled shard cancels siblings" `Quick
             test_pool_stall_cancels_siblings;
         ] );

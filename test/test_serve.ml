@@ -531,10 +531,8 @@ let test_daemon_stream_job () =
          engine-independent — pinned by the spe_delta suite). *)
       let expected =
         let planned = Job.build spec { Job.graph; logs } in
-        List.iter
-          (fun (stage : Plan.stage) ->
-            ignore (Spe_net.Endpoint.run_sessions_memory ~workers:2 stage.Plan.sessions))
-          (Job.stages planned);
+        let plan = Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore in
+        ignore (Plan.execute ~workers:2 ~engine:`Memory plan);
         Job.reply_of planned
       in
       (match expected with

@@ -9,10 +9,7 @@ module State = Spe_rng.State
 module Generate = Spe_graph.Generate
 module Cascade = Spe_actionlog.Cascade
 module Partition = Spe_actionlog.Partition
-module Session = Spe_mpc.Session
-module Wire = Spe_mpc.Wire
 module Plan = Spe_core.Plan
-module Endpoint = Spe_net.Endpoint
 module Transport = Spe_net.Transport
 module Schedule = Spe_chaos.Schedule
 module Harness = Spe_chaos.Harness
@@ -33,21 +30,8 @@ let workload ~seed ~n ~edges ~actions ~m =
   in
   (g, Partition.exclusive s log ~m)
 
-(* Drive a plan on one of the three engines: lowered to a single
-   session for sim, stage-by-stage through a transport worker pool
-   otherwise. *)
-let run_plan ?(workers = 2) engine (plan : _ Plan.t) =
-  match engine with
-  | `Sim -> Session.run (Plan.to_session plan) ~wire:(Wire.create ())
-  | (`Memory | `Socket) as e ->
-    List.iter
-      (fun (stage : Plan.stage) ->
-        ignore
-          (match e with
-          | `Memory -> Endpoint.run_sessions_memory ~workers stage.Plan.sessions
-          | `Socket -> Endpoint.run_sessions_socket ~workers stage.Plan.sessions))
-      plan.Plan.stages;
-    plan.Plan.result ()
+(* Drive a plan on one of the three engines. *)
+let run_plan ?(workers = 2) engine (plan : _ Plan.t) = fst (Plan.execute ~workers ~engine plan)
 
 (* --- live deployments ------------------------------------------------------- *)
 
