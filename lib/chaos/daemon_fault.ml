@@ -111,11 +111,6 @@ let run ?(jobs = 4) ~seed pipeline =
     {
       (Daemon.default_config ~party ~roster) with
       Daemon.max_sessions = 2;
-      (* Tight enough that even the slow failure path (a session whose
-         dead peer the host never talks to directly) resolves well
-         inside the wall budget; the workloads complete far faster. *)
-      round_timeout = 5.;
-      linger = 6.;
       dial_timeout = 15.;
     }
   in

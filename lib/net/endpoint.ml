@@ -83,7 +83,7 @@ module Machine = struct
     mutable state : state;
     mutable timer : Reactor.timer option;
     mutable round_start : float;
-    wake_posted : bool Atomic.t;  (* coalesces notify -> post storms *)
+    mutable wake_posted : bool;  (* coalesces notify -> post storms *)
     on_done : (outcome, exn) Stdlib.result -> unit;
   }
 
@@ -401,7 +401,7 @@ module Machine = struct
         state = Idle;
         timer = None;
         round_start = 0.;
-        wake_posted = Atomic.make false;
+        wake_posted = false;
         on_done;
       }
     in
@@ -409,14 +409,16 @@ module Machine = struct
     t
 
   let start t =
-    (* The notify hook may fire from any thread (a daemon's
-       connection threads); it coalesces into at most one queued wake
-       task at a time. *)
+    (* The notify hook fires on the loop thread (every transport,
+       a daemon's mux sessions included, delivers there); it coalesces
+       into at most one queued wake task at a time. *)
     t.transport.Transport.set_notify (fun () ->
-        if not (Atomic.exchange t.wake_posted true) then
+        if not t.wake_posted then begin
+          t.wake_posted <- true;
           Reactor.post t.reactor (fun () ->
-              Atomic.set t.wake_posted false;
-              wake t));
+              t.wake_posted <- false;
+              wake t)
+        end);
     Reactor.post t.reactor (fun () -> if t.state <> Finished then begin_round t [])
 end
 

@@ -8,53 +8,18 @@
    machinery runs unchanged over connections that outlive any single
    session.
 
-   Concurrency: the daemon's peer-reader threads deliver while its
-   reactor thread sends and receives.  The registry lock only guards
-   the tables — it is never held across a socket write or a mailbox
-   operation, so readers, writers and seats cannot deadlock through
-   the mux. *)
+   Concurrency: none.  The daemon's mesh links, its job tasks and every
+   seat run on its one reactor thread, so the tables and the session
+   inboxes are single-threaded.  Only the session count is read from
+   elsewhere (the scrape thread), through an atomic. *)
 
-(* A session's inbound queue.  Locked, because the peer-reader threads
-   push while the reactor pops; the notify hook (which posts the
-   seat's wake task) runs outside the lock.  A closed mailbox drains
-   its remaining frames before raising [Closed], because a seat may
-   still complete from frames that arrived before its peer's
-   connection died. *)
-module Mailbox = struct
-  type t = {
-    lock : Mutex.t;
-    frames : bytes Queue.t;
-    mutable closed : bool;
-    mutable notify : (unit -> unit) option;
-  }
-
-  let create () = { lock = Mutex.create (); frames = Queue.create (); closed = false; notify = None }
-
-  let with_lock mb f =
-    Mutex.lock mb.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mb.lock) f
-
-  let run_notify mb =
-    match with_lock mb (fun () -> mb.notify) with Some f -> f () | None -> ()
-
-  let set_notify mb f = with_lock mb (fun () -> mb.notify <- Some f)
-
-  let push mb body =
-    with_lock mb (fun () -> if not mb.closed then Queue.push body mb.frames);
-    run_notify mb
-
-  let try_pop mb =
-    with_lock mb (fun () ->
-        if mb.closed && Queue.is_empty mb.frames then raise Transport.Closed;
-        Queue.take_opt mb.frames)
-
-  let close mb =
-    with_lock mb (fun () -> mb.closed <- true);
-    run_notify mb
-end
+module Inbox = Transport.Inbox
 
 type entry = {
-  mailbox : Mailbox.t;
+  inbox : Inbox.t;
+      (** A closed inbox still hands out its queued frames, because a
+          seat may complete from frames that arrived before its peer's
+          connection died. *)
   mutable session_peers : int array;
       (** Daemon ids by group index; [[||]] while the entry only buffers
           early frames for a session not yet opened here. *)
@@ -62,75 +27,67 @@ type entry = {
 
 type t = {
   self : int;  (** This daemon's id. *)
-  lock : Mutex.t;
   sessions : (int, entry) Hashtbl.t;  (* sid -> live or pending entry *)
   finished : (int, unit) Hashtbl.t;  (* closed/aborted sids: drop late frames *)
   writers : (int, sid:int -> bytes -> unit) Hashtbl.t;  (* peer daemon id -> writer *)
+  live : int Atomic.t;  (* [Hashtbl.length sessions], for the scrape thread *)
 }
 
 let create ~self =
   {
     self;
-    lock = Mutex.create ();
     sessions = Hashtbl.create 64;
     finished = Hashtbl.create 64;
     writers = Hashtbl.create 8;
+    live = Atomic.make 0;
   }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let add_entry t sid e =
+  Hashtbl.replace t.sessions sid e;
+  Atomic.set t.live (Hashtbl.length t.sessions)
 
-let set_writer t ~peer writer =
-  with_lock t (fun () -> Hashtbl.replace t.writers peer writer)
+let remove_entry t sid =
+  Hashtbl.remove t.sessions sid;
+  Atomic.set t.live (Hashtbl.length t.sessions)
+
+let set_writer t ~peer writer = Hashtbl.replace t.writers peer writer
 
 (* The peer's connection died: any session seated with it can never
-   complete, so close those mailboxes — the seats see
-   [Transport.Closed] promptly instead of waiting out their round
-   timeouts — and drop the writer so later sends fail fast too. *)
+   complete, so close those inboxes — the seats see [Transport.Closed]
+   promptly instead of waiting out their round timeouts — and drop the
+   writer so later sends fail fast too. *)
 let fail_peer t ~peer =
-  let victims =
-    with_lock t (fun () ->
-        Hashtbl.remove t.writers peer;
-        Hashtbl.fold
-          (fun sid entry acc ->
-            if Array.exists (fun p -> p = peer) entry.session_peers then
-              (sid, entry) :: acc
-            else acc)
-          t.sessions [])
-  in
-  List.iter (fun (_, entry) -> Mailbox.close entry.mailbox) victims
-
-let peer_alive t ~peer = with_lock t (fun () -> Hashtbl.mem t.writers peer)
+  Hashtbl.remove t.writers peer;
+  Hashtbl.iter
+    (fun _ entry -> if Array.mem peer entry.session_peers then Inbox.close entry.inbox)
+    t.sessions
 
 let deliver t ~sid body =
-  let entry =
-    with_lock t (fun () ->
-        if Hashtbl.mem t.finished sid then None
-        else
-          match Hashtbl.find_opt t.sessions sid with
-          | Some e -> Some e
-          | None ->
-            (* The peer opened the session first; buffer until our seat
-               arrives and adopts the mailbox. *)
-            let e = { mailbox = Mailbox.create (); session_peers = [||] } in
-            Hashtbl.replace t.sessions sid e;
-            Some e)
-  in
-  match entry with None -> () | Some e -> Mailbox.push e.mailbox body
+  if not (Hashtbl.mem t.finished sid) then begin
+    let e =
+      match Hashtbl.find_opt t.sessions sid with
+      | Some e -> e
+      | None ->
+        (* The peer opened the session first; buffer until our seat
+           arrives and adopts the inbox. *)
+        let e = { inbox = Inbox.create (); session_peers = [||] } in
+        add_entry t sid e;
+        e
+    in
+    Inbox.push e.inbox body;
+    Inbox.notify e.inbox
+  end
 
 (* Abort a session this daemon may never have opened (job cancelled by
-   the coordinator): close any buffered mailbox and make both a later
+   the coordinator): close any buffered inbox and make both a later
    [open_session] and late retransmits dead on arrival. *)
 let abort t ~sid =
-  let entry =
-    with_lock t (fun () ->
-        Hashtbl.replace t.finished sid ();
-        let e = Hashtbl.find_opt t.sessions sid in
-        Hashtbl.remove t.sessions sid;
-        e)
-  in
-  match entry with None -> () | Some e -> Mailbox.close e.mailbox
+  Hashtbl.replace t.finished sid ();
+  match Hashtbl.find_opt t.sessions sid with
+  | None -> ()
+  | Some e ->
+    remove_entry t sid;
+    Inbox.close e.inbox
 
 let open_session t ~sid ~peers =
   let m = Array.length peers in
@@ -142,73 +99,62 @@ let open_session t ~sid ~peers =
     in
     go 0
   in
+  if Hashtbl.mem t.finished sid then raise Transport.Closed;
   let entry =
-    with_lock t (fun () ->
-        if Hashtbl.mem t.finished sid then raise Transport.Closed;
-        match Hashtbl.find_opt t.sessions sid with
-        | Some e ->
-          if Array.length e.session_peers > 0 then
-            invalid_arg (Printf.sprintf "Mux.open_session: session %d already open" sid);
-          e.session_peers <- peers;
-          e
-        | None ->
-          let e = { mailbox = Mailbox.create (); session_peers = peers } in
-          Hashtbl.replace t.sessions sid e;
-          e)
+    match Hashtbl.find_opt t.sessions sid with
+    | Some e ->
+      if Array.length e.session_peers > 0 then
+        invalid_arg (Printf.sprintf "Mux.open_session: session %d already open" sid);
+      e.session_peers <- peers;
+      e
+    | None ->
+      let e = { inbox = Inbox.create (); session_peers = peers } in
+      add_entry t sid e;
+      e
   in
-  let sent = Atomic.make 0 in
-  let closed = Atomic.make false in
+  let sent = ref 0 in
+  let closed = ref false in
   let writer_to j =
     if j < 0 || j >= m then invalid_arg "Transport.send: unknown peer";
     if j = self_index then invalid_arg "Transport.send: self-send";
-    match with_lock t (fun () -> Hashtbl.find_opt t.writers peers.(j)) with
+    match Hashtbl.find_opt t.writers peers.(j) with
     | Some w -> w
     | None -> raise Transport.Closed
   in
-  let count body =
-    Atomic.fetch_and_add sent (Frame.length_prefix_bytes + Bytes.length body) |> ignore
-  in
-  let send j body =
-    if Atomic.get closed then raise Transport.Closed;
-    let w = writer_to j in
-    count body;
-    w ~sid body
-  in
   let send_many j bodies =
-    match bodies with
-    | [] -> ()
-    | bodies ->
-      if Atomic.get closed then raise Transport.Closed;
+    if bodies <> [] then begin
+      if !closed then raise Transport.Closed;
       let w = writer_to j in
       List.iter
         (fun body ->
-          count body;
+          sent := !sent + Frame.length_prefix_bytes + Bytes.length body;
           w ~sid body)
         bodies
+    end
   in
   let close () =
-    if not (Atomic.exchange closed true) then begin
-      with_lock t (fun () ->
-          Hashtbl.replace t.finished sid ();
-          Hashtbl.remove t.sessions sid);
-      Mailbox.close entry.mailbox
+    if not !closed then begin
+      closed := true;
+      Hashtbl.replace t.finished sid ();
+      remove_entry t sid;
+      Inbox.close entry.inbox
     end
   in
   ( {
       Transport.self = self_index;
       peers = m;
-      send;
+      send = (fun j body -> send_many j [ body ]);
       send_many;
-      try_recv = (fun () -> Mailbox.try_pop entry.mailbox);
-      set_notify = (fun f -> Mailbox.set_notify entry.mailbox f);
+      try_recv = (fun () -> Inbox.try_pop entry.inbox);
+      set_notify = Inbox.set_notify entry.inbox;
       close;
-      sent_bytes = (fun () -> Atomic.get sent);
+      sent_bytes = (fun () -> !sent);
     },
     self_index )
 
-(* Tests and gauges. *)
-let open_sessions t = with_lock t (fun () -> Hashtbl.length t.sessions)
+(* Gauges: safe from any thread. *)
+let open_sessions t = Atomic.get t.live
 
 (* The finished set only ever grows; a long-lived daemon trims it once
    a job's sids can no longer see late traffic. *)
-let forget t ~sid = with_lock t (fun () -> Hashtbl.remove t.finished sid)
+let forget t ~sid = Hashtbl.remove t.finished sid

@@ -17,7 +17,10 @@
     connection dies, {!fail_peer} closes every open session seated with
     it, so the seats fail promptly with [Transport.Closed]
     instead of waiting out their round timeouts — the daemon turns that
-    into a typed job failure. *)
+    into a typed job failure.
+
+    Every function except {!open_sessions} runs on the daemon's reactor
+    thread, the one that also drives the mesh links and the seats. *)
 
 type t
 
@@ -27,23 +30,20 @@ val create : self:int -> t
 
 val set_writer : t -> peer:int -> (sid:int -> bytes -> unit) -> unit
 (** Register (or replace, on reconnect) the frame writer for [peer].
-    The writer must serialise its own writes; it is called without the
-    mux lock held. *)
+    Seats call it on the reactor thread; it should queue the frame on
+    the peer's link rather than block. *)
 
 val fail_peer : t -> peer:int -> unit
-(** The peer's connection died: drop its writer and close the mailbox
+(** The peer's connection died: drop its writer and close the inbox
     of every open session seated with it. *)
 
-val peer_alive : t -> peer:int -> bool
-(** Whether a writer is currently registered for [peer]. *)
-
 val deliver : t -> sid:int -> bytes -> unit
-(** Route one inbound frame body to its session's mailbox, buffering
+(** Route one inbound frame body to its session's inbox, buffering
     for sessions not yet opened here and dropping frames for finished
     sessions. *)
 
 val abort : t -> sid:int -> unit
-(** Cancel a session: close its (possibly only buffered) mailbox and
+(** Cancel a session: close its (possibly only buffered) inbox and
     mark it finished, so a later {!open_session} raises
     [Transport.Closed] immediately and late frames are dropped. *)
 
@@ -52,7 +52,7 @@ val open_session : t -> sid:int -> peers:int array -> Transport.t * int
     where [peers.(j)] is the daemon id seated at group index [j]; the
     returned index is the local seat ([peers.(j) = self]).  Sends route
     through the per-peer writers ([Transport.Closed] if the peer's
-    writer is gone), receives pop the session mailbox, and closing the
+    writer is gone), receives pop the session inbox, and closing the
     transport retires the sid into the finished set.  Raises
     [Transport.Closed] if the sid was already aborted,
     [Invalid_argument] if [self] is not seated or the sid is already
@@ -62,7 +62,7 @@ val open_session : t -> sid:int -> peers:int array -> Transport.t * int
 
 val open_sessions : t -> int
 (** Number of live (open or buffering) session entries — a daemon
-    gauge. *)
+    gauge, readable from any thread. *)
 
 val forget : t -> sid:int -> unit
 (** Trim a sid from the finished set once late traffic is impossible

@@ -11,9 +11,9 @@
     {b Threading.}  Exactly one thread may call {!run}; every callback
     (task, timer, descriptor) fires on that thread, so state touched
     only from callbacks needs no locks.  {!post} alone is thread-safe:
-    other threads (a daemon's connection readers) hand work to the
-    loop with it, and a self-pipe wakes the
-    loop if it is parked in [select].
+    other threads (a daemon's acceptor and handshake threads, its
+    client readers and its shutdown thread) hand work to the loop with
+    it, and a self-pipe wakes the loop if it is parked in [select].
 
     {b Determinism.}  Scheduling order is a function of the event
     sequence alone: the ready queue is strictly FIFO, due timers fire

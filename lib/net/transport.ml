@@ -16,14 +16,16 @@ type t = {
    ["#i"] labels since the transport does not know the party names. *)
 let index_label i = Printf.sprintf "#%d" i
 
-(* The per-endpoint inbox of a reactor group.  Single-threaded: the
-   reactor loop is the only reader and the only writer, so no lock —
-   only the notify hook, which posts the owning machine's wake task.
-   A closed inbox still hands out the frames it already holds. *)
+(* The per-endpoint inbox of a reactor group or mux session.
+   Single-threaded: the reactor loop is the only reader and the only
+   writer, so no lock — only the notify hook, which posts the owning
+   machine's wake task.  A closed inbox still hands out the frames it
+   already holds. *)
 module Inbox = struct
   type t = { q : bytes Queue.t; mutable closed : bool; mutable notify : (unit -> unit) option }
 
   let create () = { q = Queue.create (); closed = false; notify = None }
+  let set_notify ib f = ib.notify <- Some f
   let notify ib = match ib.notify with Some f -> f () | None -> ()
 
   (* Enqueue without waking: callers notify once per burst. *)
@@ -119,7 +121,7 @@ let endpoint g ~self ~write ~close =
     send = (fun dst body -> send_many dst [ body ]);
     send_many;
     try_recv = (fun () -> Inbox.try_pop g.inboxes.(self));
-    set_notify = (fun f -> g.inboxes.(self).Inbox.notify <- Some f);
+    set_notify = Inbox.set_notify g.inboxes.(self);
     close;
     sent_bytes = (fun () -> g.counters.(self));
   }
@@ -161,19 +163,6 @@ module Socket = struct
       really_write fd buf (off + n) (len - n)
     end
 
-  (* [None] on clean EOF before the first byte; raises on a torn read. *)
-  let really_read fd len =
-    let buf = Bytes.create len in
-    let rec go off =
-      if off >= len then Some buf
-      else
-        match Unix.read fd buf off (len - off) with
-        | 0 -> if off = 0 then None else failwith "Transport.Socket: truncated stream"
-        | n -> go (off + n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-
   let write_frame fd body =
     let len = Bytes.length body in
     let prefixed = Bytes.create (Frame.length_prefix_bytes + len) in
@@ -181,10 +170,49 @@ module Socket = struct
     Bytes.blit body 0 prefixed Frame.length_prefix_bytes len;
     really_write fd prefixed 0 (Bytes.length prefixed)
 
-  let read_frame fd =
-    match really_read fd Frame.length_prefix_bytes with
-    | None -> None
-    | Some prefix -> really_read fd (Int32.to_int (Bytes.get_int32_be prefix 0))
+  (* One blocking read.  Under a deadline the socket's receive timeout
+     is the time left, so a silent peer cannot hold the reader past it. *)
+  let read_some ?deadline fd buf off len =
+    (match deadline with
+    | None -> ()
+    | Some d ->
+      let left = d -. Unix.gettimeofday () in
+      if left <= 0. then failwith "Transport.Socket: read deadline passed";
+      (* A timeout that rounds to zero would mean "none". *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.max left 0.001));
+    let rec go () =
+      match Unix.read fd buf off len with
+      | n -> n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        failwith "Transport.Socket: read deadline passed"
+    in
+    go ()
+
+  (* The body accumulates chunk by chunk, so a hostile length prefix
+     costs only what the peer actually sends. *)
+  let read_frame ?deadline fd =
+    let chunk = Bytes.create 4096 in
+    let rec prefix got =
+      if got = Frame.length_prefix_bytes then true
+      else
+        match read_some ?deadline fd chunk got (Frame.length_prefix_bytes - got) with
+        | 0 -> if got = 0 then false else failwith "Transport.Socket: truncated stream"
+        | n -> prefix (got + n)
+    in
+    if not (prefix 0) then None
+    else begin
+      let len = Int32.to_int (Bytes.get_int32_be chunk 0) in
+      if len < 0 then failwith "Transport.Socket: negative frame length";
+      let body = Buffer.create (min len 4096) in
+      while Buffer.length body < len do
+        match read_some ?deadline fd chunk 0 (min 4096 (len - Buffer.length body)) with
+        | 0 -> failwith "Transport.Socket: truncated stream"
+        | n -> Buffer.add_subbytes body chunk 0 n
+      done;
+      if Option.is_some deadline then Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.;
+      Some (Buffer.to_bytes body)
+    end
 
   (* Writes to a peer that already shut its end down must surface as
      [Closed], not kill the process. *)
@@ -193,10 +221,10 @@ module Socket = struct
 
   (* A byte window over a reusable backing buffer: valid bytes are
      [buf.(off) .. buf.(off + len - 1)].  Appends compact or grow in
-     place, so the send path batches a round's frames into one reused
-     buffer (one write, no per-frame [Bytes.create]/[Bytes.concat]),
-     and a connection's read path reuses one buffer for the whole
-     session instead of [Bytes.cat]-ing a fresh copy per chunk. *)
+     place, so the send path batches a loop turn's frames into one
+     reused buffer (one write, no per-frame [Bytes.create]/[Bytes.concat]),
+     and a connection's read path reuses one buffer for its whole life
+     instead of [Bytes.cat]-ing a fresh copy per chunk. *)
   module Slab = struct
     type s = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
 
@@ -220,147 +248,185 @@ module Socket = struct
           s.off <- 0
         end
 
-    (* One frame, length prefix included, appended in place. *)
-    let add_framed s body =
-      let len = Bytes.length body in
-      reserve s (Frame.length_prefix_bytes + len);
-      Bytes.set_int32_be s.buf (s.off + s.len) (Int32.of_int len);
-      Bytes.blit body 0 s.buf (s.off + s.len + Frame.length_prefix_bytes) len;
-      s.len <- s.len + Frame.length_prefix_bytes + len
-
     let consume s n =
       s.off <- s.off + n;
       s.len <- s.len - n;
       if s.len = 0 then s.off <- 0
   end
 
-  (* One direction-owning descriptor of a group: endpoint [owner]
-     reads its inbound frames from [fd] and queues its outbound bytes
-     on [out] until the send-flush continuation has drained them. *)
-  type conn = {
-    fd : Unix.file_descr;
-    owner : int;
-    mutable live : bool;
-    inbuf : Slab.s;
-    out : Slab.s;
-    mutable flushing : bool;  (* on_writable continuation installed *)
-  }
+  module Link = struct
+    type stats = {
+      mutable frames_sent : int;
+      mutable writes : int;
+      mutable frames_received : int;
+      mutable reads : int;
+    }
 
-  (* [conns.(i).(j)] is the descriptor endpoint [i] uses to exchange
-     frames with endpoint [j]. *)
-  let spin_up g fds =
-    let reactor = g.reactor and m = g.m in
-    let conns =
-      Array.mapi
-        (fun owner ->
-          Array.map
-            (Option.map (fun fd ->
-                 Unix.set_nonblock fd;
-                 {
-                   fd;
-                   owner;
-                   live = true;
-                   inbuf = Slab.create ();
-                   out = Slab.create ();
-                   flushing = false;
-                 })))
-        fds
-    in
-    let kill_conn c =
-      if c.live then begin
-        c.live <- false;
-        Reactor.forget_fd reactor c.fd;
-        try Unix.close c.fd with Unix.Unix_error _ -> ()
+    let stats () = { frames_sent = 0; writes = 0; frames_received = 0; reads = 0 }
+
+    type t = {
+      reactor : Reactor.t;
+      fd : Unix.file_descr;
+      stats : stats;
+      inbuf : Slab.s;
+      out : Slab.s;
+      on_frame : bytes -> int -> int -> bool;
+      on_burst : unit -> unit;
+      on_close : unit -> unit;
+      mutable live : bool;
+      mutable parked : bool;  (* writability continuation installed *)
+    }
+
+    let alive l = l.live
+
+    let close l =
+      if l.live then begin
+        l.live <- false;
+        l.parked <- false;
+        Reactor.forget_fd l.reactor l.fd;
+        (try Unix.close l.fd with Unix.Unix_error _ -> ());
+        l.on_close ()
       end
-    in
-    let close () =
-      if not g.closed then begin
-        Array.iter (Array.iter (Option.iter kill_conn)) conns;
-        close_inboxes g
+
+    (* The send-flush continuation: write as much pending output as the
+       kernel will take; on a short write park a writability interest
+       and resume there.  This is what lets every connection of a
+       process share one thread without a full socket buffer
+       deadlocking the loop. *)
+    let rec flush l =
+      let s = l.out in
+      if l.live && s.Slab.len > 0 then begin
+        match Unix.write l.fd s.Slab.buf s.Slab.off s.Slab.len with
+        | n ->
+          l.stats.writes <- l.stats.writes + 1;
+          Slab.consume s n;
+          if s.Slab.len > 0 then park l else unpark l
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+          park l
+        | exception Unix.Unix_error _ ->
+          (* The peer is gone: drop the pending output. *)
+          Slab.consume s s.Slab.len;
+          close l
       end
-    in
-    (* The buffer-reusing read path: append whatever the kernel has
-       into the connection's slab, slice out every complete frame in
-       place, and wake the owning machine once per burst. *)
-    let on_read c =
-      let ib = g.inboxes.(c.owner) in
-      Slab.reserve c.inbuf 65536;
-      let s = c.inbuf in
-      match Unix.read c.fd s.Slab.buf (s.Slab.off + s.Slab.len) 65536 with
-      | 0 -> kill_conn c
+      else unpark l
+
+    and park l =
+      if l.live && not l.parked then begin
+        l.parked <- true;
+        Reactor.on_writable l.reactor l.fd (fun () -> flush l)
+      end
+
+    and unpark l =
+      if l.parked then begin
+        l.parked <- false;
+        Reactor.clear_writable l.reactor l.fd
+      end
+
+    let queue l n write =
+      if not l.live then raise Closed;
+      let s = l.out in
+      Slab.reserve s (Frame.length_prefix_bytes + n);
+      let pos = s.Slab.off + s.Slab.len in
+      Bytes.set_int32_be s.Slab.buf pos (Int32.of_int n);
+      write s.Slab.buf (pos + Frame.length_prefix_bytes);
+      s.Slab.len <- s.Slab.len + Frame.length_prefix_bytes + n;
+      l.stats.frames_sent <- l.stats.frames_sent + 1;
+      park l
+
+    (* The read path: append whatever the kernel has into the slab,
+       slice out every complete frame in place, and report the burst
+       once. *)
+    let on_read l =
+      let s = l.inbuf in
+      Slab.reserve s 65536;
+      match Unix.read l.fd s.Slab.buf (s.Slab.off + s.Slab.len) 65536 with
+      | 0 ->
+        l.stats.reads <- l.stats.reads + 1;
+        close l
       | nread ->
+        l.stats.reads <- l.stats.reads + 1;
         s.Slab.len <- s.Slab.len + nread;
-        let before = Queue.length ib.Inbox.q in
-        let rec consume () =
-          if s.Slab.len >= Frame.length_prefix_bytes then begin
+        let delivered = ref false in
+        let rec slice () =
+          if l.live && s.Slab.len >= Frame.length_prefix_bytes then begin
             let flen = Int32.to_int (Bytes.get_int32_be s.Slab.buf s.Slab.off) in
-            if s.Slab.len >= Frame.length_prefix_bytes + flen then begin
-              Inbox.push ib (Bytes.sub s.Slab.buf (s.Slab.off + Frame.length_prefix_bytes) flen);
+            if flen < 0 then close l
+            else if s.Slab.len >= Frame.length_prefix_bytes + flen then begin
+              l.stats.frames_received <- l.stats.frames_received + 1;
+              let ok = l.on_frame s.Slab.buf (s.Slab.off + Frame.length_prefix_bytes) flen in
               Slab.consume s (Frame.length_prefix_bytes + flen);
-              consume ()
+              if ok then begin
+                delivered := true;
+                slice ()
+              end
+              else close l
             end
           end
         in
-        consume ();
-        if Queue.length ib.Inbox.q > before then Inbox.notify ib
+        slice ();
+        if !delivered then l.on_burst ()
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> kill_conn c
+      | exception Unix.Unix_error _ -> close l
+
+    let create ~reactor ?(stats = stats ()) ?(on_burst = ignore) ~on_frame ~on_close fd =
+      Unix.set_nonblock fd;
+      let l =
+        {
+          reactor;
+          fd;
+          stats;
+          inbuf = Slab.create ();
+          out = Slab.create ();
+          on_frame;
+          on_burst;
+          on_close;
+          live = true;
+          parked = false;
+        }
+      in
+      Reactor.on_readable reactor fd (fun () -> on_read l);
+      l
+  end
+
+  (* [fds.(i).(j)] is the descriptor endpoint [i] uses to exchange
+     frames with endpoint [j]; each becomes a link whose frames land in
+     endpoint [i]'s inbox. *)
+  let spin_up g fds =
+    let links =
+      Array.mapi
+        (fun owner ->
+          let ib = g.inboxes.(owner) in
+          Array.map
+            (Option.map
+               (Link.create ~reactor:g.reactor
+                  ~on_frame:(fun buf off len ->
+                    Inbox.push ib (Bytes.sub buf off len);
+                    true)
+                  ~on_burst:(fun () -> Inbox.notify ib)
+                  ~on_close:ignore)))
+        fds
     in
-    Array.iter
-      (Array.iter (Option.iter (fun c -> Reactor.on_readable reactor c.fd (fun () -> on_read c))))
-      conns;
-    (* The send-flush continuation: write as much pending output as
-       the kernel will take; on a short write park a writability
-       interest and resume there.  This is what lets m machines share
-       one thread without a full socket buffer deadlocking the loop. *)
-    let rec flush c =
-      let s = c.out in
-      if c.live && s.Slab.len > 0 then begin
-        match Unix.write c.fd s.Slab.buf s.Slab.off s.Slab.len with
-        | n ->
-          Slab.consume s n;
-          if s.Slab.len > 0 then park c else unpark c
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          park c
-        | exception Unix.Unix_error _ ->
-          (* The peer is gone; the machines will find out through the
-             barrier.  Drop the pending output. *)
-          s.Slab.len <- 0;
-          s.Slab.off <- 0;
-          kill_conn c
-      end
-      else if c.live then unpark c
-    and park c =
-      if not c.flushing then begin
-        c.flushing <- true;
-        Reactor.on_writable reactor c.fd (fun () -> flush c)
-      end
-    and unpark c =
-      if c.flushing then begin
-        c.flushing <- false;
-        Reactor.clear_writable reactor c.fd
+    let close () =
+      if not g.closed then begin
+        Array.iter (Array.iter (Option.iter Link.close)) links;
+        close_inboxes g
       end
     in
-    Array.init m (fun self ->
-        (* Delivered frames append, length-prefixed, straight into the
-           connection's pending-output slab: no intermediate copy. *)
-        let deliver c body =
-          if not c.live then raise Closed;
-          Slab.add_framed c.out body
+    Array.init g.m (fun self ->
+        (* Frames append, length-prefixed, straight into the link's
+           pending-output slab: no intermediate copy. *)
+        let deliver l body =
+          let len = Bytes.length body in
+          Link.queue l len (fun buf pos -> Bytes.blit body 0 buf pos len)
         in
         let write dst bodies =
-          match conns.(self).(dst) with
+          match links.(self).(dst) with
           | None -> invalid_arg "Transport.send: unknown peer"
-          | Some c ->
-            let before = c.out.Slab.len in
+          | Some l ->
             List.iter
-              (classify g ~self ~dst ~deliver:(deliver c) ~deliver_late:(fun body ->
-                   if c.live then begin
-                     Slab.add_framed c.out body;
-                     flush c
-                   end))
-              bodies;
-            if c.out.Slab.len > before then flush c
+              (classify g ~self ~dst ~deliver:(deliver l) ~deliver_late:(fun body ->
+                   if Link.alive l then deliver l body))
+              bodies
         in
         endpoint g ~self ~write ~close)
 

@@ -49,16 +49,38 @@ type t = {
   set_notify : (unit -> unit) -> unit;
       (** Install the delivery hook (replacing any previous one): it
           fires after every delivery into this endpoint's queue and
-          once on close.  On a {!Mux} session it may fire from a
-          daemon's connection thread; the endpoint machines install a
-          hook that posts a wake task to their reactor, which is
-          thread-safe. *)
+          once on close.  Every backend, {!Mux} sessions included,
+          fires it on the reactor thread that owns the transport; the
+          endpoint machines install a hook that queues one wake task. *)
   close : unit -> unit;  (** Idempotent. *)
   sent_bytes : unit -> int;
       (** Framed bytes this endpoint has transmitted so far, length
           prefixes included (retransmissions count; faults do not
           refund). *)
 }
+
+(** The single-threaded inbound queue behind every transport: the
+    reactor thread is its only reader and writer. *)
+module Inbox : sig
+  type t
+
+  val create : unit -> t
+
+  val set_notify : t -> (unit -> unit) -> unit
+  (** The delivery hook {!notify} runs (replacing any previous one). *)
+
+  val push : t -> bytes -> unit
+  (** Enqueue without waking; a no-op once closed.  Callers {!notify}
+      once per burst. *)
+
+  val notify : t -> unit
+
+  val try_pop : t -> bytes option
+  (** The oldest queued frame; raises {!Closed} once closed and empty. *)
+
+  val close : t -> unit
+  (** Refuse further pushes and notify; queued frames stay poppable. *)
+end
 
 module Memory : sig
   val create_group :
@@ -121,12 +143,70 @@ module Socket : sig
   (** Fresh Unix-domain socket paths in a private temporary directory,
       for tests and the CLI. *)
 
-  (** {2 Raw stream-socket helpers}
+  (** {2 Connections on a reactor}
 
-      The length-prefixed frame discipline of this backend, exposed for
-      layers that run their own connections — the [Spe_serve] daemon
-      mesh speaks exactly these frames, so its byte accounting composes
-      with the group transports'. *)
+      The one socket-connection implementation: the socket groups above
+      and the [Spe_serve] daemon mesh both run every connection through
+      it, with one flush policy. *)
+
+  module Link : sig
+    type stats = {
+      mutable frames_sent : int;  (** Frames queued by {!queue}. *)
+      mutable writes : int;  (** [write] calls that moved bytes. *)
+      mutable frames_received : int;  (** Complete frames sliced. *)
+      mutable reads : int;  (** [read] calls that returned data or EOF. *)
+    }
+    (** Cumulative counters, written on the reactor thread only.  Links
+        may share one record. *)
+
+    val stats : unit -> stats
+    (** A zeroed record. *)
+
+    type t
+    (** One non-blocking stream descriptor owned by a reactor: inbound
+        bytes land in a reused slab and every complete length-prefixed
+        frame is sliced in place; outbound frames are appended straight
+        into a pending-output slab and leave when the loop next polls,
+        so every frame queued in one loop turn goes out in one [write]. *)
+
+    val create :
+      reactor:Reactor.t ->
+      ?stats:stats ->
+      ?on_burst:(unit -> unit) ->
+      on_frame:(bytes -> int -> int -> bool) ->
+      on_close:(unit -> unit) ->
+      Unix.file_descr ->
+      t
+    (** Hand [fd] to [reactor] (it becomes non-blocking).  Each frame
+        body arrives as [on_frame buf off len], valid only during the
+        call; returning [false] marks it malformed and kills the link.
+        [on_burst] runs once after a read delivered any frame.  EOF, a
+        socket error, a negative length prefix or a malformed frame
+        closes the link, and [on_close] runs exactly once.
+        Reactor-thread only, like every function below. *)
+
+    val queue : t -> int -> (bytes -> int -> unit) -> unit
+    (** [queue l n write] appends one frame of [n] body bytes: the
+        length prefix, then [write buf pos], which must fill
+        [buf.[pos .. pos + n - 1]].  It leaves when the loop next polls.
+        Raises {!Closed} once the link is dead. *)
+
+    val flush : t -> unit
+    (** Write the pending output now, as far as the kernel takes it;
+        the rest leaves when the descriptor is writable. *)
+
+    val alive : t -> bool
+
+    val close : t -> unit
+    (** Idempotent; drops pending output.  Runs [on_close] the first
+        time. *)
+  end
+
+  (** {2 Blocking frame I/O}
+
+      The same length-prefixed frames, for connections that are not on
+      a reactor: the [Spe_serve] Hello handshakes and client
+      connections. *)
 
   val sockaddr_of : address -> Unix.sockaddr
   (** The [Unix] address for {!address}.  Raises [Failure] on a TCP
@@ -137,7 +217,12 @@ module Socket : sig
       respect to other [write_frame] calls on the same descriptor only
       if the caller serialises them. *)
 
-  val read_frame : Unix.file_descr -> bytes option
+  val read_frame : ?deadline:float -> Unix.file_descr -> bytes option
   (** Read one length-prefixed frame body; [None] on clean EOF before
-      the first byte, [Failure] on a torn stream. *)
+      the first byte, [Failure] on a torn stream or a negative length.
+      The body buffer grows only as bytes arrive, never to the claimed
+      length up front.  With [deadline] ([Unix.gettimeofday] time)
+      every read waits at most until then and [Failure] reports a
+      missed deadline; on success the descriptor's receive timeout is
+      cleared again. *)
 end

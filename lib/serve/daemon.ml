@@ -23,10 +23,19 @@
    answers with a typed [Failed] reply instead — a dead peer daemon
    surfaces as [Peer_down] at every client, never a hang, and the
    daemon keeps serving (new jobs fail fast and typed until the peer
-   returns). *)
+   returns).  A provider that fails a job locally broadcasts
+   [Job_cancel] too, so H and the other providers never wait on it.
+
+   Threads: the acceptor, one short-lived handshake thread per inbound
+   connection, and the dialer exchange the Hellos with blocking I/O;
+   the socket then becomes a [Transport.Socket.Link] on the reactor,
+   which reads it, writes it and dispatches its frames.  Client
+   connections stay blocking, one reader thread each: they carry one
+   frame per job each way. *)
 
 module Endpoint = Spe_net.Endpoint
 module Transport = Spe_net.Transport
+module Link = Spe_net.Transport.Socket.Link
 module Mux = Spe_net.Mux
 module Reactor = Spe_net.Reactor
 module Trace = Spe_obs.Trace
@@ -58,19 +67,21 @@ let default_config ~party ~roster =
     metrics_addr = None;
     (* Compute-friendly like the CLI pipelines: local connections are
        reliable, and a busy party decrypting bundles looks exactly like
-       a dead one.  Dead *connections* are detected by reader EOF, not
+       a dead one.  Dead *connections* are detected by link EOF, not
        by this timeout. *)
     round_timeout = 300.;
     linger = 310.;
     dial_timeout = 30.;
   }
 
+(* A blocking client connection (and an inbound connection before its
+   Hello is through): the loop and the client's reader thread both
+   write to it, so writes are serialised. *)
 type conn = { fd : Unix.file_descr; mx : Mutex.t; mutable alive : bool }
 
 let conn_of fd = { fd; mx = Mutex.create (); alive = true }
 
-(* Serialised frame write; a dead peer raises [Transport.Closed] so a
-   mux send inside an endpoint round surfaces as the usual teardown. *)
+(* A dead client raises [Transport.Closed]. *)
 let send conn frame =
   Mutex.lock conn.mx;
   Fun.protect
@@ -78,9 +89,7 @@ let send conn frame =
     (fun () ->
       if not conn.alive then raise Transport.Closed;
       try Serve_proto.write conn.fd frame
-      with Unix.Unix_error _ | Sys_error _ ->
-        conn.alive <- false;
-        raise Transport.Closed)
+      with Unix.Unix_error _ | Sys_error _ -> raise Transport.Closed)
 
 let close_conn conn =
   Mutex.lock conn.mx;
@@ -102,11 +111,14 @@ type t = {
   reactor : Reactor.t;
       (** The daemon's one event loop: every job — host and provider
           side — runs on it as a task chain, every session seat as an
-          endpoint machine.  Connection readers stay as threads (they
-          block on peer sockets) and hand everything to the loop with
-          [Reactor.post]. *)
-  lock : Mutex.t;
-  peers : conn option array;  (** By daemon id; [None] = not connected. *)
+          endpoint machine, every mesh link as a descriptor callback.
+          The handshake, client-reader and shutdown threads hand work
+          to it with [Reactor.post]. *)
+  lock : Mutex.t;  (** Guards [clients], [next_client], [stopping], [stopped]. *)
+  peers : Link.t option array;
+      (** By daemon id; [None] = not connected.  Loop-thread only, like
+          [jobs] and [reap]. *)
+  mesh : Link.stats;  (** Cumulative over every mesh link. *)
   clients : (int, conn) Hashtbl.t;
   mutable next_client : int;
   scheduler : host_job Scheduler.t;  (** Meaningful at H only. *)
@@ -122,7 +134,7 @@ type t = {
   hellos_sent : int Atomic.t;
   hellos_received : int Atomic.t;
   clients_accepted : int Atomic.t;
-  active_jobs : int Atomic.t;  (** Provider-side job threads in flight. *)
+  active_jobs : int Atomic.t;  (** Provider-side jobs in flight. *)
   jobs_completed : int Atomic.t;
   jobs_failed : int Atomic.t;
   sessions_run : int Atomic.t;
@@ -139,7 +151,6 @@ type t = {
   reports_lock : Mutex.t;
   mutable reports : Metrics.report list;
   (* Deferred sid cleanup: (reap-after, sids) in completion order. *)
-  reap_lock : Mutex.t;
   reap : (float * int list) Queue.t;
 }
 
@@ -159,38 +170,46 @@ let record_report t report =
 
 let tracing t = t.config.metrics_addr <> None
 
+(* The scrape gauges.  Called from the scrape thread and from tests
+   while the loop runs: every value is an atomic, a scheduler stat
+   read under its lock, or a loop-written counter whose read may lag. *)
+let gauges t =
+  let sched = Scheduler.stats t.scheduler in
+  [
+    ("queue_depth", Scheduler.depth t.scheduler);
+    ("active_jobs", Scheduler.active t.scheduler + Atomic.get t.active_jobs);
+    ("active_sessions", Mux.open_sessions t.mux);
+    ("max_sessions", t.config.max_sessions);
+    ("max_queue", t.config.max_queue);
+    ("jobs_submitted", sched.Scheduler.submitted);
+    ("jobs_completed", Atomic.get t.jobs_completed);
+    ("jobs_failed", Atomic.get t.jobs_failed);
+    ("busy_rejected", sched.Scheduler.rejected);
+    ("hellos_sent", Atomic.get t.hellos_sent);
+    ("hellos_received", Atomic.get t.hellos_received);
+    ("clients_accepted", Atomic.get t.clients_accepted);
+    ("sessions_run", Atomic.get t.sessions_run);
+    (* Stream gauges: per-epoch release progress of stream jobs. *)
+    ("epochs_released", Atomic.get t.epochs_released);
+    ("epoch_sessions_run", Atomic.get t.epoch_sessions_run);
+    ("last_epoch", Atomic.get t.last_epoch);
+    (* Rank gauges: second-family job progress. *)
+    ("rank_jobs_completed", Atomic.get t.rank_jobs_completed);
+    ("rank_iterations_run", Atomic.get t.rank_iterations_run);
+    (* Reactor gauges: the loop's live vital signs. *)
+    ("reactor_iterations", Reactor.iterations t.reactor);
+    ("reactor_timer_fires", Reactor.timer_fires t.reactor);
+    ("reactor_ready_depth", Reactor.ready_depth t.reactor);
+    ("reactor_pending_timers", Reactor.pending_timers t.reactor);
+    (* Mesh gauges: frames against syscalls, the batching ratio. *)
+    ("mesh_frames_sent", t.mesh.Link.frames_sent);
+    ("mesh_writes", t.mesh.Link.writes);
+    ("mesh_frames_received", t.mesh.Link.frames_received);
+    ("mesh_reads", t.mesh.Link.reads);
+  ]
+
 let render_scrape t () =
   let module Json = Spe_obs.Obs_io.Json in
-  let sched = Scheduler.stats t.scheduler in
-  let gauges =
-    [
-      ("queue_depth", Scheduler.depth t.scheduler);
-      ("active_jobs", Scheduler.active t.scheduler + Atomic.get t.active_jobs);
-      ("active_sessions", Mux.open_sessions t.mux);
-      ("max_sessions", t.config.max_sessions);
-      ("max_queue", t.config.max_queue);
-      ("jobs_submitted", sched.Scheduler.submitted);
-      ("jobs_completed", Atomic.get t.jobs_completed);
-      ("jobs_failed", Atomic.get t.jobs_failed);
-      ("busy_rejected", sched.Scheduler.rejected);
-      ("hellos_sent", Atomic.get t.hellos_sent);
-      ("hellos_received", Atomic.get t.hellos_received);
-      ("clients_accepted", Atomic.get t.clients_accepted);
-      ("sessions_run", Atomic.get t.sessions_run);
-      (* Stream gauges: per-epoch release progress of stream jobs. *)
-      ("epochs_released", Atomic.get t.epochs_released);
-      ("epoch_sessions_run", Atomic.get t.epoch_sessions_run);
-      ("last_epoch", Atomic.get t.last_epoch);
-      (* Rank gauges: second-family job progress. *)
-      ("rank_jobs_completed", Atomic.get t.rank_jobs_completed);
-      ("rank_iterations_run", Atomic.get t.rank_iterations_run);
-      (* Reactor gauges: the loop's live vital signs. *)
-      ("reactor_iterations", Reactor.iterations t.reactor);
-      ("reactor_timer_fires", Reactor.timer_fires t.reactor);
-      ("reactor_ready_depth", Reactor.ready_depth t.reactor);
-      ("reactor_pending_timers", Reactor.pending_timers t.reactor);
-    ]
-  in
   let report =
     match with_lock t.reports_lock (fun () -> t.reports) with
     | [] -> Json.Null
@@ -203,7 +222,7 @@ let render_scrape t () =
          ("version", Json.String "spe-serve-metrics/1");
          ("protocol", Json.String Serve_proto.protocol);
          ("party", Json.String (Addr.party_name t.config.party));
-         ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) gauges));
+         ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (gauges t)));
          ("report", report);
        ])
   ^ "\n"
@@ -313,14 +332,18 @@ let note_stage_done t (stage : Spe_core.Plan.stage) =
         (Atomic.fetch_and_add t.epoch_sessions_run
            (Array.length stage.Spe_core.Plan.sessions))
 
+(* Late retransmits can trail a session by up to the linger, so a
+   finished sid stays in the mux's finished set that long, twice over. *)
+let defer_reap t sids =
+  Queue.push (Unix.gettimeofday () +. (2. *. t.config.linger), sids) t.reap
+
 let run_job_async t ~job ~spec planned ~on_done =
   let protocol = pipeline_label spec.Serve_proto.pipeline in
   let per_stage, all_sids = Job.seats ~job ~party:t.config.party planned in
-  with_lock t.lock (fun () -> Hashtbl.replace t.jobs job all_sids);
+  Hashtbl.replace t.jobs job all_sids;
   let conclude res =
-    with_lock t.lock (fun () -> Hashtbl.remove t.jobs job);
-    with_lock t.reap_lock (fun () ->
-        Queue.push (Unix.gettimeofday () +. (2. *. t.config.linger), all_sids) t.reap);
+    Hashtbl.remove t.jobs job;
+    defer_reap t all_sids;
     on_done res
   in
   let rec stages = function
@@ -343,21 +366,15 @@ let run_job_async t ~job ~spec planned ~on_done =
 
 let reap_finished t =
   let now = Unix.gettimeofday () in
-  let expired =
-    with_lock t.reap_lock (fun () ->
-        let acc = ref [] in
-        let rec go () =
-          match Queue.peek_opt t.reap with
-          | Some (when_, sids) when when_ <= now ->
-            ignore (Queue.pop t.reap);
-            acc := sids :: !acc;
-            go ()
-          | _ -> ()
-        in
-        go ();
-        !acc)
+  let rec go () =
+    match Queue.peek_opt t.reap with
+    | Some (when_, sids) when when_ <= now ->
+      ignore (Queue.pop t.reap);
+      List.iter (fun sid -> Mux.forget t.mux ~sid) sids;
+      go ()
+    | _ -> ()
   in
-  List.iter (List.iter (fun sid -> Mux.forget t.mux ~sid)) expired
+  go ()
 
 let failure_of_exn = function
   | Endpoint.Round_timeout _ as e ->
@@ -368,23 +385,32 @@ let failure_of_exn = function
 
 (* --- host side ----------------------------------------------------------- *)
 
+(* Job control leaves at once rather than with the next poll: H builds
+   its own plan right after broadcasting a submit, and the providers'
+   builds should not queue behind it. *)
 let broadcast t frame =
-  let conns =
-    with_lock t.lock (fun () ->
-        Array.to_list t.peers |> List.filter_map Fun.id)
-  in
-  List.iter (fun c -> try send c frame with Transport.Closed -> ()) conns
+  let body = Serve_proto.encode frame in
+  let n = Bytes.length body in
+  Array.iter
+    (Option.iter (fun link ->
+         try
+           Link.queue link n (fun buf pos -> Bytes.blit body 0 buf pos n);
+           Link.flush link
+         with Transport.Closed -> ()))
+    t.peers
 
 let mesh_complete t =
   let missing = ref [] in
-  with_lock t.lock (fun () ->
-      for p = 0 to m_of t do
-        if p <> t.config.party then
-          match t.peers.(p) with
-          | Some c when c.alive -> ()
-          | _ -> missing := p :: !missing
-      done);
-  List.rev !missing
+  for p = m_of t downto 0 do
+    if p <> t.config.party && Option.is_none t.peers.(p) then missing := p :: !missing
+  done;
+  !missing
+
+(* How long a job waits for this daemon's mesh: a peer may still be
+   dialing (the dial retries for [dial_timeout]), but a job must not
+   sit out a long round timeout for a peer that is gone. *)
+let mesh_deadline t =
+  Unix.gettimeofday () +. Float.min t.config.dial_timeout (Float.min 10. t.config.round_timeout)
 
 (* Wait for the mesh without holding the loop: re-check on a short
    reactor timer until complete or the deadline passes. *)
@@ -433,7 +459,7 @@ and start_host_job t { client; client_job; spec } =
   | Error detail -> fail Serve_proto.Rejected detail
   | Ok () ->
     await_mesh_async t
-      ~deadline:(Unix.gettimeofday () +. Float.min 10. t.config.round_timeout)
+      ~deadline:(mesh_deadline t)
       (function
         | Error detail -> fail Serve_proto.Peer_down detail
         | Ok () -> (
@@ -468,44 +494,52 @@ and start_host_job t { client; client_job; spec } =
 
 (* --- provider side ------------------------------------------------------- *)
 
+(* Any local failure is broadcast as [Job_cancel]: H turns it into
+   aborted seats and a typed reply, and the other providers abort too,
+   instead of all of them waiting out the round timeout. *)
 let start_provider_job t ~job spec =
   Atomic.incr t.active_jobs;
-  let conclude () = Atomic.decr t.active_jobs in
   reap_finished t;
-  match Job.validate spec t.workload with
-  | Error _ ->
+  let fail () =
     Atomic.incr t.jobs_failed;
-    conclude ()
-  | Ok () -> (
-    match Job.build spec t.workload with
-    | exception _ ->
-      Atomic.incr t.jobs_failed;
-      conclude ()
-    | planned ->
-      run_job_async t ~job ~spec planned ~on_done:(fun res ->
-          (match res with
-          | None -> Atomic.incr t.jobs_completed
-          | Some _ ->
-            (* The coordinator owns the client-facing diagnosis; here
-               the job's sessions just need to be dead. *)
-            Atomic.incr t.jobs_failed;
-            let _, all_sids = Job.seats ~job ~party:t.config.party planned in
-            List.iter (fun sid -> Mux.abort t.mux ~sid) all_sids);
-          conclude ()))
+    broadcast t (Serve_proto.Job_cancel { job });
+    Atomic.decr t.active_jobs
+  in
+  match Job.validate spec t.workload with
+  | Error _ -> fail ()
+  | Ok () ->
+    (* The job reached us over H's link, but a link to another provider
+       may still be coming up. *)
+    await_mesh_async t ~deadline:(mesh_deadline t) (function
+      | Error _ -> fail ()
+      | Ok () -> (
+        match Job.build spec t.workload with
+        | exception _ -> fail ()
+        | planned ->
+          run_job_async t ~job ~spec planned ~on_done:(function
+            | None ->
+              Atomic.incr t.jobs_completed;
+              Atomic.decr t.active_jobs
+            | Some _ ->
+              let _, all_sids = Job.seats ~job ~party:t.config.party planned in
+              List.iter (fun sid -> Mux.abort t.mux ~sid) all_sids;
+              fail ())))
 
 let cancel_job t ~job =
-  let sids = with_lock t.lock (fun () -> Hashtbl.find_opt t.jobs job) in
-  match sids with
+  match Hashtbl.find_opt t.jobs job with
   | Some sids -> List.iter (fun sid -> Mux.abort t.mux ~sid) sids
   | None ->
-    (* The job may not have started here yet; poison its whole sid
-       range so a later open fails immediately. *)
-    for gidx = 0 to 255 do
-      Mux.abort t.mux ~sid:(Job.sid ~job ~gidx)
-    done
+    (* The job may not have started here yet (or has finished); poison
+       its whole sid range so a later open fails immediately, and reap
+       the poison like a finished job's sids. *)
+    let sids = List.init 256 (fun gidx -> Job.sid ~job ~gidx) in
+    List.iter (fun sid -> Mux.abort t.mux ~sid) sids;
+    defer_reap t sids
 
 (* --- shutdown ------------------------------------------------------------ *)
 
+(* Runs on the shutdown thread.  The mesh links belong to the loop,
+   which closes them once [stopped] ends [Reactor.run]. *)
 let close_everything t =
   (match t.scrape with Some s -> (try Spe_obs.Scrape.stop s with _ -> ()) | None -> ());
   (match listen_addr t.config with
@@ -514,9 +548,7 @@ let close_everything t =
   | _ -> ());
   (try Unix.close t.listener with Unix.Unix_error _ -> ());
   let clients = with_lock t.lock (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.clients []) in
-  List.iter close_conn clients;
-  let peers = with_lock t.lock (fun () -> Array.to_list t.peers |> List.filter_map Fun.id) in
-  List.iter close_conn peers
+  List.iter close_conn clients
 
 let initiate_shutdown t =
   let first = with_lock t.lock (fun () ->
@@ -558,43 +590,63 @@ let initiate_shutdown t =
 
 (* --- connection plumbing -------------------------------------------------- *)
 
-let attach_peer t ~peer conn =
-  let old =
-    with_lock t.lock (fun () ->
-        let old = t.peers.(peer) in
-        t.peers.(peer) <- Some conn;
-        old)
-  in
-  (match old with Some c -> close_conn c | None -> ());
-  Mux.set_writer t.mux ~peer (fun ~sid body ->
-      send conn (Serve_proto.Session_frame { sid; body }))
+(* One inbound mesh frame, sliced in place out of the link's read slab
+   on the loop thread.  [false] (a malformed frame) kills the link. *)
+let on_mesh_frame t buf off len =
+  match Serve_proto.decode_slice buf off len with
+  | exception Invalid_argument _ -> false
+  | Serve_proto.Session_frame { sid; body } ->
+    Mux.deliver t.mux ~sid body;
+    true
+  | Serve_proto.Job_submit { job; spec } ->
+    if t.config.party <> 0 then
+      Reactor.post t.reactor (fun () -> start_provider_job t ~job spec);
+    true
+  | Serve_proto.Job_cancel { job } ->
+    cancel_job t ~job;
+    true
+  | Serve_proto.Shutdown ->
+    initiate_shutdown t;
+    true
+  | Serve_proto.Hello _ | Serve_proto.Job_result _ | Serve_proto.Busy _ -> true
 
-let peer_reader t ~peer conn () =
-  let rec loop () =
-    match (try Serve_proto.read conn.fd with _ -> None) with
-    | None ->
-      close_conn conn;
-      (* Only fail the mux if this connection is still the current one
-         (a reconnect may have replaced it already). *)
-      let current = with_lock t.lock (fun () -> t.peers.(peer) == Some conn) in
-      if current then begin
-        with_lock t.lock (fun () -> t.peers.(peer) <- None);
-        Mux.fail_peer t.mux ~peer
-      end
-    | Some frame ->
-      (match frame with
-      | Serve_proto.Session_frame { sid; body } -> Mux.deliver t.mux ~sid body
-      | Serve_proto.Job_submit { job; spec } ->
-        if t.config.party <> 0 then
-          Reactor.post t.reactor (fun () -> start_provider_job t ~job spec)
-      | Serve_proto.Job_cancel { job } -> cancel_job t ~job
-      | Serve_proto.Shutdown -> initiate_shutdown t
-      | Serve_proto.Hello _ | Serve_proto.Job_result _ | Serve_proto.Busy _ -> ());
-      loop ()
-  in
-  loop ()
+(* A link died (EOF, socket error or malformed frame).  If it was still
+   the peer's current link, every session seated with that peer fails
+   now; a replaced link's death changes nothing. *)
+let link_died t ~peer =
+  match t.peers.(peer) with
+  | Some link when not (Link.alive link) ->
+    t.peers.(peer) <- None;
+    Mux.fail_peer t.mux ~peer
+  | _ -> ()
 
-let client_reader t ~id conn () =
+(* On the loop thread, once the Hello exchange on [fd] is through: the
+   peer joins the mesh.  [hellos_received] counts installed links, so
+   [hellos_received = m] means the mesh is usable.  A descriptor past
+   select's limit cannot join the loop; refusing it leaves the peer
+   missing, which jobs then report as [Peer_down]. *)
+let install_link t ~peer fd =
+  let stopped = with_lock t.lock (fun () -> t.stopped) in
+  if stopped || not (Reactor.selectable [ fd ]) then
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  else begin
+    let link =
+      Link.create ~reactor:t.reactor ~stats:t.mesh ~on_frame:(on_mesh_frame t)
+        ~on_close:(fun () -> link_died t ~peer)
+        fd
+    in
+    let old = t.peers.(peer) in
+    t.peers.(peer) <- Some link;
+    Option.iter Link.close old;
+    (* Session frames are encoded straight into the link's outbound
+       slab and leave with the loop's next poll. *)
+    Mux.set_writer t.mux ~peer (fun ~sid body ->
+        Link.queue link (Serve_proto.session_frame_length body) (fun buf pos ->
+            Serve_proto.put_session_frame buf pos ~sid body));
+    Atomic.incr t.hellos_received
+  end
+
+let client_reader t ~id conn =
   let rec loop () =
     match (try Serve_proto.read conn.fd with _ -> None) with
     | None ->
@@ -628,6 +680,36 @@ let my_hello t = Serve_proto.Hello
     { role = Serve_proto.Party t.config.party; version = Serve_proto.version;
       workload = t.wdigest }
 
+(* One inbound connection, on a thread of its own so a silent or slow
+   connection never holds the acceptor: its Hello must arrive within
+   [dial_timeout].  A peer's socket then goes to the loop; a client's
+   thread stays on as its reader. *)
+let handshake t fd =
+  let conn = conn_of fd in
+  match Serve_proto.read ~deadline:(Unix.gettimeofday () +. t.config.dial_timeout) fd with
+  | Some (Serve_proto.Hello { role = Serve_proto.Party peer; version; workload })
+    when version = Serve_proto.version && peer >= 0 && peer <= m_of t
+         && peer <> t.config.party && workload = t.wdigest -> (
+    match send conn (my_hello t) with
+    | () ->
+      Atomic.incr t.hellos_sent;
+      Reactor.post t.reactor (fun () -> install_link t ~peer fd)
+    | exception Transport.Closed -> close_conn conn)
+  | Some (Serve_proto.Hello { role = Serve_proto.Client; version; _ })
+    when version = Serve_proto.version -> (
+    Atomic.incr t.clients_accepted;
+    match send conn (my_hello t) with
+    | () ->
+      let id = with_lock t.lock (fun () ->
+          let id = t.next_client in
+          t.next_client <- id + 1;
+          Hashtbl.replace t.clients id conn;
+          id)
+      in
+      client_reader t ~id conn
+    | exception Transport.Closed -> close_conn conn)
+  | _ | (exception _) -> close_conn conn
+
 let accept_loop t () =
   (* Closing an fd does not wake a thread blocked in accept(2), so poll
      with select and re-check the stopping flag between waits. *)
@@ -646,38 +728,7 @@ let accept_loop t () =
     | Some () ->
     match Unix.accept t.listener with
     | fd, _ ->
-      (let conn = conn_of fd in
-       match (try Serve_proto.read fd with _ -> None) with
-       | Some (Serve_proto.Hello { role; version; workload }) ->
-         if version <> Serve_proto.version then close_conn conn
-         else (
-           match role with
-           | Serve_proto.Party peer ->
-             if peer < 0 || peer > m_of t || peer = t.config.party
-                || workload <> t.wdigest
-             then close_conn conn
-             else begin
-               Atomic.incr t.hellos_received;
-               (try
-                  send conn (my_hello t);
-                  Atomic.incr t.hellos_sent;
-                  attach_peer t ~peer conn;
-                  ignore (Thread.create (peer_reader t ~peer conn) ())
-                with Transport.Closed -> close_conn conn)
-             end
-           | Serve_proto.Client ->
-             Atomic.incr t.clients_accepted;
-             (try
-                send conn (my_hello t);
-                let id = with_lock t.lock (fun () ->
-                    let id = t.next_client in
-                    t.next_client <- id + 1;
-                    Hashtbl.replace t.clients id conn;
-                    id)
-                in
-                ignore (Thread.create (client_reader t ~id conn) ())
-              with Transport.Closed -> close_conn conn))
-       | _ -> close_conn conn);
+      ignore (Thread.create (handshake t) fd);
       loop ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
     | exception Unix.Unix_error _ ->
@@ -696,17 +747,14 @@ let dial_peer t ~peer =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match
       Unix.connect fd addr;
-      let conn = conn_of fd in
-      send conn (my_hello t);
+      Serve_proto.write fd (my_hello t);
       Atomic.incr t.hellos_sent;
-      match Serve_proto.read fd with
+      match Serve_proto.read ~deadline fd with
       | Some (Serve_proto.Hello { role = Serve_proto.Party p; version; workload })
         when p = peer && version = Serve_proto.version ->
         if workload <> t.wdigest then `Mismatch
         else begin
-          Atomic.incr t.hellos_received;
-          attach_peer t ~peer conn;
-          ignore (Thread.create (peer_reader t ~peer conn) ());
+          Reactor.post t.reactor (fun () -> install_link t ~peer fd);
           `Done
         end
       | _ -> `Retry
@@ -772,6 +820,7 @@ let start config workload =
       reactor = Reactor.create ();
       lock = Mutex.create ();
       peers = Array.make (Array.length config.roster) None;
+      mesh = Link.stats ();
       clients = Hashtbl.create 8;
       next_client = 0;
       scheduler = Scheduler.create ~max_queue:config.max_queue ~max_active:config.max_sessions ();
@@ -797,7 +846,6 @@ let start config workload =
       rank_iterations_run = Atomic.make 0;
       reports_lock = Mutex.create ();
       reports = [];
-      reap_lock = Mutex.create ();
       reap = Queue.create ();
     }
   in
@@ -818,6 +866,8 @@ let start config workload =
              | exception _ -> if not (until ()) then go ()
            in
            go ();
+           (* The mesh links are the loop's to close. *)
+           Array.iter (Option.iter Link.close) t.peers;
            Reactor.destroy t.reactor)
          ());
   (* Establish the mesh: dial every lower id (they dialed us if higher).
@@ -874,32 +924,6 @@ let spawn config workload =
     in
     Unix._exit code
   | pid -> pid
-
-(* Test/gauge access. *)
-let gauges t =
-  let sched = Scheduler.stats t.scheduler in
-  [
-    ("queue_depth", Scheduler.depth t.scheduler);
-    ("active_jobs", Scheduler.active t.scheduler + Atomic.get t.active_jobs);
-    ("active_sessions", Mux.open_sessions t.mux);
-    ("jobs_submitted", sched.Scheduler.submitted);
-    ("jobs_completed", Atomic.get t.jobs_completed);
-    ("jobs_failed", Atomic.get t.jobs_failed);
-    ("busy_rejected", sched.Scheduler.rejected);
-    ("hellos_sent", Atomic.get t.hellos_sent);
-    ("hellos_received", Atomic.get t.hellos_received);
-    ("clients_accepted", Atomic.get t.clients_accepted);
-    ("sessions_run", Atomic.get t.sessions_run);
-    ("epochs_released", Atomic.get t.epochs_released);
-    ("epoch_sessions_run", Atomic.get t.epoch_sessions_run);
-    ("last_epoch", Atomic.get t.last_epoch);
-    ("rank_jobs_completed", Atomic.get t.rank_jobs_completed);
-    ("rank_iterations_run", Atomic.get t.rank_iterations_run);
-    ("reactor_iterations", Reactor.iterations t.reactor);
-    ("reactor_timer_fires", Reactor.timer_fires t.reactor);
-    ("reactor_ready_depth", Reactor.ready_depth t.reactor);
-    ("reactor_pending_timers", Reactor.pending_timers t.reactor);
-  ]
 
 let report t =
   match with_lock t.reports_lock (fun () -> t.reports) with

@@ -32,14 +32,16 @@ type config = {
 
 val default_config : party:int -> roster:Addr.t array -> config
 (** max_sessions 4, max_queue 64, compute-friendly 300 s round timeout
-    (connection deaths are detected by reader EOF, not timeout). *)
+    (connection deaths are detected by link EOF, not timeout). *)
 
 type t
 
 val start : config -> Job.workload -> t
-(** Bind, start accepting, dial the mesh (retrying up to
-    [dial_timeout]), and start the worker pool.  Raises [Failure] with
-    a clean message if a peer cannot be reached or loaded a different
+(** Bind, start accepting, start the loop, and dial the mesh (retrying
+    up to [dial_timeout]).  Links are installed on the loop after their
+    Hello exchange, so [hellos_received] in {!gauges} reaches the
+    number of peers once the mesh is usable.  Raises [Failure] with a
+    clean message if a peer cannot be reached or loaded a different
     workload. *)
 
 val stop : t -> unit

@@ -5,9 +5,9 @@
    set wait in the queue; a submission finding the queue full is
    refused with `Busy — the caller turns that into the protocol's
    typed [Busy] reply, the backpressure signal a client can act on.
-   All state is one mutex away; [take] polls like the transport
-   mailboxes do (the stdlib Condition has no timed wait, and the poll
-   interval is far below any job's runtime). *)
+   All state is one mutex away; [take] polls (the stdlib Condition has
+   no timed wait, and the poll interval is far below any job's
+   runtime). *)
 
 type 'a t = {
   lock : Mutex.t;

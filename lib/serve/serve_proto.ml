@@ -7,10 +7,11 @@
    [Session_frame]s — an unmodified inner endpoint frame body tagged
    with its session id — multiplexed with the job-control frames.  The
    codec follows the Frame discipline exactly: length-prefixed bodies
-   on the wire (Transport.Socket.write_frame / read_frame), explicit
-   big-endian byte writers, a strict reader that rejects unknown tags
-   and trailing bytes.  Tags live at 64+ so a serve frame can never be
-   confused with an inner protocol frame. *)
+   on the wire (Transport.Socket write_frame / read_frame for
+   handshakes and clients, Transport.Socket.Link for the mesh),
+   explicit big-endian byte writers, a strict reader that rejects
+   unknown tags and trailing bytes.  Tags live at 64+ so a serve frame
+   can never be confused with an inner protocol frame. *)
 
 module Frame = Spe_net.Frame
 
@@ -143,10 +144,11 @@ let put_string buf s =
   put_u32 buf (String.length s);
   Buffer.add_string buf s
 
-type reader = { body : bytes; mutable pos : int }
+(* A reader over the slice [body.[pos .. limit - 1]]. *)
+type reader = { body : bytes; mutable pos : int; limit : int }
 
 let get_u8 r =
-  if r.pos >= Bytes.length r.body then invalid_arg "Serve_proto.decode: truncated frame";
+  if r.pos >= r.limit then invalid_arg "Serve_proto.decode: truncated frame";
   let v = Char.code (Bytes.get r.body r.pos) in
   r.pos <- r.pos + 1;
   v
@@ -171,7 +173,7 @@ let get_f64 r =
   Int64.float_of_bits !bits
 
 let get_bytes r n =
-  if n < 0 || r.pos + n > Bytes.length r.body then
+  if n < 0 || r.pos + n > r.limit then
     invalid_arg "Serve_proto.decode: truncated frame";
   let b = Bytes.sub r.body r.pos n in
   r.pos <- r.pos + n;
@@ -347,6 +349,21 @@ let get_reply r =
     Rank_summary { ranks_fx = Array.init n (fun _ -> get_u63 r); fbits }
   | k -> invalid_arg (Printf.sprintf "Serve_proto.decode: unknown reply kind %d" k)
 
+(* The Session_frame layout — tag, u63 sid, u32 body length, body —
+   written in place: into a fresh buffer by [encode], straight into a
+   link's outbound slab by the daemon mesh. *)
+let session_frame_length body = 1 + 8 + 4 + Bytes.length body
+
+let put_session_frame buf pos ~sid body =
+  let n = Bytes.length body in
+  if sid < 0 then invalid_arg "Serve_proto.encode: u63 out of range";
+  if n > 0xFFFF_FFFF then invalid_arg "Serve_proto.encode: u32 out of range";
+  Bytes.set_uint8 buf pos tag_session_frame;
+  Bytes.set_int32_be buf (pos + 1) (Int32.of_int (sid lsr 32));
+  Bytes.set_int32_be buf (pos + 5) (Int32.of_int (sid land 0xFFFF_FFFF));
+  Bytes.set_int32_be buf (pos + 9) (Int32.of_int n);
+  Bytes.blit body 0 buf (pos + 13) n
+
 let encode t =
   let buf = Buffer.create 32 in
   (match t with
@@ -362,10 +379,9 @@ let encode t =
       put_u16 buf 0);
     put_u63 buf workload
   | Session_frame { sid; body } ->
-    put_u8 buf tag_session_frame;
-    put_u63 buf sid;
-    put_u32 buf (Bytes.length body);
-    Buffer.add_bytes buf body
+    let b = Bytes.create (session_frame_length body) in
+    put_session_frame b 0 ~sid body;
+    Buffer.add_bytes buf b
   | Job_submit { job; spec } ->
     put_u8 buf tag_job_submit;
     put_u63 buf job;
@@ -385,8 +401,10 @@ let encode t =
   | Shutdown -> put_u8 buf tag_shutdown);
   Buffer.to_bytes buf
 
-let decode body =
-  let r = { body; pos = 0 } in
+let decode_slice body off len =
+  if off < 0 || len < 0 || off + len > Bytes.length body then
+    invalid_arg "Serve_proto.decode: slice out of bounds";
+  let r = { body; pos = off; limit = off + len } in
   let t =
     match get_u8 r with
     | k when k = tag_hello ->
@@ -420,11 +438,13 @@ let decode body =
     | k when k = tag_shutdown -> Shutdown
     | k -> invalid_arg (Printf.sprintf "Serve_proto.decode: unknown tag %d" k)
   in
-  if r.pos <> Bytes.length body then invalid_arg "Serve_proto.decode: trailing bytes";
+  if r.pos <> r.limit then invalid_arg "Serve_proto.decode: trailing bytes";
   t
 
-(* Connection I/O: serve frames ride the same length-prefixed stream
-   discipline as the inner protocol frames. *)
+let decode body = decode_slice body 0 (Bytes.length body)
+
+(* Blocking connection I/O: serve frames ride the same length-prefixed
+   stream discipline as the inner protocol frames. *)
 let write fd t = Spe_net.Transport.Socket.write_frame fd (encode t)
 
-let read fd = Option.map decode (Spe_net.Transport.Socket.read_frame fd)
+let read ?deadline fd = Option.map decode (Spe_net.Transport.Socket.read_frame ?deadline fd)

@@ -7,9 +7,10 @@
     control frames (submit / result / busy / cancel / shutdown).
     Frames are length-prefixed on the wire with the same discipline as
     the inner protocol ({!Spe_net.Transport.Socket.write_frame}); the
-    decoder is strict — unknown tags, unknown enum codes and trailing
-    bytes all raise [Invalid_argument].  Tags live at 64+ so a serve
-    frame can never be confused with an inner frame. *)
+    decoder is strict — unknown tags, unknown enum codes, length fields
+    past the frame and trailing bytes all raise [Invalid_argument].
+    Tags live at 64+ so a serve frame can never be confused with an
+    inner frame. *)
 
 val version : int
 (** 3 — carried in every {!t.Hello}; a daemon refuses mismatched peers.
@@ -112,10 +113,27 @@ type t =
 val encode : t -> bytes
 val decode : bytes -> t
 
+val decode_slice : bytes -> int -> int -> t
+(** [decode_slice buf off len] decodes the frame body
+    [buf.[off .. off + len - 1]] in place, exactly as strictly as
+    {!decode} decodes a body of its own; a [Session_frame]'s body is
+    the one copy made.  The daemon mesh slices frames out of its links'
+    read slabs with it. *)
+
+val session_frame_length : bytes -> int
+(** [session_frame_length body]: the encoded length of a
+    [Session_frame] carrying [body]. *)
+
+val put_session_frame : bytes -> int -> sid:int -> bytes -> unit
+(** [put_session_frame buf pos ~sid body] writes the bytes of
+    [encode (Session_frame { sid; body })] at [buf.[pos]] — the mesh's
+    send path, straight into a link's outbound slab. *)
+
 val write : Unix.file_descr -> t -> unit
 (** One length-prefixed frame; the caller serialises writes per
     descriptor. *)
 
-val read : Unix.file_descr -> t option
-(** [None] on clean EOF; [Failure] on a torn stream;
+val read : ?deadline:float -> Unix.file_descr -> t option
+(** [None] on clean EOF; [Failure] on a torn stream or a missed
+    [deadline] (see {!Spe_net.Transport.Socket.read_frame});
     [Invalid_argument] on a malformed frame. *)

@@ -295,6 +295,89 @@ let test_reactor_cancel_releases_closures () =
 
 (* --- transports ------------------------------------------------------------- *)
 
+(* The reactor connection: every frame queued in one loop turn leaves
+   in one write, frames are sliced intact and in order, and a malformed
+   frame or a negative length prefix kills the link exactly once. *)
+let test_link_batches_and_kills () =
+  let module Link = Transport.Socket.Link in
+  let reactor = Reactor.create () in
+  let a_fd, b_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let stats_a = Link.stats () and stats_b = Link.stats () in
+  let got = ref [] and bursts = ref 0 and closed_b = ref 0 in
+  let a =
+    Link.create ~reactor ~stats:stats_a ~on_frame:(fun _ _ _ -> true) ~on_close:ignore a_fd
+  in
+  let b =
+    Link.create ~reactor ~stats:stats_b
+      ~on_frame:(fun buf off len ->
+        let s = Bytes.sub_string buf off len in
+        got := s :: !got;
+        s <> "poison")
+      ~on_burst:(fun () -> incr bursts)
+      ~on_close:(fun () -> incr closed_b)
+      b_fd
+  in
+  let frames = List.init 50 (Printf.sprintf "frame-%d") in
+  List.iter (fun f -> Link.queue a (String.length f) (fun buf pos -> Bytes.blit_string f 0 buf pos (String.length f))) frames;
+  Alcotest.(check int) "nothing written before the loop polls" 0 stats_a.Link.writes;
+  let expired = ref false in
+  ignore (Reactor.at reactor (Unix.gettimeofday () +. 2.) (fun () -> expired := true));
+  Reactor.run reactor ~until:(fun () -> !expired || List.length !got = 50);
+  Alcotest.(check (list string)) "frames intact and in order" frames (List.rev !got);
+  Alcotest.(check int) "one write for the turn" 1 stats_a.Link.writes;
+  Alcotest.(check int) "frames counted" 50 stats_a.Link.frames_sent;
+  Alcotest.(check int) "frames received" 50 stats_b.Link.frames_received;
+  Alcotest.(check bool) "bursts reported" true (!bursts >= 1);
+  Link.queue a 6 (fun buf pos -> Bytes.blit_string "poison" 0 buf pos 6);
+  Link.queue a 5 (fun buf pos -> Bytes.blit_string "after" 0 buf pos 5);
+  Reactor.run reactor ~until:(fun () -> !expired || not (Link.alive b));
+  Alcotest.(check bool) "a malformed frame kills the link" false (Link.alive b);
+  Alcotest.(check int) "on_close ran once" 1 !closed_b;
+  Alcotest.(check bool) "nothing dispatched after the malformed frame" true (List.hd !got = "poison");
+  Link.close b;
+  Alcotest.(check int) "close is idempotent" 1 !closed_b;
+  Link.close a;
+  (* A negative length prefix is malformed too. *)
+  let c_fd, d_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let d = Link.create ~reactor ~on_frame:(fun _ _ _ -> true) ~on_close:ignore d_fd in
+  let bad = Bytes.make 8 '\xff' in
+  ignore (Unix.write c_fd bad 0 8);
+  Reactor.run reactor ~until:(fun () -> !expired || not (Link.alive d));
+  Alcotest.(check bool) "a negative length kills the link" false (Link.alive d);
+  Unix.close c_fd;
+  Reactor.destroy reactor
+
+(* Blocking frame reads for handshakes: a hostile length prefix costs
+   only the bytes that arrive, and a deadline bounds a silent peer. *)
+let test_read_frame_bounded () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let hostile = Bytes.create 14 in
+  Bytes.set_int32_be hostile 0 0x7FFFFFF0l;
+  ignore (Unix.write a hostile 0 14);
+  Unix.close a;
+  let before = Gc.allocated_bytes () in
+  (match Transport.Socket.read_frame b with
+  | _ -> Alcotest.fail "a torn hostile frame should not read"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "allocation bounded by the bytes received" true
+    (Gc.allocated_bytes () -. before < 1e6);
+  Unix.close b;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let t0 = Unix.gettimeofday () in
+  (match Transport.Socket.read_frame ~deadline:(t0 +. 0.2) b with
+  | _ -> Alcotest.fail "a silent peer should miss the deadline"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "the deadline bounds the wait" true (Unix.gettimeofday () -. t0 < 2.);
+  (* On success the receive timeout is cleared again. *)
+  Transport.Socket.write_frame a (Bytes.of_string "hi");
+  (match Transport.Socket.read_frame ~deadline:(Unix.gettimeofday () +. 5.) b with
+  | Some body -> Alcotest.(check string) "frame read" "hi" (Bytes.to_string body)
+  | None -> Alcotest.fail "frame missing");
+  Alcotest.(check (float 0.)) "receive timeout cleared" 0.
+    (Unix.getsockopt_float b Unix.SO_RCVTIMEO);
+  Unix.close a;
+  Unix.close b
+
 let test_memory_transport_delivers () =
   let reactor = Reactor.create () in
   let group = Transport.Memory.create_group ~reactor ~m:2 () in
@@ -1100,6 +1183,10 @@ let () =
         [
           Alcotest.test_case "memory delivery" `Quick test_memory_transport_delivers;
           Alcotest.test_case "socket delivery" `Quick test_socket_transport_delivers;
+          Alcotest.test_case "link batches a turn and dies on bad frames" `Quick
+            test_link_batches_and_kills;
+          Alcotest.test_case "read_frame bounded by bytes and deadline" `Quick
+            test_read_frame_bounded;
         ] );
       ( "endpoint",
         [

@@ -5,7 +5,9 @@
    and the live-deployment integration paths — daemons in-process over
    a unix-domain roster serving sequential and bursty job loads
    bit-identically to the central Driver oracle with exactly one Hello
-   exchange per mesh connection, and the whole-party kill campaign. *)
+   exchange per mesh connection, the mesh's failure paths (a dead peer,
+   a provider that cannot reach its peer, hostile or silent inbound
+   connections), and the whole-party kill campaign. *)
 
 module Addr = Spe_serve.Addr
 module Proto = Spe_serve.Serve_proto
@@ -166,6 +168,46 @@ let test_proto_roundtrip () =
          are bit-exact for floats. *)
       checkb "frame round-trips" true (Proto.encode back = Proto.encode frame))
     frames
+
+(* The mesh decodes frames in place out of a link's read slab and
+   encodes session frames straight into its write slab: both must be
+   byte-for-byte the whole-buffer codec. *)
+let test_proto_slices () =
+  let frames =
+    [
+      Proto.Session_frame { sid = (7 lsl 16) + 3; body = Bytes.of_string "inner-frame" };
+      Proto.Session_frame { sid = 0; body = Bytes.empty };
+      Proto.Job_submit { job = 7; spec = sample_spec };
+      Proto.Job_cancel { job = 5 };
+      Proto.Shutdown;
+    ]
+  in
+  List.iter
+    (fun frame ->
+      let enc = Proto.encode frame in
+      let n = Bytes.length enc in
+      let padded = Bytes.make (n + 7) '\xee' in
+      Bytes.blit enc 0 padded 3 n;
+      checkb "slice decodes like the whole buffer" true
+        (Proto.encode (Proto.decode_slice padded 3 n) = enc))
+    frames;
+  let body = Bytes.of_string "\x00\x01\xff" in
+  let sid = 65537 in
+  let direct = Bytes.make (Proto.session_frame_length body + 2) '\x00' in
+  Proto.put_session_frame direct 2 ~sid body;
+  checkb "in-place session frame = encode" true
+    (Bytes.sub direct 2 (Proto.session_frame_length body)
+    = Proto.encode (Proto.Session_frame { sid; body }));
+  let expect_invalid what buf off len =
+    match Proto.decode_slice buf off len with
+    | _ -> Alcotest.fail (what ^ " should have been rejected")
+    | exception Invalid_argument _ -> ()
+  in
+  let enc = Proto.encode (Proto.Session_frame { sid; body }) in
+  let n = Bytes.length enc in
+  expect_invalid "session body past the slice" enc 0 (n - 1);
+  expect_invalid "trailing byte in the slice" (Bytes.extend enc 0 1) 0 (n + 1);
+  expect_invalid "slice outside the buffer" enc 1 n
 
 let test_proto_rejects_malformed () =
   let expect_invalid what bytes =
@@ -549,7 +591,204 @@ let test_daemon_stream_job () =
          the releases. *)
       check Alcotest.int "H released every epoch" epochs (gauge daemons 0 "epochs_released");
       check Alcotest.int "H tracked the last epoch" (epochs - 1) (gauge daemons 0 "last_epoch");
-      checkb "H ran epoch recompute sessions" true (gauge daemons 0 "epoch_sessions_run" > 0))
+      checkb "H ran epoch recompute sessions" true (gauge daemons 0 "epoch_sessions_run" > 0);
+      (* Mesh gauges: once the trailing Fin frames have landed, every
+         frame one daemon sent another received, and the links batched
+         frames into fewer writes everywhere. *)
+      let total name = Array.fold_left (fun acc d -> acc + List.assoc name (Daemon.gauges d)) 0 daemons in
+      let settle = Unix.gettimeofday () +. 2. in
+      while
+        total "mesh_frames_sent" <> total "mesh_frames_received" && Unix.gettimeofday () < settle
+      do
+        Thread.delay 0.02
+      done;
+      check Alcotest.int "mesh frames sent = received" (total "mesh_frames_sent")
+        (total "mesh_frames_received");
+      Array.iteri
+        (fun party _ ->
+          let writes = gauge daemons party "mesh_writes"
+          and frames = gauge daemons party "mesh_frames_sent" in
+          checkb
+            (Printf.sprintf "%s batches: %d writes < %d frames" (Addr.party_name party) writes frames)
+            true (writes < frames))
+        daemons)
+
+(* --- the mesh's failure paths ----------------------------------------------- *)
+
+let peer_death_kind = function
+  | Proto.Peer_down | Proto.Round_timeout | Proto.Shard_failed -> true
+  | Proto.Rejected | Proto.Busy_queue | Proto.Other -> false
+
+let failure_workload = { Schedule.wseed = 11; users = 12; edges = 30; actions = 6; providers = 2 }
+
+(* H and P1 as in-process daemons at their default timeouts, and a mute
+   P2: sockets that complete the mesh Hello exchange with H (and with P1
+   when [reach_p1]) and then never speak.  [f client daemons kill] runs
+   once every daemon has installed the links it should have; [kill ()]
+   closes the mute sockets. *)
+let with_mute_p2 ?(dial_timeout = 15.) ~reach_p1 f =
+  let graph, logs = Harness.workload_inputs failure_workload in
+  let workload = { Job.graph; logs } in
+  let roster = Transport.Socket.temp_unix_addresses ~m:3 in
+  let daemons =
+    Array.init 2 (fun party ->
+        Daemon.start { (Daemon.default_config ~party ~roster) with Daemon.dial_timeout } workload)
+  in
+  let mute_dial party =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Addr.sockaddr roster.(party));
+    Proto.write fd
+      (Proto.Hello { role = Proto.Party 2; version = Proto.version; workload = Job.digest workload });
+    (match Proto.read fd with
+    | Some (Proto.Hello _) -> ()
+    | _ -> Alcotest.fail "no Hello back from the daemon");
+    fd
+  in
+  let mute = ref (List.map mute_dial (if reach_p1 then [ 0; 1 ] else [ 0 ])) in
+  let kill () =
+    List.iter Unix.close !mute;
+    mute := []
+  in
+  let ready = Unix.gettimeofday () +. 10. in
+  while
+    (gauge daemons 0 "hellos_received" < 2
+    || gauge daemons 1 "hellos_received" < if reach_p1 then 2 else 1)
+    && Unix.gettimeofday () < ready
+  do
+    Thread.delay 0.01
+  done;
+  let client = Client.connect ~retry_for:10. roster.(0) in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      kill ();
+      ignore (Client.shutdown_roster ~timeout:15. roster);
+      Array.iter Daemon.wait daemons)
+    (fun () -> f client daemons kill)
+
+let expect_typed_failure what client ~within =
+  let t0 = Unix.gettimeofday () in
+  match Client.next_reply client ~deadline:(t0 +. within) with
+  | None -> Alcotest.fail (Printf.sprintf "%s: no reply within %.0f s" what within)
+  | Some (_, Client.Result (Proto.Failed { kind; _ })) ->
+    checkb (what ^ ": typed peer failure") true (peer_death_kind kind)
+  | Some _ -> Alcotest.fail (what ^ ": the job should have failed")
+
+(* A peer whose connection dies mid-job fails the job's sessions at
+   once: the mute P2 is killed only once H shows the job's sessions
+   open and its first round sent, so every H seat is waiting on P2's
+   frames; at the daemons' default 300 s round timeout only the link's
+   death can answer the client inside the 30 s wall budget. *)
+let test_peer_death_fails_promptly () =
+  with_mute_p2 ~reach_p1:true (fun client daemons kill ->
+      let spec = links_spec ~pseed:(failure_workload.Schedule.wseed + 1) ~shards:2 in
+      ignore (Client.submit client spec);
+      let open_by = Unix.gettimeofday () +. 10. in
+      while gauge daemons 0 "active_sessions" = 0 && Unix.gettimeofday () < open_by do
+        Thread.delay 0.005
+      done;
+      checkb "the job's sessions opened at H" true (gauge daemons 0 "active_sessions" > 0);
+      Thread.delay 0.2;
+      kill ();
+      expect_typed_failure "dead peer" client ~within:Harness.wall_budget)
+
+(* A provider that fails a job locally tells H: P1 cannot reach the
+   mute P2, waits out its mesh deadline (2 s here), and cancels, so the
+   client gets a typed failure within seconds instead of after H's
+   300 s round timeout. *)
+let test_provider_failure_reaches_host () =
+  with_mute_p2 ~dial_timeout:2. ~reach_p1:false (fun client daemons _kill ->
+      let spec = links_spec ~pseed:(failure_workload.Schedule.wseed + 1) ~shards:2 in
+      ignore (Client.submit client spec);
+      expect_typed_failure "provider failure" client ~within:15.;
+      checkb "P1 counted the failure" true (gauge daemons 1 "jobs_failed" >= 1))
+
+(* Complete one links job from a fresh client connection, on a thread,
+   within [seconds]: an acceptor stuck on another connection must not
+   hang the test. *)
+let fresh_client_job ~seconds roster ~graph ~logs =
+  let pseed = links_workload.Schedule.wseed + 1 in
+  let expected = Proto.Strengths (links_oracle ~pseed ~graph ~logs) in
+  let outcome = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        outcome :=
+          Some
+            (match Client.connect roster.(0) with
+            | exception e -> Error (Printexc.to_string e)
+            | c ->
+              let r =
+                try
+                  Ok
+                    (Client.run_jobs c
+                       [ links_spec ~pseed ~shards:2 ]
+                       ~deadline:(Unix.gettimeofday () +. seconds))
+                with e -> Error (Printexc.to_string e)
+              in
+              Client.close c;
+              r))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while !outcome = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  match !outcome with
+  | None -> Alcotest.fail "a fresh client got no job through: the acceptor is stuck"
+  | Some (Error e) -> Alcotest.fail ("fresh client failed: " ^ e)
+  | Some (Ok [ Client.Result reply ]) ->
+    Thread.join th;
+    checkb "fresh client's job bit-identical" true (reply = expected)
+  | Some (Ok _) -> Alcotest.fail "fresh client's job did not complete"
+
+(* The daemon closes [fd] within its dial timeout (2 s here). *)
+let expect_closed_by_daemon fd =
+  let buf = Bytes.create 64 in
+  let deadline = Unix.gettimeofday () +. 8. in
+  let rec wait () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then Alcotest.fail "the daemon kept a connection without a Hello"
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> wait ()
+      | _ -> (
+        match Unix.read fd buf 0 64 with
+        | 0 -> ()
+        | _ -> wait ()
+        | exception Unix.Unix_error _ -> ())
+  in
+  wait ()
+
+let raw_connect addr =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Addr.sockaddr addr);
+  fd
+
+(* A connection that never sends its Hello must not stop the daemon
+   accepting anyone else, and is closed after the dial timeout. *)
+let test_silent_connection () =
+  with_deployment ~dial_timeout:2. (fun _client _daemons roster ~graph ~logs ->
+      let silent = raw_connect roster.(0) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close silent)
+        (fun () ->
+          fresh_client_job ~seconds:15. roster ~graph ~logs;
+          expect_closed_by_daemon silent))
+
+(* A length prefix of 0x7FFFFFF0 followed by 10 bytes: the daemon must
+   neither allocate the claimed length nor wait on it. *)
+let test_hostile_length_prefix () =
+  with_deployment ~dial_timeout:2. (fun _client _daemons roster ~graph ~logs ->
+      let hostile = raw_connect roster.(0) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close hostile)
+        (fun () ->
+          let bytes = Bytes.make 14 'x' in
+          Bytes.set_int32_be bytes 0 0x7FFFFFF0l;
+          ignore (Unix.write hostile bytes 0 14);
+          fresh_client_job ~seconds:15. roster ~graph ~logs;
+          expect_closed_by_daemon hostile))
 
 (* Whole-party chaos: SIGKILL one provider daemon mid-burst; every
    client reply stays typed, survivors match the oracle, the host keeps
@@ -574,6 +813,7 @@ let () =
           Alcotest.test_case "frames round-trip" `Quick test_proto_roundtrip;
           Alcotest.test_case "rejects malformed frames" `Quick
             test_proto_rejects_malformed;
+          Alcotest.test_case "in-place slices match the codec" `Quick test_proto_slices;
         ] );
       ( "scheduler",
         [ Alcotest.test_case "typed admission control" `Quick test_scheduler_admission ] );
@@ -588,6 +828,17 @@ let () =
           Alcotest.test_case "metrics scrape" `Slow test_daemon_scrape;
           Alcotest.test_case "packed scores job" `Slow test_daemon_scores_pack_slots;
           Alcotest.test_case "stream job bit-identical" `Slow test_daemon_stream_job;
+        ] );
+      ( "failure",
+        [
+          Alcotest.test_case "dead peer fails the job promptly" `Slow
+            test_peer_death_fails_promptly;
+          Alcotest.test_case "provider failure reaches the host" `Slow
+            test_provider_failure_reaches_host;
+          Alcotest.test_case "silent connection does not block accepts" `Slow
+            test_silent_connection;
+          Alcotest.test_case "hostile length prefix is bounded" `Slow
+            test_hostile_length_prefix;
         ] );
       ( "chaos",
         [

@@ -43,7 +43,7 @@ let links_workload =
 (* Start one in-process daemon per party over a temp unix-domain
    roster, run [f client daemons roster], then shut everything down. *)
 let with_deployment ?(workload = links_workload) ?(max_sessions = 4) ?(max_queue = 64)
-    ?metrics_addr f =
+    ?(dial_timeout = 15.) ?metrics_addr f =
   let graph, logs = Harness.workload_inputs workload in
   let m = Array.length logs in
   let roster = Transport.Socket.temp_unix_addresses ~m:(m + 1) in
@@ -57,7 +57,7 @@ let with_deployment ?(workload = links_workload) ?(max_sessions = 4) ?(max_queue
             metrics_addr = (if party = 0 then metrics_addr else None);
             round_timeout = 60.;
             linger = 61.;
-            dial_timeout = 15.;
+            dial_timeout;
           }
           { Job.graph; logs })
   in
