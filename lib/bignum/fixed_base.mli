@@ -8,10 +8,10 @@
     [base^(d * 2^(w*i))] in Montgomery form for every [w]-bit digit
     position [i] and digit value [d], after which each exponentiation
     is at most [ceil(e / w)] Montgomery multiplications and {e zero}
-    squarings, against [~1.5 e] multiplications for
-    {!Montgomery.pow} — roughly a [6x] reduction at the default
-    [w = 4].  PERFORMANCE.md derives the exact operation counts and
-    the bench measures them. *)
+    squarings, against about [1.2 e] for {!Montgomery.pow} (a squaring
+    per bit plus a product per window) — roughly a [5x] reduction at
+    the default [w = 4].  PERFORMANCE.md derives the exact operation
+    counts and the bench measures them. *)
 
 type t
 (** A precomputed window table for one (modulus, base) pair. *)

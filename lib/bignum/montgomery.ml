@@ -1,9 +1,19 @@
 (* Word-level Montgomery multiplication (CIOS) over Nat's base-2^30
-   limbs.  All intermediate products fit the 63-bit native int:
-   (2^30 - 1)^2 + 2 * (2^30 - 1) < 2^61. *)
+   limbs, and fixed-window exponentiation on top of it.
+
+   Every product is one fused CIOS pass into a caller-supplied k-limb
+   destination through a (k + 1)-limb scratch.  Each step's sum fits
+   the 63-bit native int: t_j + a_i * b_j + m * n_j + carry
+   <= 2^30 + 2 * (2^30 - 1)^2 + 2^32 < 2^62.  The loops index without
+   bounds checks; each entry point checks widths once.  Scratch is
+   allocated per call and never stored in the context, so a context
+   (and every closure holding one) is safe to share across threads. *)
 
 let limb_bits = Nat.limb_bits
 let limb_mask = (1 lsl limb_bits) - 1
+
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
+external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
 
 type t = {
   modulus : Nat.t;
@@ -12,9 +22,12 @@ type t = {
   n0_inv : int;  (* -modulus^-1 mod 2^limb_bits *)
   r2 : int array;  (* R^2 mod modulus, width k *)
   one_mont : int array;  (* R mod modulus, width k *)
+  unit : int array;  (* plain 1, width k: multiplying by it leaves Montgomery form *)
 }
 
 let modulus ctx = ctx.modulus
+let width ctx = ctx.k
+let scratch ctx = Array.make (ctx.k + 1) 0
 
 (* Inverse of an odd limb modulo 2^limb_bits by Newton iteration:
    each step doubles the number of correct low bits. *)
@@ -25,65 +38,54 @@ let inv_limb m0 =
   done;
   !inv land limb_mask
 
-(* One CIOS pass: result = a * b * R^-1 mod modulus, operands in
-   Montgomery form, arrays of width k. *)
-let mont_mul ctx a b =
-  let k = ctx.k in
-  let t = Array.make (k + 2) 0 in
+(* dst <- a * b * R^-1 mod modulus, for a < R and b < modulus.  [t]
+   holds k + 1 limbs; [a], [b] and [dst] hold k (no check here: see
+   [mul_into]).  [dst] may alias [a] or [b], since it is written only
+   after the last read. *)
+let cios ctx t a b dst =
+  let k = ctx.k and n = ctx.n and n0_inv = ctx.n0_inv in
+  Array.fill t 0 (k + 1) 0;
   for i = 0 to k - 1 do
-    (* t += a.(i) * b *)
-    let ai = a.(i) in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- s land limb_mask;
+    let ai = a.!(i) in
+    (* m makes t + ai * b + m * modulus divisible by the base, so the
+       sum is written one limb down as it is formed. *)
+    let s = t.!(0) + (ai * b.!(0)) in
+    let m = (s land limb_mask) * n0_inv land limb_mask in
+    let c = ref ((s + (m * n.!(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let s = t.!(j) + (ai * b.!(j)) + (m * n.!(j)) + !c in
+      t.!(j - 1) <- s land limb_mask;
       c := s lsr limb_bits
     done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* t += m * modulus with m chosen to zero the low limb, then shift. *)
-    let m = t.(0) * ctx.n0_inv land limb_mask in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (m * ctx.n.(j)) + !c in
-      t.(j) <- s land limb_mask;
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* Divide by the base: t.(0) is zero by construction. *)
-    for j = 0 to k do
-      t.(j) <- t.(j + 1)
-    done;
-    t.(k + 1) <- 0
+    let s = t.!(k) + !c in
+    t.!(k - 1) <- s land limb_mask;
+    t.!(k) <- s lsr limb_bits
   done;
-  (* Conditional subtraction: t < 2 * modulus at this point. *)
-  let ge_modulus =
-    if t.(k) > 0 then true
-    else begin
-      let rec cmp j = if j < 0 then true else if t.(j) <> ctx.n.(j) then t.(j) > ctx.n.(j) else cmp (j - 1) in
-      cmp (k - 1)
-    end
+  (* t < b + modulus < 2 * modulus: subtract the modulus at most once. *)
+  let ge =
+    t.!(k) <> 0
+    ||
+    let j = ref (k - 1) in
+    while !j >= 0 && t.!(!j) = n.!(!j) do
+      decr j
+    done;
+    !j < 0 || t.!(!j) > n.!(!j)
   in
-  let out = Array.make ctx.k 0 in
-  if ge_modulus then begin
+  if ge then begin
     let borrow = ref 0 in
     for j = 0 to k - 1 do
-      let d = t.(j) - ctx.n.(j) - !borrow in
-      if d < 0 then begin
-        out.(j) <- d + (1 lsl limb_bits);
-        borrow := 1
-      end
-      else begin
-        out.(j) <- d;
-        borrow := 0
-      end
+      let d = t.!(j) - n.!(j) - !borrow in
+      dst.!(j) <- d land limb_mask;
+      borrow := -(d asr limb_bits)
     done
   end
-  else Array.blit t 0 out 0 k;
-  out
+  else Array.blit t 0 dst 0 k
+
+let mul_into ctx t a b dst =
+  let k = ctx.k in
+  if Array.length t < k + 1 || Array.length a < k || Array.length b < k || Array.length dst < k
+  then invalid_arg "Montgomery.mul_into: operand narrower than the modulus";
+  cios ctx t a b dst
 
 let create modulus =
   if Nat.is_even modulus || Nat.compare modulus (Nat.of_int 3) < 0 then
@@ -94,32 +96,64 @@ let create modulus =
   let r = Nat.shift_left Nat.one (limb_bits * k) in
   let r2 = Nat.to_limbs (Nat.rem (Nat.mul r r) modulus) ~width:k in
   let one_mont = Nat.to_limbs (Nat.rem r modulus) ~width:k in
-  { modulus; n; k; n0_inv; r2; one_mont }
+  let unit = Nat.to_limbs Nat.one ~width:k in
+  { modulus; n; k; n0_inv; r2; one_mont; unit }
 
-let to_mont ctx x =
-  let x = Nat.rem x ctx.modulus in
-  mont_mul ctx (Nat.to_limbs x ~width:ctx.k) ctx.r2 |> Nat.of_limbs
+(* x (reduced first) into a fresh Montgomery-form limb array. *)
+let to_mont_into ctx t x =
+  let a = Nat.to_limbs (Nat.rem x ctx.modulus) ~width:ctx.k in
+  cios ctx t a ctx.r2 a;
+  a
 
-let of_mont ctx x =
-  let one = Array.make ctx.k 0 in
-  one.(0) <- 1;
-  mont_mul ctx (Nat.to_limbs x ~width:ctx.k) one |> Nat.of_limbs
+let of_mont_into ctx t a =
+  cios ctx t a ctx.unit a;
+  Nat.of_limbs a
+
+let to_mont ctx x = Nat.of_limbs (to_mont_into ctx (scratch ctx) x)
+let of_mont ctx x = of_mont_into ctx (scratch ctx) (Nat.to_limbs x ~width:ctx.k)
 
 let mul ctx a b =
-  Nat.of_limbs (mont_mul ctx (Nat.to_limbs a ~width:ctx.k) (Nat.to_limbs b ~width:ctx.k))
+  let a = Nat.to_limbs a ~width:ctx.k and b = Nat.to_limbs b ~width:ctx.k in
+  cios ctx (scratch ctx) a b a;
+  Nat.of_limbs a
+
+(* Fixed-window digit width for an exponent of [bits] bits: a w-bit
+   window costs 2^w - 2 table products up front and saves about
+   bits * (1/2 - 1/w) products on the ladder.  RSA's 17-bit public
+   exponent stays binary; CRT halves and Miller-Rabin witnesses up to
+   512 bits take 4-bit digits, wider exponents 5-bit ones. *)
+let window_bits bits = if bits <= 32 then 1 else if bits <= 512 then 4 else 5
 
 let pow ctx ~base ~exp =
-  let base_m = Nat.to_limbs (to_mont ctx base) ~width:ctx.k in
-  let acc = ref (Array.copy ctx.one_mont) in
-  for i = Nat.bit_length exp - 1 downto 0 do
-    acc := mont_mul ctx !acc !acc;
-    if Nat.test_bit exp i then acc := mont_mul ctx !acc base_m
-  done;
-  of_mont ctx (Nat.of_limbs !acc)
+  let bits = Nat.bit_length exp in
+  if bits = 0 then Nat.one (* the modulus is >= 3 *)
+  else begin
+    let k = ctx.k in
+    let t = scratch ctx in
+    let w = window_bits bits in
+    (* table.(d - 1) = base^d in Montgomery form, d in [1, 2^w). *)
+    let table = Array.make ((1 lsl w) - 1) [||] in
+    table.(0) <- to_mont_into ctx t base;
+    for d = 1 to Array.length table - 1 do
+      let e = Array.make k 0 in
+      cios ctx t table.(d - 1) table.(0) e;
+      table.(d) <- e
+    done;
+    (* Left to right: the top digit holds the top bit, so it is not
+       zero and seeds the accumulator. *)
+    let top = (bits - 1) / w in
+    let acc = Array.copy table.(Nat.bits exp ~pos:(top * w) ~len:w - 1) in
+    for i = top - 1 downto 0 do
+      for _ = 1 to w do
+        cios ctx t acc acc acc
+      done;
+      let d = Nat.bits exp ~pos:(i * w) ~len:w in
+      if d > 0 then cios ctx t acc table.(d - 1) acc
+    done;
+    of_mont_into ctx t acc
+  end
 
 (* Limb-level access for the sibling [Fixed_base] module. *)
-let width ctx = ctx.k
 let one_mont_limbs ctx = Array.copy ctx.one_mont
-let to_mont_limbs ctx x = Nat.to_limbs (to_mont ctx x) ~width:ctx.k
-let of_mont_limbs ctx a = of_mont ctx (Nat.of_limbs a)
-let mul_limbs = mont_mul
+let to_mont_limbs ctx x = to_mont_into ctx (scratch ctx) x
+let of_mont_limbs ctx a = of_mont_into ctx (scratch ctx) a

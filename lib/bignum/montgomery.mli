@@ -5,7 +5,15 @@
     shift-and-add reductions, which is the standard speed-up for the
     RSA/Paillier workloads of Protocol 6 (the bench quantifies the
     factor).  The context precomputes [R = 2^(limb_bits * k) > modulus],
-    [R^2 mod modulus] and [-modulus^-1 mod 2^limb_bits]. *)
+    [R^2 mod modulus] and [-modulus^-1 mod 2^limb_bits].
+
+    Each product is one fused CIOS pass written in place into a
+    preallocated limb array; {!pow} allocates its scratch, window
+    table and accumulator once per call, so its allocation does not
+    grow with the exponent.  It walks the exponent in fixed windows
+    read straight from its limbs: 1 bit up to 32-bit exponents (RSA's
+    [e = 65537]), 4 bits up to 512, 5 bits beyond.  A context holds no
+    mutable state and can be shared across threads. *)
 
 type t
 (** A reduction context for one odd modulus. *)
@@ -33,13 +41,27 @@ val pow : t -> base:Nat.t -> exp:Nat.t -> Nat.t
 
 (**/**)
 
+val window_bits : int -> int
+(** The window width {!pow} uses for an exponent of the given bit
+    length. *)
+
 (* Limb-level access for the sibling [Fixed_base] module: raw
    Montgomery-form limb arrays of the context's width, avoiding a
    Nat round-trip per multiplication.  Not part of the public API. *)
 val width : t -> int
+
+val scratch : t -> int array
+(** A fresh scratch buffer for {!mul_into}. *)
+
+val mul_into : t -> int array -> int array -> int array -> int array -> unit
+(** [mul_into ctx scratch a b dst] writes the Montgomery product of
+    [a] and [b] into [dst], which may alias either operand.  Raises
+    [Invalid_argument] if an array is narrower than the context. *)
+
 val one_mont_limbs : t -> int array
 val to_mont_limbs : t -> Nat.t -> int array
+
 val of_mont_limbs : t -> int array -> Nat.t
-val mul_limbs : t -> int array -> int array -> int array
+(** Leaves Montgomery form in place: the argument is overwritten. *)
 
 (**/**)

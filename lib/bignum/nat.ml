@@ -416,6 +416,52 @@ let random_bits_exact st k =
   r.(limb) <- r.(limb) lor (1 lsl bit);
   norm r
 
+let bits (a : t) ~pos ~len =
+  if pos < 0 || len < 0 || len > limb_bits then invalid_arg "Nat.bits: field out of range";
+  (* A field of at most limb_bits bits spans at most two limbs. *)
+  let li = pos / limb_bits and off = pos mod limb_bits in
+  let n = Array.length a in
+  let lo = if li < n then a.(li) lsr off else 0 in
+  let hi = if off + len > limb_bits && li + 1 < n then a.(li + 1) lsl (limb_bits - off) else 0 in
+  (lo lor hi) land ((1 lsl len) - 1)
+
+(* Bytes and limbs meet through an accumulator of at most
+   limb_bits + 7 bits, filled from the least significant end. *)
+let of_bytes_be buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Nat.of_bytes_be: range out of bounds";
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and held = ref 0 and li = ref 0 in
+  for i = pos + len - 1 downto pos do
+    acc := !acc lor (Char.code (Bytes.unsafe_get buf i) lsl !held);
+    held := !held + 8;
+    if !held >= limb_bits then begin
+      r.(!li) <- !acc land limb_mask;
+      incr li;
+      acc := !acc lsr limb_bits;
+      held := !held - limb_bits
+    end
+  done;
+  if !held > 0 then r.(!li) <- !acc;
+  norm r
+
+let blit_bytes_be (a : t) buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Nat.blit_bytes_be: range out of bounds";
+  if bit_length a > 8 * len then invalid_arg "Nat.blit_bytes_be: value exceeds width";
+  let n = Array.length a in
+  let acc = ref 0 and held = ref 0 and li = ref 0 in
+  for i = pos + len - 1 downto pos do
+    if !held < 8 then begin
+      if !li < n then acc := !acc lor (a.(!li) lsl !held);
+      incr li;
+      held := !held + limb_bits
+    end;
+    Bytes.unsafe_set buf i (Char.unsafe_chr (!acc land 0xFF));
+    acc := !acc lsr 8;
+    held := !held - 8
+  done
+
 let to_limbs a ~width =
   if Array.length a > width then invalid_arg "Nat.to_limbs: width too small";
   let out = Array.make width 0 in

@@ -108,11 +108,27 @@ val random_below : Spe_rng.State.t -> t -> t
 val random_bits_exact : Spe_rng.State.t -> int -> t
 (** Uniform value of exactly the given bit length (top bit forced). *)
 
+val of_bytes_be : bytes -> pos:int -> len:int -> t
+(** The unsigned big-endian value of the [len] bytes at [pos], built
+    limb by limb.  Raises [Invalid_argument] if the range is out of
+    bounds. *)
+
+val blit_bytes_be : t -> bytes -> pos:int -> len:int -> unit
+(** [blit_bytes_be a buf ~pos ~len] writes [a] big-endian, zero-padded,
+    into the [len] bytes at [pos].  Raises [Invalid_argument] if the
+    range is out of bounds or [a] needs more than [8 * len] bits. *)
+
 (**/**)
 
 (* Limb-level access for the sibling [Montgomery] module: little-endian
    base-2^30 limbs.  Not part of the public API. *)
 val limb_bits : int
+
+val bits : t -> pos:int -> len:int -> int
+(** [bits a ~pos ~len] is the [len]-bit field of [a] that starts at bit
+    [pos] (little-endian), read from at most two limbs; the windowed
+    exponentiations' digit reader.  Requires [0 <= len <= limb_bits]. *)
+
 val to_limbs : t -> width:int -> int array
 (** Copy into a zero-padded array of exactly [width] limbs; raises
     [Invalid_argument] if the value needs more. *)

@@ -54,7 +54,9 @@ let generate ?plain_bits st ~bits =
     let q = draw_q () in
     let n = Nat.mul p q in
     let lambda = Nat.mul (Nat.pred p) (Nat.pred q) in
-    if not (Nat.is_one (Nat.gcd n lambda)) then keys ()
+    (* A short product (one bit under [bits], about four draws in ten)
+       would break the [n >= 2^(bits-1)] bound of [check_plain_bits]. *)
+    if Nat.bit_length n <> bits || not (Nat.is_one (Nat.gcd n lambda)) then keys ()
     else begin
       let n_squared = Nat.mul n n in
       (* g = n + 1: mu = (L(g^lambda mod n^2))^-1 mod n = lambda^-1 mod n. *)

@@ -56,9 +56,10 @@ exception Key_too_small of { key_bits : int; plain_bits : int }
     scheme. *)
 
 val generate : ?plain_bits:int -> Spe_rng.State.t -> bits:int -> keypair
-(** [generate st ~bits] builds a keypair with a [bits]-sized modulus
-    from two primes of [bits/2] bits each, redrawn until
-    [gcd(n, (p-1)(q-1)) = 1] (guaranteed for same-size primes).
+(** [generate st ~bits] builds a keypair whose modulus has exactly
+    [bits] bits from two primes of [bits/2] bits each, redrawn until
+    the product has full width and [gcd(n, (p-1)(q-1)) = 1]
+    (guaranteed for same-size primes).
 
     [?plain_bits] declares the widest plaintext the caller intends to
     encrypt (e.g. a packed counter batch); since a Paillier plaintext

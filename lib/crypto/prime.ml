@@ -1,4 +1,5 @@
 module Nat = Spe_bignum.Nat
+module Montgomery = Spe_bignum.Montgomery
 module State = Spe_rng.State
 
 let small_primes =
@@ -34,14 +35,14 @@ let trial_division n =
        None
      with Verdict b -> Some b)
 
-let miller_rabin_round st n =
+let miller_rabin_round st ctx n =
   (* n odd, n > 3.  Write n - 1 = 2^s * d with d odd. *)
   let n_minus_1 = Nat.pred n in
   let rec strip d s = if Nat.is_even d then strip (Nat.shift_right d 1) (s + 1) else (d, s) in
   let d, s = strip n_minus_1 0 in
   (* Base a uniform in [2, n - 2]. *)
   let a = Nat.add Nat.two (Nat.random_below st (Nat.sub n (Nat.of_int 3))) in
-  let x = Nat.mod_pow ~base:a ~exp:d ~modulus:n in
+  let x = Montgomery.pow ctx ~base:a ~exp:d in
   if Nat.is_one x || Nat.equal x n_minus_1 then true
   else begin
     let rec square_loop x i =
@@ -57,7 +58,10 @@ let is_prime ?(rounds = 20) st n =
   match trial_division n with
   | Some verdict -> verdict
   | None ->
-    let rec loop i = i >= rounds || (miller_rabin_round st n && loop (i + 1)) in
+    (* Trial division leaves only odd n > 1000: one Montgomery context
+       serves every round. *)
+    let ctx = Montgomery.create n in
+    let rec loop i = i >= rounds || (miller_rabin_round st ctx n && loop (i + 1)) in
     loop 0
 
 let random_prime ?rounds st ~bits =

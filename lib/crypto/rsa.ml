@@ -33,13 +33,20 @@ let generate ?(e = 65537) ?plain_bits st ~bits =
   let e_nat = Nat.of_int e in
   let half = bits / 2 in
   let coprime_to_e p = Nat.is_one (Nat.gcd (Nat.pred p) e_nat) in
-  let p = Prime.random_odd_prime_with st ~bits:half coprime_to_e in
-  let rec draw_q () =
-    let q = Prime.random_odd_prime_with st ~bits:(bits - half) coprime_to_e in
-    if Nat.equal p q then draw_q () else q
+  (* Two half-size primes multiply to one bit short of [bits] about
+     four times in ten: redraw the pair until the modulus has full
+     width, so [n >= 2^(bits-1)] as [check_plain_bits] assumes. *)
+  let rec draw_pair () =
+    let p = Prime.random_odd_prime_with st ~bits:half coprime_to_e in
+    let rec draw_q () =
+      let q = Prime.random_odd_prime_with st ~bits:(bits - half) coprime_to_e in
+      if Nat.equal p q then draw_q () else q
+    in
+    let q = draw_q () in
+    let n = Nat.mul p q in
+    if Nat.bit_length n = bits then (p, q, n) else draw_pair ()
   in
-  let q = draw_q () in
-  let n = Nat.mul p q in
+  let p, q, n = draw_pair () in
   let phi = Nat.mul (Nat.pred p) (Nat.pred q) in
   let d =
     match Bigint.mod_inv (Bigint.of_nat e_nat) (Bigint.of_nat phi) with

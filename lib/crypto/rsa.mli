@@ -44,9 +44,10 @@ exception Key_too_small of { key_bits : int; plain_bits : int }
 
 val generate : ?e:int -> ?plain_bits:int -> Spe_rng.State.t -> bits:int -> keypair
 (** [generate st ~bits] draws two [bits/2]-bit primes and returns a
-    keypair with a [bits]-sized modulus.  Default exponent 65537; the
-    primes are re-drawn until coprimality with [e] holds.  [bits] must
-    be at least 16.
+    keypair whose modulus has exactly [bits] bits: the pair is redrawn
+    while their product falls one bit short.  Default exponent 65537;
+    each prime is re-drawn until coprimality with [e] holds.  [bits]
+    must be at least 16.
 
     [?plain_bits] declares the widest plaintext the caller intends to
     encrypt (e.g. a packed counter batch); since an RSA plaintext must

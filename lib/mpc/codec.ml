@@ -61,16 +61,7 @@ let encode_nats_into ~width_bits values buf ~pos =
   Array.iteri
     (fun i v ->
       if Nat.bit_length v > width_bits then invalid_arg "Codec.encode_nats: value exceeds width";
-      let base = pos + (i * width) in
-      for j = 0 to width - 1 do
-        (* Byte j holds bits [8*(width-1-j), 8*(width-j)) of v. *)
-        let lo = 8 * (width - 1 - j) in
-        let byte = ref 0 in
-        for b = 7 downto 0 do
-          byte := (!byte lsl 1) lor (if Nat.test_bit v (lo + b) then 1 else 0)
-        done;
-        Bytes.set buf (base + j) (Char.chr !byte)
-      done)
+      Nat.blit_bytes_be v buf ~pos:(pos + (i * width)) ~len:width)
     values;
   pos + (width * Array.length values)
 
@@ -84,13 +75,7 @@ let encode_nats ~width_bits values =
 let decode_nats ~width_bits ~count buf =
   let width = (width_bits + 7) / 8 in
   if Bytes.length buf <> width * count then invalid_arg "Codec.decode_nats: length mismatch";
-  Array.init count (fun i ->
-      let base = i * width in
-      let acc = ref Nat.zero in
-      for j = 0 to width - 1 do
-        acc := Nat.add (Nat.shift_left !acc 8) (Nat.of_int (Char.code (Bytes.get buf (base + j))))
-      done;
-      !acc)
+  Array.init count (fun i -> Nat.of_bytes_be buf ~pos:(i * width) ~len:width)
 
 let encode_bitset_into flags buf ~pos =
   let n = Array.length flags in

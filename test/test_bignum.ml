@@ -457,6 +457,56 @@ let qcheck_tests =
         let a = Bigint.of_nat a and b = Bigint.of_nat b in
         let a = if flip mod 2 = 0 then a else Bigint.neg a in
         Bigint.equal a (Bigint.sub (Bigint.add a b) b));
+    (let limb = Nat.limb_bits in
+     (* Exponent lengths on both sides of every window-width change the
+        kernel makes, plus the ends of the range. *)
+     let boundaries =
+       List.concat_map
+         (fun b -> [ b; b + 1 ])
+         (List.filter
+            (fun b -> Montgomery.window_bits b <> Montgomery.window_bits (b + 1))
+            (List.init 1200 (fun b -> b + 1)))
+     in
+     let lengths = Array.of_list ([ 0; 1; 2; 1100; 1101 ] @ boundaries) in
+     let print (seed, limbs, (m_shape, e_shape, b_shape)) =
+       Printf.sprintf "seed %d, %d limbs, modulus shape %d, all-ones exponent %b, base shape %d"
+         seed limbs m_shape e_shape b_shape
+     in
+     Test.make ~name:"kernel = mod_pow across window and limb boundaries" ~count:120
+       (make ~print
+          Gen.(triple nat (int_range 1 70) (triple (int_range 0 2) bool (int_range 0 3))))
+       (fun (seed, limbs, (m_shape, all_ones_exp, b_shape)) ->
+         let s = State.create ~seed () in
+         let bits = limb * limbs in
+         (* Odd moduli of [limbs] limbs: random, top limb 1, all ones. *)
+         let m =
+           match m_shape with
+           | 1 when limbs > 1 ->
+             Nat.add (Nat.shift_left Nat.one (bits - limb)) (Nat.random_bits s (bits - limb))
+           | 2 -> Nat.pred (Nat.shift_left Nat.one bits)
+           | _ -> Nat.random_bits_exact s bits
+         in
+         let m = if Nat.is_even m then Nat.succ m else m in
+         let m = if Nat.compare m (Nat.of_int 3) < 0 then Nat.of_int 3 else m in
+         let ctx = Montgomery.create m in
+         let e_bits = lengths.(State.next_int s (Array.length lengths)) in
+         let e =
+           if e_bits = 0 then Nat.zero
+           else if all_ones_exp then Nat.pred (Nat.shift_left Nat.one e_bits)
+           else Nat.random_bits_exact s e_bits
+         in
+         (* Bases: zero, below the modulus, and at or above it. *)
+         let base =
+           match b_shape with
+           | 0 -> Nat.zero
+           | 1 -> m
+           | 2 -> Nat.add m (Nat.random_bits s (Nat.bit_length m + 40))
+           | _ -> Nat.random_below s m
+         in
+         let got = Montgomery.pow ctx ~base ~exp:e in
+         let table = Fixed_base.create ctx ~base ~max_exp_bits:(max 1 e_bits) in
+         Nat.equal (Nat.mod_pow ~base ~exp:e ~modulus:m) got
+         && Nat.equal got (Fixed_base.pow table e)));
     Test.make ~name:"fixed-base pow = montgomery pow" ~count:60
       (triple (arb_nat 160) (arb_nat 160) (arb_nat 72))
       (fun (m, base, e) ->

@@ -83,13 +83,12 @@ let test_rsa_roundtrip () =
 let test_rsa_full_size () =
   let s = st () in
   let kp = Rsa.generate s ~bits:1024 in
-  Alcotest.(check bool) "modulus ~1024 bits" true
-    (Nat.bit_length kp.Rsa.public.Rsa.n >= 1023);
+  Alcotest.(check int) "modulus has 1024 bits" 1024 (Nat.bit_length kp.Rsa.public.Rsa.n);
   let m = Nat.of_string "123456789123456789123456789" in
   Alcotest.check nat "1024-bit roundtrip" m
     (Rsa.decrypt kp.Rsa.secret (Rsa.encrypt kp.Rsa.public m));
-  Alcotest.(check bool) "ciphertext_bits matches modulus" true
-    (Rsa.ciphertext_bits kp.Rsa.public >= 1023)
+  Alcotest.(check int) "ciphertext_bits matches modulus" 1024
+    (Rsa.ciphertext_bits kp.Rsa.public)
 
 let test_rsa_plaintext_too_large () =
   let s = st () in
@@ -216,6 +215,93 @@ let test_paillier_key_too_small () =
   Alcotest.(check bool) "rebinding: same exception constructor" true
     (Paillier.Key_too_small { key_bits = 1; plain_bits = 2 }
     = Rsa.Key_too_small { key_bits = 1; plain_bits = 2 })
+
+(* --- key generation ----------------------------------------------------- *)
+
+let test_keygen_full_width () =
+  (* Two bits/2-bit primes multiply to one bit short about four times
+     in ten.  Keygen redraws such a pair, so every key has exactly
+     [bits] bits and a key built for (bits - 1)-bit plaintexts holds
+     the widest one. *)
+  List.iter
+    (fun bits ->
+      let widest = Nat.pred (Nat.shift_left Nat.one (bits - 1)) in
+      for seed = 1 to 200 do
+        let s = State.create ~seed () in
+        let rsa = Rsa.generate ~plain_bits:(bits - 1) s ~bits in
+        let pai = Paillier.generate ~plain_bits:(bits - 1) s ~bits in
+        let check scheme n_bits roundtrip =
+          if n_bits <> bits then
+            Alcotest.failf "%s %d-bit key, seed %d: %d-bit modulus" scheme bits seed n_bits;
+          if not (Nat.equal widest roundtrip) then
+            Alcotest.failf "%s %d-bit key, seed %d: widest plaintext did not round-trip"
+              scheme bits seed
+        in
+        check "rsa"
+          (Rsa.ciphertext_bits rsa.Rsa.public)
+          (Rsa.decrypt rsa.Rsa.secret (Rsa.encrypt rsa.Rsa.public widest));
+        check "paillier"
+          (Nat.bit_length pai.Paillier.public.Paillier.n)
+          (Paillier.decrypt pai.Paillier.secret (Paillier.encrypt s pai.Paillier.public widest))
+      done)
+    [ 64; 256 ]
+
+(* Seeded keys in hex, taken before the Montgomery kernel was rewritten:
+   the arithmetic under keygen must not change its random draws, and so
+   must not change any seeded ciphertext downstream. *)
+let test_golden_keys () =
+  let pin label expect got = Alcotest.(check string) label expect (Nat.to_hex got) in
+  List.iter
+    (fun (bits, seed, n, d, p, q) ->
+      let kp = Rsa.generate (State.create ~seed ()) ~bits in
+      let crt = Option.get kp.Rsa.secret.Rsa.crt in
+      let label what = Printf.sprintf "rsa-%d seed %d %s" bits seed what in
+      pin (label "n") n kp.Rsa.public.Rsa.n;
+      pin (label "d") d kp.Rsa.secret.Rsa.d;
+      pin (label "p") p crt.Rsa.p;
+      pin (label "q") q crt.Rsa.q)
+    [
+      (* Seed 1's first pair was one bit short and is redrawn. *)
+      ( 256, 1,
+        "b45f408cfc916b729d7a4a9a80ad1e09b42f149c717f732499b13cbcd5d90b61",
+        "926b002b729b596da10834a756ed3103ada746355ec056657f55daf716e1bf1",
+        "fea56fdfca9f182896687d5dd26ad02d", "b554bb286adf2cfde8f9a06f53b0f485" );
+      ( 256, 2,
+        "8946b18d48d47be77f4230a3f729ee887460c9951da86157d93fa10fd1a5111d",
+        "61d6146cd15f3eff7a5f3e335dd070c3986dd04c5f3c1d22afa9fd0417b6d3b1",
+        "9d2b52277f2447c92ef04b01df4673e7", "df9909ee398316de0613e5e1fc7b725b" );
+      ( 1024, 1,
+        "ee17d9d8f1820ae99c14084084b6450177f98c27e5acd8337b763134e533dc74\
+         d971826f692d83fede54e0f66c426e14df44a71daadb2d11723d5aaef8cb2ff0\
+         fc40b52fb9c32c72257f1b7e8175e8fcc8162c3f17529b12a283903626962d6d\
+         2dc92bb8698b59e025f63ab01d2297a6641cb36eda197d5914879effbc82048f",
+        "7a0170d9919050e53adcad09dab7c80ea39b15ee0fec8d717c2fa9b1704e2e07\
+         16b1eae40a628f84180c28a73dfca08a438adb94014c8500aea8b0027f6d2767\
+         f9cdc2ba9ade7a0354d4ae1c3d62589b9dc98917c9075894ac23aeb0701b181e\
+         a4d0840fb94b57d852a75d5edf72c8b02f4825244bb3dcc6530330f8e471e3b9",
+        "fd9a6a6162ff0400e713bcc1b532ad61fde53831a020e109e5b8c77752197c80\
+         bca6afb4359f834529a5cde1854d6cba9f33d91aa85a5d10612ca5cef448c023",
+        "f057e8d1835c0f7c86e3e9586a6d01a3ef2d287526c39425ed7dfe0946e14417\
+         e8821783a3cb62f408567e1fdac98aac29f4cf593a0427ce6e4ba8baebd4faa5" );
+    ];
+  List.iter
+    (fun (seed, n, lambda, p, q) ->
+      let kp = Paillier.generate (State.create ~seed ()) ~bits:256 in
+      let crt = Option.get kp.Paillier.secret.Paillier.crt in
+      let label what = Printf.sprintf "paillier-256 seed %d %s" seed what in
+      pin (label "n") n kp.Paillier.public.Paillier.n;
+      pin (label "lambda") lambda kp.Paillier.secret.Paillier.lambda;
+      pin (label "p") p crt.Paillier.p;
+      pin (label "q") q crt.Paillier.q)
+    [
+      (* Seed 4's first pair was one bit short and is redrawn. *)
+      ( 4, "8c2246f2c9e05fae3317bfa3b2fbfa64e6440fc98c743118025f4f0fb971e7b3",
+        "8c2246f2c9e05fae3317bfa3b2fbfa636b6007bd59aa214c3ed3579d0ef495b8",
+        "b989909e891644010b7aad307865bef5", "c15a776da9b3cbcab8114a4232179307" );
+      ( 6, "a20d537757458e0a51748e80ee17eaa669d4e1e09f78bdb644f12181f33d4c79",
+        "a20d537757458e0a51748e80ee17eaa4c8bc4717debb4c412325489d1ed5bc64",
+        "a3bfb705cab6882781dfc5d9b12b396b", "fd58e3c2f606e94d9fec130b233c56ab" );
+    ]
 
 (* --- shift cipher ------------------------------------------------------- *)
 
@@ -371,6 +457,12 @@ let () =
           Alcotest.test_case "CRT decrypt equality" `Quick test_paillier_crt_equals_plain;
           Alcotest.test_case "fixed-base encryptor" `Quick test_paillier_fixed_base_encryptor;
           Alcotest.test_case "key too small" `Quick test_paillier_key_too_small;
+        ] );
+      ( "keygen",
+        [
+          Alcotest.test_case "full-width modulus over 200 seeds" `Quick
+            test_keygen_full_width;
+          Alcotest.test_case "golden seeded keys" `Quick test_golden_keys;
         ] );
       ( "shift-cipher",
         [

@@ -842,6 +842,34 @@ let qcheck_tests =
           Codec.decode_nats ~width_bits ~count (Codec.encode_nats ~width_bits values)
         in
         Array.for_all2 Nat.equal values decoded);
+    Test.make ~name:"codec nat limb-wise bytes match a bitwise oracle" ~count:300
+      (triple small_nat (int_range 1 2100) (int_range 0 4))
+      (fun (seed, width_bits, count) ->
+        (* Full-width values, zero and narrower ones, so every width's
+           top byte and every limb/byte alignment is exercised. *)
+        let s = State.create ~seed () in
+        let values =
+          Array.init count (fun i ->
+              match i with
+              | 0 -> Nat.random_bits_exact s width_bits
+              | 1 -> Nat.zero
+              | _ -> Nat.random_bits s width_bits)
+        in
+        let width = (width_bits + 7) / 8 in
+        let oracle = Bytes.make (width * count) '\000' in
+        Array.iteri
+          (fun i v ->
+            for bit = 0 to width_bits - 1 do
+              if Nat.test_bit v bit then begin
+                let at = (i * width) + width - 1 - (bit / 8) in
+                Bytes.set oracle at
+                  (Char.chr (Char.code (Bytes.get oracle at) lor (1 lsl (bit mod 8))))
+              end
+            done)
+          values;
+        let encoded = Codec.encode_nats ~width_bits values in
+        Bytes.equal oracle encoded
+        && Array.for_all2 Nat.equal values (Codec.decode_nats ~width_bits ~count encoded));
     Test.make ~name:"codec bitset round trip" ~count:500
       (list_of_size (Gen.int_range 0 100) bool)
       (fun flags ->

@@ -151,6 +151,45 @@ let test_frame_encode_into_zero_alloc () =
   let eor = Frame.End_of_round { round = 3; sender = 1; total = 9; to_dst = 4 } in
   measure eor (Bytes.create (Frame.encoded_length eor))
 
+(* Average minor words per call, after a warm-up call. *)
+let minor_words_per_call ~iters f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (f ())
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+let test_montgomery_pow_alloc_flat () =
+  (* H's decrypt kernel allocates its scratch, window table and
+     accumulator once per call, never per product: a 1,024-bit exponent
+     (over a thousand products) allocates what a 64-bit one does, apart
+     from its wider window table: 16 more entries, 112 words at this
+     width, measured 133 against 245.  The allowance is 160 words. *)
+  let s = State.create ~seed:31 () in
+  let m = Nat.succ (Nat.shift_left (Nat.random_bits_exact s 127) 1) in
+  let ctx = Spe_bignum.Montgomery.create m in
+  let base = Nat.random_below s m in
+  let words bits =
+    let exp = Nat.random_bits_exact s bits in
+    minor_words_per_call ~iters:50 (fun () -> Spe_bignum.Montgomery.pow ctx ~base ~exp)
+  in
+  let short = words 64 and long = words 1024 in
+  if long -. short > 160. then
+    Alcotest.failf "pow allocated %.0f words for a 1024-bit exponent, %.0f for a 64-bit one"
+      long short
+
+let test_rsa_decrypt_alloc_bound () =
+  (* One RSA-256 CRT decryption: two in-place 128-bit exponentiations
+     plus the CRT reductions and Garner recombination on Nat: 413
+     words on OCaml 5.1.  A kernel that allocates per product takes
+     thousands. *)
+  let kp = Spe_crypto.Rsa.generate (State.create ~seed:61 ()) ~bits:256 in
+  let dec = Spe_crypto.Rsa.decryptor kp.Spe_crypto.Rsa.secret in
+  let c = Spe_crypto.Rsa.encrypt kp.Spe_crypto.Rsa.public (Nat.of_int 123_456_789) in
+  let words = minor_words_per_call ~iters:200 (fun () -> dec c) in
+  if words > 1000. then Alcotest.failf "one RSA-256 decryption allocated %.0f minor words" words
+
 let qcheck_frame_tests =
   let open QCheck in
   let payload_gen =
@@ -1173,6 +1212,10 @@ let () =
             test_frame_payload_length_matches_runtime;
           Alcotest.test_case "encode_into allocates nothing" `Quick
             test_frame_encode_into_zero_alloc;
+          Alcotest.test_case "montgomery pow allocation is flat in the exponent" `Quick
+            test_montgomery_pow_alloc_flat;
+          Alcotest.test_case "rsa-256 decryption allocation bound" `Quick
+            test_rsa_decrypt_alloc_bound;
         ] );
       ( "reactor",
         [
