@@ -291,8 +291,7 @@ let ablation_counter_engines () =
           { Cascade.num_actions = actions; seeds_per_action = 2; max_delay = 3 }
       in
       let ob = Spe_graph.Obfuscate.make s g ~c:c_factor in
-      let pairs = Array.make (Spe_graph.Obfuscate.size ob) (0, 0) in
-      Spe_graph.Obfuscate.iteri ob (fun i u v -> pairs.(i) <- (u, v));
+      let pairs = ob.Spe_graph.Obfuscate.pairs in
       let td = time (fun () -> Counters.compute log ~h:3 ~pairs) in
       let ts = time (fun () -> Counters.compute_sparse log ~h:3 ~pairs) in
       Printf.printf "%22s | %12.1f | %12.1f | %s\n" label td ts
@@ -558,6 +557,105 @@ let ablation_transport () =
     "\nThe payload bytes are engine-independent (the MS statistic); the real\n\
      transports add the framing derived in DESIGN.md - length prefixes, data\n\
      headers, round barriers and (for sockets) the connection handshakes.\n"
+
+(* Plan build: [Job.build] at perfbench's three workload sizes, on
+   inputs generated the way perfbench generates them (a G(n, m) graph,
+   cascades with one seed per action, actions split round-robin between
+   two providers), and the draw and framing kernels under it.  Each row
+   is the median and quartiles of the per-call time over nine timed
+   batches, plus minor words per call. *)
+let ablation_plan_build () =
+  section "Ablation - plan build: Job.build and its draw kernels";
+  let module Proto = Spe_serve.Serve_proto in
+  let module Job = Spe_serve.Job in
+  let module Obfuscate = Spe_graph.Obfuscate in
+  let module P2d = Spe_mpc.Protocol2_distributed in
+  let module Runtime = Spe_mpc.Runtime in
+  let module Frame = Spe_net.Frame in
+  let batches = 9 in
+  let row label f =
+    ignore (Sys.opaque_identity (f ()));
+    (* Enough calls for a batch of at least 20 ms. *)
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    let calls = max 1 (int_of_float (0.02 /. max 1e-7 (Unix.gettimeofday () -. t0))) in
+    let batch () =
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (f ()))
+      done
+    in
+    let per_call =
+      Array.init batches (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          batch ();
+          (Unix.gettimeofday () -. t0) /. float_of_int calls)
+    in
+    let w0 = Gc.minor_words () in
+    batch ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+    Array.sort compare per_call;
+    let ms i = 1000. *. per_call.(i) in
+    Printf.printf "%-34s | %8.3f | %8.3f | %8.3f | %12.0f\n" label (ms (batches / 4))
+      (ms (batches / 2)) (ms (batches - 1 - (batches / 4))) words
+  in
+  Printf.printf "%-34s | %8s | %8s | %8s | %12s\n" "row (ms per call)" "q1" "median" "q3"
+    "minor words";
+  let inputs (users, edges, actions, p) =
+    let s = State.create ~seed:113 () in
+    let graph = Generate.erdos_renyi_gnm s ~n:users ~m:edges in
+    let log =
+      Cascade.generate s
+        (Cascade.uniform_probabilities ~p graph)
+        { Cascade.num_actions = actions; seeds_per_action = 1; max_delay = 3 }
+    in
+    { Job.graph; logs = Partition.exclusive_by_action log ~owner:(fun a -> a mod 2) ~m:2 }
+  in
+  let base = { Proto.default_spec with Proto.shards = 2 } in
+  let links = { base with Proto.pipeline = Proto.Links; h = 2; c_factor = 2.; modulus_bits = 40 } in
+  let links_inputs = inputs (1000, 5000, 60, 0.25) in
+  List.iter
+    (fun (name, w, spec) ->
+      let job = ref 0 in
+      row ("Job.build " ^ name) (fun () ->
+          incr job;
+          Job.build { spec with Proto.seed = (113 * 1_048_576) + !job } w))
+    [
+      ("serve-links", links_inputs, links);
+      ( "serve-scores",
+        inputs (30, 120, 8, 0.25),
+        { base with Proto.pipeline = Proto.Scores; tau = 6; key_bits = 256; pack_slots = 1; modulus_bits = 20 } );
+      ( "serve-stream",
+        inputs (300, 1200, 200, 0.05),
+        {
+          links with
+          Proto.pipeline = Proto.Stream;
+          epoch_ticks = 100;
+          window = 3;
+          epochs = 8;
+          rate = 0.6;
+          burstiness = 0.3;
+          jitter = 2;
+        } );
+    ];
+  let graph = links_inputs.Job.graph in
+  let s = State.create ~seed:7 () in
+  row "Obfuscate.make n=1000 c=2" (fun () -> Obfuscate.make s graph ~c:2.);
+  let length = 11_000 in
+  let draw () = P2d.draw s ~m:2 ~modulus:(1 lsl 40) ~input_bound:60 ~length in
+  row "Protocol 2 draw, 11000 counters" draw;
+  let r = draw () in
+  row "two 5500-counter slices" (fun () ->
+      (P2d.slice r ~start:0 ~len:(length / 2), P2d.slice r ~start:(length / 2) ~len:(length / 2)));
+  let modulus = 3 * (1 lsl 40) in
+  let payload = Runtime.Ints { modulus; values = Array.init length (fun _ -> State.next_int s modulus) } in
+  row "payload_bits, 11000 residues" (fun () -> Runtime.payload_bits payload);
+  let frame =
+    Frame.Data { round = 2; seq = 0; src = Wire.Provider 0; dst = Wire.Host; payload }
+  in
+  row "Frame.encode, 11000 residues" (fun () -> Frame.encode frame);
+  Printf.printf
+    "\nEvery daemon pays Job.build for every job.  PERFORMANCE.md (\"Plan build\")\n\
+     has the before/after table and the traced serve-links layers.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bench trajectory: BENCH_protocols.json                              *)
@@ -1330,6 +1428,7 @@ let () =
   ablation_alternatives ();
   ablation_multi_host ();
   ablation_transport ();
+  ablation_plan_build ();
   ablation_chaos ();
   bench_rows ();
   ablation_discretization ();

@@ -99,8 +99,7 @@ let create st ~graph ~m ~num_actions ~group_seed config =
       invalid_arg "Delta.create: weight profile length must equal h");
   let ob = Obfuscate.make st graph ~c:config.Protocol4.c_factor in
   let q = Obfuscate.size ob in
-  let pairs = Array.make q (0, 0) in
-  Obfuscate.iteri ob (fun i u v -> pairs.(i) <- (u, v));
+  let pairs = ob.Obfuscate.pairs in
   let n = Digraph.n graph in
   let buckets = Array.make n [] in
   Array.iteri (fun k (i, _) -> buckets.(i) <- k :: buckets.(i)) pairs;

@@ -35,9 +35,7 @@ let publish_pairs st ~wire ~graph ~m ~c_factor =
       for k = 0 to m - 1 do
         Wire.send wire ~src:Wire.Host ~dst:(Wire.Provider k) ~bits:(q * 2 * node_bits)
       done);
-  let pairs = Array.make q (0, 0) in
-  Obfuscate.iteri ob (fun i u v -> pairs.(i) <- (u, v));
-  pairs
+  ob.Obfuscate.pairs
 
 let validate_inputs ~n ~q ~h inputs =
   let m = Array.length inputs in

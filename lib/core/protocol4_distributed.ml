@@ -53,8 +53,7 @@ let publish_pairs_phase st ~graph ~m ~c_factor =
   if m < 1 then invalid_arg "Protocol4_distributed.publish_pairs_phase: need a provider";
   let ob = Obfuscate.make st graph ~c:c_factor in
   let q = Obfuscate.size ob in
-  let pairs = Array.make q (0, 0) in
-  Obfuscate.iteri ob (fun i u v -> pairs.(i) <- (u, v));
+  let pairs = ob.Obfuscate.pairs in
   let node_modulus = max 2 (Digraph.n graph) in
   let session, received_of = publish_slice_session ~node_modulus ~pairs ~m ~lo:0 ~hi:q in
   (Session.map (fun () -> pairs) session, pairs, received_of)

@@ -40,9 +40,7 @@ let run st ~wire ~graphs ~logs config =
               Wire.send wire ~src:(host_party ~m j) ~dst:(Wire.Provider k)
                 ~bits:(qj * 2 * node_bits)
             done);
-        let pairs = Array.make qj (0, 0) in
-        Spe_graph.Obfuscate.iteri ob (fun i u v -> pairs.(i) <- (u, v));
-        pairs)
+        ob.Spe_graph.Obfuscate.pairs)
       graphs
   in
   (* Union of all published pairs, with each host's back-references. *)

@@ -44,8 +44,7 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
      session wire-for-wire, and any k merges to the same bits. *)
   let ob = Obfuscate.make st graph ~c:config.Protocol4.c_factor in
   let q = Obfuscate.size ob in
-  let pairs = Array.make q (0, 0) in
-  Obfuscate.iteri ob (fun i u v -> pairs.(i) <- (u, v));
+  let pairs = ob.Obfuscate.pairs in
   let node_modulus = max 2 n in
   let w = match config.Protocol4.estimator with Protocol4.Eq1 -> 1 | Protocol4.Eq2 _ -> h in
   let len = n + (q * w) in
@@ -138,9 +137,7 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
     List.iter
       (fun (core : Protocol2_distributed.core) ->
         let ym = core.y () in
-        let sorted = Array.copy core.positions in
-        Array.sort compare sorted;
-        Array.iteri (fun j p -> y.(p) <- ym.(j)) sorted)
+        Array.iteri (fun j p -> y.(p) <- ym.(j)) core.slots)
       cores;
     y
   in

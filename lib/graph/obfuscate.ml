@@ -2,26 +2,55 @@ module State = Spe_rng.State
 
 type t = { pairs : (int * int) array; n : int }
 
+(* Stable counting pass of [src] into [dst] by [digit k], in [0, n). *)
+let counting_pass ~n ~digit src dst =
+  let start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun k ->
+      let d = digit k + 1 in
+      start.(d) <- start.(d) + 1)
+    src;
+  for d = 1 to n do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  Array.iter
+    (fun k ->
+      let d = digit k in
+      dst.(start.(d)) <- k;
+      start.(d) <- start.(d) + 1)
+    src
+
 let make st g ~c =
   if c < 1. then invalid_arg "Obfuscate.make: c must be at least 1";
   let n = Digraph.n g in
   let total = if n <= 1 then 0 else n * (n - 1) in
   let e = Digraph.edge_count g in
   let target = min total (int_of_float (ceil (c *. float_of_int e))) in
+  (* A pair (u, v) is the key u * n + v; since v < n, key order is
+     (u, v) order.  The arcs are distinct and [target >= |E|] (c >= 1),
+     so [keys] holds them all. *)
+  let keys = Array.make target 0 in
   let chosen = Hashtbl.create (2 * target) in
-  let key (u, v) = (u * n) + v in
-  Digraph.iter_edges g (fun u v -> Hashtbl.replace chosen (key (u, v)) (u, v));
+  let q = ref 0 in
+  let add k =
+    Hashtbl.add chosen k ();
+    keys.(!q) <- k;
+    incr q
+  in
+  Digraph.iter_edges g (fun u v -> add ((u * n) + v));
   (* Pad with uniform random decoy pairs until the target size. *)
-  while Hashtbl.length chosen < target do
+  while !q < target do
     let k = State.next_int st total in
     let u = k / (n - 1) in
     let r = k mod (n - 1) in
     let v = if r < u then r else r + 1 in
-    if not (Hashtbl.mem chosen (key (u, v))) then Hashtbl.replace chosen (key (u, v)) (u, v)
+    if not (Hashtbl.mem chosen ((u * n) + v)) then add ((u * n) + v)
   done;
-  let pairs = Array.of_seq (Hashtbl.to_seq_values chosen) in
-  Array.sort Stdlib.compare pairs;
-  { pairs; n }
+  (* The published order in O(q + n): by v, then stably by u. *)
+  let by_v = Array.make target 0 and sorted = Array.make target 0 in
+  counting_pass ~n ~digit:(fun k -> k mod n) keys by_v;
+  counting_pass ~n ~digit:(fun k -> k / n) by_v sorted;
+  { pairs = Array.map (fun k -> (k / n, k mod n)) sorted; n }
 
 let size t = Array.length t.pairs
 

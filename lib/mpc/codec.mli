@@ -33,6 +33,11 @@ val encode_residue_into : modulus:int -> int -> bytes -> pos:int -> int
 (** Single-value form of {!encode_residues_into}: no array wrapper, no
     allocation (the [Tuples] frame path). *)
 
+val residues_length : modulus:int -> int array -> int
+(** [Bytes.length (encode_residues ~modulus values)], computed without
+    encoding.  Raises the encoder's [Invalid_argument] on a modulus
+    below 2 or an out-of-range entry. *)
+
 val decode_residues : modulus:int -> count:int -> bytes -> int array
 (** Inverse; raises [Invalid_argument] on a length mismatch. *)
 
@@ -51,6 +56,11 @@ val encode_nats : width_bits:int -> Spe_bignum.Nat.t array -> bytes
 
 val encode_nats_into : width_bits:int -> Spe_bignum.Nat.t array -> bytes -> pos:int -> int
 (** In-place variant of {!encode_nats}; returns the end position. *)
+
+val nats_length : width_bits:int -> Spe_bignum.Nat.t array -> int
+(** [Bytes.length (encode_nats ~width_bits values)], computed without
+    encoding.  Raises the encoder's [Invalid_argument] on a width below
+    1 or a value wider than [width_bits]. *)
 
 val decode_nats : width_bits:int -> count:int -> bytes -> Spe_bignum.Nat.t array
 

@@ -44,7 +44,12 @@ let draw st ~m ~modulus ~input_bound ~length =
   let perm = Perm.random st len in
   { modulus; input_bound; rpieces; masks; perm }
 
-type slice = { randomness : randomness; start : int; positions : int array }
+type slice = {
+  randomness : randomness;
+  start : int;
+  positions : int array;
+  slots : int array;
+}
 
 let slice r ~start ~len =
   let full = Array.length r.masks in
@@ -59,14 +64,24 @@ let slice r ~start ~len =
      the rank of its global slot within the slice, so concatenating the
      per-slice permuted batches in slot order reassembles the full
      permuted batch.  No extra draws: the induced order is a pure
-     function of the one shared permutation. *)
-  let positions = Array.init len (fun i -> Perm.apply r.perm (start + i)) in
-  let sorted = Array.copy positions in
-  Array.sort compare sorted;
-  let rank = Hashtbl.create (max 1 len) in
-  Array.iteri (fun j p -> Hashtbl.replace rank p j) sorted;
-  let perm = Perm.of_array (Array.map (Hashtbl.find rank) positions) in
-  { randomness = { r with rpieces; masks; perm }; start; positions }
+     function of the one shared permutation.  One walk over the global
+     slots, each marked with its local index, yields both the ranks and
+     the slice's slots in ascending order. *)
+  let positions = Array.sub (r.perm :> int array) start len in
+  let local = Array.make full (-1) in
+  Array.iteri (fun i p -> local.(p) <- i) positions;
+  let slots = Array.make len 0 and ranks = Array.make len 0 in
+  let j = ref 0 in
+  for p = 0 to full - 1 do
+    let i = local.(p) in
+    if i >= 0 then begin
+      slots.(!j) <- p;
+      ranks.(i) <- !j;
+      incr j
+    end
+  done;
+  let perm = Perm.of_array ranks in
+  { randomness = { r with rpieces; masks; perm }; start; positions; slots }
 
 (* ------------------------------------------------------------------ *)
 (* The verdict-less core: Protocol 1 aggregation plus the masked       *)
@@ -79,7 +94,7 @@ type core = {
   share1 : unit -> int array;
   share2 : unit -> int array;
   y : unit -> int array;
-  positions : int array;
+  slots : int array;
   apply_wraps : bool array -> unit;
   p2_leaks : unit -> Protocol2.leak array;
 }
@@ -244,7 +259,7 @@ let make_core ~parties ~third_party ~slice:sl ~inputs =
     share1 = (fun () -> !result1);
     share2 = (fun () -> !result2);
     y = (fun () -> !y_ref);
-    positions = sl.positions;
+    slots = sl.slots;
     apply_wraps;
     p2_leaks = (fun () -> !p2_leaks);
   }

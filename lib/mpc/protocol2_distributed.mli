@@ -82,13 +82,19 @@ type slice = {
       (** [positions.(i)] is counter [start + i]'s slot in the {e
           global} permuted batch — what {!core.apply_wraps} uses to read
           its verdicts out of the full-batch bitset. *)
+  slots : int array;
+      (** The slice's global slots in ascending order: [positions]
+          sorted, so entry [j] of the slice's permuted batch belongs to
+          global slot [slots.(j)]. *)
 }
 
 val slice : randomness -> start:int -> len:int -> slice
 (** Cut counters [start .. start + len - 1] out of a drawn batch.
     [slice r ~start:0 ~len] (the full slice) has the identity mapping:
     its induced permutation {e is} [r.perm].  The returned arrays are
-    fresh copies, so a core may mutate them freely.  Raises
+    fresh copies, so a core may mutate them freely.  The induced
+    permutation and [slots] come from one walk over the global slots,
+    without a sort: O(length of the batch) per slice.  Raises
     [Invalid_argument] on an out-of-range window. *)
 
 type core = {
@@ -104,7 +110,10 @@ type core = {
       (** The third party's assembled wrap-test vector, in the slice's
           induced permuted order; read at or after the core's finishing
           call. *)
-  positions : int array;  (** The slice's {!slice.positions}. *)
+  slots : int array;
+      (** The slice's {!slice.slots}: entry [j] of {!core.y} belongs to
+          global permuted slot [slots.(j)], so scattering [y] through
+          them rebuilds the slice's part of the full batch. *)
   apply_wraps : bool array -> unit;
       (** Apply the {e full-batch} verdict bitset (indexed by global
           permuted slot): classifies the Theorem 4.1 player-2 leaks from

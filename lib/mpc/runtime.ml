@@ -6,13 +6,14 @@ type payload =
   | Tuples of { moduli : int array; rows : int array array }
   | Batch of payload list
 
+(* Closed form over the payload's shape, the lengths Frame's encoder
+   states; the residue and width checks are the encoders' own, so a
+   payload the wire charges is one the transports can encode. *)
 let rec payload_bits = function
-  | Ints { modulus; values } ->
-    8 * Bytes.length (Codec.encode_residues ~modulus values)
-  | Floats values -> 8 * Bytes.length (Codec.encode_floats values)
-  | Bits flags -> 8 * Bytes.length (Codec.encode_bitset flags)
-  | Nats { width_bits; values } ->
-    8 * Bytes.length (Codec.encode_nats ~width_bits values)
+  | Ints { modulus; values } -> 8 * Codec.residues_length ~modulus values
+  | Floats values -> 64 * Array.length values
+  | Bits flags -> 8 * ((Array.length flags + 7) / 8)
+  | Nats { width_bits; values } -> 8 * Codec.nats_length ~width_bits values
   | Tuples { moduli; rows } ->
     let row_bytes =
       Array.fold_left (fun acc modulus -> acc + Codec.residue_bytes ~modulus) 0 moduli

@@ -34,7 +34,11 @@ type payload =
           (e.g. Protocol 6's action labels + ciphertext bundles). *)
 
 val payload_bits : payload -> int
-(** Exact encoded size, as charged on the wire. *)
+(** Exact encoded size, as charged on the wire, computed from the
+    payload's shape without encoding it.  Raises the {!Codec} encoders'
+    [Invalid_argument] where they would: a residue outside
+    [[0, modulus)], a modulus below 2, a [Nats] width below 1 or a value
+    wider than it. *)
 
 type message = { src : Wire.party; dst : Wire.party; payload : payload }
 

@@ -69,9 +69,7 @@ let plan st ~graph ~logs ~shards config =
     Array.iter
       (fun (core : Protocol2_distributed.core) ->
         let ym = core.y () in
-        let sorted = Array.copy core.positions in
-        Array.sort compare sorted;
-        Array.iteri (fun j p -> y.(p) <- ym.(j)) sorted)
+        Array.iteri (fun j p -> y.(p) <- ym.(j)) core.slots)
       cores;
     y
   in

@@ -6,7 +6,12 @@
     deterministically.  Cryptographic key material is produced by
     [Spe_crypto], which stretches entropy from a generator of this type
     only in tests and examples (see the DESIGN.md substitution table:
-    the semi-honest model lets the simulated parties share seeds). *)
+    the semi-honest model lets the simulated parties share seeds).
+
+    The state is four unboxed words, so a draw allocates nothing beyond
+    a boxed result: [next_int], [next_bits] and [next_bool] allocate
+    nothing, [next_int64] and [next_float] only the [int64] or [float]
+    they return. *)
 
 type t
 (** Mutable generator state. *)
@@ -29,7 +34,8 @@ val next_int64 : t -> int64
 
 val next_int : t -> int -> int
 (** [next_int t bound] is uniform on [[0, bound)]. [bound] must be
-    positive.  Unbiased (rejection sampling). *)
+    positive.  Unbiased (rejection sampling over the top 62 bits of a
+    draw), for every bound up to [max_int]. *)
 
 val next_float : t -> float
 (** Uniform on [[0, 1)] with 53 bits of precision. *)

@@ -291,9 +291,59 @@ let test_obfuscate_index_of () =
 
 (* --- QCheck properties -------------------------------------------------- *)
 
+(* The original obfuscation algorithm, kept as the oracle for the
+   counting-sorted one: a Hashtbl of (u, v) tuples, sorted with
+   polymorphic compare.  It draws the decoys exactly as [make] does. *)
+let obfuscation_oracle st g ~c =
+  let n = Digraph.n g in
+  let total = if n <= 1 then 0 else n * (n - 1) in
+  let e = Digraph.edge_count g in
+  let target = min total (int_of_float (ceil (c *. float_of_int e))) in
+  let chosen = Hashtbl.create (2 * target) in
+  let key (u, v) = (u * n) + v in
+  Digraph.iter_edges g (fun u v -> Hashtbl.replace chosen (key (u, v)) (u, v));
+  while Hashtbl.length chosen < target do
+    let k = State.next_int st total in
+    let u = k / (n - 1) in
+    let r = k mod (n - 1) in
+    let v = if r < u then r else r + 1 in
+    if not (Hashtbl.mem chosen (key (u, v))) then Hashtbl.replace chosen (key (u, v)) (u, v)
+  done;
+  let pairs = Array.of_seq (Hashtbl.to_seq_values chosen) in
+  Array.sort Stdlib.compare pairs;
+  pairs
+
 let qcheck_tests =
   let open QCheck in
   [
+    (* Random graphs on 0..60 nodes (n <= 2 every fifth case), c from 1
+       up to and past the perfect-hiding limit n(n-1)/|E|: same pairs
+       in the same order, and the same number of draws consumed. *)
+    Test.make ~name:"obfuscation equals the sorted-tuple oracle" ~count:300
+      (triple small_nat (int_range 0 60) (int_range 0 4))
+      (fun (seed, n, dial) ->
+        let s = State.create ~seed () in
+        let n = if dial = 4 then n mod 3 else n in
+        let arcs =
+          if n < 2 then []
+          else
+            List.init (State.next_int s (n * (n - 1) / 2 + 1)) (fun _ ->
+                (State.next_int s n, State.next_int s n))
+            |> List.filter (fun (u, v) -> u <> v)
+        in
+        let g = Digraph.create ~n arcs in
+        let limit = float_of_int (max 1 (n * (n - 1))) /. float_of_int (max 1 (Digraph.edge_count g)) in
+        let c =
+          match dial with
+          | 0 -> 1.
+          | 1 -> 1.5
+          | 2 -> 3.
+          | _ -> limit +. float_of_int (seed mod 3)
+        in
+        let a = State.create ~seed:(seed + 1) () and b = State.create ~seed:(seed + 1) () in
+        let ob = Obfuscate.make a g ~c in
+        ob.Obfuscate.pairs = obfuscation_oracle b g ~c
+        && Int64.equal (State.next_int64 a) (State.next_int64 b));
     Test.make ~name:"gnm always produces requested count" ~count:100
       (pair small_nat small_nat)
       (fun (seed, raw) ->

@@ -7,6 +7,7 @@
 module State = Spe_rng.State
 module Wire = Spe_mpc.Wire
 module Runtime = Spe_mpc.Runtime
+module Codec = Spe_mpc.Codec
 module Session = Spe_mpc.Session
 module Protocol1 = Spe_mpc.Protocol1
 module Protocol2 = Spe_mpc.Protocol2
@@ -103,12 +104,30 @@ let test_frame_rejects_garbage () =
 let test_frame_payload_length_matches_runtime () =
   let payloads =
     [ Runtime.Ints { modulus = 1 lsl 20; values = [| 1; 2; 3 |] };
+      Runtime.Ints { modulus = 3 * (1 lsl 40); values = [| 0; (3 * (1 lsl 40)) - 1 |] };
+      Runtime.Ints { modulus = 2; values = [||] };
       Runtime.Floats [| 1.; 2. |]; Runtime.Bits (Array.make 11 true);
       Runtime.Nats { width_bits = 48; values = [| Nat.of_int 5; Nat.of_int 1000000 |] };
       Runtime.Tuples { moduli = [| 30; 12; 64 |]; rows = [| [| 29; 0; 63 |]; [| 1; 11; 7 |] |] };
       Runtime.Batch
         [ Runtime.Floats [| 0.5 |];
           Runtime.Nats { width_bits = 8; values = [| Nat.of_int 255 |] } ] ]
+  in
+  (* What the codec's encoders actually write for the payload. *)
+  let rec codec_bytes = function
+    | Runtime.Ints { modulus; values } -> Bytes.length (Codec.encode_residues ~modulus values)
+    | Runtime.Floats values -> Bytes.length (Codec.encode_floats values)
+    | Runtime.Bits flags -> Bytes.length (Codec.encode_bitset flags)
+    | Runtime.Nats { width_bits; values } -> Bytes.length (Codec.encode_nats ~width_bits values)
+    | Runtime.Tuples { moduli; rows } ->
+      Array.fold_left
+        (fun acc row ->
+          Array.fold_left ( + ) acc
+            (Array.mapi
+               (fun j v -> Bytes.length (Codec.encode_residues ~modulus:moduli.(j) [| v |]))
+               row))
+        0 rows
+    | Runtime.Batch parts -> List.fold_left (fun acc p -> acc + codec_bytes p) 0 parts
   in
   List.iter
     (fun payload ->
@@ -118,9 +137,23 @@ let test_frame_payload_length_matches_runtime () =
       Alcotest.(check int) "payload bytes as charged on the simulated wire"
         (Runtime.payload_bits payload / 8)
         (Frame.payload_length frame);
+      Alcotest.(check int) "charged bytes = the codec's encoded bytes" (codec_bytes payload)
+        (Runtime.payload_bits payload / 8);
       Alcotest.(check bool) "framing overhead is positive" true
         (Frame.framed_length frame > Frame.payload_length frame))
-    payloads
+    payloads;
+  (* The closed form keeps the encoders' checks: on the simulated wire
+     it is the only place they run. *)
+  List.iter
+    (fun (msg, payload) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Runtime.payload_bits payload)))
+    [ ("Codec.encode_residues: value out of range", Runtime.Ints { modulus = 10; values = [| 3; 10 |] });
+      ("Codec.encode_residues: value out of range", Runtime.Ints { modulus = 10; values = [| -1 |] });
+      ("Wire.bits_for_int_mod: modulus must exceed 1", Runtime.Ints { modulus = 1; values = [||] });
+      ("Codec.encode_nats: value exceeds width",
+       Runtime.Batch [ Runtime.Nats { width_bits = 8; values = [| Nat.of_int 256 |] } ]);
+      ("Codec.encode_nats: width must be positive", Runtime.Nats { width_bits = 0; values = [||] }) ]
 
 let test_frame_encode_into_zero_alloc () =
   (* The transport hot path: encoding an integer-payload frame into a

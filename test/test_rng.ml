@@ -91,6 +91,57 @@ let test_next_bool_balance () =
   let frac = float_of_int !trues /. float_of_int n in
   Alcotest.(check bool) "balanced coin" true (abs_float (frac -. 0.5) < 0.01)
 
+(* Bounds of 2^61 and more leave no room for a multiple of the bound
+   below 2^62 but the bound itself: at 3 * 2^60, a third of the draws
+   must fall below 2^60 (without rejection, half of them would). *)
+let test_next_int_wide_bound_share () =
+  let a = st () in
+  let n = 100_000 in
+  let bound = 3 * (1 lsl 60) in
+  let low = ref 0 in
+  for _ = 1 to n do
+    let v = State.next_int a bound in
+    if v < 0 || v >= bound then Alcotest.fail "next_int out of bounds";
+    if v < 1 lsl 60 then incr low
+  done;
+  let share = float_of_int !low /. float_of_int n in
+  Alcotest.(check bool) (Printf.sprintf "share below 2^60 (%.3f) is 1/3" share) true
+    (abs_float (share -. (1. /. 3.)) < 0.01);
+  let b = st () in
+  for _ = 1 to 1000 do
+    let v = State.next_int b max_int in
+    if v < 0 || v >= max_int then Alcotest.fail "next_int max_int out of bounds"
+  done
+
+(* Minor words per draw over 10,000 draws, after a warm-up call. *)
+let words_per_draw draw =
+  let a = st () in
+  draw a;
+  let draws = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    draw a
+  done;
+  (Gc.minor_words () -. before) /. float_of_int draws
+
+let test_draws_allocate_nothing () =
+  List.iter
+    (fun (name, limit, draw) ->
+      let words = words_per_draw draw in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.2f minor words per draw" name words) true
+        (words <= limit))
+    [
+      ("next_int 7", 0.01, fun a -> ignore (Sys.opaque_identity (State.next_int a 7)));
+      ("next_int 2^61", 0.01, fun a -> ignore (Sys.opaque_identity (State.next_int a (1 lsl 61))));
+      ( "next_int 3 * 2^60",
+        0.01,
+        fun a -> ignore (Sys.opaque_identity (State.next_int a (3 * (1 lsl 60)))) );
+      ("next_bits 40", 0.01, fun a -> ignore (Sys.opaque_identity (State.next_bits a 40)));
+      ("next_bool", 0.01, fun a -> ignore (Sys.opaque_identity (State.next_bool a)));
+      ("next_float", 3., fun a -> ignore (Sys.opaque_identity (State.next_float a)));
+      ("next_int64", 3., fun a -> ignore (Sys.opaque_identity (State.next_int64 a)));
+    ]
+
 (* --- Dist ------------------------------------------------------------- *)
 
 let test_heavy_tail_support () =
@@ -292,6 +343,8 @@ let () =
           Alcotest.test_case "next_float mean" `Quick test_next_float_mean;
           Alcotest.test_case "next_bits widths" `Quick test_next_bits;
           Alcotest.test_case "next_bool balance" `Quick test_next_bool_balance;
+          Alcotest.test_case "next_int wide bound share" `Quick test_next_int_wide_bound_share;
+          Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
         ] );
       ( "dist",
         [
