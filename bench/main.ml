@@ -661,10 +661,10 @@ let ablation_plan_build () =
 (* Bench trajectory: BENCH_protocols.json                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One spe-metrics/2 report per (pipeline, engine) — the full composed
-   pipelines from Driver_distributed, each run with a recording trace
-   and aggregated by Spe_obs.Metrics exactly like `spe ... --metrics
-   json` does.  The rows land in BENCH_protocols.json (schema
+(* One spe-metrics/2 report per (pipeline, engine) — the full pipelines
+   from Shard at k = 1, lowered to one session, each run with a
+   recording trace and aggregated by Spe_obs.Metrics exactly like `spe
+   ... --metrics json` does.  The rows land in BENCH_protocols.json (schema
    spe-bench/1; field docs in OBSERVABILITY.md) for the plotting
    scripts, and the trace accounting is asserted against Net_wire /
    the simulated wire on every row. *)
@@ -675,33 +675,30 @@ let pipeline_reports () =
   let module Session = Spe_mpc.Session in
   let module Endpoint = Spe_net.Endpoint in
   let module Net_wire = Spe_net.Net_wire in
-  let module Driver_distributed = Spe_core.Driver_distributed in
+  let module Plan = Spe_core.Plan in
+  let module Shard = Spe_core.Shard in
   let s, g, log = workload ~seed:57 ~n:30 ~edges:90 ~actions:12 in
   let logs = Partition.exclusive s log ~m:3 in
   let p4_config = Protocol4.default_config ~h:2 in
   let p6_config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
+  let session plan = Session.map ignore (Plan.to_session plan) in
+  let scores config st =
+    session
+      (Shard.user_scores_exclusive st ~graph:g ~logs ~tau:6 ~modulus:(1 lsl 20) ~shards:1
+         config)
+  in
   let pipelines =
     [
       ("links", fun st ->
-          Session.map ignore (Driver_distributed.links_exclusive st ~graph:g ~logs p4_config));
-      ("scores", fun st ->
-          Session.map ignore
-            (Driver_distributed.user_scores_exclusive st ~graph:g ~logs ~tau:6
-               ~modulus:(1 lsl 20) p6_config));
+          session (Shard.links_exclusive st ~graph:g ~logs ~shards:1 p4_config));
+      ("scores", scores p6_config);
       (* Tentpole ablations: the same scores pipeline with the crypto
          accelerations disabled (plain decrypt exponent, no fixed-base
          windows, per-call Montgomery contexts) and with plaintext
          packing at full width.  Before/after rows for PERFORMANCE.md. *)
-      ("scores-noaccel", fun st ->
-          Session.map ignore
-            (Driver_distributed.user_scores_exclusive st ~graph:g ~logs ~tau:6
-               ~modulus:(1 lsl 20)
-               { p6_config with Protocol6.accel = false }));
-      ("scores-packed", fun st ->
-          Session.map ignore
-            (Driver_distributed.user_scores_exclusive st ~graph:g ~logs ~tau:6
-               ~modulus:(1 lsl 20)
-               { p6_config with Protocol6.pack_slots = Spe_mpc.Pack.max_packed_bits }));
+      ("scores-noaccel", scores { p6_config with Protocol6.accel = false });
+      ( "scores-packed",
+        scores { p6_config with Protocol6.pack_slots = Spe_mpc.Pack.max_packed_bits } );
     ]
   in
   let run_endpoint trace session runner =
@@ -777,6 +774,20 @@ let execute_traced ~protocol ~workers engine plan =
   in
   (r, reports, payload)
 
+(* The sim engine's twin of [execute_traced]: the plan lowered to one
+   session under a recording trace; returns the result, the session's
+   spe-metrics report and the wire's payload bytes. *)
+let sim_traced ~protocol ?(engine = "sim") plan =
+  let module Plan = Spe_core.Plan in
+  let session = Plan.to_session plan in
+  let trace = Spe_obs.Trace.create () in
+  let w = Wire.create () in
+  let r = Spe_mpc.Session.run ~trace session ~wire:w in
+  ( r,
+    Spe_obs.Metrics.of_trace ~protocol ~engine
+      ~parties:(Array.length session.Spe_mpc.Session.parties) trace,
+    (Wire.stats w).Wire.bits / 8 )
+
 (* Sharding ablation: the links pipeline cut into k shards on every
    engine (DESIGN.md, "Sharded execution"), j = 4 concurrent sessions
    on the real transports, where j bounds sessions in flight on the
@@ -786,8 +797,6 @@ let execute_traced ~protocol ~workers engine plan =
    row's shards table), so the transport rows price the reactor's
    per-shard cost directly. *)
 let sharding_reports () =
-  let module Session = Spe_mpc.Session in
-  let module Plan = Spe_core.Plan in
   let module Shard = Spe_core.Shard in
   let module Metrics = Spe_obs.Metrics in
   let s, g, log = workload ~seed:67 ~n:120 ~edges:480 ~actions:16 in
@@ -811,14 +820,9 @@ let sharding_reports () =
           let report =
             match engine with
             | `Sim ->
-              let session = Plan.to_session plan in
-              let trace = Spe_obs.Trace.create () in
-              let w = Wire.create () in
-              let _ = Spe_mpc.Session.run ~trace session ~wire:w in
-              let stats = Wire.stats w in
-              check_payload (stats.Wire.bits / 8);
-              Metrics.of_trace ~protocol ~engine:"sim"
-                ~parties:(Array.length session.Session.parties) trace
+              let _, report, payload = sim_traced ~protocol plan in
+              check_payload payload;
+              report
             | (`Memory | `Socket) as engine ->
               let _, reports, payload = execute_traced ~protocol ~workers:4 engine plan in
               check_payload payload;
@@ -834,8 +838,6 @@ let sharding_reports () =
    the assert below is the bit-identity acceptance check; the rows land
    in BENCH_protocols.json beside the links/scores/stream families. *)
 let rank_reports () =
-  let module Session = Spe_mpc.Session in
-  let module Plan = Spe_core.Plan in
   let module Metrics = Spe_obs.Metrics in
   let module Oracle = Spe_rank.Oracle in
   let module Protocol_rank = Spe_rank.Protocol_rank in
@@ -865,15 +867,9 @@ let rank_reports () =
       let report, result =
         match engine with
         | `Sim ->
-          let session = Plan.to_session plan in
-          let trace = Spe_obs.Trace.create () in
-          let w = Wire.create () in
-          let r = Session.run ~trace session ~wire:w in
-          let stats = Wire.stats w in
-          check_payload (stats.Wire.bits / 8);
-          ( Metrics.of_trace ~protocol:"rank" ~engine:"sim"
-              ~parties:(Array.length session.Session.parties) trace,
-            r )
+          let r, report, payload = sim_traced ~protocol:"rank" plan in
+          check_payload payload;
+          (report, r)
         | (`Memory | `Socket) as engine ->
           let r, reports, payload = execute_traced ~protocol:"rank" ~workers:4 engine plan in
           check_payload payload;
@@ -1018,23 +1014,33 @@ let serve_reports () =
          outcomes)
   in
   assert (completed = jobs);
-  let hellos =
-    Array.fold_left
-      (fun acc d ->
-        acc
-        + match List.assoc_opt "hellos_received" (Daemon.gauges d) with
-          | Some v -> v
-          | None -> 0)
-      0 daemons
-  in
+  (* A provider records a seat's report when the seat finishes, which
+     can trail H's reply; read the reports only once every daemon has
+     run all its seats of every job. *)
+  let planned = Job.build spec { Job.graph; logs } in
+  let gauge d name = Option.value ~default:0 (List.assoc_opt name (Daemon.gauges d)) in
+  let settle = Unix.gettimeofday () +. 10. in
+  Array.iteri
+    (fun party d ->
+      let seats, _ = Job.seats ~job:0 ~party planned in
+      let expected = jobs * List.length (List.concat seats) in
+      while gauge d "sessions_run" < expected && Unix.gettimeofday () < settle do
+        Thread.delay 0.001
+      done;
+      assert (gauge d "sessions_run" = expected))
+    daemons;
+  let hellos = Array.fold_left (fun acc d -> acc + gauge d "hellos_received") 0 daemons in
   let reports = Array.to_list daemons |> List.filter_map Daemon.report in
   Client.close client;
   ignore (Client.shutdown_roster ~timeout:15. roster);
-  Array.iter Daemon.wait daemons;
+  Array.iter (fun d -> Daemon.wait ~timeout:30. d) daemons;
   assert (reports <> []);
   let daemon_row =
     { (Metrics.merge reports) with Metrics.protocol; engine = "daemon"; wall_s = daemon_wall }
   in
+  (* Every job moves the same payload, so the deployment's cumulative
+     bytes equal the per-job respawn total. *)
+  assert (daemon_row.Metrics.payload_bytes = respawn.Metrics.payload_bytes);
   Printf.printf
     "serve ablation (%d links jobs, m = %d): per-job spawn %.2f s (%.0f ms/job),\n\
      persistent daemons %.2f s (%.0f ms/job, %.1fx); %d mesh hellos total for the\n\
@@ -1049,117 +1055,82 @@ let serve_reports () =
 
 (* Streaming ablation: the epoch-delta pipeline vs a full recompute of
    every counter group each epoch, on all three engines.  Both modes
-   ingest the identical seeded arrival streams (Spe_actionlog.Source)
-   through windowed accumulators, so the released digests must agree
-   bit-for-bit — asserted per engine — while the delta rows pay only
-   for the dirty groups.  Each row's wall_s is the end-to-end
-   streaming wall clock (ingestion + epoch sessions); a synthetic
-   "stream-ingest" phase row carries the epoch and record counts, so
-   sustained updates/s = phases["stream-ingest"].messages / wall_s is
-   recoverable from BENCH_protocols.json alone. *)
+   come from Job's one stream ingestion (seeded Spe_actionlog.Source
+   arrivals through windowed accumulators) over the same spec, so the
+   released digests must agree bit-for-bit — asserted per engine —
+   while the delta rows pay only for the dirty groups.  Each row's
+   wall_s is the end-to-end streaming wall clock (ingestion + epoch
+   sessions); a synthetic "stream-ingest" phase row carries the epoch
+   and record counts, so sustained updates/s =
+   phases["stream-ingest"].messages / wall_s is recoverable from
+   BENCH_protocols.json alone. *)
 let stream_reports () =
-  let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
   let module Plan = Spe_core.Plan in
   let module Delta = Spe_core.Delta in
   let module Metrics = Spe_obs.Metrics in
-  let module Source = Spe_actionlog.Source in
-  let module Stream = Spe_influence.Stream in
+  let module Proto = Spe_serve.Serve_proto in
+  let module Job = Spe_serve.Job in
   let seed = 91 in
-  let epochs = 6 and epoch_ticks = 25 and window = 8 and h = 2 in
-  let rate = 0.6 and burstiness = 0.3 and jitter = 2 in
   let s, g, log = workload ~seed ~n:40 ~edges:120 ~actions:10 in
-  let logs = Partition.exclusive s log ~m:3 in
-  let m = Array.length logs in
-  let num_actions = Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs in
-  let config =
-    { Protocol4.c_factor = 2.; modulus = 1 lsl 40; h; estimator = Protocol4.Eq1 }
+  let wl = { Job.graph = g; logs = Partition.exclusive s log ~m:3 } in
+  let spec =
+    {
+      Proto.default_spec with
+      Proto.pipeline = Proto.Stream;
+      seed;
+      epochs = 6;
+      epoch_ticks = 25;
+      window = 8;
+      h = 2;
+      rate = 0.6;
+      burstiness = 0.3;
+      jitter = 2;
+      c_factor = 2.;
+      modulus_bits = 40;
+    }
   in
-  let instance () =
-    let d =
-      Delta.create
-        (State.create ~seed ())
-        ~graph:g ~m ~num_actions ~group_seed:(seed lxor 0x5bd1e995) config
-    in
-    let pairs = Delta.pairs d in
-    let sources =
-      Array.mapi
-        (fun k l ->
-          Source.create (State.create ~seed:(seed + 101 + k) ()) l ~rate ~burstiness ~jitter ())
-        logs
-    in
-    let streams =
-      Array.map
-        (fun _ ->
-          Stream.create ~window ~num_users:(Digraph.n g) ~num_actions ~h ~pairs ())
-        logs
-    in
-    (d, sources, streams)
-  in
-  let union_sorted lists = List.sort_uniq compare (List.concat lists) in
-  let epoch_input ~epoch ~horizon (sources, streams) =
-    let arrivals = ref 0 in
-    Array.iteri
-      (fun k src ->
-        List.iter
-          (fun (r : Log.record) ->
-            incr arrivals;
-            let acc = streams.(k) in
-            Stream.advance acc ~now:(max (Stream.now acc) r.Log.time);
-            Stream.add acc r)
-          (Source.take_until src ~arrival:horizon))
-      sources;
-    let dirty_users = union_sorted (Array.to_list (Array.map Stream.dirty_users streams)) in
-    let dirty_pairs = union_sorted (Array.to_list (Array.map Stream.dirty_pairs streams)) in
-    let inputs =
-      Array.map
-        (fun acc ->
-          let c = Stream.snapshot acc in
-          { Protocol4.a = c.Counters.a; c = c.Counters.c })
-        streams
-    in
-    Array.iter Stream.clear_dirty streams;
-    (!arrivals, { Delta.epoch; dirty_users; dirty_pairs; inputs })
-  in
-  let run_epoch_plan engine (plan : Delta.release Plan.t) =
+  let epochs = spec.Proto.epochs in
+  (* On sim each epoch's stages are lowered to one session of their
+     own; the transport engines run the whole plan, one report per
+     session. *)
+  let run_stages engine stages =
     match engine with
     | `Sim ->
-      let session = Plan.to_session plan in
-      let trace = Spe_obs.Trace.create () in
-      let release = Session.run ~trace session ~wire:(Wire.create ()) in
-      ( release,
-        [
-          Metrics.of_trace ~protocol:"stream" ~engine:"-"
-            ~parties:(Array.length session.Session.parties) trace;
-        ] )
+      List.init epochs (fun e ->
+          let (), report, _ =
+            sim_traced ~protocol:"stream" ~engine:"-"
+              (Plan.make ~shards:1
+                 ~stages:(List.filter (fun (st : Plan.stage) -> st.Plan.epoch = Some e) stages)
+                 ~result:ignore)
+          in
+          report)
     | (`Memory | `Socket) as engine ->
-      let release, reports, _ = execute_traced ~protocol:"stream" ~workers:2 engine plan in
-      (release, reports)
+      let (), reports, _ =
+        execute_traced ~protocol:"stream" ~workers:2 engine
+          (Plan.make ~shards:1 ~stages ~result:ignore)
+      in
+      reports
   in
   let run_mode mode engine_name engine =
-    let d, srcs, accs = instance () in
-    let reports = ref [] in
-    let records = ref 0 in
-    let digests = Array.make epochs 0 in
     let t0 = Unix.gettimeofday () in
-    for e = 0 to epochs - 1 do
-      let horizon = (e + 1) * epoch_ticks in
-      let arrivals, input = epoch_input ~epoch:e ~horizon (srcs, accs) in
-      records := !records + arrivals;
-      let release, rs = run_epoch_plan engine (Delta.epoch_plan d ~mode input) in
-      digests.(e) <- release.Delta.digest;
-      reports := List.rev_append rs !reports
-    done;
+    let planned, arrivals = Job.build_stream ~mode spec wl in
+    let reports = run_stages engine (Job.stages planned) in
+    let digests =
+      match Job.reply_of planned with
+      | Proto.Stream_summary { digests; _ } -> digests
+      | _ -> assert false
+    in
     let wall = Unix.gettimeofday () -. t0 in
+    let records = Array.fold_left ( + ) 0 arrivals in
     let protocol =
       match mode with Delta.Delta -> "stream-delta" | Delta.Full -> "stream-full"
     in
-    let merged = Metrics.merge (List.rev !reports) in
+    let merged = Metrics.merge reports in
     let ingest =
       {
         Metrics.phase = "stream-ingest";
         rounds = epochs;
-        messages = !records;
+        messages = records;
         payload_bytes = 0;
         wall_s = wall;
       }
@@ -1173,7 +1144,7 @@ let stream_reports () =
         phases = merged.Metrics.phases @ [ ingest ];
       }
     in
-    (row, digests, !records, wall)
+    (row, digests, records, wall)
   in
   List.concat_map
     (fun (engine_name, engine) ->

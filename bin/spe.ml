@@ -29,6 +29,7 @@ module Serve_addr = Spe_serve.Addr
 module Serve_client = Spe_serve.Client
 module Serve_proto = Spe_serve.Serve_proto
 module Serve_daemon = Spe_serve.Daemon
+module Job = Spe_serve.Job
 
 open Cmdliner
 
@@ -108,58 +109,56 @@ let jobs_arg =
    nonzero exit: address parse errors are usage errors, connection and
    job failures are runtime errors — never a raw [Unix_error]. *)
 let run_connect ~addr_spec ~jobs spec ~print =
-  if jobs < 1 then `Error (true, "--jobs must be at least 1")
-  else
-    match Serve_addr.parse addr_spec with
-    | Error msg -> `Error (true, "--connect " ^ msg)
-    | Ok addr -> (
-      match Serve_client.connect ~retry_for:5. addr with
-      | exception Serve_client.Connection_lost msg -> `Error (false, msg)
-      | client -> (
-        let outcomes =
-          try
-            Ok
-              (Serve_client.run_jobs client
-                 (List.init jobs (fun _ -> spec))
-                 ~deadline:(Unix.gettimeofday () +. 600.))
-          with Serve_client.Connection_lost msg -> Error msg
+  match Serve_addr.parse addr_spec with
+  | Error msg -> `Error (true, "--connect " ^ msg)
+  | Ok addr -> (
+    match Serve_client.connect ~retry_for:5. addr with
+    | exception Serve_client.Connection_lost msg -> `Error (false, msg)
+    | client -> (
+      let outcomes =
+        try
+          Ok
+            (Serve_client.run_jobs client
+               (List.init jobs (fun _ -> spec))
+               ~deadline:(Unix.gettimeofday () +. 600.))
+        with Serve_client.Connection_lost msg -> Error msg
+      in
+      Serve_client.close client;
+      match outcomes with
+      | Error msg -> `Error (false, msg)
+      | Ok outcomes -> (
+        let ok, busy, failed =
+          List.fold_left
+            (fun (ok, busy, failed) outcome ->
+              match outcome with
+              | Serve_client.Busy { queued; max_queue } ->
+                ( ok,
+                  Printf.sprintf "busy: %d jobs queued of %d" queued max_queue :: busy,
+                  failed )
+              | Serve_client.Result (Serve_proto.Failed { kind; detail }) ->
+                ( ok,
+                  busy,
+                  Printf.sprintf "%s: %s" (Serve_proto.failure_kind_name kind) detail
+                  :: failed )
+              | Serve_client.Result reply -> (reply :: ok, busy, failed))
+            ([], [], []) outcomes
         in
-        Serve_client.close client;
-        match outcomes with
-        | Error msg -> `Error (false, msg)
-        | Ok outcomes -> (
-          let ok, busy, failed =
-            List.fold_left
-              (fun (ok, busy, failed) outcome ->
-                match outcome with
-                | Serve_client.Busy { queued; max_queue } ->
-                  ( ok,
-                    Printf.sprintf "busy: %d jobs queued of %d" queued max_queue :: busy,
-                    failed )
-                | Serve_client.Result (Serve_proto.Failed { kind; detail }) ->
-                  ( ok,
-                    busy,
-                    Printf.sprintf "%s: %s" (Serve_proto.failure_kind_name kind) detail
-                    :: failed )
-                | Serve_client.Result reply -> (reply :: ok, busy, failed))
-              ([], [], []) outcomes
-          in
-          match (ok, busy, failed) with
-          | first :: rest, [], [] ->
-            if List.for_all (fun r -> r = first) rest then begin
-              print first;
-              if jobs > 1 then
-                Printf.printf "%d jobs over one daemon connection, all replies identical\n"
-                  jobs;
-              `Ok ()
-            end
-            else `Error (false, "daemon replies disagree across identical jobs")
-          | _ ->
-            let detail = List.sort_uniq compare (busy @ failed) in
-            `Error
-              ( false,
-                Printf.sprintf "%d of %d jobs did not complete: %s" (List.length busy + List.length failed)
-                  jobs (String.concat "; " detail) ))))
+        match (ok, busy, failed) with
+        | first :: rest, [], [] ->
+          if List.for_all (fun r -> r = first) rest then begin
+            print first;
+            if jobs > 1 then
+              Printf.printf "%d jobs over one daemon connection, all replies identical\n"
+                jobs;
+            `Ok ()
+          end
+          else `Error (false, "daemon replies disagree across identical jobs")
+        | _ ->
+          let detail = List.sort_uniq compare (busy @ failed) in
+          `Error
+            ( false,
+              Printf.sprintf "%d of %d jobs did not complete: %s" (List.length busy + List.length failed)
+                jobs (String.concat "; " detail) ))))
 
 (* --- differential-privacy release flags (links, scores, rank) --------- *)
 
@@ -263,8 +262,8 @@ let wire_summary (w : Wire.stats) =
     (float_of_int w.Wire.bits /. 8192.)
 
 (* Engine selection for the full pipelines: the central reference
-   implementation, or the composed Session on any of the three
-   engines.  All four produce identical results from the same seed. *)
+   implementation, or the Shard plan on any of the three engines.  All
+   four produce identical results from the same seed. *)
 let pipeline_transport_arg =
   Arg.(
     value
@@ -274,48 +273,16 @@ let pipeline_transport_arg =
     & info [ "transport" ] ~docv:"ENGINE"
         ~doc:
           "How to execute the protocol pipeline: the central reference implementation \
-           (central), the composed party programs on the in-process engine (sim), or \
-           each party as a networked endpoint over in-memory channels (memory) or \
-           Unix-domain sockets (socket).  The results and the NR/NM statistics are \
+           (central), the party programs on the in-process engine (sim), or each party \
+           as a networked endpoint over in-memory channels (memory) or Unix-domain \
+           sockets (socket).  The results and the NR/NM statistics are \
            engine-independent; the real transports also report measured framed bytes.")
-
-(* Run a composed pipeline session on the chosen non-central engine;
-   returns the result plus the wire rebuilt from the message log, and
-   the Net_wire accounting (transport bytes + totals) for the real
-   backends. *)
-let run_pipeline_session ~trace transport session =
-  let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
-  match transport with
-  | `Sim ->
-    let w = Wire.create () in
-    let r = Session.run ~trace session ~wire:w in
-    (r, w, None)
-  | `Memory | `Socket ->
-    (* The default 2 s round timeout is tuned for loss detection; a
-       full pipeline has long compute rounds (e.g. decrypting every
-       Protocol 6 bundle under a 1024-bit key), during which a busy
-       party looks exactly like a dead one.  Local transports are
-       reliable, so wait out the compute instead of Nacking it. *)
-    let config =
-      { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-    in
-    let r, (res : Endpoint.result) =
-      match transport with
-      | `Memory -> Endpoint.run_session_memory ~config ~trace session
-      | _ -> Endpoint.run_session_socket ~config ~trace session
-    in
-    let logs =
-      Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
-    in
-    (r, Net_wire.merge logs, Some (res.Endpoint.transport_bytes, Net_wire.totals logs))
 
 (* Sharded execution: cut the pipeline into a Plan of per-shard
    sessions (results are bit-identical for every K — DESIGN.md,
-   "Sharded execution").  On sim the plan is lowered back to one
-   session; on memory/socket each stage's sessions run concurrently on
-   the Endpoint worker pool. *)
+   "Sharded execution").  On sim the plan is lowered to one session;
+   on memory/socket each stage's sessions run concurrently on the
+   Endpoint worker pool. *)
 let shards_arg =
   Arg.(
     value & opt int 1
@@ -333,54 +300,6 @@ let workers_arg =
         ~doc:
           "Shard sessions of a stage in flight at once on the memory/socket \
            transports.")
-
-(* Run a sharded Plan on a real transport with Plan.execute, one
-   recording trace per shard when observability was asked for.
-   Returns the merged result, aggregate wire statistics (NR = the
-   plan's declared rounds, NM/MS summed over every shard's Net_wire
-   log), a transcript grouped by shard, the Net_wire accounting, and
-   the per-shard trace sections for Metrics.merge. *)
-let run_pipeline_plan ~trace ~workers transport (plan : _ Spe_core.Plan.t) =
-  let module Plan = Spe_core.Plan in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
-  (* Same compute-friendly timeouts as the unsharded transport path. *)
-  let config =
-    { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-  in
-  let recording = Spe_obs.Trace.enabled trace in
-  let r, runs =
-    Plan.execute ~config ~workers
-      ~traces:(fun _ ->
-        if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
-      ~engine:transport plan
-  in
-  let results = List.map (fun (run : Plan.run) -> run.Plan.endpoint) runs in
-  let logs =
-    List.map
-      (fun (res : Endpoint.result) ->
-        Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes)
-      results
-  in
-  let totals = Net_wire.totals (Array.concat logs) in
-  let transport_bytes =
-    List.fold_left (fun acc (res : Endpoint.result) -> acc + res.Endpoint.transport_bytes) 0 results
-  in
-  let stats =
-    {
-      Wire.rounds = Plan.total_rounds plan;
-      messages = totals.Net_wire.messages;
-      bits = 8 * totals.Net_wire.payload_bytes;
-    }
-  in
-  ( r,
-    stats,
-    List.concat_map (fun l -> Wire.messages (Net_wire.merge l)) logs,
-    Some (transport_bytes, totals),
-    List.map
-      (fun (run : Plan.run) ->
-        (Printf.sprintf "%s[%d]" run.Plan.stage run.Plan.index, run.Plan.trace, run.Plan.parties))
-      runs )
 
 let transport_bytes_summary (stats : Wire.stats) = function
   | None -> ()
@@ -415,78 +334,58 @@ let obs_trace trace_file metrics =
   if trace_file <> None || metrics <> None then Spe_obs.Trace.create ()
   else Spe_obs.Trace.disabled ()
 
-(* After the run: cross-check a report against the independent wire
-   accounting (NM and MS/8 must agree exactly; on a real transport the
-   framed bytes must match Net_wire too), then emit what was asked
-   for.  The metrics report goes last so `--metrics json` ends stdout
-   with one clean JSON document. *)
-let check_and_emit_report report ~messages ~payload_bytes ~net ~dump trace_file metrics =
-  let module Metrics = Spe_obs.Metrics in
-  if not (Metrics.equal_accounting report ~messages ~payload_bytes) then
-    failwith
-      (Printf.sprintf
-         "trace accounting mismatch: observed %d messages / %d payload bytes, wire \
-          accounted %d / %d"
-         report.Metrics.messages report.Metrics.payload_bytes messages payload_bytes);
-  (match net with
-  | None -> ()
-  | Some (_, (totals : Spe_net.Net_wire.totals)) -> (
-    match report.Metrics.framed_bytes with
-    | Some framed when framed = totals.Spe_net.Net_wire.framed_bytes -> ()
-    | Some framed ->
-      failwith
-        (Printf.sprintf "trace framed-byte mismatch: observed %d, Net_wire says %d"
-           framed totals.Spe_net.Net_wire.framed_bytes)
-    | None -> failwith "trace recorded no framed bytes on a real transport"));
-  (match trace_file with
-  | None -> ()
-  | Some path ->
-    let text, events = dump () in
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Printf.printf "wrote %s (%d events)\n" path events);
-  match metrics with
-  | None -> ()
-  | Some `Text -> print_string (Spe_obs.Obs_io.report_to_text report)
-  | Some `Json -> print_string (Spe_obs.Obs_io.report_to_string report)
-
-let emit_observability trace ~protocol ~engine ~parties ~messages ~payload_bytes ~net
-    trace_file metrics =
-  if Spe_obs.Trace.enabled trace then begin
-    let report = Spe_obs.Metrics.of_trace ~protocol ~engine ~parties trace in
-    check_and_emit_report report ~messages ~payload_bytes ~net
-      ~dump:(fun () ->
-        (Spe_obs.Obs_io.trace_to_text trace, List.length (Spe_obs.Trace.events trace)))
-      trace_file metrics
-  end
-
-(* Sharded transport runs record one trace per shard session; merge
-   their reports (Metrics.merge, so --metrics shows the per-shard
-   table) and dump the traces one labelled section at a time. *)
-let emit_sharded_observability ~protocol ~engine ~messages ~payload_bytes ~net sections
-    trace_file metrics =
+(* After the run: build the metrics report from the run's traces — one
+   unlabelled trace, or one labelled trace per pool session, merged
+   with Metrics.merge so --metrics shows the per-session table —
+   cross-check it against the independent wire accounting (NM and MS/8
+   must agree exactly; on a real transport the framed bytes must match
+   Net_wire too), then emit what was asked for: the trace dump, one
+   labelled section per session, and the metrics report last, so
+   `--metrics json` ends stdout with one clean JSON document. *)
+let emit_observability ~protocol ~engine ~messages ~payload_bytes ~net sections trace_file
+    metrics =
   match sections with
-  | (_, first, _) :: _ when Spe_obs.Trace.enabled first ->
+  | (_, first, _) :: _ when Spe_obs.Trace.enabled first -> (
     let module Metrics = Spe_obs.Metrics in
+    let report_of (_, tr, parties) = Metrics.of_trace ~protocol ~engine ~parties tr in
     let report =
-      Metrics.merge
-        (List.map
-           (fun (_, tr, parties) -> Metrics.of_trace ~protocol ~engine ~parties tr)
-           sections)
+      match sections with
+      | [ ((None, _, _) as only) ] -> report_of only
+      | _ -> Metrics.merge (List.map report_of sections)
     in
-    check_and_emit_report report ~messages ~payload_bytes ~net
-      ~dump:(fun () ->
-        let buf = Buffer.create 4096 in
-        let events = ref 0 in
-        List.iter
-          (fun (label, tr, _) ->
-            events := !events + List.length (Spe_obs.Trace.events tr);
-            Buffer.add_string buf (Printf.sprintf "=== %s ===\n" label);
-            Buffer.add_string buf (Spe_obs.Obs_io.trace_to_text tr))
-          sections;
-        (Buffer.contents buf, !events))
-      trace_file metrics
+    if not (Metrics.equal_accounting report ~messages ~payload_bytes) then
+      failwith
+        (Printf.sprintf
+           "trace accounting mismatch: observed %d messages / %d payload bytes, wire \
+            accounted %d / %d"
+           report.Metrics.messages report.Metrics.payload_bytes messages payload_bytes);
+    (match net with
+    | None -> ()
+    | Some (_, (totals : Spe_net.Net_wire.totals)) -> (
+      match report.Metrics.framed_bytes with
+      | Some framed when framed = totals.Spe_net.Net_wire.framed_bytes -> ()
+      | Some framed ->
+        failwith
+          (Printf.sprintf "trace framed-byte mismatch: observed %d, Net_wire says %d"
+             framed totals.Spe_net.Net_wire.framed_bytes)
+      | None -> failwith "trace recorded no framed bytes on a real transport"));
+    (match trace_file with
+    | None -> ()
+    | Some path ->
+      let oc = open_out path in
+      let events = ref 0 in
+      List.iter
+        (fun (label, tr, _) ->
+          events := !events + List.length (Spe_obs.Trace.events tr);
+          Option.iter (fun l -> Printf.fprintf oc "=== %s ===\n" l) label;
+          output_string oc (Spe_obs.Obs_io.trace_to_text tr))
+        sections;
+      close_out oc;
+      Printf.printf "wrote %s (%d events)\n" path !events);
+    match metrics with
+    | None -> ()
+    | Some `Text -> print_string (Spe_obs.Obs_io.report_to_text report)
+    | Some `Json -> print_string (Spe_obs.Obs_io.report_to_string report))
   | _ -> ()
 
 let engine_name = function
@@ -594,6 +493,348 @@ let generate_cmd =
     (Cmd.info "generate" ~doc:"Generate a synthetic social graph and provider action logs.")
     term
 
+(* --- the pipeline commands: links, scores, rank, stream ------------------ *)
+
+(* Every pipeline command parses its flags into a Serve_proto.spec and
+   runs one path: the CLI-only checks, Job's spec checks, then either
+   submission to a live deployment (--connect) or an in-process run —
+   the central oracle, or Job.build, the one executor below and
+   Job.reply_of — printed by the same reply printer.  An in-process run
+   and a daemon run of the same spec therefore agree by construction. *)
+
+(* The flags links, scores and rank share; stream fills the ones it
+   does not take with their defaults. *)
+type opts = {
+  seed : int;
+  graph_path : string option;
+  log_paths : string list;
+  top : int;
+  transport : [ `Central | `Sim | `Memory | `Socket ];
+  shards : int;
+  workers : int;
+  connect : string option;
+  jobs : int;
+  trace_file : string option;
+  metrics : [ `Text | `Json ] option;
+  out : string option;
+  dp_epsilon : float option;
+  dp_sensitivity : float;
+  dp_public_degree : int option;
+}
+
+let opts_term ~out_doc =
+  let out_arg =
+    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc:out_doc)
+  in
+  Term.(
+    const
+      (fun seed graph_path log_paths top transport shards workers connect jobs trace_file
+           metrics out dp_epsilon dp_sensitivity dp_public_degree ->
+        {
+          seed;
+          graph_path;
+          log_paths;
+          top;
+          transport;
+          shards;
+          workers;
+          connect;
+          jobs;
+          trace_file;
+          metrics;
+          out;
+          dp_epsilon;
+          dp_sensitivity;
+          dp_public_degree;
+        })
+    $ seed_arg $ graph_opt_arg $ logs_opt_arg $ top_arg $ pipeline_transport_arg $ shards_arg
+    $ workers_arg $ connect_arg $ jobs_arg $ trace_file_arg $ metrics_arg $ out_arg
+    $ dp_epsilon_arg $ dp_sensitivity_arg $ dp_public_degree_arg)
+
+(* The checks on flags that are not in the spec. *)
+let cli_check o =
+  if o.workers < 1 then Some "--workers must be at least 1"
+  else if o.jobs < 1 then Some "--jobs must be at least 1"
+  else if o.connect = None && o.transport = `Central && o.shards > 1 then
+    Some "--shards needs --transport sim, memory or socket"
+  else
+    dp_check ~dp_epsilon:o.dp_epsilon ~dp_sensitivity:o.dp_sensitivity
+      ~dp_public_degree:o.dp_public_degree
+
+(* --- the reply printer ---------------------------------------------------- *)
+
+let print_strengths ~title ~top strengths =
+  let sorted = List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) strengths in
+  Printf.printf "%s (top %d of %d):\n" title top (List.length sorted);
+  List.iteri
+    (fun i ((u, v), p) -> if i < top then Printf.printf "  %6d -> %-6d  %.4f\n" u v p)
+    sorted
+
+let print_scores ~top scores =
+  let idx = Array.init (Array.length scores) (fun i -> i) in
+  Array.sort (fun a b -> Stdlib.compare scores.(b) scores.(a)) idx;
+  Printf.printf "user influence scores (top %d):\n" top;
+  Array.iteri
+    (fun rank u ->
+      if rank < top then Printf.printf "  #%-3d user %-6d score %.3f\n" (rank + 1) u scores.(u))
+    idx
+
+let print_ranks ~top ranks =
+  let n = Array.length ranks in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> Stdlib.compare ranks.(b) ranks.(a)) order;
+  Printf.printf "activity-personalised ranks (top %d of %d):\n" (min top n) n;
+  Array.iteri
+    (fun i u ->
+      if i < top then Printf.printf "  #%-3d user %-6d rank %.6f\n" (i + 1) u ranks.(u))
+    order
+
+let ranks_of ~fbits ranks_fx =
+  let scale = float_of_int (1 lsl fbits) in
+  Array.map (fun fx -> float_of_int fx /. scale) ranks_fx
+
+(* How a reply reads on stdout, in-process and under --connect alike.
+   An in-process stream run annotates each epoch with its arrival
+   count and, under --verify-full, the full recompute's verdict. *)
+let print_reply ~top ?arrivals ?(verdicts = [||]) = function
+  | Serve_proto.Strengths strengths ->
+    print_strengths ~title:"link influence strengths" ~top strengths
+  | Serve_proto.Scores scores -> print_scores ~top scores
+  | Serve_proto.Rank_summary { ranks_fx; fbits } -> print_ranks ~top (ranks_of ~fbits ranks_fx)
+  | Serve_proto.Stream_summary { digests; recomputed; strengths } ->
+    Array.iteri
+      (fun e d ->
+        Printf.printf "epoch %d: %s%d group(s) recomputed, digest %016x%s\n" e
+          (match arrivals with
+          | Some a -> Printf.sprintf "%d arrival(s), " a.(e)
+          | None -> "")
+          recomputed.(e) d
+          (if e < Array.length verdicts then verdicts.(e) else ""))
+      digests;
+    if arrivals = None then Printf.printf "%d epoch(s) released\n" (Array.length digests);
+    print_strengths ~title:"final link strengths" ~top strengths
+  | Serve_proto.Failed _ -> ()
+
+(* --out and the DP release of the published values.  [plaintext] is
+   the non-MPC rank reference, when the workload is at hand. *)
+let emit_release o ~graph ?plaintext reply =
+  let save write path =
+    write path;
+    Printf.printf "wrote %s\n" path
+  in
+  let params epsilon = dp_params ~seed:o.seed ~dp_sensitivity:o.dp_sensitivity epsilon in
+  let dp_public_degree = o.dp_public_degree in
+  match reply with
+  | Serve_proto.Strengths strengths ->
+    Option.iter (save (Spe_influence.Result_io.save_strengths strengths)) o.out;
+    Option.iter
+      (fun epsilon ->
+        emit_dp_strengths ~params:(params epsilon)
+          ~public:(dp_arc_public ~dp_public_degree graph)
+          strengths)
+      o.dp_epsilon
+  | Serve_proto.Scores scores ->
+    Option.iter (save (Spe_influence.Result_io.save_scores scores)) o.out;
+    Option.iter
+      (fun epsilon ->
+        emit_dp_vector ~params:(params epsilon)
+          ~public:(dp_node_public ~dp_public_degree graph)
+          ~what:"user scores" scores)
+      o.dp_epsilon
+  | Serve_proto.Rank_summary { ranks_fx; fbits } ->
+    let ranks = ranks_of ~fbits ranks_fx in
+    Option.iter (save (Spe_influence.Result_io.save_scores ranks)) o.out;
+    Option.iter
+      (fun epsilon ->
+        emit_dp_vector ~params:(params epsilon)
+          ~public:(dp_node_public ~dp_public_degree graph)
+          ?plaintext ~what:"rank vector" ranks)
+      o.dp_epsilon
+  | Serve_proto.Stream_summary _ | Serve_proto.Failed _ -> ()
+
+(* --- the one executor ----------------------------------------------------- *)
+
+(* What an in-process run leaves for the summary: wire statistics (NR,
+   NM, MS), the transcript, the Net_wire accounting on a real
+   transport, and the trace sections for the metrics report. *)
+type run = {
+  stats : Wire.stats;
+  transcript : Wire.message list;
+  net : (int * Spe_net.Net_wire.totals) option;
+  payload_bytes : int;
+  sections : (string option * Spe_obs.Trace.t * int) list;
+}
+
+(* Drive a built plan.  On sim the plan is lowered to one session and
+   run on a wire, whose counts and transcript the summary prints.  On
+   memory and socket Plan.execute runs every stage on the shard pool,
+   one connection group per session, as the daemons do, with one
+   recording trace per session when observability was asked for: NR
+   is the plan's declared rounds, NM/MS sum every session's Net_wire
+   log. *)
+let execute ~trace ~workers transport planned =
+  let module Plan = Spe_core.Plan in
+  let module Endpoint = Spe_net.Endpoint in
+  let module Net_wire = Spe_net.Net_wire in
+  let plan = Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore in
+  match transport with
+  | `Sim ->
+    let session = Plan.to_session plan in
+    let w = Wire.create () in
+    Spe_mpc.Session.run ~trace session ~wire:w;
+    let stats = Wire.stats w in
+    {
+      stats;
+      transcript = Wire.messages w;
+      net = None;
+      payload_bytes = stats.Wire.bits / 8;
+      sections = [ (None, trace, Array.length session.Spe_mpc.Session.parties) ];
+    }
+  | (`Memory | `Socket) as engine ->
+    (* The default 2 s round timeout is tuned for loss detection; a
+       full pipeline has long compute rounds (e.g. decrypting every
+       Protocol 6 bundle under a 1024-bit key), during which a busy
+       party looks exactly like a dead one.  Local transports are
+       reliable, so wait out the compute instead of Nacking it. *)
+    let config =
+      { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
+    in
+    let recording = Spe_obs.Trace.enabled trace in
+    let (), runs =
+      Plan.execute ~config ~workers
+        ~traces:(fun _ ->
+          if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
+        ~engine plan
+    in
+    let logs =
+      List.map
+        (fun (run : Plan.run) ->
+          Array.map
+            (fun (o : Endpoint.outcome) -> o.Endpoint.sent)
+            run.Plan.endpoint.Endpoint.outcomes)
+        runs
+    in
+    let totals = Net_wire.totals (Array.concat logs) in
+    let transport_bytes =
+      List.fold_left
+        (fun acc (run : Plan.run) -> acc + run.Plan.endpoint.Endpoint.transport_bytes)
+        0 runs
+    in
+    let stats =
+      {
+        Wire.rounds = Plan.total_rounds plan;
+        messages = totals.Net_wire.messages;
+        bits = 8 * totals.Net_wire.payload_bytes;
+      }
+    in
+    {
+      stats;
+      transcript = List.concat_map (fun l -> Wire.messages (Net_wire.merge l)) logs;
+      net = Some (transport_bytes, totals);
+      payload_bytes = totals.Net_wire.payload_bytes;
+      sections =
+        List.map
+          (fun (run : Plan.run) ->
+            ( Some (Printf.sprintf "%s[%d]" run.Plan.stage run.Plan.index),
+              run.Plan.trace,
+              run.Plan.parties ))
+          runs;
+    }
+
+(* --- the shared path ------------------------------------------------------ *)
+
+(* [refuse_connect] names an in-process-only flag that was given;
+   [local] runs over the loaded, validated workload. *)
+let run_pipeline o spec ?refuse_connect ~local () =
+  match cli_check o with
+  | Some msg -> `Error (true, msg)
+  | None -> (
+    match Job.check spec with
+    | Error msg -> `Error (true, msg)
+    | Ok () -> (
+      match o.connect with
+      | Some addr_spec -> (
+        match refuse_connect with
+        | Some msg -> `Error (true, msg)
+        | None ->
+          if o.trace_file <> None || o.metrics <> None then
+            `Error
+              ( true,
+                "--trace/--metrics are daemon-side with --connect; scrape the daemon's \
+                 --metrics-addr instead" )
+          else if o.dp_public_degree <> None && o.graph_path = None then
+            `Error (true, "--dp-public-degree needs --graph")
+          else
+            run_connect ~addr_spec ~jobs:o.jobs spec ~print:(fun reply ->
+                print_reply ~top:o.top reply;
+                (* The graph serves only the hub exemption. *)
+                let graph =
+                  if o.dp_public_degree = None then None
+                  else Option.map Graph_io.load o.graph_path
+                in
+                emit_release o ~graph reply))
+      | None -> (
+        match (o.graph_path, o.log_paths) with
+        | None, _ -> `Error (true, "--graph is required when not using --connect")
+        | _, [] -> `Error (true, "--log is required when not using --connect")
+        | Some graph_path, log_paths -> (
+          let wl =
+            {
+              Job.graph = Graph_io.load graph_path;
+              logs = Array.of_list (List.map Log_io.load log_paths);
+            }
+          in
+          match Job.validate spec wl with
+          | Error msg -> `Error (true, msg)
+          | Ok () -> ( try local wl with Invalid_argument msg -> `Error (false, msg))))))
+
+type summary = Wire_run of run | Note of string
+
+(* An in-process links, scores or rank run: the central reference
+   ([central]) or the built plan on the executor, then the reply
+   printer and the run's summary. *)
+let run_local o ~protocol ?(show_transcript = false) ?plaintext ~central ~build wl =
+  let trace = obs_trace o.trace_file o.metrics in
+  let reply, summary, plaintext =
+    match o.transport with
+    | `Central ->
+      let reply, summary = central ~trace wl in
+      (reply, summary, None)
+    | (`Sim | `Memory | `Socket) as engine ->
+      let planned = build wl in
+      let run = execute ~trace ~workers:o.workers engine planned in
+      (Job.reply_of planned, Wire_run run, Option.map (fun f -> f wl) plaintext)
+  in
+  print_reply ~top:o.top reply;
+  emit_release o ~graph:(Some wl.Job.graph) ?plaintext reply;
+  (match summary with
+  | Note line -> print_endline line
+  | Wire_run run ->
+    wire_summary run.stats;
+    transport_bytes_summary run.stats run.net;
+    if show_transcript then begin
+      Printf.printf "\ntranscript:\n";
+      List.iter
+        (fun (msg : Wire.message) ->
+          Format.printf "  r%-3d %a -> %a  %d bits@." msg.Wire.round Wire.pp_party
+            msg.Wire.src Wire.pp_party msg.Wire.dst msg.Wire.bits)
+        run.transcript
+    end;
+    emit_observability ~protocol ~engine:(engine_name o.transport)
+      ~messages:run.stats.Wire.messages ~payload_bytes:run.payload_bytes ~net:run.net
+      run.sections o.trace_file o.metrics);
+  `Ok ()
+
+let central_run ~trace ~parties ~wire ~transcript =
+  Wire_run
+    {
+      stats = wire;
+      transcript;
+      net = None;
+      payload_bytes = transcript_payload_bytes transcript;
+      sections = [ (None, trace, parties) ];
+    }
+
 (* --- spe links ---------------------------------------------------------- *)
 
 let links_cmd =
@@ -623,184 +864,81 @@ let links_cmd =
   let transcript_arg =
     Arg.(value & flag & info [ "transcript" ] ~doc:"Print the full message transcript.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the full strength list to FILE.")
-  in
-  let print_strengths ~top strengths =
-    let sorted = List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) strengths in
-    Printf.printf "link influence strengths (top %d of %d):\n" top (List.length sorted);
-    List.iteri
-      (fun i ((u, v), p) -> if i < top then Printf.printf "  %6d -> %-6d  %.4f\n" u v p)
-      sorted
-  in
-  let run seed graph_path log_paths h c_factor modulus_bits decay top spec_path obfuscation
-      transport shards workers show_transcript trace_file metrics out connect jobs
-      dp_epsilon dp_sensitivity dp_public_degree =
-    match
-      if shards < 1 then Some "--shards must be at least 1"
-      else if workers < 1 then Some "--workers must be at least 1"
-      else if jobs < 1 then Some "--jobs must be at least 1"
-      else if h < 1 then Some "--window h must be at least 1"
-      else if c_factor < 1. then Some "--c-factor must be >= 1"
-      else if modulus_bits < 2 || modulus_bits > 61 then
-        Some "--modulus-bits must lie in [2, 61]"
-      else if connect = None && transport = `Central && shards > 1 then
-        Some "--shards needs --transport sim, memory or socket"
-      else dp_check ~dp_epsilon ~dp_sensitivity ~dp_public_degree
-    with
-    | Some msg -> `Error (true, msg)
-    | None ->
-    match connect with
-    | Some addr_spec ->
+  let run o h c_factor modulus_bits decay spec_path obfuscation show_transcript =
+    let spec =
+      {
+        Serve_proto.default_spec with
+        Serve_proto.pipeline = Serve_proto.Links;
+        seed = o.seed;
+        shards = o.shards;
+        h;
+        c_factor;
+        modulus_bits;
+      }
+    in
+    (* --decay and --spec are in-process only: they build their plan
+       from Shard directly and share the executor and printer. *)
+    let refuse_connect =
       if decay <> None || spec_path <> None then
-        `Error (true, "--decay and --spec do not travel in a daemon job spec")
-      else if show_transcript || trace_file <> None || metrics <> None then
-        `Error
-          ( true,
-            "--transcript/--trace/--metrics are daemon-side with --connect; scrape the \
-             daemon's --metrics-addr instead" )
-      else if dp_public_degree <> None && graph_path = None then
-        `Error (true, "--dp-public-degree needs --graph")
-      else
-        run_connect ~addr_spec ~jobs
-          {
-            Serve_proto.default_spec with
-            Serve_proto.pipeline = Serve_proto.Links;
-            seed;
-            shards;
-            h;
-            c_factor;
-            modulus_bits;
-          }
-          ~print:(function
-            | Serve_proto.Strengths strengths ->
-              print_strengths ~top strengths;
-              (match out with
-              | None -> ()
-              | Some path ->
-                Spe_influence.Result_io.save_strengths strengths path;
-                Printf.printf "wrote %s\n" path);
-              (match dp_epsilon with
-              | None -> ()
-              | Some epsilon ->
-                emit_dp_strengths
-                  ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-                  ~public:
-                    (dp_arc_public ~dp_public_degree (Option.map Graph_io.load graph_path))
-                  strengths)
-            | _ -> ())
-    | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
-    let estimator =
-      match decay with
-      | None -> Protocol4.Eq1
-      | Some "linear" -> Protocol4.Eq2 (Link_strength.linear_decay_weights ~h)
-      | Some spec when String.length spec > 4 && String.sub spec 0 4 = "exp:" -> (
-        match float_of_string_opt (String.sub spec 4 (String.length spec - 4)) with
-        | Some alpha -> Protocol4.Eq2 (Link_strength.exponential_decay_weights ~h ~alpha)
-        | None -> failwith "bad --decay exp:ALPHA")
-      | Some other -> failwith (Printf.sprintf "unknown decay %S" other)
+        Some "--decay and --spec do not travel in a daemon job spec"
+      else if show_transcript || o.trace_file <> None || o.metrics <> None then
+        Some
+          "--transcript/--trace/--metrics are daemon-side with --connect; scrape the \
+           daemon's --metrics-addr instead"
+      else None
     in
-    let config =
-      { Protocol4.c_factor; modulus = 1 lsl modulus_bits; h; estimator }
-    in
-    let spec = Option.map Spe_actionlog.Spec_io.load spec_path in
-    let s = State.create ~seed () in
-    let trace = obs_trace trace_file metrics in
-    let protocol = match spec with None -> "links" | Some _ -> "links-nonexcl" in
-    let strengths, stats, transcript, net, parties, payload_bytes, sections =
-      match transport with
-      | `Central ->
+    let local wl =
+      let estimator =
+        match decay with
+        | None -> Protocol4.Eq1
+        | Some "linear" -> Protocol4.Eq2 (Link_strength.linear_decay_weights ~h)
+        | Some spec when String.length spec > 4 && String.sub spec 0 4 = "exp:" -> (
+          match float_of_string_opt (String.sub spec 4 (String.length spec - 4)) with
+          | Some alpha -> Protocol4.Eq2 (Link_strength.exponential_decay_weights ~h ~alpha)
+          | None -> invalid_arg "bad --decay exp:ALPHA")
+        | Some other -> invalid_arg (Printf.sprintf "unknown decay %S" other)
+      in
+      let config = { Protocol4.c_factor; modulus = 1 lsl modulus_bits; h; estimator } in
+      let class_spec = Option.map Spe_actionlog.Spec_io.load spec_path in
+      let graph = wl.Job.graph and logs = wl.Job.logs in
+      let central ~trace _ =
+        let s = State.create ~seed:o.seed () in
         let r =
-          match spec with
+          match class_spec with
           | None -> Driver.link_strengths_exclusive ~trace s ~graph ~logs config
           | Some spec ->
             Driver.link_strengths_non_exclusive ~trace s ~graph ~logs ~spec ~obfuscation
               config
         in
-        ( r.Driver.strengths, r.Driver.wire, r.Driver.transcript, None,
-          Array.length logs + 1, transcript_payload_bytes r.Driver.transcript, None )
-      | (`Sim | `Memory | `Socket) as transport when shards = 1 ->
-        let session =
-          match spec with
-          | None -> Spe_core.Driver_distributed.links_exclusive s ~graph ~logs config
-          | Some spec ->
-            Spe_core.Driver_distributed.links_non_exclusive s ~graph ~logs ~spec
-              ~obfuscation config
-        in
-        let r, w, net = run_pipeline_session ~trace transport session in
-        let stats = Wire.stats w in
-        ( r.Protocol4.strengths, stats, Wire.messages w, net,
-          Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-      | (`Sim | `Memory | `Socket) as transport -> (
-        let plan =
-          match spec with
-          | None -> Spe_core.Shard.links_exclusive s ~graph ~logs ~shards config
-          | Some spec ->
-            Spe_core.Shard.links_non_exclusive s ~graph ~logs ~spec ~obfuscation ~shards
-              config
-        in
-        match transport with
-        | `Sim ->
-          let session = Spe_core.Plan.to_session plan in
-          let r, w, net = run_pipeline_session ~trace `Sim session in
-          let stats = Wire.stats w in
-          ( r.Protocol4.strengths, stats, Wire.messages w, net,
-            Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-        | (`Memory | `Socket) as transport ->
-          let r, stats, transcript, net, sections =
-            run_pipeline_plan ~trace ~workers transport plan
-          in
-          ( r.Protocol4.strengths, stats, transcript, net, Array.length logs + 1,
-            stats.Wire.bits / 8, Some sections ))
+        ( Serve_proto.Strengths r.Driver.strengths,
+          central_run ~trace ~parties:(Array.length logs + 1) ~wire:r.Driver.wire
+            ~transcript:r.Driver.transcript )
+      in
+      let build wl =
+        match (estimator, class_spec) with
+        | Protocol4.Eq1, None -> Job.build spec wl
+        | _ ->
+          let s = State.create ~seed:o.seed () in
+          Job.Links_plan
+            (match class_spec with
+            | None -> Spe_core.Shard.links_exclusive s ~graph ~logs ~shards:o.shards config
+            | Some spec ->
+              Spe_core.Shard.links_non_exclusive s ~graph ~logs ~spec ~obfuscation
+                ~shards:o.shards config)
+      in
+      run_local o
+        ~protocol:(match class_spec with None -> "links" | Some _ -> "links-nonexcl")
+        ~show_transcript ~central ~build wl
     in
-    print_strengths ~top strengths;
-    (match out with
-    | None -> ()
-    | Some path ->
-      Spe_influence.Result_io.save_strengths strengths path;
-      Printf.printf "wrote %s\n" path);
-    (match dp_epsilon with
-    | None -> ()
-    | Some epsilon ->
-      emit_dp_strengths
-        ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-        ~public:(dp_arc_public ~dp_public_degree (Some graph))
-        strengths);
-    wire_summary stats;
-    transport_bytes_summary stats net;
-    if show_transcript then begin
-      Printf.printf "\ntranscript:\n";
-      List.iter
-        (fun (msg : Wire.message) ->
-          Format.printf "  r%-3d %a -> %a  %d bits@." msg.Wire.round Wire.pp_party
-            msg.Wire.src Wire.pp_party msg.Wire.dst msg.Wire.bits)
-        transcript
-    end;
-    (match sections with
-    | None ->
-      emit_observability trace ~protocol ~engine:(engine_name transport) ~parties
-        ~messages:stats.Wire.messages ~payload_bytes ~net trace_file metrics
-    | Some sections ->
-      emit_sharded_observability ~protocol ~engine:(engine_name transport)
-        ~messages:stats.Wire.messages ~payload_bytes ~net sections trace_file metrics);
-    `Ok ()
+    run_pipeline o spec ?refuse_connect ~local ()
   in
   let term =
     Term.(
       ret
-        (const run $ seed_arg $ graph_opt_arg $ logs_opt_arg $ h_arg $ c_arg $ modulus_bits_arg
-       $ decay $ top_arg $ spec_arg $ obfuscation_arg $ pipeline_transport_arg $ shards_arg
-       $ workers_arg $ transcript_arg $ trace_file_arg $ metrics_arg $ out_arg $ connect_arg
-       $ jobs_arg $ dp_epsilon_arg $ dp_sensitivity_arg $ dp_public_degree_arg))
+        (const run
+        $ opts_term ~out_doc:"Also write the full strength list to FILE."
+        $ h_arg $ c_arg $ modulus_bits_arg $ decay $ spec_arg $ obfuscation_arg
+        $ transcript_arg))
   in
   Cmd.v
     (Cmd.info "links"
@@ -821,12 +959,6 @@ let scores_cmd =
       & info [ "key-bits" ] ~docv:"BITS"
           ~doc:"Public-key modulus size for Protocol 6 (1024 = paper's deployment).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write all scores to FILE.")
-  in
   let pack_slots =
     Arg.(
       value & opt int 1
@@ -836,146 +968,39 @@ let scores_cmd =
              (clamped to what the key admits).  1 disables packing and is bit-identical \
              to the paper's protocol.")
   in
-  let print_scores ~top scores =
-    let idx = Array.init (Array.length scores) (fun i -> i) in
-    Array.sort (fun a b -> Stdlib.compare scores.(b) scores.(a)) idx;
-    Printf.printf "user influence scores (top %d):\n" top;
-    Array.iteri
-      (fun rank u ->
-        if rank < top then Printf.printf "  #%-3d user %-6d score %.3f\n" (rank + 1) u
-            scores.(u))
-      idx
-  in
-  let run seed graph_path log_paths tau key_bits pack_slots modulus_bits top transport
-      shards workers trace_file metrics out connect jobs dp_epsilon dp_sensitivity
-      dp_public_degree =
-    match
-      if shards < 1 then Some "--shards must be at least 1"
-      else if workers < 1 then Some "--workers must be at least 1"
-      else if jobs < 1 then Some "--jobs must be at least 1"
-      else if pack_slots < 1 then Some "--pack-slots must be at least 1"
-      else if tau < 1 then Some "--tau must be at least 1"
-      else if key_bits < 16 then Some "--key-bits must be at least 16"
-      else if modulus_bits < 2 || modulus_bits > 61 then
-        Some "--modulus-bits must lie in [2, 61]"
-      else if connect = None && transport = `Central && shards > 1 then
-        Some "--shards needs --transport sim, memory or socket"
-      else dp_check ~dp_epsilon ~dp_sensitivity ~dp_public_degree
-    with
-    | Some msg -> `Error (true, msg)
-    | None ->
-    match connect with
-    | Some addr_spec ->
-      if trace_file <> None || metrics <> None then
-        `Error
-          ( true,
-            "--trace/--metrics are daemon-side with --connect; scrape the daemon's \
-             --metrics-addr instead" )
-      else if dp_public_degree <> None && graph_path = None then
-        `Error (true, "--dp-public-degree needs --graph")
-      else
-        run_connect ~addr_spec ~jobs
-          {
-            Serve_proto.default_spec with
-            Serve_proto.pipeline = Serve_proto.Scores;
-            seed;
-            shards;
-            modulus_bits;
-            tau;
-            key_bits;
-            pack_slots;
-          }
-          ~print:(function
-            | Serve_proto.Scores scores ->
-              print_scores ~top scores;
-              (match out with
-              | None -> ()
-              | Some path ->
-                Spe_influence.Result_io.save_scores scores path;
-                Printf.printf "wrote %s\n" path);
-              (match dp_epsilon with
-              | None -> ()
-              | Some epsilon ->
-                emit_dp_vector
-                  ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-                  ~public:
-                    (dp_node_public ~dp_public_degree (Option.map Graph_io.load graph_path))
-                  ~what:"user scores" scores)
-            | _ -> ())
-    | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
-    let config = { Protocol6.default_config with Protocol6.key_bits; pack_slots } in
-    let modulus = 1 lsl modulus_bits in
-    let s = State.create ~seed () in
-    let trace = obs_trace trace_file metrics in
-    let scores, stats, net, parties, payload_bytes, sections =
-      match transport with
-      | `Central ->
-        let r = Driver.user_scores_exclusive ~trace s ~graph ~logs ~tau ~modulus config in
-        ( r.Driver.scores, r.Driver.wire, None, Array.length logs + 1,
-          transcript_payload_bytes r.Driver.transcript, None )
-      | (`Sim | `Memory | `Socket) as transport when shards = 1 ->
-        let session =
-          Spe_core.Driver_distributed.user_scores_exclusive s ~graph ~logs ~tau ~modulus
-            config
-        in
-        let r, w, net = run_pipeline_session ~trace transport session in
-        let stats = Wire.stats w in
-        ( r.Spe_core.Driver_distributed.scores, stats, net,
-          Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-      | (`Sim | `Memory | `Socket) as transport -> (
-        let plan =
-          Spe_core.Shard.user_scores_exclusive s ~graph ~logs ~tau ~modulus ~shards config
-        in
-        match transport with
-        | `Sim ->
-          let session = Spe_core.Plan.to_session plan in
-          let r, w, net = run_pipeline_session ~trace `Sim session in
-          let stats = Wire.stats w in
-          ( r.Spe_core.Driver_distributed.scores, stats, net,
-            Array.length session.Spe_mpc.Session.parties, stats.Wire.bits / 8, None )
-        | (`Memory | `Socket) as transport ->
-          let r, stats, _transcript, net, sections =
-            run_pipeline_plan ~trace ~workers transport plan
-          in
-          ( r.Spe_core.Driver_distributed.scores, stats, net, Array.length logs + 1,
-            stats.Wire.bits / 8, Some sections ))
+  let run o tau key_bits pack_slots modulus_bits =
+    let spec =
+      {
+        Serve_proto.default_spec with
+        Serve_proto.pipeline = Serve_proto.Scores;
+        seed = o.seed;
+        shards = o.shards;
+        modulus_bits;
+        tau;
+        key_bits;
+        pack_slots;
+      }
     in
-    print_scores ~top scores;
-    (match out with
-    | None -> ()
-    | Some path ->
-      Spe_influence.Result_io.save_scores scores path;
-      Printf.printf "wrote %s\n" path);
-    (match dp_epsilon with
-    | None -> ()
-    | Some epsilon ->
-      emit_dp_vector
-        ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-        ~public:(dp_node_public ~dp_public_degree (Some graph))
-        ~what:"user scores" scores);
-    wire_summary stats;
-    transport_bytes_summary stats net;
-    (match sections with
-    | None ->
-      emit_observability trace ~protocol:"scores" ~engine:(engine_name transport) ~parties
-        ~messages:stats.Wire.messages ~payload_bytes ~net trace_file metrics
-    | Some sections ->
-      emit_sharded_observability ~protocol:"scores" ~engine:(engine_name transport)
-        ~messages:stats.Wire.messages ~payload_bytes ~net sections trace_file metrics);
-    `Ok ()
+    let central ~trace (wl : Job.workload) =
+      let config = { Protocol6.default_config with Protocol6.key_bits; pack_slots } in
+      let r =
+        Driver.user_scores_exclusive ~trace (State.create ~seed:o.seed ()) ~graph:wl.Job.graph
+          ~logs:wl.Job.logs ~tau ~modulus:(1 lsl modulus_bits) config
+      in
+      ( Serve_proto.Scores r.Driver.scores,
+        central_run ~trace ~parties:(Array.length wl.Job.logs + 1) ~wire:r.Driver.wire
+          ~transcript:r.Driver.transcript )
+    in
+    run_pipeline o spec
+      ~local:(run_local o ~protocol:"scores" ~central ~build:(Job.build spec))
+      ()
   in
   let term =
     Term.(
-      ret (const run $ seed_arg $ graph_opt_arg $ logs_opt_arg $ tau $ key_bits
-         $ pack_slots $ modulus_bits_arg $ top_arg $ pipeline_transport_arg $ shards_arg
-         $ workers_arg $ trace_file_arg $ metrics_arg $ out_arg $ connect_arg $ jobs_arg
-         $ dp_epsilon_arg $ dp_sensitivity_arg $ dp_public_degree_arg))
+      ret
+        (const run
+        $ opts_term ~out_doc:"Also write all scores to FILE."
+        $ tau $ key_bits $ pack_slots $ modulus_bits_arg))
   in
   Cmd.v
     (Cmd.info "scores"
@@ -986,12 +1011,12 @@ let scores_cmd =
 
 (* --- spe rank ------------------------------------------------------------- *)
 
-(* The second estimand family (ROADMAP item 5): activity-personalised
-   PageRank / degree centrality.  The graph is public to H; the per-user
-   activity that personalises the teleport vector stays split across the
-   providers and only its aggregate is reconstructed (Protocol 1/2
-   primitives), so the protocol releases exactly what the plaintext
-   fixed-point oracle computes — bit-identical on every engine. *)
+(* The second estimand family: activity-personalised PageRank / degree
+   centrality.  The graph is public to H; the per-user activity that
+   personalises the teleport vector stays split across the providers
+   and only its aggregate is reconstructed (Protocol 1/2 primitives),
+   so the protocol releases exactly what the plaintext fixed-point
+   oracle computes — bit-identical on every engine. *)
 
 let rank_cmd =
   let damping_arg =
@@ -1019,42 +1044,20 @@ let rank_cmd =
       & info [ "mode" ] ~docv:"MODE"
           ~doc:"Estimand: 'pagerank' (damped power iteration) or 'degree' (one blend).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the full rank vector to FILE.")
-  in
-  let print_ranks ~top ranks =
-    let n = Array.length ranks in
-    let order = Array.init n (fun i -> i) in
-    Array.sort (fun a b -> Stdlib.compare ranks.(b) ranks.(a)) order;
-    Printf.printf "activity-personalised ranks (top %d of %d):\n" (min top n) n;
-    Array.iteri
-      (fun i u ->
-        if i < top then Printf.printf "  #%-3d user %-6d rank %.6f\n" (i + 1) u ranks.(u))
-      order
-  in
-  let run seed graph_path log_paths damping iterations fbits mode modulus_bits top
-      transport shards workers trace_file metrics out connect jobs dp_epsilon
-      dp_sensitivity dp_public_degree =
-    match
-      if shards < 1 then Some "--shards must be at least 1"
-      else if workers < 1 then Some "--workers must be at least 1"
-      else if jobs < 1 then Some "--jobs must be at least 1"
-      else if modulus_bits < 2 || modulus_bits > 61 then
-        Some "--modulus-bits must lie in [2, 61]"
-      else if iterations < 0 then Some "--iterations must be >= 0"
-      else if Float.is_nan damping || damping < 0. || damping >= 1. then
-        Some "--damping must lie in [0, 1)"
-      else if fbits < 4 || fbits > 30 then Some "--fbits must lie in [4, 30]"
-      else if fbits >= modulus_bits then Some "--fbits must lie below --modulus-bits"
-      else if connect = None && transport = `Central && shards > 1 then
-        Some "--shards needs --transport sim, memory or socket"
-      else dp_check ~dp_epsilon ~dp_sensitivity ~dp_public_degree
-    with
-    | Some msg -> `Error (true, msg)
-    | None ->
+  let run o damping iterations fbits mode modulus_bits =
+    let spec =
+      {
+        Serve_proto.default_spec with
+        Serve_proto.pipeline = Serve_proto.Rank;
+        seed = o.seed;
+        shards = o.shards;
+        modulus_bits;
+        damping;
+        iterations;
+        fbits;
+        rank_degree = (mode = `Degree);
+      }
+    in
     let oracle =
       {
         Rank_oracle.mode =
@@ -1064,141 +1067,35 @@ let rank_cmd =
         fbits;
       }
     in
-    match connect with
-    | Some addr_spec ->
-      if trace_file <> None || metrics <> None then
-        `Error
-          ( true,
-            "--trace/--metrics are daemon-side with --connect; scrape the daemon's \
-             --metrics-addr instead" )
-      else if dp_public_degree <> None && graph_path = None then
-        `Error (true, "--dp-public-degree needs --graph")
-      else
-        run_connect ~addr_spec ~jobs
-          {
-            Serve_proto.default_spec with
-            Serve_proto.pipeline = Serve_proto.Rank;
-            seed;
-            shards;
-            modulus_bits;
-            damping;
-            iterations;
-            fbits;
-            rank_degree = (mode = `Degree);
-          }
-          ~print:(function
-            | Serve_proto.Rank_summary { ranks_fx; fbits } ->
-              let scale = float_of_int (1 lsl fbits) in
-              let ranks = Array.map (fun fx -> float_of_int fx /. scale) ranks_fx in
-              print_ranks ~top ranks;
-              (match out with
-              | None -> ()
-              | Some path ->
-                Spe_influence.Result_io.save_scores ranks path;
-                Printf.printf "wrote %s\n" path);
-              (match dp_epsilon with
-              | None -> ()
-              | Some epsilon ->
-                emit_dp_vector
-                  ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-                  ~public:
-                    (dp_node_public ~dp_public_degree (Option.map Graph_io.load graph_path))
-                  ~what:"rank vector" ranks)
-            | _ -> ())
-    | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-    let graph = Graph_io.load graph_path in
-    let logs = Array.of_list (List.map Log_io.load log_paths) in
-    let n = Digraph.n graph in
-    let aggregate_activity () =
-      let a = Array.make n 0 in
+    let fixed (wl : Job.workload) =
+      let n = Digraph.n wl.Job.graph in
+      let activity = Array.make n 0 in
       Array.iter
         (fun l ->
-          if Log.num_users l <> n then
-            invalid_arg "rank: log/graph user universe mismatch";
-          Array.iteri (fun i v -> a.(i) <- a.(i) + v) (Log.user_activity l))
-        logs;
-      a
+          if Log.num_users l <> n then invalid_arg "rank: log/graph user universe mismatch";
+          Array.iteri (fun i v -> activity.(i) <- activity.(i) + v) (Log.user_activity l))
+        wl.Job.logs;
+      Rank_oracle.fixed oracle wl.Job.graph ~activity
     in
-    let plaintext () =
-      Rank_oracle.to_floats oracle (Rank_oracle.fixed oracle graph ~activity:(aggregate_activity ()))
+    (* The central engine is the plaintext fixed-point oracle itself:
+       same arithmetic, no protocol run and no wire. *)
+    let central ~trace:_ wl =
+      ( Serve_proto.Rank_summary { ranks_fx = fixed wl; fbits },
+        Note "engine central: plaintext fixed-point oracle, no protocol run" )
     in
-    let emit_dp ?mpc_plaintext ranks =
-      match dp_epsilon with
-      | None -> ()
-      | Some epsilon ->
-        emit_dp_vector
-          ~params:(dp_params ~seed ~dp_sensitivity epsilon)
-          ~public:(dp_node_public ~dp_public_degree (Some graph))
-          ?plaintext:mpc_plaintext ~what:"rank vector" ranks
-    in
-    let config = { Protocol_rank.oracle; modulus = 1 lsl modulus_bits } in
-    let s = State.create ~seed () in
-    let trace = obs_trace trace_file metrics in
-    match transport with
-    | `Central -> (
-      (* The central engine is the plaintext fixed-point oracle itself:
-         same arithmetic, no protocol run and no wire. *)
-      match plaintext () with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | ranks ->
-        print_ranks ~top ranks;
-        (match out with
-        | None -> ()
-        | Some path ->
-          Spe_influence.Result_io.save_scores ranks path;
-          Printf.printf "wrote %s\n" path);
-        emit_dp ranks;
-        Printf.printf "engine central: plaintext fixed-point oracle, no protocol run\n";
-        `Ok ())
-    | (`Sim | `Memory | `Socket) as transport -> (
-      match Protocol_rank.plan s ~graph ~logs ~shards config with
-      | exception Invalid_argument msg -> `Error (false, msg)
-      | plan ->
-        let result, stats, net, parties, payload_bytes, sections =
-          match transport with
-          | `Sim ->
-            let session = Spe_core.Plan.to_session plan in
-            let r, w, net = run_pipeline_session ~trace `Sim session in
-            let stats = Wire.stats w in
-            ( r, stats, net, Array.length session.Spe_mpc.Session.parties,
-              stats.Wire.bits / 8, None )
-          | (`Memory | `Socket) as transport ->
-            let r, stats, _transcript, net, sections =
-              run_pipeline_plan ~trace ~workers transport plan
-            in
-            ( r, stats, net, Array.length logs + 1, stats.Wire.bits / 8, Some sections )
-        in
-        let ranks = result.Protocol_rank.ranks in
-        print_ranks ~top ranks;
-        (match out with
-        | None -> ()
-        | Some path ->
-          Spe_influence.Result_io.save_scores ranks path;
-          Printf.printf "wrote %s\n" path);
-        emit_dp ~mpc_plaintext:(plaintext ()) ranks;
-        wire_summary stats;
-        transport_bytes_summary stats net;
-        (match sections with
-        | None ->
-          emit_observability trace ~protocol:"rank" ~engine:(engine_name transport)
-            ~parties ~messages:stats.Wire.messages ~payload_bytes ~net trace_file metrics
-        | Some sections ->
-          emit_sharded_observability ~protocol:"rank" ~engine:(engine_name transport)
-            ~messages:stats.Wire.messages ~payload_bytes ~net sections trace_file metrics);
-        `Ok ())
+    run_pipeline o spec
+      ~local:
+        (run_local o ~protocol:"rank"
+           ~plaintext:(fun wl -> Rank_oracle.to_floats oracle (fixed wl))
+           ~central ~build:(Job.build spec))
+      ()
   in
   let term =
     Term.(
       ret
-        (const run $ seed_arg $ graph_opt_arg $ logs_opt_arg $ damping_arg
-       $ iterations_arg $ fbits_arg $ mode_arg $ modulus_bits_arg $ top_arg
-       $ pipeline_transport_arg $ shards_arg $ workers_arg $ trace_file_arg
-       $ metrics_arg $ out_arg $ connect_arg $ jobs_arg $ dp_epsilon_arg
-       $ dp_sensitivity_arg $ dp_public_degree_arg))
+        (const run
+        $ opts_term ~out_doc:"Also write the full rank vector to FILE."
+        $ damping_arg $ iterations_arg $ fbits_arg $ mode_arg $ modulus_bits_arg))
   in
   Cmd.v
     (Cmd.info "rank"
@@ -1213,19 +1110,12 @@ let rank_cmd =
 (* Epoch-delta streaming: replay the providers' logs as seeded arrival
    streams, accumulate them in sliding-window counters, and re-release
    the pair estimates every epoch, re-running the protocols only over
-   the dirtied counter groups (Spe_core.Delta).  The same seed
-   derivation as the daemons' Stream jobs, so `spe stream` in-process
-   and `spe stream --connect` against a deployment loaded with the same
-   workload release identical digests. *)
+   the dirtied counter groups (Spe_core.Delta).  The ingestion is
+   Job's, so `spe stream` in-process and `spe stream --connect` against
+   a deployment loaded with the same workload release identical
+   digests. *)
 
 let stream_cmd =
-  let module Source = Spe_actionlog.Source in
-  let module Stream = Spe_influence.Stream in
-  let module Counters = Spe_influence.Counters in
-  let module Delta = Spe_core.Delta in
-  let module Plan = Spe_core.Plan in
-  let module Session = Spe_mpc.Session in
-  let module Endpoint = Spe_net.Endpoint in
   let epoch_arg =
     Arg.(
       value & opt int 25
@@ -1282,203 +1172,107 @@ let stream_cmd =
       & info [ "verify-full" ]
           ~doc:
             "Also run a full per-epoch recompute (every counter group re-shared every \
-             epoch) in lockstep and assert its release digest matches the delta path's \
-             at every epoch — the bit-identity invariant, checked live.")
-  in
-  let print_summary ~top ~epochs digests recomputed strengths =
-    Array.iteri
-      (fun e d -> Printf.printf "epoch %d: %d group(s) recomputed, digest %016x\n" e
-          recomputed.(e) d)
-      digests;
-    Printf.printf "%d epoch(s) released\n" epochs;
-    let sorted = List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) strengths in
-    Printf.printf "final link strengths (top %d of %d):\n" top (List.length sorted);
-    List.iteri
-      (fun i ((u, v), p) -> if i < top then Printf.printf "  %6d -> %-6d  %.4f\n" u v p)
-      sorted
+             epoch) and assert its release digest matches the delta path's at every \
+             epoch — the bit-identity invariant, checked end to end.")
   in
   let run seed graph_path log_paths epoch_ticks window epochs rate burstiness jitter h
       c_factor modulus_bits transport top verify_full connect jobs =
-    match
-      if epoch_ticks < 1 then Some "--epoch must be at least 1"
-      else if window < 0 then Some "--stream-window must be >= 0"
-      else if epochs < 1 then Some "--epochs must be at least 1"
-      else if rate <= 0. then Some "--rate must be positive"
-      else if burstiness < 0. || burstiness >= 1. then Some "--burstiness must be in [0, 1)"
-      else if jitter < 0 then Some "--jitter must be >= 0"
-      else if h < 1 then Some "--h must be at least 1"
-      else if c_factor < 1. then Some "--c-factor must be >= 1"
-      else if modulus_bits < 2 || modulus_bits > 61 then
-        Some "--modulus-bits must lie in [2, 61]"
-      else if jobs < 1 then Some "--jobs must be at least 1"
-      else None
-    with
-    | Some msg -> `Error (true, msg)
-    | None ->
-    match connect with
-    | Some addr_spec ->
+    let o =
+      {
+        seed;
+        graph_path;
+        log_paths;
+        top;
+        transport = (transport :> [ `Central | `Sim | `Memory | `Socket ]);
+        shards = 1;
+        workers = 2;
+        connect;
+        jobs;
+        trace_file = None;
+        metrics = None;
+        out = None;
+        dp_epsilon = None;
+        dp_sensitivity = 1.;
+        dp_public_degree = None;
+      }
+    in
+    let spec =
+      {
+        Serve_proto.default_spec with
+        Serve_proto.pipeline = Serve_proto.Stream;
+        seed;
+        h;
+        c_factor;
+        modulus_bits;
+        epoch_ticks;
+        window;
+        epochs;
+        rate;
+        burstiness;
+        jitter;
+      }
+    in
+    let refuse_connect =
       if verify_full then
-        `Error
-          ( true,
-            "--verify-full is an in-process check; daemons run the delta plan — compare \
-             against a local run with the same seed instead" )
-      else
-        run_connect ~addr_spec ~jobs
-          {
-            Serve_proto.default_spec with
-            Serve_proto.pipeline = Serve_proto.Stream;
-            seed;
-            h;
-            c_factor;
-            modulus_bits;
-            epoch_ticks;
-            window;
-            epochs;
-            rate;
-            burstiness;
-            jitter;
-          }
-          ~print:(function
-            | Serve_proto.Stream_summary { digests; recomputed; strengths } ->
-              print_summary ~top ~epochs:(Array.length digests) digests recomputed
-                strengths
-            | _ -> ())
-    | None ->
-    match (graph_path, log_paths) with
-    | None, _ -> `Error (true, "--graph is required when not using --connect")
-    | _, [] -> `Error (true, "--log is required when not using --connect")
-    | Some graph_path, log_paths ->
-      let graph = Graph_io.load graph_path in
-      let logs = Array.of_list (List.map Log_io.load log_paths) in
-      if Array.length logs < 2 then `Error (true, "need at least two --log providers")
-      else begin
-        let m = Array.length logs in
-        let num_actions =
-          Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs
-        in
-        let config =
-          {
-            Protocol4.c_factor;
-            modulus = 1 lsl modulus_bits;
-            h;
-            estimator = Protocol4.Eq1;
-          }
-        in
-        (* One streaming instance: its Delta pipeline, the per-provider
-           sources, and windowed accumulators over its published pair
-           order.  [verify-full] builds a second one from the same seeds
-           — identical ingestion, every group recomputed every epoch. *)
-        let instance () =
-          let d =
-            Delta.create
-              (State.create ~seed ())
-              ~graph ~m ~num_actions ~group_seed:(seed lxor 0x5bd1e995) config
-          in
-          let pairs = Delta.pairs d in
-          let sources =
-            Array.mapi
-              (fun k l ->
-                Source.create
-                  (State.create ~seed:(seed + 101 + k) ())
-                  l ~rate ~burstiness ~jitter ())
-              logs
-          in
-          let streams =
-            Array.map
-              (fun _ ->
-                Stream.create
-                  ?window:(if window = 0 then None else Some window)
-                  ~num_users:(Digraph.n graph) ~num_actions ~h ~pairs ())
-              logs
-          in
-          (d, sources, streams)
-        in
-        let union_sorted lists = List.sort_uniq compare (List.concat lists) in
-        let epoch_input ~epoch ~horizon (sources, streams) =
-          let arrivals = ref 0 in
-          Array.iteri
-            (fun k src ->
-              List.iter
-                (fun (r : Log.record) ->
-                  incr arrivals;
-                  let acc = streams.(k) in
-                  Stream.advance acc ~now:(max (Stream.now acc) r.Log.time);
-                  Stream.add acc r)
-                (Source.take_until src ~arrival:horizon))
-            sources;
-          let dirty_users =
-            union_sorted (Array.to_list (Array.map Stream.dirty_users streams))
-          in
-          let dirty_pairs =
-            union_sorted (Array.to_list (Array.map Stream.dirty_pairs streams))
-          in
-          let inputs =
-            Array.map
-              (fun acc ->
-                let c = Stream.snapshot acc in
-                { Protocol4.a = c.Counters.a; c = c.Counters.c })
-              streams
-          in
-          Array.iter Stream.clear_dirty streams;
-          (!arrivals, { Delta.epoch; dirty_users; dirty_pairs; inputs })
-        in
-        let endpoint_config =
-          { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-        in
-        let run_plan engine plan =
-          fst (Plan.execute ~config:endpoint_config ~workers:2 ~engine plan)
-        in
-        let d, srcs, accs = instance () in
-        let full_i = if verify_full then Some (instance ()) else None in
-        let t0 = Unix.gettimeofday () in
-        let total_arrivals = ref 0 in
-        let mismatch = ref None in
-        let last = ref None in
-        for e = 0 to epochs - 1 do
-          let horizon = (e + 1) * epoch_ticks in
-          let arrivals, input = epoch_input ~epoch:e ~horizon (srcs, accs) in
-          total_arrivals := !total_arrivals + arrivals;
-          let release = run_plan transport (Delta.epoch_plan d ~mode:Delta.Delta input) in
-          last := Some release;
-          Printf.printf "epoch %d: %d arrival(s), %d group(s) recomputed, digest %016x%s\n%!"
-            e arrivals release.Delta.recomputed release.Delta.digest
-            (match full_i with
-            | None -> ""
-            | Some (fd, fsrcs, faccs) ->
-              let _, finput = epoch_input ~epoch:e ~horizon (fsrcs, faccs) in
-              let full = run_plan `Sim (Delta.epoch_plan fd ~mode:Delta.Full finput) in
-              if full.Delta.digest = release.Delta.digest then " = full"
+        Some
+          "--verify-full is an in-process check; daemons run the delta plan — compare \
+           against a local run with the same seed instead"
+      else None
+    in
+    let digests_of planned =
+      match Job.reply_of planned with
+      | Serve_proto.Stream_summary { digests; _ } -> digests
+      | _ -> [||]
+    in
+    let local wl =
+      let trace = Spe_obs.Trace.disabled () in
+      let t0 = Unix.gettimeofday () in
+      let planned, arrivals = Job.build_stream ~mode:Spe_core.Delta.Delta spec wl in
+      ignore (execute ~trace ~workers:o.workers transport planned);
+      let reply = Job.reply_of planned in
+      (* [--verify-full]: the same ingestion with every group
+         recomputed every epoch, on sim. *)
+      let full =
+        if verify_full then begin
+          let full, _ = Job.build_stream ~mode:Spe_core.Delta.Full spec wl in
+          ignore (execute ~trace ~workers:o.workers `Sim full);
+          Some (digests_of full)
+        end
+        else None
+      in
+      let wall = Unix.gettimeofday () -. t0 in
+      let delta = digests_of planned in
+      let mismatch = ref None in
+      let verdicts =
+        match full with
+        | None -> [||]
+        | Some full ->
+          Array.mapi
+            (fun e d ->
+              if full.(e) = d then " = full"
               else begin
                 if !mismatch = None then mismatch := Some e;
-                Printf.sprintf " <> full %016x" full.Delta.digest
+                Printf.sprintf " <> full %016x" full.(e)
               end)
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        (match !last with
-        | None -> ()
-        | Some release ->
-          let sorted =
-            List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) release.Delta.strengths
-          in
-          Printf.printf "final link strengths (top %d of %d):\n" top (List.length sorted);
-          List.iteri
-            (fun i ((u, v), p) ->
-              if i < top then Printf.printf "  %6d -> %-6d  %.4f\n" u v p)
-            sorted);
-        Printf.printf "%d epoch(s), %d record(s) in %.2f s (%.1f sustained updates/s)\n"
-          epochs !total_arrivals wall
-          (if wall > 0. then float_of_int !total_arrivals /. wall else 0.);
-        (match !mismatch with
-        | None ->
-          if verify_full then
-            Printf.printf "verify-full: delta releases bit-identical to full recompute\n";
-          `Ok ()
-        | Some e ->
-          `Error
-            ( false,
-              Printf.sprintf "verify-full: delta and full release digests diverge at epoch %d"
-                e ))
-      end
+            delta
+      in
+      print_reply ~top ~arrivals ~verdicts reply;
+      let total = Array.fold_left ( + ) 0 arrivals in
+      Printf.printf "%d epoch(s), %d record(s) in %.2f s (%.1f sustained updates/s)\n"
+        epochs total wall
+        (if wall > 0. then float_of_int total /. wall else 0.);
+      match !mismatch with
+      | None ->
+        if verify_full then
+          Printf.printf "verify-full: delta releases bit-identical to full recompute\n";
+        `Ok ()
+      | Some e ->
+        `Error
+          ( false,
+            Printf.sprintf "verify-full: delta and full release digests diverge at epoch %d" e
+          )
+    in
+    run_pipeline o spec ?refuse_connect ~local ()
   in
   let term =
     Term.(
@@ -1859,11 +1653,12 @@ let shares_cmd =
           "transport: %d framed bytes on the wire (%d payload, overhead factor %.3f)\n"
           total totals.Net_wire.payload_bytes
           (float_of_int total /. float_of_int (max 1 totals.Net_wire.payload_bytes)));
-      emit_observability trace
+      emit_observability
         ~protocol:(match protocol with `P1 -> "shares-p1" | `P2 -> "shares-p2")
-        ~engine:(engine_name transport) ~parties:(Array.length parties')
-        ~messages:stats.Wire.messages ~payload_bytes:(stats.Wire.bits / 8)
-        ~net:transport_bytes trace_file metrics;
+        ~engine:(engine_name transport) ~messages:stats.Wire.messages
+        ~payload_bytes:(stats.Wire.bits / 8) ~net:transport_bytes
+        [ (None, trace, Array.length parties') ]
+        trace_file metrics;
       if !ok then `Ok () else `Error (false, "share reconstruction failed")
     end
   in

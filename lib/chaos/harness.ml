@@ -6,7 +6,6 @@ module Session = Spe_mpc.Session
 module Protocol4 = Spe_core.Protocol4
 module Protocol6 = Spe_core.Protocol6
 module Driver = Spe_core.Driver
-module Driver_distributed = Spe_core.Driver_distributed
 module Plan = Spe_core.Plan
 module Shard = Spe_core.Shard
 module Endpoint = Spe_net.Endpoint
@@ -72,13 +71,12 @@ let oracle_plan (sched : Schedule.t) : bool Plan.t =
         ~modulus ~shards:sched.Schedule.shards config
     in
     Plan.map
-      (fun (r : Driver_distributed.scores) ->
+      (fun (r : Shard.scores) ->
         let central =
           Driver.user_scores_exclusive (State.create ~seed:pseed ()) ~graph:g ~logs ~tau
             ~modulus config
         in
-        r.Driver_distributed.scores = central.Driver.scores
-        && r.Driver_distributed.graphs = central.Driver.graphs)
+        r.Shard.scores = central.Driver.scores && r.Shard.graphs = central.Driver.graphs)
       plan
 
 let all_sessions (plan : _ Plan.t) =

@@ -50,7 +50,8 @@ val link_strengths_exclusive :
 val pick_trusted : m:int -> class_members:int array -> Spe_mpc.Wire.party
 (** The trusted third party for one action class: a provider outside
     the class when one exists, the host otherwise.  Shared with
-    [Driver_distributed] so both pipelines seat the same parties. *)
+    [Shard.links_non_exclusive] so the central and distributed
+    pipelines seat the same parties. *)
 
 val link_strengths_non_exclusive :
   ?trace:Spe_obs.Trace.t ->

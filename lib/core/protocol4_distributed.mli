@@ -1,32 +1,10 @@
-(** Protocol 4 as a composed {!Spe_mpc.Session}: the full Sec. 5.1
-    link-strength pipeline with every party an isolated state machine,
-    runnable on any engine — the in-process {!Spe_mpc.Runtime}, or the
-    [Spe_net] memory-channel and socket endpoints.
-
-    The session is built by sequencing three phases with
-    {!Spe_mpc.Session.seq}:
-
-    + {e publish} — the host ships the obfuscated pair set
-      [Omega_E'] to every provider (Steps 1-2);
-    + {e share} — the batched Protocol 2 over all counters
-      ({!Spe_mpc.Protocol2_distributed.make_lazy}; each provider builds
-      its flat counter vector from the pair set it {e received} in
-      phase 1, Steps 3-4);
-    + {e mask} — players 1 and 2 exchange the two joint-mask
-      agreement rounds, combine and mask their shares, and ship the
-      masked reals; the host reconstructs the quotients at its
-      finishing call (Steps 5-9).
-
-    All randomness (the pair obfuscation, the Protocol 2 secrets, the
-    per-user masks) is consumed off the supplied generator in exactly
-    the central draw order, so the session result is {e bit-identical}
-    to {!Protocol4.run_with_logs} from an equal-positioned generator,
-    and the charged round/message counts match the central wire
-    statistics ([NR]/[NM]) exactly; message {e sizes} differ only by
-    the typed payload encodings (see DESIGN.md, "central vs distributed
-    wire sizes"). *)
-
-type session = Protocol4.result Spe_mpc.Session.t
+(** The Protocol 4 pair publication (Steps 1-2) as one-round
+    {!Spe_mpc.Session}s: the host broadcasts the obfuscated pair set
+    [Omega_E'] to every provider, who decodes it at its finishing call.
+    [Shard] builds the links pipelines' publish phase from
+    {!publish_slice_session}, one slice per shard; [Delta] publishes its
+    epoch-0 pair set the same way, and [Protocol6_distributed] starts
+    from {!publish_pairs_phase}. *)
 
 val publish_slice_session :
   node_modulus:int ->
@@ -55,37 +33,4 @@ val publish_pairs_phase :
     Returns [(session, pairs, received_of)] where [pairs] is the
     host-side published set (also the session result) and
     [received_of k] reads provider [k]'s decoded copy — valid once the
-    phase has executed.  Shared with [Protocol6_distributed]. *)
-
-val make :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  num_actions:int ->
-  m:int ->
-  provider_input_of:(k:int -> pairs:(int * int) array -> Protocol4.provider_input) ->
-  Protocol4.config ->
-  session
-(** Build the full pipeline session.  [provider_input_of ~k ~pairs] is
-    called {e inside} provider [k]'s program when the Protocol 2 phase
-    starts, with the pair set that provider received — the
-    non-exclusive driver passes a closure reading the Protocol 5 class
-    results delivered by earlier phases.  Raises [Invalid_argument] on
-    the same parameter violations as {!Protocol4.run}. *)
-
-val make_with_logs :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol4.config ->
-  session
-(** The exclusive case: each provider's input is extracted from its own
-    log against the received pair set ({!Protocol4.provider_input_of_log}). *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Spe_mpc.Wire.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol4.config ->
-  Protocol4.result
-(** {!make_with_logs} driven by {!Spe_mpc.Session.run}. *)
+    phase has executed.  Used by [Protocol6_distributed]. *)

@@ -7,8 +7,6 @@ module Cipher = Spe_crypto.Cipher
 module Nat = Spe_bignum.Nat
 module Propagation = Spe_influence.Propagation
 
-type session = Protocol6.result Session.t
-
 type prepared = {
   setup_session : unit Session.t;
   pairs : (int * int) array;
@@ -19,14 +17,14 @@ type prepared = {
 
 let prepare st ~graph ~logs config =
   let m = Array.length logs in
-  if m < 2 then invalid_arg "Protocol6_distributed.make: need at least two providers";
+  if m < 2 then invalid_arg "Protocol6_distributed.prepare: need at least two providers";
   if config.Protocol6.key_bits < 16 then
-    invalid_arg "Protocol6_distributed.make: key too small";
+    invalid_arg "Protocol6_distributed.prepare: key too small";
   let n = Digraph.n graph in
   Array.iter
     (fun l ->
       if Log.num_users l <> n then
-        invalid_arg "Protocol6_distributed.make: log/graph universe mismatch")
+        invalid_arg "Protocol6_distributed.prepare: log/graph universe mismatch")
     logs;
   let num_actions = Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs in
   Protocol6.check_exclusive logs num_actions;
@@ -82,7 +80,7 @@ let prepare st ~graph ~logs config =
      published pairs, packed and encrypted.  The bundles are prepared
      here, in provider order over the {e full} action range, against
      the published pair set — this keeps the probabilistic Paillier
-     stream on the single make-time draw order whatever the shard cut,
+     stream on the single prepare-time draw order whatever the shard cut,
      so ciphertext {e sizes} and plaintexts are engine- and
      shard-independent. *)
   let bundles =
@@ -188,11 +186,3 @@ let prepare st ~graph ~logs config =
     { Protocol6.graphs; pairs; ciphertexts = !total_ciphertexts }
   in
   { setup_session; pairs; num_actions; bundle_session; result }
-
-let make st ~graph ~logs config =
-  let p = prepare st ~graph ~logs config in
-  Session.map
-    (fun ((), ()) -> p.result ())
-    (Session.seq p.setup_session (p.bundle_session ~lo:0 ~hi:p.num_actions))
-
-let run st ~wire ~graph ~logs config = Session.run (make st ~graph ~logs config) ~wire

@@ -1,12 +1,14 @@
-(** Protocol 6 as a composed {!Spe_mpc.Session}: the Sec. 6.1
+(** Protocol 6 as per-party {!Spe_mpc.Session}s: the Sec. 6.1
     propagation-graph pipeline with every party an isolated state
-    machine, runnable on any engine.
+    machine, runnable on any engine, cut at its natural shard seam.
+    [Shard.user_scores_exclusive] stages it.
 
     Four charged rounds, as in Table 2 and {!Protocol6.run}: pair
-    publication ({!Protocol4_distributed.publish_pairs_phase}), key
-    broadcast, encrypted Delta bundles to provider 1, forward to the
-    host — who decrypts and rebuilds the propagation graphs at its
-    finishing call.
+    publication ({!Protocol4_distributed.publish_pairs_phase}) and the
+    key broadcast ([setup_session]), then encrypted Delta
+    bundles to provider 1 and the forward to the host
+    ([bundle_session]) — who decrypts and rebuilds the
+    propagation graphs at its finishing call.
 
     Two modelling notes, mirrored from the central implementation's
     semi-honest shorthand (DESIGN.md):
@@ -14,18 +16,16 @@
       the key broadcast carries a placeholder natural of the key's
       exact wire width; the providers encrypt through the shared
       [public] closure.
-    - The Delta bundles are prepared at [make] time, in provider order,
-      against the published pair set (the same array each provider
-      receives in phase 1) — this keeps the probabilistic Paillier
-      encryption stream on a single draw order, making plaintexts and
-      wire sizes engine-independent.
+    - The Delta bundles are prepared at {!prepare} time, in provider
+      order, against the published pair set (the same array each
+      provider receives in the publish phase) — this keeps the
+      probabilistic Paillier encryption stream on a single draw order,
+      making plaintexts and wire sizes engine- and shard-independent.
 
-    All randomness is consumed in the central draw order, so the
-    session result is bit-identical to {!Protocol6.run}, and the
-    charged round/message counts match the central statistics
-    exactly. *)
-
-type session = Protocol6.result Spe_mpc.Session.t
+    All randomness is consumed in the central draw order, so the merged
+    result is bit-identical to {!Protocol6.run}, and the charged
+    round/message counts of the unsharded relay match the central
+    statistics exactly. *)
 
 type prepared = {
   setup_session : unit Spe_mpc.Session.t;
@@ -58,24 +58,6 @@ val prepare :
   logs:Spe_actionlog.Log.t array ->
   Protocol6.config ->
   prepared
-(** Same contract as {!make}; {!make} itself is
-    [setup_session] sequenced with the full-range bundle session. *)
-
-val make :
-  Spe_rng.State.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol6.config ->
-  session
 (** Same contract as {!Protocol6.run}: [m >= 2] exclusive provider
     logs over the graph's user universe.  Raises [Invalid_argument]
     otherwise. *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Spe_mpc.Wire.t ->
-  graph:Spe_graph.Digraph.t ->
-  logs:Spe_actionlog.Log.t array ->
-  Protocol6.config ->
-  Protocol6.result
-(** {!make} driven by {!Spe_mpc.Session.run}. *)

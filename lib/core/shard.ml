@@ -37,11 +37,10 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
   let n = Digraph.n graph in
   let h = config.Protocol4.h in
   (* Every draw happens here, at plan-build time, in exactly the
-     unsharded order: the pair obfuscation, the batched Protocol 2
+     central order: the pair obfuscation, the batched Protocol 2
      secrets, the per-user masks.  Shards are then cut as contiguous
      chunks of the already-drawn (and already-permuted) published
-     order — no extra draws, so the k = 1 plan is the monolithic
-     session wire-for-wire, and any k merges to the same bits. *)
+     order — no extra draws, so any k merges to the same bits. *)
   let ob = Obfuscate.make st graph ~c:config.Protocol4.c_factor in
   let q = Obfuscate.size ob in
   let pairs = ob.Obfuscate.pairs in
@@ -67,34 +66,23 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
      the whole log no matter how short its pair slice, so per-shard
      recomputation would multiply that scan by k.  Per-pair rows are
      independent, so every shard's input is a plain slice of this one
-     flat vector, bit-identical to computing it per shard.  Memoised on
+     flat vector, bit-identical to computing it per shard.  Forced on
      first use, not precomputed: the non-exclusive inputs read the
      Protocol 5 class results, which exist only once the p5-classes
-     stage has run.  Mutex, not [Lazy]: concurrent shard sessions race
-     to the first force, and [Lazy.force] is not thread-safe. *)
-  let input_lock = Mutex.create () in
-  let full_flat_memo = Array.make m None in
-  let full_flat k =
-    Mutex.lock input_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock input_lock)
-      (fun () ->
-        match full_flat_memo.(k) with
-        | Some flat -> flat
-        | None ->
-          let input = provider_input_of ~k ~pairs in
-          if Array.length input.Protocol4.a <> n then
-            invalid_arg "Shard.links: activity vector length";
-          if Array.length input.Protocol4.c <> q then
-            invalid_arg "Shard.links: lag counter pair count";
-          Array.iter
-            (fun row ->
-              if Array.length row <> h then
-                invalid_arg "Shard.links: lag counter width")
-            input.Protocol4.c;
-          let flat = Protocol4.flatten_input config.Protocol4.estimator input in
-          full_flat_memo.(k) <- Some flat;
-          flat)
+     stage has run. *)
+  let full_flat =
+    Array.init m (fun k ->
+        lazy
+          (let input = provider_input_of ~k ~pairs in
+           if Array.length input.Protocol4.a <> n then
+             invalid_arg "Shard.links: activity vector length";
+           if Array.length input.Protocol4.c <> q then
+             invalid_arg "Shard.links: lag counter pair count";
+           Array.iter
+             (fun row ->
+               if Array.length row <> h then invalid_arg "Shard.links: lag counter width")
+             input.Protocol4.c;
+           Protocol4.flatten_input config.Protocol4.estimator input))
   in
   let shard_records =
     Array.init k_eff (fun s ->
@@ -112,7 +100,7 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
         in
         let inputs =
           Array.init m (fun k () ->
-              let flat = full_flat k in
+              let flat = Lazy.force full_flat.(k) in
               Array.append (Array.sub flat u0 n_s) (Array.sub flat (n + (a0 * w)) (q_s * w)))
         in
         let core = Protocol2_distributed.make_core ~parties ~third_party ~slice:sl ~inputs in
@@ -275,8 +263,11 @@ let links_non_exclusive st ~graph ~logs ~spec ~obfuscation ~shards config =
     (fun l -> Partition.validate_class_spec spec ~num_actions:(Log.num_actions l))
     logs;
   (* The Protocol 5 class sessions, built in class order exactly as the
-     unsharded driver does (same draws); they have no mutual dataflow,
-     so the plan runs them as one concurrent stage. *)
+     central driver runs them (same draws); the representative of each
+     class accumulates an accessor to the class counters, which its
+     Protocol 4 input reads once the class stage has run.  The sessions
+     have no mutual dataflow, so the plan runs them as one concurrent
+     stage. *)
   let held = Array.make m [] in
   let class_sessions =
     Array.to_list spec.Partition.class_providers
@@ -313,6 +304,81 @@ let links_non_exclusive st ~graph ~logs ~spec ~obfuscation ~shards config =
         Protocol5.to_provider_input (List.map (fun f -> f ()) accessors) ~pairs)
     ~pre_stages ~shards config
 
+type scores = { scores : float array; graphs : Propagation.t array }
+
+(* The final unmasking phase: mask agreement (rounds 1-2), masked
+   denominators to the host (round 3), then the blinded round-trip
+   host -> player 1 -> host (rounds 4-5), the host dividing at its
+   finishing call.  [share1]/[share2] read the players' Protocol 2
+   activity shares and [numerators_of] the Protocol 6 sphere totals;
+   all three are forced only once the phase is executing (the
+   numerators inside the host program at round 4), after every earlier
+   stage has delivered.  The session result is the score vector. *)
+let scores_final_phase ~n ~p0 ~p1 ~masks ~blinds ~share1 ~share2 ~numerators_of =
+  let scores_ref = ref [||] in
+  let player me other share_of is_player1 ~round ~inbox =
+    match round with
+    | 1 | 2 ->
+      [ { Runtime.src = me; dst = other; payload = Runtime.Floats (Array.make n 0.) } ]
+    | 3 ->
+      let share = share_of () in
+      [ { Runtime.src = me; dst = Wire.Host;
+          payload =
+            Runtime.Floats (Array.init n (fun i -> masks.(i) *. float_of_int share.(i))) } ]
+    | 5 when is_player1 -> (
+      match
+        List.find_map
+          (fun msg ->
+            match msg.Runtime.payload with
+            | Runtime.Floats v when msg.Runtime.src = Wire.Host -> Some v
+            | _ -> None)
+          inbox
+      with
+      | Some to_p1 ->
+        [ { Runtime.src = me; dst = Wire.Host;
+            payload = Runtime.Floats (Array.init n (fun i -> to_p1.(i) *. masks.(i))) } ]
+      | None -> [])
+    | _ -> []
+  in
+  let v1 = ref None and v2 = ref None in
+  let host_program ~round ~inbox =
+    let floats_from party =
+      List.find_map
+        (fun msg ->
+          match msg.Runtime.payload with
+          | Runtime.Floats v when msg.Runtime.src = party -> Some v
+          | _ -> None)
+        inbox
+    in
+    match round with
+    | 4 -> (
+      (match floats_from p0 with Some v -> v1 := Some v | None -> ());
+      (match floats_from p1 with Some v -> v2 := Some v | None -> ());
+      match (!v1, !v2) with
+      | Some a, Some b ->
+        let masked_denominators = Array.init n (fun i -> a.(i) +. b.(i)) in
+        let numerators = numerators_of () in
+        let to_p1 =
+          Array.init n (fun i ->
+              if masked_denominators.(i) = 0. then 0.
+              else blinds.(i) *. float_of_int numerators.(i) /. masked_denominators.(i))
+        in
+        [ { Runtime.src = Wire.Host; dst = p0; payload = Runtime.Floats to_p1 } ]
+      | _ -> [])
+    | 6 ->
+      (match floats_from p0 with
+      | Some from_p1 -> scores_ref := Array.init n (fun i -> from_p1.(i) /. blinds.(i))
+      | None -> ());
+      []
+    | _ -> []
+  in
+  Session.with_label "scores-final"
+    (Session.make
+       ~parties:[| p0; p1; Wire.Host |]
+       ~programs:[| player p0 p1 share1 true; player p1 p0 share2 false; host_program |]
+       ~rounds:5
+       ~result:(fun () -> !scores_ref))
+
 let user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards config =
   let m = Array.length logs in
   if m < 2 then
@@ -325,7 +391,9 @@ let user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards config =
     invalid_arg "Shard.user_scores_exclusive: modulus must exceed A";
   (* All Protocol 6 draws (obfuscation, keygen, every encryption)
      happen at prepare time in the central order; the action range is
-     then cut into k contiguous bundle relays. *)
+     then cut into k contiguous bundle relays.  The activity Protocol 2
+     draws, then the joint per-user masks, then the host's blinds
+     follow — the central draw order. *)
   let p = Protocol6_distributed.prepare st ~graph ~logs config in
   let parties = Array.init m (fun k -> Wire.Provider k) in
   let third_party = if m > 2 then Wire.Provider 2 else Wire.Host in
@@ -338,7 +406,7 @@ let user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards config =
   let blinds = Array.init n (fun _ -> Dist.mask_pair st) in
   let p0 = parties.(0) and p1 = parties.(1) in
   let final_phase =
-    Driver_distributed.scores_final_phase ~n ~p0 ~p1 ~masks ~blinds
+    scores_final_phase ~n ~p0 ~p1 ~masks ~blinds
       ~share1:handle.Protocol2_distributed.share1
       ~share2:handle.Protocol2_distributed.share2
       ~numerators_of:(fun () ->
@@ -362,6 +430,6 @@ let user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards config =
       ]
     ~result:(fun () ->
       {
-        Driver_distributed.scores = final_phase.Session.result ();
+        scores = final_phase.Session.result ();
         graphs = (p.Protocol6_distributed.result ()).Protocol6.graphs;
       })

@@ -52,7 +52,8 @@ let decode_residues ~modulus ~count buf =
       for j = 0 to width - 1 do
         v := (!v lsl 8) lor Char.code (Bytes.get buf (base + j))
       done;
-      if !v >= modulus then invalid_arg "Codec.decode_residues: residue out of range";
+      (* Eight bytes can overflow into a negative int. *)
+      if !v < 0 || !v >= modulus then invalid_arg "Codec.decode_residues: residue out of range";
       !v)
 
 let encode_floats_into values buf ~pos =
@@ -96,7 +97,13 @@ let nats_length ~width_bits values =
 let decode_nats ~width_bits ~count buf =
   let width = (width_bits + 7) / 8 in
   if Bytes.length buf <> width * count then invalid_arg "Codec.decode_nats: length mismatch";
-  Array.init count (fun i -> Nat.of_bytes_be buf ~pos:(i * width) ~len:width)
+  (* The leading byte holds [width_bits - 8 * (width - 1)] value bits;
+     any bit above them is a value the width cannot carry. *)
+  let top_bits = width_bits - (8 * (width - 1)) in
+  Array.init count (fun i ->
+      if Char.code (Bytes.get buf (i * width)) lsr top_bits <> 0 then
+        invalid_arg "Codec.decode_nats: value exceeds width";
+      Nat.of_bytes_be buf ~pos:(i * width) ~len:width)
 
 let encode_bitset_into flags buf ~pos =
   let n = Array.length flags in

@@ -39,7 +39,8 @@ val residues_length : modulus:int -> int array -> int
     below 2 or an out-of-range entry. *)
 
 val decode_residues : modulus:int -> count:int -> bytes -> int array
-(** Inverse; raises [Invalid_argument] on a length mismatch. *)
+(** Inverse; raises [Invalid_argument] on a length mismatch or a
+    residue outside [0, modulus). *)
 
 val encode_floats : float array -> bytes
 (** 8 bytes per value, IEEE 754 binary64 big-endian. *)
@@ -63,6 +64,8 @@ val nats_length : width_bits:int -> Spe_bignum.Nat.t array -> int
     1 or a value wider than [width_bits]. *)
 
 val decode_nats : width_bits:int -> count:int -> bytes -> Spe_bignum.Nat.t array
+(** Inverse; raises [Invalid_argument] on a length mismatch or a value
+    wider than [width_bits] — exactly what the encoder refuses. *)
 
 val encode_bitset : bool array -> bytes
 (** One bit per flag, padded to a whole byte — the Protocol 2 verdict

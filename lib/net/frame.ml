@@ -87,6 +87,8 @@ let get_u32 r =
 
 let get_u63 r =
   let hi = get_u32 r in
+  (* The writers only emit nonnegative ints: the top two bits are 0. *)
+  if hi > 0x3FFF_FFFF then invalid_arg "Frame.decode: u63 out of range";
   (hi lsl 32) lor get_u32 r
 
 let get_bytes r n =
@@ -95,6 +97,17 @@ let get_bytes r n =
   let b = Bytes.sub r.body r.pos n in
   r.pos <- r.pos + n;
   b
+
+(* A u32 element count, checked against the bytes left before anything
+   is allocated or multiplied for it: every element takes [entry_bytes]
+   on the wire.  Zero-width elements carry no bytes, so only an empty
+   count of them is accepted. *)
+let get_count r ~entry_bytes =
+  let count = get_u32 r in
+  let left = Bytes.length r.body - r.pos in
+  if (entry_bytes = 0 && count > 0) || (entry_bytes > 0 && count > left / entry_bytes) then
+    invalid_arg "Frame.decode: count exceeds the frame";
+  count
 
 (* Closed-form encoded sizes, mirrored one-for-one by the writers
    below; PERFORMANCE.md ("Framing") states them and the test suite
@@ -179,14 +192,17 @@ let rec get_payload r =
   | k when k = kind_nats ->
     let width_bits = get_u63 r in
     if width_bits < 1 then invalid_arg "Frame.decode: bad nat width";
-    let count = get_u32 r in
+    let count = get_count r ~entry_bytes:((width_bits + 7) / 8) in
     let body = get_bytes r ((width_bits + 7) / 8 * count) in
     Runtime.Nats { width_bits; values = Codec.decode_nats ~width_bits ~count body }
   | k when k = kind_tuples ->
     let arity = get_u16 r in
     let moduli = Array.init arity (fun _ -> get_u63 r) in
     Array.iter (fun m -> if m <= 1 then invalid_arg "Frame.decode: bad modulus") moduli;
-    let count = get_u32 r in
+    let row_bytes =
+      Array.fold_left (fun acc modulus -> acc + Codec.residue_bytes ~modulus) 0 moduli
+    in
+    let count = get_count r ~entry_bytes:row_bytes in
     let rows =
       Array.init count (fun _ ->
           Array.map

@@ -94,7 +94,7 @@ module Heap = struct
 end
 
 type t = {
-  lock : Mutex.t;  (* guards [ready], [parked] and [destroyed] *)
+  lock : Mutex.t;  (* guards [ready], [parked], [destroyed] and the wake pipe's life *)
   ready : (unit -> unit) Queue.t;
   mutable parked : bool;  (* loop is (about to be) blocked in select *)
   mutable destroyed : bool;
@@ -134,26 +134,28 @@ let wake_byte = Bytes.make 1 '!'
 
 let post t task =
   Mutex.lock t.lock;
-  let need_wake = t.parked && not t.destroyed in
   if not t.destroyed then begin
     Queue.push task t.ready;
-    t.parked <- false
+    if t.parked then begin
+      t.parked <- false;
+      (* Wake the loop while still holding the lock: [destroy] closes
+         the pipe under it, so the byte can never land on a descriptor
+         number the process has since reused for another connection.
+         A full pipe already holds a pending wake-up; EAGAIN is fine. *)
+      try ignore (Unix.write t.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
+    end
   end;
-  Mutex.unlock t.lock;
-  if need_wake then
-    (* A full pipe already holds a pending wake-up; EAGAIN is fine. *)
-    try ignore (Unix.write t.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
+  Mutex.unlock t.lock
 
 let destroy t =
   Mutex.lock t.lock;
-  let live = not t.destroyed in
-  t.destroyed <- true;
-  Queue.clear t.ready;
-  Mutex.unlock t.lock;
-  if live then begin
+  if not t.destroyed then begin
+    t.destroyed <- true;
+    Queue.clear t.ready;
     (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
     try Unix.close t.wake_w with Unix.Unix_error _ -> ()
-  end
+  end;
+  Mutex.unlock t.lock
 
 let at t deadline task =
   let tm = { t_deadline = deadline; t_seq = t.timer_seq; t_task = task; t_dead = false } in

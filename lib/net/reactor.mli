@@ -77,8 +77,9 @@ val run : t -> until:(unit -> bool) -> unit
 val destroy : t -> unit
 (** Release the reactor's self-pipe.  Call once the loop has returned
     for good; idempotent.  A late {!post} from a straggling thread is
-    harmless (the wake write is swallowed) but its task will never
-    run. *)
+    harmless: its task is dropped, and since {!post} writes its wake
+    byte under the same lock [destroy] closes the pipe under, the byte
+    can never land on a descriptor number reused after the close. *)
 
 (** {2 Gauges}
 

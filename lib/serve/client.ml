@@ -9,6 +9,10 @@
 
 exception Connection_lost of string
 
+(* A daemon answers the Hello from its accept path at once; one that
+   accepts and stays silent is not a daemon to wait on forever. *)
+let hello_timeout = 30.
+
 (* Dial any daemon as a client: hello exchange, returning the socket
    and which party answered. *)
 let rec dial ?(retry_for = 0.) (addr : Addr.t) =
@@ -23,12 +27,12 @@ let rec dial ?(retry_for = 0.) (addr : Addr.t) =
     Serve_proto.write fd
       (Serve_proto.Hello
          { role = Serve_proto.Client; version = Serve_proto.version; workload = 0 });
-    Serve_proto.read fd
+    Serve_proto.read ~deadline:(Unix.gettimeofday () +. hello_timeout) fd
   with
   | Some (Serve_proto.Hello { role = Serve_proto.Party p; version; _ })
     when version = Serve_proto.version ->
     (fd, p)
-  | Some _ | None ->
+  | Some _ | None | (exception (Failure _ | Invalid_argument _)) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise
       (Connection_lost
@@ -155,25 +159,49 @@ let shutdown_daemon ?(timeout = 30.) (addr : Addr.t) =
           match Unix.select [ fd ] [] [] remaining with
           | [], _, _ -> false
           | _ -> (
-            match (try Serve_proto.read fd with _ -> None) with
+            match (try Serve_proto.read ~deadline fd with _ -> None) with
             | None -> true
             | Some _ -> await_eof ())
       in
       await_eof ())
 
+(* Whether anything still accepts connections at [addr]: a daemon
+   closes its listener before it confirms a shutdown, so a live
+   listener means the daemon is still up. *)
+let listening (addr : Addr.t) =
+  let sockaddr = Addr.sockaddr addr in
+  let domain =
+    match sockaddr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> match Unix.connect fd sockaddr with () -> true | exception Unix.Unix_error _ -> false)
+
 (* Graceful deployment shutdown: H first — no new jobs can then be
    racing the providers' teardown — then each provider in roster
-   order.  Returns the parties that failed to confirm within the
-   per-daemon timeout. *)
-let shutdown_roster ?timeout (roster : Addr.t array) =
+   order.  A daemon counts as stopped only once its listener is gone:
+   a lost connection or an early EOF while it still accepts is retried
+   until the per-daemon timeout.  Returns the parties that failed to
+   confirm. *)
+let shutdown_roster ?(timeout = 30.) (roster : Addr.t array) =
   let stragglers = ref [] in
   Array.iteri
     (fun party addr ->
-      match shutdown_daemon ?timeout addr with
-      | true -> ()
-      | false -> stragglers := party :: !stragglers
-      | exception Connection_lost _ ->
-        (* Already gone — that is what we wanted. *)
-        ())
+      let deadline = Unix.gettimeofday () +. timeout in
+      let rec attempt () =
+        let confirmed =
+          match shutdown_daemon ~timeout:(Float.max 0.1 (deadline -. Unix.gettimeofday ())) addr with
+          | confirmed -> confirmed
+          | exception Connection_lost _ -> true
+        in
+        if confirmed && not (listening addr) then ()
+        else if Unix.gettimeofday () >= deadline then stragglers := party :: !stragglers
+        else begin
+          Thread.delay 0.1;
+          attempt ()
+        end
+      in
+      attempt ())
     roster;
   List.rev !stragglers

@@ -47,5 +47,8 @@ val shutdown_daemon : ?timeout:float -> Addr.t -> bool
 
 val shutdown_roster : ?timeout:float -> Addr.t array -> int list
 (** Shut the whole deployment down, H first (so no new jobs race the
-    providers' teardown).  Returns the party ids that failed to confirm
-    in time (empty = clean). *)
+    providers' teardown).  A daemon counts as stopped once it has
+    confirmed and its listener no longer accepts connections; a lost
+    connection while the listener still accepts is retried within the
+    per-daemon [timeout] (default 30 s).  Returns the party ids that
+    failed to confirm in time (empty = clean). *)

@@ -76,10 +76,16 @@ let default_config ~party ~roster =
 
 (* A blocking client connection (and an inbound connection before its
    Hello is through): the loop and the client's reader thread both
-   write to it, so writes are serialised. *)
-type conn = { fd : Unix.file_descr; mx : Mutex.t; mutable alive : bool }
+   write to it, so writes are serialised.  Only the thread that reads
+   the connection closes its descriptor; any other thread hangs up. *)
+type conn = {
+  fd : Unix.file_descr;
+  mx : Mutex.t;
+  mutable alive : bool;
+  mutable closed : bool;
+}
 
-let conn_of fd = { fd; mx = Mutex.create (); alive = true }
+let conn_of fd = { fd; mx = Mutex.create (); alive = true; closed = false }
 
 (* A dead client raises [Transport.Closed]. *)
 let send conn frame =
@@ -91,15 +97,31 @@ let send conn frame =
       try Serve_proto.write conn.fd frame
       with Unix.Unix_error _ | Sys_error _ -> raise Transport.Closed)
 
-let close_conn conn =
+(* Refuse further writes and shut the socket down, which wakes its
+   reader with EOF, but leave the descriptor open: closed under a reader
+   that is between two reads, its number could be reused by the next
+   connection the process opens — another daemon's, in an in-process
+   deployment — and the reader would consume that connection's
+   frames. *)
+let hang_up conn =
   Mutex.lock conn.mx;
-  let was = conn.alive in
-  conn.alive <- false;
-  Mutex.unlock conn.mx;
-  if was then begin
-    (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  if conn.alive then begin
+    conn.alive <- false;
+    try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+  end;
+  Mutex.unlock conn.mx
+
+(* For the reading thread only (or the handshake thread before any
+   reader exists): reads happen on that thread, writes and the shutdown
+   under [mx], so once this returns no thread touches [fd] again. *)
+let close_conn conn =
+  hang_up conn;
+  Mutex.lock conn.mx;
+  if not conn.closed then begin
+    conn.closed <- true;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
+  end;
+  Mutex.unlock conn.mx
 
 type host_job = { client : conn; client_job : int; spec : Serve_proto.spec }
 
@@ -258,7 +280,8 @@ let run_seat_async t ~protocol (seat : Job.seat) ~on_done =
         match res with
         | Error _ as e -> on_done e
         | Ok _outcome ->
-          Atomic.incr t.sessions_run;
+          (* Report first: a reader that sees the new [sessions_run]
+             must also see this seat's report. *)
           if tracing t then begin
             Trace.record_span trace Trace.Session "session" ~start ~stop:(Trace.now trace);
             record_report t
@@ -266,6 +289,7 @@ let run_seat_async t ~protocol (seat : Job.seat) ~on_done =
                  ~parties:(Array.length seat.Job.session.Spe_mpc.Session.parties)
                  trace)
           end;
+          Atomic.incr t.sessions_run;
           on_done (Ok ()))
       ()
 
@@ -547,8 +571,10 @@ let close_everything t =
     try Unix.unlink path with Unix.Unix_error _ -> ())
   | _ -> ());
   (try Unix.close t.listener with Unix.Unix_error _ -> ());
+  (* Each client's reader closes its own descriptor once it sees the
+     EOF this causes. *)
   let clients = with_lock t.lock (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.clients []) in
-  List.iter close_conn clients
+  List.iter hang_up clients
 
 let initiate_shutdown t =
   let first = with_lock t.lock (fun () ->
@@ -890,15 +916,24 @@ let start config workload =
 
 let stop t = initiate_shutdown t
 
-let rec wait t =
-  if with_lock t.lock (fun () -> t.stopped) then begin
-    (match !(t.acceptor) with Some th -> (try Thread.join th with _ -> ()) | None -> ());
-    match !(t.loop) with Some th -> (try Thread.join th with _ -> ()) | None -> ()
-  end
-  else begin
-    Thread.delay 0.02;
-    wait t
-  end
+let wait ?timeout t =
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+  let rec poll () =
+    if with_lock t.lock (fun () -> t.stopped) then begin
+      (match !(t.acceptor) with Some th -> (try Thread.join th with _ -> ()) | None -> ());
+      match !(t.loop) with Some th -> (try Thread.join th with _ -> ()) | None -> ()
+    end
+    else
+      match deadline with
+      | Some d when Unix.gettimeofday () >= d ->
+        failwith
+          (Printf.sprintf "daemon %s did not stop within %g s"
+             (Addr.party_name t.config.party) (Option.get timeout))
+      | _ ->
+        Thread.delay 0.02;
+        poll ()
+  in
+  poll ()
 
 let run config workload =
   let t = start config workload in

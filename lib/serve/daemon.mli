@@ -49,9 +49,10 @@ val stop : t -> unit
     drain the running ones, then close every connection.  Idempotent;
     returns immediately — {!wait} observes completion. *)
 
-val wait : t -> unit
+val wait : ?timeout:float -> t -> unit
 (** Block until the daemon has fully shut down (someone sent the wire
-    [Shutdown], or {!stop} was called). *)
+    [Shutdown], or {!stop} was called).  With [timeout], give up after
+    that many seconds and raise [Failure] naming the party. *)
 
 val run : config -> Job.workload -> unit
 (** [start] then [wait] — the CLI's serve loop. *)

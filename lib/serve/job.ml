@@ -54,14 +54,12 @@ let digest { graph; logs } =
 
 type planned =
   | Links_plan of Spe_core.Protocol4.result Plan.t
-  | Scores_plan of Spe_core.Driver_distributed.scores Plan.t
+  | Scores_plan of Spe_core.Shard.scores Plan.t
   | Stream_plan of { delta : Spe_core.Delta.t; stages : Plan.stage list }
   | Rank_plan of { fbits : int; plan : Spe_rank.Protocol_rank.result Plan.t }
 
-let validate (spec : Serve_proto.spec) workload =
-  let m = Array.length workload.logs in
-  if m < 2 then Error "need at least two providers"
-  else if spec.Serve_proto.shards < 1 then Error "shards must be at least 1"
+let check (spec : Serve_proto.spec) =
+  if spec.Serve_proto.shards < 1 then Error "shards must be at least 1"
   else if spec.Serve_proto.modulus_bits < 2 || spec.Serve_proto.modulus_bits > 61 then
     Error "modulus-bits out of range"
   else
@@ -104,6 +102,9 @@ let validate (spec : Serve_proto.spec) workload =
         else Ok ()
       | exception Invalid_argument msg -> Error msg)
 
+let validate spec workload =
+  if Array.length workload.logs < 2 then Error "need at least two providers" else check spec
+
 let rank_config (spec : Serve_proto.spec) =
   {
     Spe_rank.Protocol_rank.oracle =
@@ -126,16 +127,15 @@ let links_config (spec : Serve_proto.spec) =
     estimator = Spe_core.Protocol4.Eq1;
   }
 
-(* Build all the epochs of a stream job ahead of time: replay the seeded
-   sources provider by provider into windowed accumulators over the
-   instance's published pair order, snapshot each epoch's inputs, and
-   concatenate the per-epoch Delta stages into one plan.  Every daemon
-   replays the identical ingestion (the sources are pure functions of
-   the spec seed and the shared workload), so the plan agreement
-   invariant carries over unchanged — epoch inputs are eager snapshots,
-   which is exactly what [Delta.epoch_stages] permits for building
-   ahead of execution. *)
-let build_stream (spec : Serve_proto.spec) workload s =
+(* The one stream ingestion: replay the seeded sources provider by
+   provider into windowed accumulators over the instance's published
+   pair order, snapshot each epoch's inputs, and concatenate the
+   per-epoch Delta stages into one plan.  Every daemon replays the
+   identical ingestion (the sources are pure functions of the spec seed
+   and the shared workload), so the plan agreement invariant carries
+   over unchanged — epoch inputs are eager snapshots, which is exactly
+   what [Delta.epoch_stages] permits for building ahead of execution. *)
+let build_stream ~mode (spec : Serve_proto.spec) workload =
   let module State = Spe_rng.State in
   let module Log = Spe_actionlog.Log in
   let module Source = Spe_actionlog.Source in
@@ -149,7 +149,9 @@ let build_stream (spec : Serve_proto.spec) workload s =
     Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 workload.logs
   in
   let delta =
-    Delta.create s ~graph:workload.graph ~m ~num_actions
+    Delta.create
+      (State.create ~seed:spec.Serve_proto.seed ())
+      ~graph:workload.graph ~m ~num_actions
       ~group_seed:(spec.Serve_proto.seed lxor 0x5bd1e995)
       config
   in
@@ -173,6 +175,7 @@ let build_stream (spec : Serve_proto.spec) workload s =
       workload.logs
   in
   let union_sorted lists = List.sort_uniq compare (List.concat lists) in
+  let arrivals = Array.make spec.Serve_proto.epochs 0 in
   let stages = ref [] in
   for e = 0 to spec.Serve_proto.epochs - 1 do
     let horizon = (e + 1) * spec.Serve_proto.epoch_ticks in
@@ -180,6 +183,7 @@ let build_stream (spec : Serve_proto.spec) workload s =
       (fun k src ->
         List.iter
           (fun (r : Log.record) ->
+            arrivals.(e) <- arrivals.(e) + 1;
             let acc = streams.(k) in
             Stream.advance acc ~now:(max (Stream.now acc) r.Log.time);
             Stream.add acc r)
@@ -200,11 +204,10 @@ let build_stream (spec : Serve_proto.spec) workload s =
     in
     Array.iter Stream.clear_dirty streams;
     stages :=
-      Delta.epoch_stages delta ~mode:Delta.Delta
-        { Delta.epoch = e; dirty_users; dirty_pairs; inputs }
+      Delta.epoch_stages delta ~mode { Delta.epoch = e; dirty_users; dirty_pairs; inputs }
       :: !stages
   done;
-  Stream_plan { delta; stages = List.concat (List.rev !stages) }
+  (Stream_plan { delta; stages = List.concat (List.rev !stages) }, arrivals)
 
 let build (spec : Serve_proto.spec) workload =
   let s = Spe_rng.State.create ~seed:spec.Serve_proto.seed () in
@@ -226,7 +229,7 @@ let build (spec : Serve_proto.spec) workload =
          ~tau:spec.Serve_proto.tau
          ~modulus:(1 lsl spec.Serve_proto.modulus_bits)
          ~shards:spec.Serve_proto.shards config)
-  | Serve_proto.Stream -> build_stream spec workload s
+  | Serve_proto.Stream -> fst (build_stream ~mode:Spe_core.Delta.Delta spec workload)
   | Serve_proto.Rank ->
     Rank_plan
       {
@@ -247,7 +250,7 @@ let reply_of = function
   | Links_plan plan ->
     Serve_proto.Strengths (plan.Plan.result ()).Spe_core.Protocol4.strengths
   | Scores_plan plan ->
-    Serve_proto.Scores (plan.Plan.result ()).Spe_core.Driver_distributed.scores
+    Serve_proto.Scores (plan.Plan.result ()).Spe_core.Shard.scores
   | Stream_plan { delta; _ } ->
     let module Delta = Spe_core.Delta in
     let releases = Delta.releases delta in

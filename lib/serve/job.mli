@@ -16,15 +16,12 @@ val digest : workload -> int
 
 type planned =
   | Links_plan of Spe_core.Protocol4.result Spe_core.Plan.t
-  | Scores_plan of Spe_core.Driver_distributed.scores Spe_core.Plan.t
+  | Scores_plan of Spe_core.Shard.scores Spe_core.Plan.t
   | Stream_plan of { delta : Spe_core.Delta.t; stages : Spe_core.Plan.stage list }
       (** All epochs of a stream job, built ahead of execution: every
-          daemon replays the identical seeded ingestion (sources are
-          pure functions of the spec seed and shared workload), feeds
-          windowed accumulators, and concatenates the per-epoch
-          [Spe_core.Delta] stages — epoch inputs are eager snapshots,
-          so building ahead is sound.  The reply is read from the
-          instance's accumulated releases. *)
+          daemon replays the identical seeded ingestion
+          ({!build_stream}).  The reply is read from the instance's
+          accumulated releases. *)
   | Rank_plan of {
       fbits : int;
       plan : Spe_rank.Protocol_rank.result Spe_core.Plan.t;
@@ -32,12 +29,28 @@ type planned =
           along so the {!Serve_proto.reply.Rank_summary} can tell
           clients how to rescale. *)
 
+val check : Serve_proto.spec -> (unit, string) result
+(** The spec-field checks alone, which need no workload: what a client
+    can run before it submits.  The error is the typed rejection
+    detail. *)
+
 val validate : Serve_proto.spec -> workload -> (unit, string) result
-(** Cheap spec sanity before any plan is built; the error is the typed
-    rejection detail. *)
+(** Cheap sanity before any plan is built: the workload has at least
+    two providers, then {!check}. *)
 
 val build : Serve_proto.spec -> workload -> planned
 (** Build the full plan — identical in every daemon. *)
+
+val build_stream :
+  mode:Spe_core.Delta.mode -> Serve_proto.spec -> workload -> planned * int array
+(** The one stream ingestion, for a [Stream] spec: per-provider seeded
+    {!Spe_actionlog.Source}s (seed [spec.seed + 101 + k]) feed windowed
+    {!Spe_influence.Stream} accumulators over the {!Spe_core.Delta}
+    instance's published pair order, and each epoch's snapshot becomes
+    that epoch's [Delta] stages in [mode].  Returns the [Stream_plan]
+    and the records that arrived in each epoch.  {!build} is the
+    [Delta]-mode plan; a [Full]-mode plan from the same spec releases
+    bit-identical digests. *)
 
 val stages : planned -> Spe_core.Plan.stage list
 

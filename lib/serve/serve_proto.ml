@@ -163,6 +163,8 @@ let get_u32 r =
 
 let get_u63 r =
   let hi = get_u32 r in
+  (* The writers only emit nonnegative ints: the top two bits are 0. *)
+  if hi > 0x3FFF_FFFF then invalid_arg "Serve_proto.decode: u63 out of range";
   (hi lsl 32) lor get_u32 r
 
 let get_f64 r =
@@ -182,6 +184,16 @@ let get_bytes r n =
 let get_string r =
   let n = get_u32 r in
   Bytes.to_string (get_bytes r n)
+
+(* A list length off the frame, checked against the bytes left before
+   anything is allocated for it: every entry takes at least
+   [entry_bytes] on the wire, so a count the frame cannot hold is
+   refused up front rather than paid for in memory. *)
+let get_count r get ~entry_bytes =
+  let n = get r in
+  if n > (r.limit - r.pos) / entry_bytes then
+    invalid_arg "Serve_proto.decode: count exceeds the frame";
+  n
 
 let put_spec buf spec =
   put_u8 buf (match spec.pipeline with Links -> 0 | Scores -> 1 | Stream -> 2 | Rank -> 3);
@@ -313,39 +325,35 @@ let put_reply buf = function
     put_u32 buf (Array.length ranks_fx);
     Array.iter (put_u63 buf) ranks_fx
 
+(* One strength entry: u32 source, u32 target, f64 estimate. *)
+let get_strengths r =
+  let n = get_count r get_u32 ~entry_bytes:16 in
+  List.init n (fun _ ->
+      let u = get_u32 r in
+      let v = get_u32 r in
+      let p = get_f64 r in
+      ((u, v), p))
+
 let get_reply r =
   match get_u8 r with
-  | 0 ->
-    let n = get_u32 r in
-    Strengths
-      (List.init n (fun _ ->
-           let u = get_u32 r in
-           let v = get_u32 r in
-           let p = get_f64 r in
-           ((u, v), p)))
+  | 0 -> Strengths (get_strengths r)
   | 1 ->
-    let n = get_u32 r in
+    let n = get_count r get_u32 ~entry_bytes:8 in
     Scores (Array.init n (fun _ -> get_f64 r))
   | 2 ->
     let kind = kind_of_code (get_u8 r) in
     let detail = get_string r in
     Failed { kind; detail }
   | 3 ->
-    let epochs = get_u16 r in
+    (* Each epoch is a u63 digest plus a u32 recomputed count. *)
+    let epochs = get_count r get_u16 ~entry_bytes:12 in
     let digests = Array.init epochs (fun _ -> get_u63 r) in
     let recomputed = Array.init epochs (fun _ -> get_u32 r) in
-    let n = get_u32 r in
-    let strengths =
-      List.init n (fun _ ->
-          let u = get_u32 r in
-          let v = get_u32 r in
-          let p = get_f64 r in
-          ((u, v), p))
-    in
+    let strengths = get_strengths r in
     Stream_summary { digests; recomputed; strengths }
   | 4 ->
     let fbits = get_u16 r in
-    let n = get_u32 r in
+    let n = get_count r get_u32 ~entry_bytes:8 in
     Rank_summary { ranks_fx = Array.init n (fun _ -> get_u63 r); fbits }
   | k -> invalid_arg (Printf.sprintf "Serve_proto.decode: unknown reply kind %d" k)
 

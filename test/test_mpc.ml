@@ -752,7 +752,7 @@ module Cascade = Spe_actionlog.Cascade
 module Partition = Spe_actionlog.Partition
 module P4 = Spe_core.Protocol4
 module P6 = Spe_core.Protocol6
-module Driver_distributed = Spe_core.Driver_distributed
+module Driver = Spe_core.Driver
 module Shard = Spe_core.Shard
 module Plan = Spe_core.Plan
 
@@ -816,61 +816,58 @@ let qcheck_tests =
       (fun (seed, shards) ->
         let g, logs = shard_workload ~seed ~m:2 in
         let config = { (P4.default_config ~h:2) with P4.modulus = 16 } in
-        let mono =
-          Session.run
-            (Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-               ~logs config)
-            ~wire:(Wire.create ())
+        let central =
+          Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
+            config
         in
         let plan =
           Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards config
         in
-        mono = Session.run (Plan.to_session plan) ~wire:(Wire.create ()));
+        central.Driver.detail = Session.run (Plan.to_session plan) ~wire:(Wire.create ()));
     Test.make ~name:"sharded links merge to the unsharded result" ~count:25
       (triple small_nat (int_range 2 4) (int_range 1 9))
       (fun (seed, m, shards) ->
         let g, logs = shard_workload ~seed ~m in
         let config = P4.default_config ~h:2 in
-        let w_mono = Wire.create () and w_shard = Wire.create () in
-        let mono =
-          Session.run
-            (Driver_distributed.links_exclusive
-               (State.create ~seed:(seed + 1) ())
-               ~graph:g ~logs config)
-            ~wire:w_mono
-        in
-        let plan =
-          Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards
+        let central =
+          Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
             config
         in
-        let sharded = Session.run (Plan.to_session plan) ~wire:w_shard in
-        (* Bit-identical merge, and payload bytes equal to the
-           unsharded wire total (rounds/messages grow with k; the MS
+        let run shards =
+          let w = Wire.create () in
+          let plan =
+            Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards
+              config
+          in
+          (Session.run (Plan.to_session plan) ~wire:w, (Wire.stats w).Wire.bits)
+        in
+        let _, k1_bits = run 1 and sharded, sharded_bits = run shards in
+        (* Bit-identical to the central result, and payload bytes equal
+           to the k = 1 wire total (rounds/messages grow with k; the MS
            invariant does not). *)
-        mono = sharded
-        && (Wire.stats w_mono).Wire.bits = (Wire.stats w_shard).Wire.bits);
+        central.Driver.detail = sharded && k1_bits = sharded_bits);
     Test.make ~name:"sharded scores merge to the unsharded result" ~count:6
       (triple small_nat (int_range 2 3) (int_range 1 8))
       (fun (seed, m, shards) ->
         let g, logs = shard_workload ~seed ~m in
         let config = { P6.default_config with P6.key_bits = 64 } in
-        let w_mono = Wire.create () and w_shard = Wire.create () in
-        let mono =
-          Session.run
-            (Driver_distributed.user_scores_exclusive
-               (State.create ~seed:(seed + 1) ())
-               ~graph:g ~logs ~tau:4 ~modulus:(1 lsl 20) config)
-            ~wire:w_mono
+        let central =
+          Driver.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau:4
+            ~modulus:(1 lsl 20) config
         in
-        let plan =
-          Shard.user_scores_exclusive
-            (State.create ~seed:(seed + 1) ())
-            ~graph:g ~logs ~tau:4 ~modulus:(1 lsl 20) ~shards config
+        let run shards =
+          let w = Wire.create () in
+          let plan =
+            Shard.user_scores_exclusive
+              (State.create ~seed:(seed + 1) ())
+              ~graph:g ~logs ~tau:4 ~modulus:(1 lsl 20) ~shards config
+          in
+          (Session.run (Plan.to_session plan) ~wire:w, (Wire.stats w).Wire.bits)
         in
-        let sharded = Session.run (Plan.to_session plan) ~wire:w_shard in
-        mono.Driver_distributed.scores = sharded.Driver_distributed.scores
-        && mono.Driver_distributed.graphs = sharded.Driver_distributed.graphs
-        && (Wire.stats w_mono).Wire.bits = (Wire.stats w_shard).Wire.bits);
+        let _, k1_bits = run 1 and sharded, sharded_bits = run shards in
+        central.Driver.scores = sharded.Shard.scores
+        && central.Driver.graphs = sharded.Shard.graphs
+        && k1_bits = sharded_bits);
     Test.make ~name:"codec residue round trip" ~count:500
       (triple small_nat (int_range 2 (1 lsl 40)) (int_range 0 30))
       (fun (seed, modulus, count) ->

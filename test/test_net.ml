@@ -22,7 +22,8 @@ module Partition = Spe_actionlog.Partition
 module Protocol4 = Spe_core.Protocol4
 module Protocol6 = Spe_core.Protocol6
 module Driver = Spe_core.Driver
-module Driver_distributed = Spe_core.Driver_distributed
+module Shard = Spe_core.Shard
+module Plan = Spe_core.Plan
 module Frame = Spe_net.Frame
 module Fault = Spe_net.Fault
 module Transport = Spe_net.Transport
@@ -52,44 +53,48 @@ let roundtrip frame =
   if not (Bytes.equal body (Bytes.sub buf off (Bytes.length body))) then
     Alcotest.fail "encode_into disagrees with encode"
 
-let test_frame_roundtrips () =
-  roundtrip (Frame.Hello { sender = 3 });
-  roundtrip
-    (Frame.Data
-       { round = 7; seq = 2; src = Wire.Host; dst = Wire.Provider 4;
-         payload = Runtime.Ints { modulus = 1 lsl 40; values = [| 0; 5; (1 lsl 40) - 1 |] } });
-  roundtrip
-    (Frame.Data
-       { round = 1; seq = 0; src = Wire.Provider 0; dst = Wire.Provider 1;
-         payload = Runtime.Floats [| 0.; -1.5; Float.pi |] });
-  roundtrip
-    (Frame.Data
-       { round = 2; seq = 9; src = Wire.Provider 1; dst = Wire.Host;
-         payload = Runtime.Bits [| true; false; true; true; false; true; false; true; true |] });
-  roundtrip
-    (Frame.Data
-       { round = 3; seq = 1; src = Wire.Provider 2; dst = Wire.Host;
-         payload =
-           Runtime.Nats
-             { width_bits = 64;
-               values = [| Nat.zero; Nat.of_int 123456789; Nat.of_int max_int |] } });
-  roundtrip
-    (Frame.Data
-       { round = 5; seq = 3; src = Wire.Host; dst = Wire.Provider 0;
-         payload =
-           Runtime.Tuples
-             { moduli = [| 8; 300; 17 |]; rows = [| [| 1; 2; 3 |]; [| 7; 299; 16 |] |] } });
-  roundtrip
-    (Frame.Data
-       { round = 6; seq = 0; src = Wire.Provider 1; dst = Wire.Provider 0;
-         payload =
-           Runtime.Batch
-             [ Runtime.Ints { modulus = 1 lsl 12; values = [| 1; 4095 |] };
-               Runtime.Nats { width_bits = 16; values = [| Nat.of_int 65535 |] };
-               Runtime.Tuples { moduli = [| 4; 4 |]; rows = [| [| 3; 0 |] |] } ] });
-  roundtrip (Frame.End_of_round { round = 4; sender = 1; total = 6; to_dst = 2 });
-  roundtrip (Frame.Nack { round = 4; sender = 0 });
-  roundtrip (Frame.Fin { sender = 2 })
+(* One valid frame of every tag and every payload kind: the round-trip
+   corpus, and the seeds the decoder fuzzer mutates. *)
+let sample_frames =
+  [
+    Frame.Hello { sender = 3 };
+    Frame.Data
+      { round = 7; seq = 2; src = Wire.Host; dst = Wire.Provider 4;
+        payload = Runtime.Ints { modulus = 1 lsl 40; values = [| 0; 5; (1 lsl 40) - 1 |] } };
+    Frame.Data
+      { round = 1; seq = 0; src = Wire.Provider 0; dst = Wire.Provider 1;
+        payload = Runtime.Floats [| 0.; -1.5; Float.pi |] };
+    Frame.Data
+      { round = 2; seq = 9; src = Wire.Provider 1; dst = Wire.Host;
+        payload = Runtime.Bits [| true; false; true; true; false; true; false; true; true |] };
+    Frame.Data
+      { round = 3; seq = 1; src = Wire.Provider 2; dst = Wire.Host;
+        payload =
+          Runtime.Nats
+            { width_bits = 64;
+              values = [| Nat.zero; Nat.of_int 123456789; Nat.of_int max_int |] } };
+    Frame.Data
+      { round = 5; seq = 3; src = Wire.Host; dst = Wire.Provider 0;
+        payload =
+          Runtime.Tuples
+            { moduli = [| 8; 300; 17 |]; rows = [| [| 1; 2; 3 |]; [| 7; 299; 16 |] |] } };
+    Frame.Data
+      { round = 6; seq = 0; src = Wire.Provider 1; dst = Wire.Provider 0;
+        payload =
+          Runtime.Batch
+            [ Runtime.Ints { modulus = 1 lsl 12; values = [| 1; 4095 |] };
+              Runtime.Nats { width_bits = 16; values = [| Nat.of_int 65535 |] };
+              Runtime.Tuples { moduli = [| 4; 4 |]; rows = [| [| 3; 0 |] |] };
+              (* Eight-byte residues and a width off the byte grid: the
+                 mutations that overflow a residue or a width land here. *)
+              Runtime.Ints { modulus = 1 lsl 61; values = [| (1 lsl 61) - 1 |] };
+              Runtime.Nats { width_bits = 12; values = [| Nat.of_int 4095 |] } ] };
+    Frame.End_of_round { round = 4; sender = 1; total = 6; to_dst = 2 };
+    Frame.Nack { round = 4; sender = 0 };
+    Frame.Fin { sender = 2 };
+  ]
+
+let test_frame_roundtrips () = List.iter roundtrip sample_frames
 
 let test_frame_rejects_garbage () =
   Alcotest.check_raises "unknown tag" (Invalid_argument "Frame.decode: unknown tag 200")
@@ -261,6 +266,9 @@ let qcheck_frame_tests =
       ]
   in
   [
+    Test.make ~name:"Frame.decode: round-trips or rejects" ~count:3000
+      (make (Util.fuzz_input ~seeds:(List.map Frame.encode sample_frames)))
+      (Util.decodes_or_rejects ~decode:Frame.decode ~encode:Frame.encode);
     Test.make ~name:"length-prefixed frame encode/decode round-trips" ~count:500
       (make frame_gen)
       (fun frame ->
@@ -721,44 +729,49 @@ let run_session_over engine session =
   | `Memory -> Endpoint.run_session_memory session
   | `Socket -> Endpoint.run_session_socket session
 
-let check_links_cross_engine (seed, n, edges, actions, m) =
-  let label = Printf.sprintf "links m=%d seed=%d" m seed in
-  let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
-  let config = Protocol4.default_config ~h:2 in
-  let central =
-    Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
-  in
-  let session () =
-    Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
-      config
-  in
+(* One pipeline, lowered from its k = 1 Shard plan, on every engine:
+   the sim run charges the central NR/NM within the MS envelope, and
+   every engine's result equals the central oracle's ([same_result])
+   with the sim wire's exact NR/NM/MS. *)
+let check_pipeline_cross_engine label ~(central_wire : Wire.stats) ~session ~same_result =
   let w = Wire.create () in
   let sim = Session.run (session ()) ~wire:w in
   let sim_stats = Wire.stats w in
-  Alcotest.(check bool) (label ^ ": sim strengths bit-identical to the central oracle") true
-    (sim.Protocol4.strengths = central.Driver.strengths);
+  Alcotest.(check bool) (label ^ ": sim result bit-identical to the central oracle") true
+    (same_result sim);
   Alcotest.(check int) (label ^ ": NR matches the central oracle")
-    central.Driver.wire.Wire.rounds sim_stats.Wire.rounds;
+    central_wire.Wire.rounds sim_stats.Wire.rounds;
   Alcotest.(check int) (label ^ ": NM matches the central oracle")
-    central.Driver.wire.Wire.messages sim_stats.Wire.messages;
-  check_ms_envelope label ~central:central.Driver.wire ~distributed_bits:sim_stats.Wire.bits;
+    central_wire.Wire.messages sim_stats.Wire.messages;
+  check_ms_envelope label ~central:central_wire ~distributed_bits:sim_stats.Wire.bits;
   List.iter
     (fun (engine_label, engine) ->
-      let (result : Protocol4.result), res = run_session_over engine (session ()) in
+      let result, res = run_session_over engine (session ()) in
       Alcotest.(check bool)
-        (Printf.sprintf "%s %s: result identical to sim" label engine_label)
-        true
-        (result.Protocol4.strengths = sim.Protocol4.strengths
-        && result.Protocol4.pair_estimates = sim.Protocol4.pair_estimates
-        && result.Protocol4.pairs = sim.Protocol4.pairs);
+        (Printf.sprintf "%s %s: result identical to the central oracle" label engine_label)
+        true (same_result result);
       Alcotest.(check bool)
         (Printf.sprintf "%s %s: NR/NM/MS identical to sim" label engine_label)
         true
         (Wire.stats (Net_wire.merge (logs_of res)) = sim_stats))
     session_engines
 
+let check_links_cross_engine (seed, n, edges, actions, m) =
+  let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
+  let config = Protocol4.default_config ~h:2 in
+  let central =
+    Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
+  in
+  check_pipeline_cross_engine
+    (Printf.sprintf "links m=%d seed=%d" m seed)
+    ~central_wire:central.Driver.wire
+    ~session:(fun () ->
+      Plan.to_session
+        (Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards:1
+           config))
+    ~same_result:(fun (r : Protocol4.result) -> r = central.Driver.detail)
+
 let check_scores_cross_engine (seed, n, edges, actions, m) =
-  let label = Printf.sprintf "scores m=%d seed=%d" m seed in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
   let tau = 6 and modulus = 1 lsl 20 in
@@ -766,35 +779,15 @@ let check_scores_cross_engine (seed, n, edges, actions, m) =
     Driver.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau
       ~modulus config
   in
-  let session () =
-    Driver_distributed.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-      ~logs ~tau ~modulus config
-  in
-  let w = Wire.create () in
-  let sim = Session.run (session ()) ~wire:w in
-  let sim_stats = Wire.stats w in
-  Alcotest.(check bool) (label ^ ": sim scores bit-identical to the central oracle") true
-    (sim.Driver_distributed.scores = central.Driver.scores);
-  Alcotest.(check bool) (label ^ ": sim graphs identical to the central oracle") true
-    (sim.Driver_distributed.graphs = central.Driver.graphs);
-  Alcotest.(check int) (label ^ ": NR matches the central oracle")
-    central.Driver.wire.Wire.rounds sim_stats.Wire.rounds;
-  Alcotest.(check int) (label ^ ": NM matches the central oracle")
-    central.Driver.wire.Wire.messages sim_stats.Wire.messages;
-  check_ms_envelope label ~central:central.Driver.wire ~distributed_bits:sim_stats.Wire.bits;
-  List.iter
-    (fun (engine_label, engine) ->
-      let (result : Driver_distributed.scores), res = run_session_over engine (session ()) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s: result identical to sim" label engine_label)
-        true
-        (result.Driver_distributed.scores = sim.Driver_distributed.scores
-        && result.Driver_distributed.graphs = sim.Driver_distributed.graphs);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s %s: NR/NM/MS identical to sim" label engine_label)
-        true
-        (Wire.stats (Net_wire.merge (logs_of res)) = sim_stats))
-    session_engines
+  check_pipeline_cross_engine
+    (Printf.sprintf "scores m=%d seed=%d" m seed)
+    ~central_wire:central.Driver.wire
+    ~session:(fun () ->
+      Plan.to_session
+        (Shard.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau
+           ~modulus ~shards:1 config))
+    ~same_result:(fun (r : Shard.scores) ->
+      r.Shard.scores = central.Driver.scores && r.Shard.graphs = central.Driver.graphs)
 
 let test_links_cross_engine () =
   List.iter check_links_cross_engine
@@ -918,8 +911,6 @@ let test_blackhole_times_out_cleanly () =
 
 (* --- sharded plans over the worker pool ----------------------------------------- *)
 
-module Shard = Spe_core.Shard
-module Plan = Spe_core.Plan
 module Protocol5 = Spe_core.Protocol5
 
 (* Drive a plan on a transport engine, keeping each shard session's
@@ -927,6 +918,13 @@ module Protocol5 = Spe_core.Protocol5
 let run_plan_over engine ~workers (plan : _ Plan.t) =
   let result, runs = Plan.execute ~workers ~engine plan in
   (result, List.map (fun (r : Plan.run) -> (r.Plan.parties, r.Plan.endpoint)) runs)
+
+(* The payload bytes of a plan's sim run: the MS reference that every
+   shard count's per-session payloads must sum to. *)
+let sim_payload plan =
+  let w = Wire.create () in
+  ignore (Session.run (Plan.to_session plan) ~wire:w);
+  (Wire.stats w).Wire.bits / 8
 
 (* Each shard session runs on its own connection group, so the framing
    closed form of the accounting tests must hold per group — with no
@@ -951,7 +949,7 @@ let check_plan_accounting label plan groups ~payload_ref =
       0 groups
   in
   Alcotest.(check int)
-    (label ^ ": per-shard payload bytes sum to the unsharded MS")
+    (label ^ ": per-shard payload bytes sum to the k = 1 MS")
     payload_ref payload;
   let rounds = List.fold_left (fun acc (_, res) ->
       acc + Array.fold_left (fun a o -> max a o.Endpoint.rounds) 0 res.Endpoint.outcomes)
@@ -965,13 +963,13 @@ let test_sharded_links_pool_cross_engine () =
   let seed = 211 and n = 24 and edges = 70 and actions = 10 and m = 3 in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = Protocol4.default_config ~h:2 in
-  let session =
-    Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
-      config
+  let central =
+    Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
   in
-  let w = Wire.create () in
-  let sim = Session.run session ~wire:w in
-  let payload_ref = (Wire.stats w).Wire.bits / 8 in
+  let payload_ref =
+    sim_payload
+      (Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards:1 config)
+  in
   List.iter
     (fun (engine_label, engine) ->
       List.iter
@@ -982,10 +980,8 @@ let test_sharded_links_pool_cross_engine () =
               ~shards config
           in
           let result, groups = run_plan_over engine ~workers:2 plan in
-          Alcotest.(check bool) (label ^ ": bit-identical to the unsharded run") true
-            (result.Protocol4.strengths = sim.Protocol4.strengths
-            && result.Protocol4.pair_estimates = sim.Protocol4.pair_estimates
-            && result.Protocol4.pairs = sim.Protocol4.pairs);
+          Alcotest.(check bool) (label ^ ": bit-identical to the central oracle") true
+            (result = central.Driver.detail);
           check_plan_accounting label plan groups ~payload_ref)
         [ 1; 3 ])
     session_engines
@@ -1003,13 +999,15 @@ let test_sharded_links_non_exclusive_pool_cross_engine () =
   let logs = Partition.non_exclusive s log ~spec in
   let config = Protocol4.default_config ~h:2 in
   let obfuscation = Protocol5.Basic in
-  let session =
-    Driver_distributed.links_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-      ~logs ~spec ~obfuscation config
+  let central =
+    Driver.link_strengths_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
+      ~spec ~obfuscation config
   in
-  let w = Wire.create () in
-  let sim = Session.run session ~wire:w in
-  let payload_ref = (Wire.stats w).Wire.bits / 8 in
+  let payload_ref =
+    sim_payload
+      (Shard.links_non_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~spec
+         ~obfuscation ~shards:1 config)
+  in
   List.iter
     (fun (engine_label, engine) ->
       let label = Printf.sprintf "sharded non-exclusive links %s k=3" engine_label in
@@ -1018,10 +1016,8 @@ let test_sharded_links_non_exclusive_pool_cross_engine () =
           ~obfuscation ~shards:3 config
       in
       let result, groups = run_plan_over engine ~workers:2 plan in
-      Alcotest.(check bool) (label ^ ": bit-identical to the unsharded run") true
-        (result.Protocol4.strengths = sim.Protocol4.strengths
-        && result.Protocol4.pair_estimates = sim.Protocol4.pair_estimates
-        && result.Protocol4.pairs = sim.Protocol4.pairs);
+      Alcotest.(check bool) (label ^ ": bit-identical to the central oracle") true
+        (result = central.Driver.detail);
       check_plan_accounting label plan groups ~payload_ref)
     session_engines
 
@@ -1030,13 +1026,15 @@ let test_sharded_scores_pool_cross_engine () =
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
   let tau = 6 and modulus = 1 lsl 20 in
-  let session =
-    Driver_distributed.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-      ~logs ~tau ~modulus config
+  let central =
+    Driver.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau
+      ~modulus config
   in
-  let w = Wire.create () in
-  let sim = Session.run session ~wire:w in
-  let payload_ref = (Wire.stats w).Wire.bits / 8 in
+  let payload_ref =
+    sim_payload
+      (Shard.user_scores_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~tau
+         ~modulus ~shards:1 config)
+  in
   List.iter
     (fun (engine_label, engine) ->
       let label = Printf.sprintf "sharded scores %s k=3" engine_label in
@@ -1045,32 +1043,29 @@ let test_sharded_scores_pool_cross_engine () =
           ~tau ~modulus ~shards:3 config
       in
       let result, groups = run_plan_over engine ~workers:2 plan in
-      Alcotest.(check bool) (label ^ ": bit-identical to the unsharded run") true
-        (result.Driver_distributed.scores = sim.Driver_distributed.scores
-        && result.Driver_distributed.graphs = sim.Driver_distributed.graphs);
+      Alcotest.(check bool) (label ^ ": bit-identical to the central oracle") true
+        (result.Shard.scores = central.Driver.scores
+        && result.Shard.graphs = central.Driver.graphs);
       check_plan_accounting label plan groups ~payload_ref)
     session_engines
 
-(* The one engine over both transports, pinned to the simulated
-   oracle across shard counts: memory and socket groups must produce
+(* The one engine over both transports, pinned to the central oracle
+   across shard counts: memory and socket groups must produce
    bit-identical links and scores results at k in {1, 2, 4, 8}. *)
 let test_memory_socket_sim_k_sweep () =
   let seed = 229 and n = 20 and edges = 55 and actions = 8 and m = 3 in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let links_config = Protocol4.default_config ~h:2 in
-  let links_sim =
-    Session.run
-      (Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g
-         ~logs links_config)
-      ~wire:(Wire.create ())
+  let links_central =
+    (Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
+       links_config)
+      .Driver.detail
   in
   let scores_config = { Protocol6.default_config with Protocol6.key_bits = 64 } in
   let tau = 4 and modulus = 1 lsl 20 in
-  let scores_sim =
-    Session.run
-      (Driver_distributed.user_scores_exclusive (State.create ~seed:(seed + 2) ())
-         ~graph:g ~logs ~tau ~modulus scores_config)
-      ~wire:(Wire.create ())
+  let scores_central =
+    Driver.user_scores_exclusive (State.create ~seed:(seed + 2) ()) ~graph:g ~logs ~tau
+      ~modulus scores_config
   in
   List.iter
     (fun shards ->
@@ -1084,9 +1079,7 @@ let test_memory_socket_sim_k_sweep () =
         (Printf.sprintf "links k=%d: memory = socket = sim" shards)
         true
         (socket_links.Protocol4.strengths = memory_links.Protocol4.strengths
-        && socket_links.Protocol4.strengths = links_sim.Protocol4.strengths
-        && socket_links.Protocol4.pair_estimates = links_sim.Protocol4.pair_estimates
-        && socket_links.Protocol4.pairs = links_sim.Protocol4.pairs);
+        && socket_links = links_central);
       let scores_plan () =
         Shard.user_scores_exclusive (State.create ~seed:(seed + 2) ()) ~graph:g ~logs
           ~tau ~modulus ~shards scores_config
@@ -1096,9 +1089,9 @@ let test_memory_socket_sim_k_sweep () =
       Alcotest.(check bool)
         (Printf.sprintf "scores k=%d: memory = socket = sim" shards)
         true
-        (socket_scores.Driver_distributed.scores = memory_scores.Driver_distributed.scores
-        && socket_scores.Driver_distributed.scores = scores_sim.Driver_distributed.scores
-        && socket_scores.Driver_distributed.graphs = scores_sim.Driver_distributed.graphs))
+        (socket_scores.Shard.scores = memory_scores.Shard.scores
+        && socket_scores.Shard.scores = scores_central.Driver.scores
+        && socket_scores.Shard.graphs = scores_central.Driver.graphs))
     [ 1; 2; 4; 8 ]
 
 (* A stage wider than select's FD_SETSIZE allows at once: 200
@@ -1188,20 +1181,24 @@ let test_pool_stall_cancels_siblings () =
 (* The full Protocol 4 exclusive pipeline under a seeded lossy link
    layer: every seeded drop is recovered by the Nack/retransmit
    machinery, so the memory-engine result stays bit-identical to the
-   fault-free simulated run, first-transmission accounting still
-   matches the simulated wire exactly, and the transport-byte total
+   central oracle, first-transmission accounting still matches the
+   fault-free simulated wire exactly, and the transport-byte total
    sits at or above the fault-free framing closed form (retransmissions
    only ever add bytes). *)
 let test_links_seeded_faults_memory () =
   let seed = 211 and n = 24 and edges = 70 and actions = 10 and m = 3 in
   let g, logs = pipeline_workload ~seed ~n ~edges ~actions ~m in
   let config = Protocol4.default_config ~h:2 in
+  let central =
+    Driver.link_strengths_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs config
+  in
   let session () =
-    Driver_distributed.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs
-      config
+    Plan.to_session
+      (Shard.links_exclusive (State.create ~seed:(seed + 1) ()) ~graph:g ~logs ~shards:1
+         config)
   in
   let w = Wire.create () in
-  let sim = Session.run (session ()) ~wire:w in
+  let _ = Session.run (session ()) ~wire:w in
   let sim_stats = Wire.stats w in
   let fault =
     Fault.seeded (State.create ~seed:4242 ()) ~drop:0.01 ~delay:0.02 ~max_delay:0.05
@@ -1210,11 +1207,9 @@ let test_links_seeded_faults_memory () =
   let (result : Protocol4.result), res =
     Endpoint.run_session_memory ~config:fast ~fault ~trace (session ())
   in
-  Alcotest.(check bool) "lossy memory links: result bit-identical to the fault-free sim"
+  Alcotest.(check bool) "lossy memory links: result bit-identical to the central oracle"
     true
-    (result.Protocol4.strengths = sim.Protocol4.strengths
-    && result.Protocol4.pair_estimates = sim.Protocol4.pair_estimates
-    && result.Protocol4.pairs = sim.Protocol4.pairs);
+    (result = central.Driver.detail);
   Alcotest.(check bool) "lossy memory links: NR/NM/MS identical to sim" true
     (Wire.stats (Net_wire.merge (logs_of res)) = sim_stats);
   let report =

@@ -17,7 +17,8 @@ module Partition = Spe_actionlog.Partition
 module Protocol4 = Spe_core.Protocol4
 module Protocol6 = Spe_core.Protocol6
 module Driver = Spe_core.Driver
-module Driver_distributed = Spe_core.Driver_distributed
+module Shard = Spe_core.Shard
+module Plan = Spe_core.Plan
 module Endpoint = Spe_net.Endpoint
 module Fault = Spe_net.Fault
 module Net_wire = Spe_net.Net_wire
@@ -410,14 +411,16 @@ let test_links_accounting () =
   let g, logs = pipeline_workload ~seed:171 ~n:24 ~edges:70 ~actions:10 ~m:3 in
   let config = Protocol4.default_config ~h:2 in
   check_pipeline_accounting "links" (fun () ->
-      Driver_distributed.links_exclusive (State.create ~seed:172 ()) ~graph:g ~logs config)
+      Plan.to_session
+        (Shard.links_exclusive (State.create ~seed:172 ()) ~graph:g ~logs ~shards:1 config))
 
 let test_scores_accounting () =
   let g, logs = pipeline_workload ~seed:173 ~n:20 ~edges:60 ~actions:8 ~m:3 in
   let config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
   check_pipeline_accounting "scores" (fun () ->
-      Driver_distributed.user_scores_exclusive (State.create ~seed:174 ()) ~graph:g ~logs
-        ~tau:6 ~modulus:(1 lsl 20) config)
+      Plan.to_session
+        (Shard.user_scores_exclusive (State.create ~seed:174 ()) ~graph:g ~logs ~tau:6
+           ~modulus:(1 lsl 20) ~shards:1 config))
 
 (* The central drivers replay their transcript into the trace; the
    totals must match the transcript's own (byte-rounded) accounting. *)

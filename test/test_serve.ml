@@ -22,6 +22,13 @@ module Driver = Spe_core.Driver
 module Protocol4 = Spe_core.Protocol4
 module State = Spe_rng.State
 module Json = Spe_obs.Obs_io.Json
+module Frame = Spe_net.Frame
+module Runtime = Spe_mpc.Runtime
+module Wire = Spe_mpc.Wire
+module Session = Spe_mpc.Session
+module Nat = Spe_bignum.Nat
+module Plan = Spe_core.Plan
+module Metrics = Spe_obs.Metrics
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -119,55 +126,57 @@ let sample_spec =
 
 let roundtrip frame = Proto.decode (Proto.encode frame)
 
+(* One valid frame of every tag and every reply kind: the round-trip
+   corpus, and the seeds the decoder fuzzer mutates. *)
+let sample_frames =
+  [
+    Proto.Hello { role = Proto.Party 0; version = Proto.version; workload = 0x123456789 };
+    Proto.Hello { role = Proto.Client; version = Proto.version; workload = 0 };
+    Proto.Session_frame { sid = 65537; body = Bytes.of_string "\x00\x01\xff" };
+    Proto.Job_submit { job = 7; spec = sample_spec };
+    Proto.Job_submit
+      { job = 8; spec = { sample_spec with Proto.pipeline = Proto.Scores } };
+    Proto.Job_submit
+      { job = 11; spec = { sample_spec with Proto.pipeline = Proto.Stream } };
+    Proto.Job_submit
+      { job = 13; spec = { sample_spec with Proto.pipeline = Proto.Rank } };
+    Proto.Job_result
+      {
+        job = 13;
+        reply = Proto.Rank_summary { ranks_fx = [| 0; 123456; 1 lsl 20 |]; fbits = 20 };
+      };
+    Proto.Job_result
+      { job = 7; reply = Proto.Strengths [ ((0, 1), 0.5); ((3, 2), 0.125) ] };
+    Proto.Job_result { job = 9; reply = Proto.Scores [| 1.5; 0.0; nan; 3.25 |] };
+    Proto.Job_result
+      {
+        job = 12;
+        reply =
+          Proto.Stream_summary
+            {
+              digests = [| 0x1fff_ffff_ffff_ffff; 0; 42 |];
+              recomputed = [| 18; 0; 3 |];
+              strengths = [ ((1, 0), 0.25); ((4, 5), 0.75) ];
+            };
+      };
+    Proto.Job_result
+      {
+        job = 10;
+        reply = Proto.Failed { kind = Proto.Peer_down; detail = "P2 died" };
+      };
+    Proto.Busy { job = 3; queued = 64; max_queue = 64 };
+    Proto.Job_cancel { job = 5 };
+    Proto.Shutdown;
+  ]
+
 let test_proto_roundtrip () =
-  let frames =
-    [
-      Proto.Hello { role = Proto.Party 0; version = Proto.version; workload = 0x123456789 };
-      Proto.Hello { role = Proto.Client; version = Proto.version; workload = 0 };
-      Proto.Session_frame { sid = 65537; body = Bytes.of_string "\x00\x01\xff" };
-      Proto.Job_submit { job = 7; spec = sample_spec };
-      Proto.Job_submit
-        { job = 8; spec = { sample_spec with Proto.pipeline = Proto.Scores } };
-      Proto.Job_submit
-        { job = 11; spec = { sample_spec with Proto.pipeline = Proto.Stream } };
-      Proto.Job_submit
-        { job = 13; spec = { sample_spec with Proto.pipeline = Proto.Rank } };
-      Proto.Job_result
-        {
-          job = 13;
-          reply = Proto.Rank_summary { ranks_fx = [| 0; 123456; 1 lsl 20 |]; fbits = 20 };
-        };
-      Proto.Job_result
-        { job = 7; reply = Proto.Strengths [ ((0, 1), 0.5); ((3, 2), 0.125) ] };
-      Proto.Job_result { job = 9; reply = Proto.Scores [| 1.5; 0.0; nan; 3.25 |] };
-      Proto.Job_result
-        {
-          job = 12;
-          reply =
-            Proto.Stream_summary
-              {
-                digests = [| 0x1fff_ffff_ffff_ffff; 0; 42 |];
-                recomputed = [| 18; 0; 3 |];
-                strengths = [ ((1, 0), 0.25); ((4, 5), 0.75) ];
-              };
-        };
-      Proto.Job_result
-        {
-          job = 10;
-          reply = Proto.Failed { kind = Proto.Peer_down; detail = "P2 died" };
-        };
-      Proto.Busy { job = 3; queued = 64; max_queue = 64 };
-      Proto.Job_cancel { job = 5 };
-      Proto.Shutdown;
-    ]
-  in
   List.iter
     (fun frame ->
       let back = roundtrip frame in
       (* NaN-tolerant structural equality: compare re-encodings, which
          are bit-exact for floats. *)
       checkb "frame round-trips" true (Proto.encode back = Proto.encode frame))
-    frames
+    sample_frames
 
 (* The mesh decodes frames in place out of a link's read slab and
    encodes session frames straight into its write slab: both must be
@@ -225,6 +234,82 @@ let test_proto_rejects_malformed () =
   (* An inner-protocol frame (tags 0-4) must never decode as a serve
      frame. *)
   expect_invalid "inner frame tag" (Bytes.make 8 '\x02')
+
+(* --- decoders on hostile bytes ------------------------------------------------ *)
+
+(* A count field claims far more entries than the frame carries: the
+   decoders must refuse it before allocating for the claim.  Each frame
+   is a valid encoding of one entry with its count field patched to
+   2^20, so an eager decoder reads the first entry and then sizes its
+   result by the claim. *)
+let test_decode_allocation_bound () =
+  let claim = 1 lsl 20 in
+  let patched b ~at set =
+    let b = Bytes.copy b in
+    set b at;
+    b
+  in
+  let u32 b at = Bytes.set_int32_be b at (Int32.of_int claim) in
+  let bounded what decode bytes =
+    let before = Gc.allocated_bytes () in
+    (match decode bytes with
+    | _ -> Alcotest.fail (what ^ ": a claim the frame cannot hold was accepted")
+    | exception Invalid_argument _ -> ());
+    let spent = Gc.allocated_bytes () -. before in
+    checkb (Printf.sprintf "%s: %.0f bytes allocated" what spent) true (spent < 65536.)
+  in
+  (* Job_result: tag, u63 job, reply kind, then the reply's fields. *)
+  let result reply = Proto.encode (Proto.Job_result { job = 1; reply }) in
+  let one = [ ((0, 1), 0.5) ] in
+  List.iter
+    (fun (what, reply, at, set) -> bounded what Proto.decode (patched (result reply) ~at set))
+    [
+      ("strengths", Proto.Strengths one, 10, u32);
+      ("scores", Proto.Scores [| 0.5 |], 10, u32);
+      ("rank", Proto.Rank_summary { ranks_fx = [| 7 |]; fbits = 20 }, 12, u32);
+      ( "stream strengths",
+        Proto.Stream_summary { digests = [||]; recomputed = [||]; strengths = one },
+        12,
+        u32 );
+      ( "stream epochs",
+        Proto.Stream_summary { digests = [| 9 |]; recomputed = [| 1 |]; strengths = [] },
+        10,
+        fun b at -> Bytes.set_uint16_be b at 0xFFFF );
+    ];
+  (* Data: tag, u32 round, u32 seq, u16 src, u16 dst, then the payload:
+     kind, and for tuples a u16 arity and one u63 modulus per column. *)
+  let data payload =
+    Frame.encode (Frame.Data { round = 1; seq = 0; src = Wire.Provider 0; dst = Wire.Host; payload })
+  in
+  List.iter
+    (fun (what, payload, at) -> bounded what Frame.decode (patched (data payload) ~at u32))
+    [
+      ("arity-0 tuples", Runtime.Tuples { moduli = [||]; rows = [||] }, 16);
+      ("tuples", Runtime.Tuples { moduli = [| 4; 1 lsl 20 |]; rows = [| [| 3; 5 |] |] }, 32);
+      ("nats", Runtime.Nats { width_bits = 12; values = [| Nat.of_int 5 |] }, 22);
+    ]
+
+let qcheck_decoder_tests =
+  let open QCheck in
+  let input = make (Util.fuzz_input ~seeds:(List.map Proto.encode sample_frames)) in
+  [
+    Test.make ~name:"Serve_proto.decode: round-trips or rejects" ~count:3000 input
+      (Util.decodes_or_rejects ~decode:Proto.decode ~encode:Proto.encode);
+    (* The same bytes inside a larger buffer: the in-place slice decoder
+       must agree with the whole-buffer one, value for value and
+       rejection for rejection. *)
+    Test.make ~name:"Serve_proto.decode_slice agrees with decode" ~count:3000
+      (pair input (pair (int_range 0 5) (int_range 0 5)))
+      (fun (bytes, (pre, post)) ->
+        let n = Bytes.length bytes in
+        let buf = Bytes.make (pre + n + post) '\xee' in
+        Bytes.blit bytes 0 buf pre n;
+        let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+        compare
+          (outcome (fun () -> Proto.decode_slice buf pre n))
+          (outcome (fun () -> Proto.decode bytes))
+        = 0);
+  ]
 
 (* --- scheduler admission ---------------------------------------------------- *)
 
@@ -376,6 +461,45 @@ let test_daemon_sequential_jobs () =
       done;
       checkb "H ran sessions" true (gauge daemons 0 "sessions_run" > 0);
       check Alcotest.int "H completed all jobs" 3 (gauge daemons 0 "jobs_completed"))
+
+(* Exact daemon accounting: with every daemon traced, N identical jobs
+   move exactly N times the payload the job's plan moves on the sim
+   wire, once every daemon has run all its seats of every job. *)
+let test_daemon_payload_exact () =
+  with_deployment ~trace_all:true (fun client daemons _roster ~graph ~logs ->
+      let jobs = 6 in
+      let pseed = links_workload.Schedule.wseed + 1 in
+      let spec = links_spec ~pseed ~shards:2 in
+      let outcomes =
+        Client.run_jobs client (List.init jobs (fun _ -> spec))
+          ~deadline:(Unix.gettimeofday () +. 60.)
+      in
+      checkb "every job completed" true
+        (List.for_all
+           (function Client.Result (Proto.Strengths _) -> true | _ -> false)
+           outcomes);
+      let wl = { Job.graph; logs } in
+      let settle = Unix.gettimeofday () +. 10. in
+      Array.iteri
+        (fun party _ ->
+          let seats, _ = Job.seats ~job:0 ~party (Job.build spec wl) in
+          let expected = jobs * List.length (List.concat seats) in
+          while gauge daemons party "sessions_run" < expected && Unix.gettimeofday () < settle do
+            Thread.delay 0.002
+          done;
+          check Alcotest.int
+            (Printf.sprintf "%s ran all its seats" (Addr.party_name party))
+            expected (gauge daemons party "sessions_run"))
+        daemons;
+      let w = Wire.create () in
+      Session.run
+        (Plan.to_session
+           (Plan.make ~shards:1 ~stages:(Job.stages (Job.build spec wl)) ~result:ignore))
+        ~wire:w;
+      let merged = Metrics.merge (List.filter_map Daemon.report (Array.to_list daemons)) in
+      check Alcotest.int "deployment payload = jobs x the plan's sim payload"
+        (jobs * (Wire.stats w).Wire.bits / 8)
+        merged.Metrics.payload_bytes)
 
 (* Acceptance: a 50-job concurrent burst under admission control, every
    reply bit-identical. *)
@@ -663,7 +787,7 @@ let with_mute_p2 ?(dial_timeout = 15.) ~reach_p1 f =
       Client.close client;
       kill ();
       ignore (Client.shutdown_roster ~timeout:15. roster);
-      Array.iter Daemon.wait daemons)
+      Array.iter (fun d -> Daemon.wait ~timeout:30. d) daemons)
     (fun () -> f client daemons kill)
 
 let expect_typed_failure what client ~within =
@@ -815,6 +939,12 @@ let () =
             test_proto_rejects_malformed;
           Alcotest.test_case "in-place slices match the codec" `Quick test_proto_slices;
         ] );
+      ( "decoders",
+        Alcotest.test_case "counts bounded by the bytes received" `Quick
+          test_decode_allocation_bound
+        :: List.map
+             (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1809 |]))
+             qcheck_decoder_tests );
       ( "scheduler",
         [ Alcotest.test_case "typed admission control" `Quick test_scheduler_admission ] );
       ( "job",
@@ -823,6 +953,8 @@ let () =
         [
           Alcotest.test_case "sequential jobs, one hello per peer" `Slow
             test_daemon_sequential_jobs;
+          Alcotest.test_case "payload equals jobs x the sim plan" `Slow
+            test_daemon_payload_exact;
           Alcotest.test_case "50-job burst bit-identical" `Slow test_daemon_burst_50;
           Alcotest.test_case "busy backpressure" `Slow test_daemon_busy_backpressure;
           Alcotest.test_case "metrics scrape" `Slow test_daemon_scrape;
