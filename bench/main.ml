@@ -498,65 +498,37 @@ let ablation_multi_host () =
 let ablation_transport () =
   section "Ablation - transport overhead: simulated wire vs in-memory channels vs unix sockets";
   let module P1d = Spe_mpc.Protocol1_distributed in
-  let module Session = Spe_mpc.Session in
-  let module Runtime = Spe_mpc.Runtime in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
+  let module Plan = Spe_core.Plan in
   let m = 4 and len = 256 in
   let modulus = 1 lsl 40 in
   let parties = Array.init m (fun k -> Wire.Provider k) in
   let gen = State.create ~seed:61 () in
   let inputs = Array.init m (fun _ -> Array.init len (fun _ -> State.next_int gen modulus)) in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   Printf.printf "%10s | %10s | %12s | %12s | %s\n" "engine" "time (ms)" "payload (B)"
     "on-wire (B)" "overhead";
   let sim_payload = ref 0 in
-  let () =
-    let (stats : Wire.stats), dt =
-      time (fun () ->
-          let s = State.create ~seed:62 () in
-          let session = P1d.make s ~parties ~modulus ~inputs in
-          let engine = Runtime.create () in
-          Array.iteri (fun k p -> Runtime.add_party engine p session.Session.programs.(k))
-            session.Session.parties;
-          let w = Wire.create () in
-          let _ = Runtime.run engine ~wire:w ~max_rounds:P1d.max_rounds in
-          Wire.stats w)
-    in
-    sim_payload := stats.Wire.bits / 8;
-    Printf.printf "%10s | %10.2f | %12d | %12s | %s\n" "sim" (1000. *. dt) !sim_payload "-" "-"
-  in
   List.iter
     (fun (label, engine) ->
-      let (res : Endpoint.result), dt =
-        time (fun () ->
-            let s = State.create ~seed:62 () in
-            let session = P1d.make s ~parties ~modulus ~inputs in
-            engine ~parties:session.Session.parties ~programs:session.Session.programs
-              ~max_rounds:P1d.max_rounds ())
-      in
-      let totals =
-        Net_wire.totals
-          (Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes)
-      in
-      assert (totals.Net_wire.payload_bytes = !sim_payload);
-      Printf.printf "%10s | %10.2f | %12d | %12d | %.3fx\n" label (1000. *. dt)
-        totals.Net_wire.payload_bytes res.Endpoint.transport_bytes
-        (float_of_int res.Endpoint.transport_bytes /. float_of_int totals.Net_wire.payload_bytes))
-    [
-      ("memory", fun ~parties ~programs ~max_rounds () ->
-          Endpoint.run_memory ~parties ~programs ~max_rounds ());
-      ("socket", fun ~parties ~programs ~max_rounds () ->
-          Endpoint.run_socket ~parties ~programs ~max_rounds ());
-    ];
+      let t0 = Unix.gettimeofday () in
+      let session = P1d.make (State.create ~seed:62 ()) ~parties ~modulus ~inputs in
+      let _, acct = Plan.execute ~engine (Plan.of_session ~label:"p1" session) in
+      let dt = Unix.gettimeofday () -. t0 in
+      let payload = acct.Plan.stats.Wire.bits / 8 in
+      match acct.Plan.net with
+      | None ->
+        sim_payload := payload;
+        Printf.printf "%10s | %10.2f | %12d | %12s | %s\n" label (1000. *. dt) payload "-" "-"
+      | Some net ->
+        assert (payload = !sim_payload);
+        let on_wire = net.Plan.transport_bytes in
+        Printf.printf "%10s | %10.2f | %12d | %12d | %.3fx\n" label (1000. *. dt) payload
+          on_wire
+          (float_of_int on_wire /. float_of_int payload))
+    [ ("sim", `Sim); ("memory", `Memory); ("socket", `Socket) ];
   Printf.printf
     "\nThe payload bytes are engine-independent (the MS statistic); the real\n\
      transports add the framing derived in DESIGN.md - length prefixes, data\n\
-     headers, round barriers and (for sockets) the connection handshakes.\n"
+     headers, round barriers and Fins - and the same bytes on both.\n"
 
 (* Plan build: [Job.build] at perfbench's three workload sizes, on
    inputs generated the way perfbench generates them (a G(n, m) graph,
@@ -671,26 +643,59 @@ let ablation_plan_build () =
 
 let bench_json_path = "BENCH_protocols.json"
 
-let pipeline_reports () =
-  let module Session = Spe_mpc.Session in
+(* Drive a plan with Plan.execute under one recording trace per
+   executed session (on sim, the lowered session): the result, one
+   spe-metrics report per session, and the payload bytes (MS / 8).  The
+   reports' NM and MS are asserted against the run's wire accounting. *)
+let execute_traced ~protocol ?(workers = 4) engine plan =
   let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
+  let module Plan = Spe_core.Plan in
+  let module Metrics = Spe_obs.Metrics in
+  (* A full pipeline has long compute rounds; local transports are
+     reliable, so wait out the compute instead of Nacking it. *)
+  let config = { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. } in
+  let r, acct =
+    Plan.execute ~config ~workers ~traces:(fun _ -> Spe_obs.Trace.create ()) ~engine plan
+  in
+  let engine = match engine with `Sim -> "sim" | `Memory -> "memory" | `Socket -> "socket" in
+  let reports =
+    List.map
+      (fun (_, trace, parties) -> Metrics.of_trace ~protocol ~engine ~parties trace)
+      acct.Plan.traces
+  in
+  let payload = acct.Plan.stats.Wire.bits / 8 in
+  assert (
+    Metrics.equal_accounting (Metrics.merge reports)
+      ~messages:acct.Plan.stats.Wire.messages ~payload_bytes:payload);
+  (r, reports, payload)
+
+(* A bench row: the lowered sim session's report as it is, the pool
+   sessions' reports merged with their per-session table. *)
+let row engine reports =
+  match engine with
+  | `Sim -> List.hd reports
+  | `Memory | `Socket -> Spe_obs.Metrics.merge reports
+
+let pipeline_reports () =
   let module Plan = Spe_core.Plan in
   let module Shard = Spe_core.Shard in
   let s, g, log = workload ~seed:57 ~n:30 ~edges:90 ~actions:12 in
   let logs = Partition.exclusive s log ~m:3 in
   let p4_config = Protocol4.default_config ~h:2 in
   let p6_config = { Protocol6.default_config with Protocol6.key_bits = 128 } in
-  let session plan = Session.map ignore (Plan.to_session plan) in
+  (* Each pipeline lowered to one session. *)
+  let lowered plan =
+    Plan.of_session ~label:"pipeline" (Spe_mpc.Session.map ignore (Plan.to_session plan))
+  in
   let scores config st =
-    session
+    lowered
       (Shard.user_scores_exclusive st ~graph:g ~logs ~tau:6 ~modulus:(1 lsl 20) ~shards:1
          config)
   in
   let pipelines =
     [
       ("links", fun st ->
-          session (Shard.links_exclusive st ~graph:g ~logs ~shards:1 p4_config));
+          lowered (Shard.links_exclusive st ~graph:g ~logs ~shards:1 p4_config));
       ("scores", scores p6_config);
       (* Tentpole ablations: the same scores pipeline with the crypto
          accelerations disabled (plain decrypt exponent, no fixed-base
@@ -701,92 +706,20 @@ let pipeline_reports () =
         scores { p6_config with Protocol6.pack_slots = Spe_mpc.Pack.max_packed_bits } );
     ]
   in
-  let run_endpoint trace session runner =
-    let (), (res : Endpoint.result) = runner ~trace session in
-    let totals =
-      Net_wire.totals
-        (Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes)
-    in
-    (totals.Net_wire.messages, totals.Net_wire.payload_bytes)
-  in
-  let engines =
-    [
-      ("sim", fun trace session ->
-          let w = Wire.create () in
-          let () = Session.run ~trace session ~wire:w in
-          let stats = Wire.stats w in
-          (stats.Wire.messages, stats.Wire.bits / 8));
-      ("memory", fun trace session ->
-          run_endpoint trace session (fun ~trace s -> Endpoint.run_session_memory ~trace s));
-      ("socket", fun trace session ->
-          run_endpoint trace session (fun ~trace s -> Endpoint.run_session_socket ~trace s));
-    ]
-  in
   List.concat_map
     (fun (pipeline, build) ->
       let payload_ref = ref None in
       List.map
-        (fun (engine, run) ->
-          let session = build (State.create ~seed:64 ()) in
-          let trace = Spe_obs.Trace.create () in
-          let messages, payload_bytes = run trace session in
+        (fun engine ->
+          let _, reports, payload_bytes =
+            execute_traced ~protocol:pipeline engine (build (State.create ~seed:64 ()))
+          in
           (match !payload_ref with
           | None -> payload_ref := Some payload_bytes
           | Some p -> assert (p = payload_bytes));
-          let report =
-            Spe_obs.Metrics.of_trace ~protocol:pipeline ~engine
-              ~parties:(Array.length session.Spe_mpc.Session.parties) trace
-          in
-          assert (Spe_obs.Metrics.equal_accounting report ~messages ~payload_bytes);
-          report)
-        engines)
+          List.hd reports)
+        [ `Sim; `Memory; `Socket ])
     pipelines
-
-(* Drive a plan on a real transport with one recording trace per
-   session; returns the result, one spe-metrics report per session,
-   and the payload bytes summed over every session's endpoint logs. *)
-let execute_traced ~protocol ~workers engine plan =
-  let module Endpoint = Spe_net.Endpoint in
-  let module Plan = Spe_core.Plan in
-  (* A full pipeline has long compute rounds; local transports are
-     reliable, so wait out the compute instead of Nacking it. *)
-  let config = { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. } in
-  let engine_name = match engine with `Memory -> "memory" | `Socket -> "socket" in
-  let r, runs =
-    Plan.execute ~config ~workers ~traces:(fun _ -> Spe_obs.Trace.create ()) ~engine plan
-  in
-  let payload =
-    List.fold_left
-      (fun acc (run : Plan.run) ->
-        let res = run.Plan.endpoint in
-        acc
-        + (Spe_net.Net_wire.totals
-             (Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes))
-            .Spe_net.Net_wire.payload_bytes)
-      0 runs
-  in
-  let reports =
-    List.map
-      (fun (run : Plan.run) ->
-        Spe_obs.Metrics.of_trace ~protocol ~engine:engine_name ~parties:run.Plan.parties
-          run.Plan.trace)
-      runs
-  in
-  (r, reports, payload)
-
-(* The sim engine's twin of [execute_traced]: the plan lowered to one
-   session under a recording trace; returns the result, the session's
-   spe-metrics report and the wire's payload bytes. *)
-let sim_traced ~protocol ?(engine = "sim") plan =
-  let module Plan = Spe_core.Plan in
-  let session = Plan.to_session plan in
-  let trace = Spe_obs.Trace.create () in
-  let w = Wire.create () in
-  let r = Spe_mpc.Session.run ~trace session ~wire:w in
-  ( r,
-    Spe_obs.Metrics.of_trace ~protocol ~engine
-      ~parties:(Array.length session.Spe_mpc.Session.parties) trace,
-    (Wire.stats w).Wire.bits / 8 )
 
 (* Sharding ablation: the links pipeline cut into k shards on every
    engine (DESIGN.md, "Sharded execution"), j = 4 concurrent sessions
@@ -817,18 +750,9 @@ let sharding_reports () =
             Shard.links_exclusive (State.create ~seed:68 ()) ~graph:g ~logs ~shards config
           in
           let t0 = Unix.gettimeofday () in
-          let report =
-            match engine with
-            | `Sim ->
-              let _, report, payload = sim_traced ~protocol plan in
-              check_payload payload;
-              report
-            | (`Memory | `Socket) as engine ->
-              let _, reports, payload = execute_traced ~protocol ~workers:4 engine plan in
-              check_payload payload;
-              Metrics.merge reports
-          in
-          { report with Metrics.wall_s = Unix.gettimeofday () -. t0 })
+          let _, reports, payload = execute_traced ~protocol engine plan in
+          check_payload payload;
+          { (row engine reports) with Metrics.wall_s = Unix.gettimeofday () -. t0 })
         [ `Sim; `Memory; `Socket ])
     [ 1; 2; 4; 8 ]
 
@@ -864,19 +788,10 @@ let rank_reports () =
         Protocol_rank.plan (State.create ~seed:72 ()) ~graph:g ~logs ~shards:2 config
       in
       let t0 = Unix.gettimeofday () in
-      let report, result =
-        match engine with
-        | `Sim ->
-          let r, report, payload = sim_traced ~protocol:"rank" plan in
-          check_payload payload;
-          (report, r)
-        | (`Memory | `Socket) as engine ->
-          let r, reports, payload = execute_traced ~protocol:"rank" ~workers:4 engine plan in
-          check_payload payload;
-          (Metrics.merge reports, r)
-      in
+      let result, reports, payload = execute_traced ~protocol:"rank" engine plan in
+      check_payload payload;
       assert (result.Protocol_rank.ranks_fx = reference);
-      { report with Metrics.wall_s = Unix.gettimeofday () -. t0 })
+      { (row engine reports) with Metrics.wall_s = Unix.gettimeofday () -. t0 })
     [ `Sim; `Memory; `Socket ]
 
 (* DP utility table: MAE of the seeded Laplace release against the
@@ -929,10 +844,10 @@ let dp_utility_extra () =
   ("dp_utility", Json.List rows)
 
 (* Serve ablation: the same 50-job links load submitted two ways — a
-   fresh addressed socket group per job (every session pays the
-   connection rendezvous again) vs one persistent spe-serve deployment
-   (the mesh's Hello exchange is paid once per connection, jobs
-   multiplex over it and pipeline through H's bounded queue).  Both
+   fresh in-process plan per job (every session stands up its own
+   socketpair group again) vs one persistent spe-serve deployment (the
+   mesh's Hello exchange is paid once per connection, jobs multiplex
+   over it and pipeline through H's bounded queue).  Both
    rows land in BENCH_protocols.json; the daemon row's report is the
    deployment's own cumulative scrape report (what `spe scrape`
    serves), relabelled for the trajectory. *)
@@ -961,7 +876,7 @@ let serve_reports () =
     let plan =
       Shard.links_exclusive (State.create ~seed:pseed ()) ~graph ~logs ~shards:2 config
     in
-    let _, reports, _ = execute_traced ~protocol ~workers:4 `Socket plan in
+    let _, reports, _ = execute_traced ~protocol `Socket plan in
     respawn_reports := List.rev_append reports !respawn_reports
   done;
   let respawn_wall = Unix.gettimeofday () -. t0 in
@@ -1044,8 +959,8 @@ let serve_reports () =
   Printf.printf
     "serve ablation (%d links jobs, m = %d): per-job spawn %.2f s (%.0f ms/job),\n\
      persistent daemons %.2f s (%.0f ms/job, %.1fx); %d mesh hellos total for the\n\
-     whole deployment — one per connection — vs a fresh rendezvous per session\n\
-     per job when respawning.\n\n"
+     whole deployment — one per connection — vs a fresh socketpair group per\n\
+     session per job when respawning.\n\n"
     jobs m respawn_wall
     (1000. *. respawn_wall /. float_of_int jobs)
     daemon_wall
@@ -1094,22 +1009,19 @@ let stream_reports () =
      own; the transport engines run the whole plan, one report per
      session. *)
   let run_stages engine stages =
-    match engine with
-    | `Sim ->
-      List.init epochs (fun e ->
-          let (), report, _ =
-            sim_traced ~protocol:"stream" ~engine:"-"
-              (Plan.make ~shards:1
-                 ~stages:(List.filter (fun (st : Plan.stage) -> st.Plan.epoch = Some e) stages)
-                 ~result:ignore)
-          in
-          report)
-    | (`Memory | `Socket) as engine ->
+    let reports stages =
       let (), reports, _ =
         execute_traced ~protocol:"stream" ~workers:2 engine
           (Plan.make ~shards:1 ~stages ~result:ignore)
       in
       reports
+    in
+    match engine with
+    | `Sim ->
+      List.concat_map
+        (fun e -> reports (List.filter (fun (st : Plan.stage) -> st.Plan.epoch = Some e) stages))
+        (List.init epochs Fun.id)
+    | `Memory | `Socket -> reports stages
   in
   let run_mode mode engine_name engine =
     let t0 = Unix.gettimeofday () in

@@ -18,6 +18,7 @@ module Wire = Spe_mpc.Wire
 module Protocol4 = Spe_core.Protocol4
 module Protocol6 = Spe_core.Protocol6
 module Driver = Spe_core.Driver
+module Plan = Spe_core.Plan
 module Posterior = Spe_privacy.Posterior
 module Gain = Spe_privacy.Gain
 module Leakage = Spe_privacy.Leakage
@@ -303,9 +304,10 @@ let workers_arg =
 
 let transport_bytes_summary (stats : Wire.stats) = function
   | None -> ()
-  | Some (bytes, _) ->
-    Printf.printf "transport: %d framed bytes on the wire (%.3fx the payload)\n" bytes
-      (float_of_int bytes /. (float_of_int stats.Wire.bits /. 8.))
+  | Some (net : Plan.net) ->
+    Printf.printf "transport: %d framed bytes on the wire (%.3fx the payload)\n"
+      net.Plan.transport_bytes
+      (float_of_int net.Plan.transport_bytes /. (float_of_int stats.Wire.bits /. 8.))
 
 (* --- observability plumbing (shared by links, scores and shares) ------ *)
 
@@ -334,6 +336,12 @@ let obs_trace trace_file metrics =
   if trace_file <> None || metrics <> None then Spe_obs.Trace.create ()
   else Spe_obs.Trace.disabled ()
 
+(* The central wire charges exact bit counts; the trace replay rounds
+   each message up to whole bytes, so the cross-check must too.  (A
+   distributed payload is whole bytes already.) *)
+let transcript_payload_bytes transcript =
+  List.fold_left (fun acc (m : Wire.message) -> acc + ((m.Wire.bits + 7) / 8)) 0 transcript
+
 (* After the run: build the metrics report from the run's traces — one
    unlabelled trace, or one labelled trace per pool session, merged
    with Metrics.merge so --metrics shows the per-session table —
@@ -342,32 +350,34 @@ let obs_trace trace_file metrics =
    Net_wire too), then emit what was asked for: the trace dump, one
    labelled section per session, and the metrics report last, so
    `--metrics json` ends stdout with one clean JSON document. *)
-let emit_observability ~protocol ~engine ~messages ~payload_bytes ~net sections trace_file
-    metrics =
-  match sections with
+let emit_observability ~protocol ~engine (acct : Plan.accounting) trace_file metrics =
+  match acct.Plan.traces with
   | (_, first, _) :: _ when Spe_obs.Trace.enabled first -> (
     let module Metrics = Spe_obs.Metrics in
     let report_of (_, tr, parties) = Metrics.of_trace ~protocol ~engine ~parties tr in
     let report =
-      match sections with
+      match acct.Plan.traces with
       | [ ((None, _, _) as only) ] -> report_of only
-      | _ -> Metrics.merge (List.map report_of sections)
+      | sections -> Metrics.merge (List.map report_of sections)
     in
+    let messages = acct.Plan.stats.Wire.messages
+    and payload_bytes = transcript_payload_bytes acct.Plan.transcript in
     if not (Metrics.equal_accounting report ~messages ~payload_bytes) then
       failwith
         (Printf.sprintf
            "trace accounting mismatch: observed %d messages / %d payload bytes, wire \
             accounted %d / %d"
            report.Metrics.messages report.Metrics.payload_bytes messages payload_bytes);
-    (match net with
+    (match acct.Plan.net with
     | None -> ()
-    | Some (_, (totals : Spe_net.Net_wire.totals)) -> (
+    | Some net -> (
+      let framed = net.Plan.totals.Spe_net.Net_wire.framed_bytes in
       match report.Metrics.framed_bytes with
-      | Some framed when framed = totals.Spe_net.Net_wire.framed_bytes -> ()
-      | Some framed ->
+      | Some f when f = framed -> ()
+      | Some f ->
         failwith
-          (Printf.sprintf "trace framed-byte mismatch: observed %d, Net_wire says %d"
-             framed totals.Spe_net.Net_wire.framed_bytes)
+          (Printf.sprintf "trace framed-byte mismatch: observed %d, Net_wire says %d" f
+             framed)
       | None -> failwith "trace recorded no framed bytes on a real transport"));
     (match trace_file with
     | None -> ()
@@ -379,7 +389,7 @@ let emit_observability ~protocol ~engine ~messages ~payload_bytes ~net sections 
           events := !events + List.length (Spe_obs.Trace.events tr);
           Option.iter (fun l -> Printf.fprintf oc "=== %s ===\n" l) label;
           output_string oc (Spe_obs.Obs_io.trace_to_text tr))
-        sections;
+        acct.Plan.traces;
       close_out oc;
       Printf.printf "wrote %s (%d events)\n" path !events);
     match metrics with
@@ -388,16 +398,27 @@ let emit_observability ~protocol ~engine ~messages ~payload_bytes ~net sections 
     | Some `Json -> print_string (Spe_obs.Obs_io.report_to_string report))
   | _ -> ()
 
+(* The one executor: Plan.execute, with one trace per session that
+   records when --trace or --metrics asked for it.  The default 2 s
+   round timeout is tuned for loss detection; a full pipeline has long
+   compute rounds (e.g. decrypting every Protocol 6 bundle under a
+   1024-bit key), during which a busy party looks exactly like a dead
+   one.  Local transports are reliable, so wait out the compute instead
+   of Nacking it. *)
+let execute ~trace_file ~metrics ~workers engine plan =
+  let config =
+    { Spe_net.Endpoint.default_config with Spe_net.Endpoint.round_timeout = 300.; linger = 310. }
+  in
+  Plan.execute ~config ~workers ~traces:(fun _ -> obs_trace trace_file metrics) ~engine plan
+
+(* A built job's stages as one plan, read through [Job.reply_of]. *)
+let job_plan planned = Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore
+
 let engine_name = function
   | `Central -> "central"
   | `Sim -> "sim"
   | `Memory -> "memory"
   | `Socket -> "socket"
-
-(* The central wire charges exact bit counts; the trace replay rounds
-   each message up to whole bytes, so the cross-check must too. *)
-let transcript_payload_bytes transcript =
-  List.fold_left (fun acc (m : Wire.message) -> acc + ((m.Wire.bits + 7) / 8)) 0 transcript
 
 (* --- spe generate ------------------------------------------------------ *)
 
@@ -652,95 +673,6 @@ let emit_release o ~graph ?plaintext reply =
       o.dp_epsilon
   | Serve_proto.Stream_summary _ | Serve_proto.Failed _ -> ()
 
-(* --- the one executor ----------------------------------------------------- *)
-
-(* What an in-process run leaves for the summary: wire statistics (NR,
-   NM, MS), the transcript, the Net_wire accounting on a real
-   transport, and the trace sections for the metrics report. *)
-type run = {
-  stats : Wire.stats;
-  transcript : Wire.message list;
-  net : (int * Spe_net.Net_wire.totals) option;
-  payload_bytes : int;
-  sections : (string option * Spe_obs.Trace.t * int) list;
-}
-
-(* Drive a built plan.  On sim the plan is lowered to one session and
-   run on a wire, whose counts and transcript the summary prints.  On
-   memory and socket Plan.execute runs every stage on the shard pool,
-   one connection group per session, as the daemons do, with one
-   recording trace per session when observability was asked for: NR
-   is the plan's declared rounds, NM/MS sum every session's Net_wire
-   log. *)
-let execute ~trace ~workers transport planned =
-  let module Plan = Spe_core.Plan in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
-  let plan = Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore in
-  match transport with
-  | `Sim ->
-    let session = Plan.to_session plan in
-    let w = Wire.create () in
-    Spe_mpc.Session.run ~trace session ~wire:w;
-    let stats = Wire.stats w in
-    {
-      stats;
-      transcript = Wire.messages w;
-      net = None;
-      payload_bytes = stats.Wire.bits / 8;
-      sections = [ (None, trace, Array.length session.Spe_mpc.Session.parties) ];
-    }
-  | (`Memory | `Socket) as engine ->
-    (* The default 2 s round timeout is tuned for loss detection; a
-       full pipeline has long compute rounds (e.g. decrypting every
-       Protocol 6 bundle under a 1024-bit key), during which a busy
-       party looks exactly like a dead one.  Local transports are
-       reliable, so wait out the compute instead of Nacking it. *)
-    let config =
-      { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. }
-    in
-    let recording = Spe_obs.Trace.enabled trace in
-    let (), runs =
-      Plan.execute ~config ~workers
-        ~traces:(fun _ ->
-          if recording then Spe_obs.Trace.create () else Spe_obs.Trace.disabled ())
-        ~engine plan
-    in
-    let logs =
-      List.map
-        (fun (run : Plan.run) ->
-          Array.map
-            (fun (o : Endpoint.outcome) -> o.Endpoint.sent)
-            run.Plan.endpoint.Endpoint.outcomes)
-        runs
-    in
-    let totals = Net_wire.totals (Array.concat logs) in
-    let transport_bytes =
-      List.fold_left
-        (fun acc (run : Plan.run) -> acc + run.Plan.endpoint.Endpoint.transport_bytes)
-        0 runs
-    in
-    let stats =
-      {
-        Wire.rounds = Plan.total_rounds plan;
-        messages = totals.Net_wire.messages;
-        bits = 8 * totals.Net_wire.payload_bytes;
-      }
-    in
-    {
-      stats;
-      transcript = List.concat_map (fun l -> Wire.messages (Net_wire.merge l)) logs;
-      net = Some (transport_bytes, totals);
-      payload_bytes = totals.Net_wire.payload_bytes;
-      sections =
-        List.map
-          (fun (run : Plan.run) ->
-            ( Some (Printf.sprintf "%s[%d]" run.Plan.stage run.Plan.index),
-              run.Plan.trace,
-              run.Plan.parties ))
-          runs;
-    }
-
 (* --- the shared path ------------------------------------------------------ *)
 
 (* [refuse_connect] names an in-process-only flag that was given;
@@ -788,52 +720,46 @@ let run_pipeline o spec ?refuse_connect ~local () =
           | Error msg -> `Error (true, msg)
           | Ok () -> ( try local wl with Invalid_argument msg -> `Error (false, msg))))))
 
-type summary = Wire_run of run | Note of string
+type summary = Wire_run of Plan.accounting | Note of string
 
 (* An in-process links, scores or rank run: the central reference
    ([central]) or the built plan on the executor, then the reply
    printer and the run's summary. *)
 let run_local o ~protocol ?(show_transcript = false) ?plaintext ~central ~build wl =
-  let trace = obs_trace o.trace_file o.metrics in
   let reply, summary, plaintext =
     match o.transport with
     | `Central ->
-      let reply, summary = central ~trace wl in
+      let reply, summary = central ~trace:(obs_trace o.trace_file o.metrics) wl in
       (reply, summary, None)
     | (`Sim | `Memory | `Socket) as engine ->
       let planned = build wl in
-      let run = execute ~trace ~workers:o.workers engine planned in
-      (Job.reply_of planned, Wire_run run, Option.map (fun f -> f wl) plaintext)
+      let (), acct =
+        execute ~trace_file:o.trace_file ~metrics:o.metrics ~workers:o.workers engine
+          (job_plan planned)
+      in
+      (Job.reply_of planned, Wire_run acct, Option.map (fun f -> f wl) plaintext)
   in
   print_reply ~top:o.top reply;
   emit_release o ~graph:(Some wl.Job.graph) ?plaintext reply;
   (match summary with
   | Note line -> print_endline line
-  | Wire_run run ->
-    wire_summary run.stats;
-    transport_bytes_summary run.stats run.net;
+  | Wire_run acct ->
+    wire_summary acct.Plan.stats;
+    transport_bytes_summary acct.Plan.stats acct.Plan.net;
     if show_transcript then begin
       Printf.printf "\ntranscript:\n";
       List.iter
         (fun (msg : Wire.message) ->
           Format.printf "  r%-3d %a -> %a  %d bits@." msg.Wire.round Wire.pp_party
             msg.Wire.src Wire.pp_party msg.Wire.dst msg.Wire.bits)
-        run.transcript
+        acct.Plan.transcript
     end;
-    emit_observability ~protocol ~engine:(engine_name o.transport)
-      ~messages:run.stats.Wire.messages ~payload_bytes:run.payload_bytes ~net:run.net
-      run.sections o.trace_file o.metrics);
+    emit_observability ~protocol ~engine:(engine_name o.transport) acct o.trace_file
+      o.metrics);
   `Ok ()
 
 let central_run ~trace ~parties ~wire ~transcript =
-  Wire_run
-    {
-      stats = wire;
-      transcript;
-      net = None;
-      payload_bytes = transcript_payload_bytes transcript;
-      sections = [ (None, trace, parties) ];
-    }
+  Wire_run { Plan.stats = wire; transcript; traces = [ (None, trace, parties) ]; net = None }
 
 (* --- spe links ---------------------------------------------------------- *)
 
@@ -1225,17 +1151,20 @@ let stream_cmd =
       | _ -> [||]
     in
     let local wl =
-      let trace = Spe_obs.Trace.disabled () in
       let t0 = Unix.gettimeofday () in
       let planned, arrivals = Job.build_stream ~mode:Spe_core.Delta.Delta spec wl in
-      ignore (execute ~trace ~workers:o.workers transport planned);
+      ignore
+        (execute ~trace_file:None ~metrics:None ~workers:o.workers transport
+           (job_plan planned));
       let reply = Job.reply_of planned in
       (* [--verify-full]: the same ingestion with every group
          recomputed every epoch, on sim. *)
       let full =
         if verify_full then begin
           let full, _ = Job.build_stream ~mode:Spe_core.Delta.Full spec wl in
-          ignore (execute ~trace ~workers:o.workers `Sim full);
+          ignore
+            (execute ~trace_file:None ~metrics:None ~workers:o.workers `Sim
+               (job_plan full));
           Some (digests_of full)
         end
         else None
@@ -1533,10 +1462,6 @@ let verify_cmd =
 let shares_cmd =
   let module P1d = Spe_mpc.Protocol1_distributed in
   let module P2d = Spe_mpc.Protocol2_distributed in
-  let module Session = Spe_mpc.Session in
-  let module Runtime = Spe_mpc.Runtime in
-  let module Endpoint = Spe_net.Endpoint in
-  let module Net_wire = Spe_net.Net_wire in
   let protocol_arg =
     Arg.(
       value
@@ -1575,52 +1500,20 @@ let shares_cmd =
         Array.init m (fun _ -> Array.init len (fun _ -> State.next_int gen (max 1 per_party_max)))
       in
       let s = State.create ~seed () in
-      let parties', programs, extract =
+      let plan =
         match protocol with
         | `P1 ->
-          let session = P1d.make s ~parties ~modulus ~inputs in
-          ( session.Session.parties,
-            session.Session.programs,
-            fun () ->
-              let r = session.Session.result () in
-              (r.Spe_mpc.Protocol1.share1, r.Spe_mpc.Protocol1.share2) )
+          Plan.map
+            (fun r -> (r.Spe_mpc.Protocol1.share1, r.Spe_mpc.Protocol1.share2))
+            (Plan.of_session ~label:"shares" (P1d.make s ~parties ~modulus ~inputs))
         | `P2 ->
-          let session =
-            P2d.make s ~parties ~third_party:Wire.Host ~modulus ~input_bound:bound ~inputs
-          in
-          ( session.Session.parties,
-            session.Session.programs,
-            fun () ->
-              let r = session.Session.result () in
-              (r.Spe_mpc.Protocol2.share1, r.Spe_mpc.Protocol2.share2) )
+          Plan.map
+            (fun r -> (r.Spe_mpc.Protocol2.share1, r.Spe_mpc.Protocol2.share2))
+            (Plan.of_session ~label:"shares"
+               (P2d.make s ~parties ~third_party:Wire.Host ~modulus ~input_bound:bound
+                  ~inputs))
       in
-      let max_rounds = match protocol with `P1 -> P1d.max_rounds | `P2 -> P2d.max_rounds in
-      let trace = obs_trace trace_file metrics in
-      let stats, transport_bytes =
-        match transport with
-        | `Sim ->
-          let engine = Runtime.create () in
-          Array.iteri (fun k p -> Runtime.add_party engine p programs.(k)) parties';
-          let w = Wire.create () in
-          let _rounds =
-            Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
-                Runtime.run ~trace engine ~wire:w ~max_rounds)
-          in
-          (Wire.stats w, None)
-        | `Memory | `Socket ->
-          let res =
-            Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
-                match transport with
-                | `Memory ->
-                  Endpoint.run_memory ~trace ~parties:parties' ~programs ~max_rounds ()
-                | _ -> Endpoint.run_socket ~trace ~parties:parties' ~programs ~max_rounds ())
-          in
-          let logs =
-            Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
-          in
-          (Wire.stats (Net_wire.merge logs), Some (res.Endpoint.transport_bytes, Net_wire.totals logs))
-      in
-      let share1, share2 = extract () in
+      let (share1, share2), acct = execute ~trace_file ~metrics ~workers:1 transport plan in
       let preview = min len 8 in
       Printf.printf "protocol %s over %s, %d providers, %d counters, S = 2^%d\n"
         (match protocol with `P1 -> "1" | `P2 -> "2")
@@ -1645,20 +1538,18 @@ let shares_cmd =
         if not reconstructed then ok := false
       done;
       Printf.printf "reconstruction check: %s\n" (if !ok then "OK" else "FAILED");
-      wire_summary stats;
-      (match transport_bytes with
+      wire_summary acct.Plan.stats;
+      (match acct.Plan.net with
       | None -> ()
-      | Some (total, totals) ->
+      | Some net ->
+        let payload = net.Plan.totals.Spe_net.Net_wire.payload_bytes in
         Printf.printf
           "transport: %d framed bytes on the wire (%d payload, overhead factor %.3f)\n"
-          total totals.Net_wire.payload_bytes
-          (float_of_int total /. float_of_int (max 1 totals.Net_wire.payload_bytes)));
+          net.Plan.transport_bytes payload
+          (float_of_int net.Plan.transport_bytes /. float_of_int (max 1 payload)));
       emit_observability
         ~protocol:(match protocol with `P1 -> "shares-p1" | `P2 -> "shares-p2")
-        ~engine:(engine_name transport) ~messages:stats.Wire.messages
-        ~payload_bytes:(stats.Wire.bits / 8) ~net:transport_bytes
-        [ (None, trace, Array.length parties') ]
-        trace_file metrics;
+        ~engine:(engine_name transport) acct trace_file metrics;
       if !ok then `Ok () else `Error (false, "share reconstruction failed")
     end
   in

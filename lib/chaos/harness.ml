@@ -341,7 +341,7 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
           oracle = "termination";
           detail = "the failure escaped the pool untyped: " ^ Printexc.to_string e;
         })
-  | matches_oracle, runs ->
+  | matches_oracle, accounting ->
     let elapsed = Unix.gettimeofday () -. t0 in
     if elapsed > wall_budget then
       Fail
@@ -350,6 +350,7 @@ let run ?(bug = fun _ -> false) (sched : Schedule.t) =
           detail = Printf.sprintf "completed, but only after %.1f s" elapsed;
         }
     else begin
+      let runs = match accounting.Plan.net with Some net -> net.Plan.runs | None -> [] in
       let acct =
         List.mapi (fun gi r -> (gi, r)) runs
         |> List.find_map (fun (gi, (r : Plan.run)) ->

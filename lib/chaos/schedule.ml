@@ -137,6 +137,14 @@ let as_string key j =
   | Json.String s -> s
   | _ -> fail "Schedule: field %S must be a string" key
 
+(* An integer field the harness builds from, within [lo, hi]. *)
+let as_bounded key ?(hi = max_int) ~lo j =
+  let v = as_int key j in
+  if v < lo || v > hi then
+    if hi = max_int then fail "Schedule: field %S must be at least %d, got %d" key lo v
+    else fail "Schedule: field %S must be in [%d, %d], got %d" key lo hi v;
+  v
+
 let event_to_json ev =
   let link kind session src dst tail =
     Json.Obj
@@ -240,13 +248,17 @@ let of_json j =
     | s -> fail "Schedule: unknown engine %S" s
   in
   let w = Json.member "workload" j in
+  (* A replay file may have been edited by hand: refuse what the
+     harness cannot build (two cascade seeds per action, a simple
+     directed graph, the pipelines' two providers and one shard). *)
+  let users = as_bounded "users" ~lo:2 w in
   let workload =
     {
       wseed = as_int "seed" w;
-      users = as_int "users" w;
-      edges = as_int "edges" w;
-      actions = as_int "actions" w;
-      providers = as_int "providers" w;
+      users;
+      edges = as_bounded "edges" ~lo:0 ~hi:(users * (users - 1)) w;
+      actions = as_bounded "actions" ~lo:1 w;
+      providers = as_bounded "providers" ~lo:2 w;
     }
   in
   let events =
@@ -258,7 +270,7 @@ let of_json j =
     seed = as_int "seed" j;
     pipeline;
     engine;
-    shards = as_int "shards" j;
+    shards = as_bounded "shards" ~lo:1 j;
     workers = as_int "workers" j;
     workload;
     events;

@@ -104,8 +104,10 @@ val to_json : t -> Spe_obs.Obs_io.Json.t
 
 val of_json : Spe_obs.Obs_io.Json.t -> t
 (** Inverse of {!to_json}.  Raises [Failure] on a missing or unsupported
-    schema tag, an unknown event kind, or any missing/ill-typed
-    field. *)
+    schema tag, an unknown event kind, any missing/ill-typed field, or a
+    workload the harness cannot build: [shards < 1], [providers < 2],
+    [users < 2], [actions < 1], or [edges] outside [0, users(users-1)].
+    The message names the field. *)
 
 val to_string : t -> string
 (** Pretty-printed [spe-schedule/1] JSON, newline-terminated. *)

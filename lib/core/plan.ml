@@ -1,5 +1,7 @@
 module Session = Spe_mpc.Session
+module Wire = Spe_mpc.Wire
 module Endpoint = Spe_net.Endpoint
+module Net_wire = Spe_net.Net_wire
 
 type stage = { label : string; epoch : int option; sessions : unit Session.t array }
 
@@ -21,6 +23,11 @@ let make ~shards ~stages ~result =
 
 let map f t =
   { shards = t.shards; stages = t.stages; result = (fun () -> f (t.result ())) }
+
+let of_session ~label (session : _ Session.t) =
+  make ~shards:1
+    ~stages:[ stage ~label [| Session.map ignore session |] ]
+    ~result:session.Session.result
 
 let total_rounds t =
   List.fold_left
@@ -54,10 +61,28 @@ type run = {
   endpoint : Endpoint.result;
 }
 
+type net = { transport_bytes : int; totals : Net_wire.totals; runs : run list }
+
+type accounting = {
+  stats : Wire.stats;
+  transcript : Wire.message list;
+  traces : (string option * Spe_obs.Trace.t * int) list;
+  net : net option;
+}
+
 let execute ?config ?workers ?(faults = fun _ -> None) ?(kills = fun _ -> false)
     ?(traces = fun _ -> Spe_obs.Trace.disabled ()) ~engine t =
   match engine with
-  | `Sim -> (Session.run ~trace:(traces 0) (to_session t) ~wire:(Spe_mpc.Wire.create ()), [])
+  | `Sim ->
+    let session = to_session t and trace = traces 0 and w = Wire.create () in
+    let r = Session.run ~trace session ~wire:w in
+    ( r,
+      {
+        stats = Wire.stats w;
+        transcript = Wire.messages w;
+        traces = [ (None, trace, Array.length session.Session.parties) ];
+        net = None;
+      } )
   | (`Memory | `Socket) as engine ->
     let run_stage =
       match engine with
@@ -94,4 +119,34 @@ let execute ?config ?workers ?(faults = fun _ -> None) ?(kills = fun _ -> false)
           out;
         base := b + ns)
       t.stages;
-    (t.result (), List.rev !runs)
+    let runs = List.rev !runs in
+    let logs run =
+      Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) run.endpoint.Endpoint.outcomes
+    in
+    let totals = Net_wire.totals (Array.concat (List.map logs runs)) in
+    ( t.result (),
+      {
+        stats =
+          {
+            Wire.rounds = total_rounds t;
+            messages = totals.Net_wire.messages;
+            bits = 8 * totals.Net_wire.payload_bytes;
+          };
+        transcript =
+          List.concat_map (fun run -> Wire.messages (Net_wire.merge (logs run))) runs;
+        traces =
+          List.map
+            (fun run ->
+              (Some (Printf.sprintf "%s[%d]" run.stage run.index), run.trace, run.parties))
+            runs;
+        net =
+          Some
+            {
+              transport_bytes =
+                List.fold_left
+                  (fun acc run -> acc + run.endpoint.Endpoint.transport_bytes)
+                  0 runs;
+              totals;
+              runs;
+            };
+      } )

@@ -45,6 +45,10 @@ val make : shards:int -> stages:stage list -> result:(unit -> 'r) -> 'r t
 val map : ('a -> 'b) -> 'a t -> 'b t
 (** Post-compose the result thunk. *)
 
+val of_session : label:string -> 'r Spe_mpc.Session.t -> 'r t
+(** One session as a one-stage plan: how {!execute} runs a single
+    session. *)
+
 val total_rounds : 'r t -> int
 (** The sum of every stage session's declared rounds — the charged
     round count {!to_session} executes, and what the transport engines
@@ -66,6 +70,32 @@ type run = {
 }
 (** What one session of a plan executed on a transport leaves behind. *)
 
+type net = {
+  transport_bytes : int;
+      (** Framed bytes every session's group transmitted: data frames,
+          barriers, Fins and retransmissions. *)
+  totals : Spe_net.Net_wire.totals;  (** Every session's {!Spe_net.Net_wire} log, summed. *)
+  runs : run list;  (** One per session, in plan order. *)
+}
+(** What only a real transport can measure. *)
+
+type accounting = {
+  stats : Spe_mpc.Wire.stats;
+      (** NR, NM and MS.  On [`Sim], the wire's.  On [`Memory] and
+          [`Socket], NR is {!total_rounds} and NM and MS sum every
+          session's {!Spe_net.Net_wire} log — the same three numbers. *)
+  transcript : Spe_mpc.Wire.message list;
+      (** On [`Sim], the wire's transcript; on [`Memory] and [`Socket],
+          each session's merged {!Spe_net.Net_wire} log, in plan order. *)
+  traces : (string option * Spe_obs.Trace.t * int) list;
+      (** One [(label, trace, parties)] per executed session: on [`Sim]
+          the one lowered session, unlabelled; on [`Memory] and
+          [`Socket] every pool session, labelled
+          ["<stage label>[<index>]"]. *)
+  net : net option;  (** [None] on [`Sim]. *)
+}
+(** The cost accounting of one execution, the same on every engine. *)
+
 val execute :
   ?config:Spe_net.Endpoint.config ->
   ?workers:int ->
@@ -74,18 +104,19 @@ val execute :
   ?traces:(int -> Spe_obs.Trace.t) ->
   engine:[< `Sim | `Memory | `Socket ] ->
   'r t ->
-  'r * run list
-(** Drive every stage in order on [engine] and read the result.
+  'r * accounting
+(** Drive every stage in order on [engine] and read the result and the
+    accounting.  This is the one way to run a session: wrap it in a
+    one-stage plan.
 
     On [`Sim] the plan is lowered with {!to_session} and run under
-    {!Spe_mpc.Session.run} on a fresh wire with trace [traces 0]; the
-    run list is empty, and [config], [workers], [faults] and [kills] do
-    not apply.
+    {!Spe_mpc.Session.run} on a fresh wire with trace [traces 0];
+    [config], [workers], [faults] and [kills] do not apply.
 
     On [`Memory] and [`Socket] each stage goes to
     [Spe_net.Endpoint.run_sessions_memory] / [run_sessions_socket] with
-    [config] and [workers] (see there for the defaults).  The runs come
-    back one per session, in plan order; a session's position in that
-    order is its index for [faults], [kills] and [traces] (defaults: no
-    fault, no kill, a disabled trace), and the [shard] a
-    [Spe_net.Endpoint.Shard_failed] names. *)
+    [config] and [workers] (see there for the defaults and for the
+    failures, each a [Spe_net.Endpoint.Shard_failed]).  A session's
+    position in plan order is its index for [faults], [kills] and
+    [traces] (defaults: no fault, no kill, a disabled trace), and the
+    [shard] a [Shard_failed] names. *)

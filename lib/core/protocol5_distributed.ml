@@ -3,8 +3,6 @@ module Runtime = Spe_mpc.Runtime
 module Session = Spe_mpc.Session
 module Log = Spe_actionlog.Log
 
-type session = Protocol5.class_counters Session.t
-
 let make st ~h ~providers ~trusted ~logs ~obfuscation =
   if h < 1 then invalid_arg "Protocol5_distributed.make: window must be >= 1";
   let d = Array.length providers in
@@ -108,6 +106,3 @@ let make st ~h ~providers ~trusted ~logs ~obfuscation =
          match !result with
          | Some counters -> counters
          | None -> failwith "Protocol5_distributed: counters never arrived")
-
-let run st ~wire ~h ~providers ~trusted ~logs ~obfuscation =
-  Session.run (make st ~h ~providers ~trusted ~logs ~obfuscation) ~wire

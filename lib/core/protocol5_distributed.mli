@@ -16,8 +16,6 @@
     ([2] rounds, [d + 1] messages) match the central wire statistics
     exactly. *)
 
-type session = Protocol5.class_counters Spe_mpc.Session.t
-
 val make :
   Spe_rng.State.t ->
   h:int ->
@@ -25,19 +23,8 @@ val make :
   trusted:Spe_mpc.Wire.party ->
   logs:Spe_actionlog.Log.t array ->
   obfuscation:Protocol5.obfuscation ->
-  session
+  Protocol5.class_counters Spe_mpc.Session.t
 (** Same contract as {!Protocol5.run}: [logs.(k)] is the class-filtered
     log of [providers.(k)] (equal universes), [trusted] lies outside
     the providers, the representative is [providers.(0)].  The session
     result raises [Failure] if read before the counters arrived. *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Spe_mpc.Wire.t ->
-  h:int ->
-  providers:Spe_mpc.Wire.party array ->
-  trusted:Spe_mpc.Wire.party ->
-  logs:Spe_actionlog.Log.t array ->
-  obfuscation:Protocol5.obfuscation ->
-  Protocol5.class_counters
-(** {!make} driven by {!Spe_mpc.Session.run}. *)

@@ -1,9 +1,5 @@
 module State = Spe_rng.State
 
-type session = Protocol1.result Session.t
-
-let max_rounds = 10
-
 (* Mirror the central implementation's draw order exactly — party k's
    random pieces come off the shared generator before party k+1's, each
    in (element, piece) order — so the shares are bit-identical to
@@ -99,6 +95,3 @@ let make st ~parties ~modulus ~inputs =
     (Session.make ~parties ~programs
        ~rounds:(if m = 2 then 1 else 2)
        ~result:(fun () -> { Protocol1.share1 = !result1; share2 = !result2 }))
-
-let run st ~wire ~parties ~modulus ~inputs =
-  Session.run (make st ~parties ~modulus ~inputs) ~wire

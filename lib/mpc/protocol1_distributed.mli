@@ -11,32 +11,15 @@
     up to byte rounding.
 
     The party programs are exposed as a {!Session.t} so that any engine
-    can host them: the in-process {!Runtime.run} (via {!run}) or the
-    [Spe_net] transport endpoints, which carry the same closures over
-    real byte streams. *)
-
-type session = Protocol1.result Session.t
-(** Alias kept from the pre-{!Session} record; the fields live in
-    {!Session.t} now. *)
-
-val max_rounds : int
-(** A round budget that every instance terminates well within (the
-    session itself declares its exact round count). *)
+    can host them: the in-process {!Session.run} or the [Spe_net]
+    transport endpoints, which carry the same closures over real byte
+    streams. *)
 
 val make :
   Spe_rng.State.t ->
   parties:Wire.party array ->
   modulus:int ->
   inputs:int array array ->
-  session
-(** Build the party programs without running them. *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Wire.t ->
-  parties:Wire.party array ->
-  modulus:int ->
-  inputs:int array array ->
-  Protocol1.result
-(** Same contract as {!Protocol1.run}: {!make} driven by
-    {!Session.run}. *)
+  Protocol1.result Session.t
+(** Build the party programs without running them; [Session.run (make
+    ...)] has {!Protocol1.run}'s contract. *)

@@ -1,13 +1,7 @@
 module State = Spe_rng.State
 module Perm = Spe_rng.Perm
 
-type result = { share1 : int array; share2 : int array }
-
-type session = Protocol2.result Session.t
-
 type handle = { share1 : unit -> int array; share2 : unit -> int array }
-
-let max_rounds = 12
 
 (* ------------------------------------------------------------------ *)
 (* Pre-drawn randomness and shard slices                               *)
@@ -362,9 +356,3 @@ let make st ~parties ~third_party ~modulus ~input_bound ~inputs =
       ~inputs:(Array.map (fun input () -> input) inputs)
   in
   session
-
-let run st ~wire ~parties ~third_party ~modulus ~input_bound ~inputs =
-  let { Protocol2.share1; share2; _ } =
-    Session.run (make st ~parties ~third_party ~modulus ~input_bound ~inputs) ~wire
-  in
-  ({ share1; share2 } : result)

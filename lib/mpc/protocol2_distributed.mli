@@ -12,17 +12,11 @@
     assert this, plus wire-total agreement up to byte rounding.
 
     As with {!Protocol1_distributed}, the party programs are exposed as
-    a {!Session.t} so any engine — the in-process {!Runtime.run} or the
-    [Spe_net] transport endpoints — can host them. *)
-
-type result = { share1 : int array; share2 : int array }
-(** The legacy result of {!run}; {!make}'s session result is the full
-    {!Protocol2.result} with the Theorem 4.1 leak views. *)
-
-type session = Protocol2.result Session.t
-(** Alias kept from the pre-{!Session} record; the fields live in
-    {!Session.t} now.  The session's parties are the sharing parties
-    followed by the third party (unless merged, see {!make_lazy}). *)
+    a {!Session.t} so any engine — the in-process {!Session.run} or the
+    [Spe_net] transport endpoints — can host them.  A session's result
+    is the full {!Protocol2.result} with the Theorem 4.1 leak views, and
+    its parties are the sharing parties followed by the third party
+    (unless merged, see {!make_lazy}). *)
 
 type handle = {
   share1 : unit -> int array;  (** Player 1's final share (his own view). *)
@@ -31,10 +25,6 @@ type handle = {
 (** Per-player accessors for composing sessions: a later phase run by
     player 1 (resp. 2) may read only its own share, rather than the
     orchestrator-level session result. *)
-
-val max_rounds : int
-(** A round budget that every instance terminates well within (the
-    session itself declares its exact round count). *)
 
 (** {2 Sharded building blocks}
 
@@ -168,7 +158,7 @@ val make_lazy :
   input_bound:int ->
   length:int ->
   inputs:(unit -> int array) array ->
-  session * handle
+  Protocol2.result Session.t * handle
 (** Build the party programs with {e deferred} inputs: each party's
     thunk is forced inside its own program at round 1, so a composed
     pipeline can share counters that an earlier phase only just
@@ -186,18 +176,7 @@ val make :
   modulus:int ->
   input_bound:int ->
   inputs:int array array ->
-  session
+  Protocol2.result Session.t
 (** {!make_lazy} with eager inputs and the stricter historical
     restriction that the third party lies outside the sharing
     parties. *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Wire.t ->
-  parties:Wire.party array ->
-  third_party:Wire.party ->
-  modulus:int ->
-  input_bound:int ->
-  inputs:int array array ->
-  result
-(** {!make} driven by {!Session.run}. *)

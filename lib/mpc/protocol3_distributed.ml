@@ -1,7 +1,5 @@
 module Dist = Spe_rng.Dist
 
-type session = float Session.t
-
 let make st ~p1 ~p2 ~host ~a1 ~a2 =
   if a1 < 0 || a2 < 0 then invalid_arg "Protocol3_distributed.make: inputs must be non-negative";
   if p1 = p2 || p1 = host || p2 = host then
@@ -37,6 +35,3 @@ let make st ~p1 ~p2 ~host ~a1 ~a2 =
        ~programs:[| sender a1 p1; sender a2 p2; host_program |]
        ~rounds:1
        ~result:(fun () -> !quotient))
-
-let run st ~wire ~p1 ~p2 ~host ~a1 ~a2 =
-  Session.run (make st ~p1 ~p2 ~host ~a1 ~a2) ~wire

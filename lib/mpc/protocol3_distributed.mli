@@ -6,8 +6,6 @@
     off the supplied generator in the central draw order, so the
     quotient is bit-identical to [Protocol3.run] on any engine. *)
 
-type session = float Session.t
-
 val make :
   Spe_rng.State.t ->
   p1:Wire.party ->
@@ -15,18 +13,7 @@ val make :
   host:Wire.party ->
   a1:int ->
   a2:int ->
-  session
+  float Session.t
 (** Build the three party programs without running them; the session
     result is the quotient the host computed (zero on a zero
     denominator, as in [Protocol3.run]). *)
-
-val run :
-  Spe_rng.State.t ->
-  wire:Wire.t ->
-  p1:Wire.party ->
-  p2:Wire.party ->
-  host:Wire.party ->
-  a1:int ->
-  a2:int ->
-  float
-(** {!make} driven by {!Session.run}. *)

@@ -94,45 +94,6 @@ let seq a b =
         (ra, rb));
   }
 
-(* The labels of a phase map, comma-joined — used by [par] and [all] to
-   keep composed segments naming their source stages. *)
-let phase_labels t = String.concat "," (List.map fst t.phases)
-
-let par a b =
-  Array.iter
-    (fun p ->
-      if member b.parties p then invalid_arg "Session.par: party sets must be disjoint")
-    a.parties;
-  let guard own_parties f ~round ~inbox =
-    List.iter
-      (fun msg ->
-        if not (member own_parties msg.Runtime.src) then
-          invalid_arg "Session.par: message across session boundary")
-      inbox;
-    f ~round ~inbox
-  in
-  let programs =
-    Array.append
-      (Array.map (guard a.parties) a.programs)
-      (Array.map (guard b.parties) b.programs)
-  in
-  {
-    parties = Array.append a.parties b.parties;
-    programs;
-    rounds = max a.rounds b.rounds;
-    (* Interleaved rounds have no single owner, but the segment can
-       still name both sides' stages so a timeout inside the par names
-       the pipeline stage rather than an opaque "par". *)
-    phases =
-      [ (Printf.sprintf "par(%s|%s)" (phase_labels a) (phase_labels b),
-         max a.rounds b.rounds) ];
-    result =
-      (fun () ->
-        let ra = a.result () in
-        let rb = b.result () in
-        (ra, rb));
-  }
-
 (* The label a component's phase map gives to its local round [r]. *)
 let phase_of_local phases r =
   let rec go segs r =

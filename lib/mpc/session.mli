@@ -5,14 +5,14 @@
     party, the exact number of charged rounds, and a thunk that reads
     the result out of the party closures once an engine has driven the
     programs to quiescence.  [Protocol1_distributed],
-    [Protocol2_distributed] and [Protocol3_distributed] each used to
-    carry their own copy of this record; they now alias this type, and
-    the Protocol 4/5/6 pipelines in [Spe_core] are built by {e
+    [Protocol2_distributed] and [Protocol3_distributed] build one each,
+    and the Protocol 4/5/6 pipelines in [Spe_core] are built by {e
     composing} sessions with the combinators below.
 
     Any engine can host a session: the in-process {!Runtime.run} (via
     {!run}), or the [Spe_net] endpoints, which carry the same party
-    closures over memory channels or sockets.
+    closures over memory channels or sockets ([Spe_core.Plan.execute]
+    drives every engine).
 
     {2 Composition semantics}
 
@@ -26,9 +26,8 @@
     party filled.  Phases must be self-contained: a message across the
     phase boundary raises.
 
-    {!par} interleaves two sessions over {e disjoint} party sets in the
-    same rounds; each program sees only messages originating inside its
-    own session. *)
+    {!all} multiplexes any number of sessions, over any party sets,
+    into one by giving each global round to one component round. *)
 
 type 'r t = {
   parties : Wire.party array;  (** All participants, in engine order. *)
@@ -83,16 +82,6 @@ val seq : 'a t -> 'b t -> ('a * 'b) t
     execution time if a phase-A program sends after its declared
     rounds, or if a message crosses the phase boundary. *)
 
-val par : 'a t -> 'b t -> ('a * 'b) t
-(** [par a b] runs both sessions concurrently over the disjoint union
-    of their party sets; the combined round count is the max.
-    Interleaved rounds have no single owner, so the phase map is one
-    segment — but it preserves both sides' labels as
-    [par(<a labels>|<b labels>)], so a timeout inside the par still
-    names the pipeline stages.  Raises [Invalid_argument] if the party
-    sets intersect, and at execution time if a message crosses the
-    session boundary. *)
-
 val all : 'r t list -> 'r array t
 (** [all sessions] multiplexes any number of sessions — with {e
     arbitrary, possibly overlapping} party sets — into one session by
@@ -102,9 +91,8 @@ val all : 'r t list -> 'r array t
     Messages a component sends are banked by the wrapper programs and
     replayed at that component's next owned round; finishing calls
     (final inbox, mandatory silence) fire once a component's last owned
-    round has passed.  This is what sharded pipelines need: [par]
-    requires disjoint party sets, which per-shard sessions over the
-    same providers violate.
+    round has passed.  This is what sharded pipelines need: per-shard
+    sessions run over the same providers.
 
     Requirements: every component round must be message-bearing (true
     of any session whose declared {!field-rounds} is honest — a silent

@@ -123,7 +123,6 @@ module Machine = struct
 
   let handle t body =
     match Frame.decode body with
-    | Frame.Hello _ -> ()
     | Frame.Data { round; seq; src; dst = _; payload } -> (
       match index_of t src with
       | None -> () (* not a group member: ignore *)
@@ -422,16 +421,13 @@ module Machine = struct
     Reactor.post t.reactor (fun () -> if t.state <> Finished then begin_round t [])
 end
 
-(* Run a whole group as machines on [reactor]; [on_done] fires exactly
-   once, with the result or the root cause: among several failures a
-   non-[Closed] error beats the [Closed] cascade it triggered, and
-   among timeouts the earliest round is the diagnosis — a peer that
-   then starved waiting for the starved party is the echo. *)
-let run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_rounds
-    ~on_done =
-  let m = Array.length parties in
-  if Array.length transports <> m || Array.length programs <> m then
-    invalid_arg "Endpoint.run_group: one transport and one program per party";
+(* Run a whole session's group as machines on [reactor]; [on_done]
+   fires exactly once, with the result or the root cause: among several
+   failures a non-[Closed] error beats the [Closed] cascade it
+   triggered, and among timeouts the earliest round is the diagnosis —
+   a peer that then starved waiting for the starved party is the echo. *)
+let run_group_async ~reactor ~config ~trace ~transports ~(session : _ Session.t) ~on_done =
+  let m = Array.length session.Session.parties in
   let outcomes = Array.make m None in
   let errors = Array.make m None in
   let remaining = ref m in
@@ -481,39 +477,11 @@ let run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_
   in
   let machines =
     Array.init m (fun k ->
-        Machine.create ~reactor ~config ~trace ~transport:transports.(k) ~parties
-          ~program:programs.(k) ~max_rounds ~k ~on_done:(finish_one k))
+        Machine.create ~reactor ~config ~trace ~transport:transports.(k)
+          ~parties:session.Session.parties ~program:session.Session.programs.(k)
+          ~max_rounds:(session.Session.rounds + 1) ~k ~on_done:(finish_one k))
   in
   Array.iter Machine.start machines
-
-(* Drive one group to completion on a private reactor owned by the
-   calling thread; [make_transports] builds the group on it. *)
-let run_group ~config ~trace ~make_transports ~parties ~programs ~max_rounds =
-  let reactor = Reactor.create () in
-  Fun.protect
-    ~finally:(fun () -> Reactor.destroy reactor)
-    (fun () ->
-      let transports = make_transports reactor in
-      let result = ref None in
-      run_group_async ~reactor ~config ~trace ~transports ~parties ~programs ~max_rounds
-        ~on_done:(fun r -> result := Some r);
-      Reactor.run reactor ~until:(fun () -> !result <> None);
-      match Option.get !result with Ok r -> r | Error e -> raise e)
-
-let run_memory ?(config = default_config) ?fault ?(trace = Spe_obs.Trace.disabled ())
-    ~parties ~programs ~max_rounds () =
-  run_group ~config ~trace ~parties ~programs ~max_rounds ~make_transports:(fun reactor ->
-      Transport.Memory.create_group ?fault ~trace ~reactor ~m:(Array.length parties) ())
-
-let run_socket ?(config = default_config) ?addresses ?fault
-    ?(trace = Spe_obs.Trace.disabled ()) ~parties ~programs ~max_rounds () =
-  let addresses =
-    match addresses with
-    | Some a -> a
-    | None -> Transport.Socket.temp_unix_addresses ~m:(Array.length parties)
-  in
-  run_group ~config ~trace ~parties ~programs ~max_rounds ~make_transports:(fun reactor ->
-      Transport.Socket.reactor_group ?fault ~trace ~reactor ~addresses ())
 
 (* One seat of a session as a reactor task chain, for hosts (the serve
    daemons) that already own a reactor and must not block it. *)
@@ -548,24 +516,8 @@ let check_session_rounds (session : _ Session.t) result =
   let executed = Array.fold_left (fun acc o -> max acc o.rounds) 0 result.outcomes in
   if executed <> session.Session.rounds then
     failwith
-      (Printf.sprintf "Endpoint.run_session: declared %d rounds but executed %d"
+      (Printf.sprintf "Endpoint.run_sessions: declared %d rounds but executed %d"
          session.Session.rounds executed)
-
-let run_session run ~trace (session : _ Session.t) =
-  Spe_obs.Trace.set_phases trace session.Session.phases;
-  let result =
-    Spe_obs.Trace.span trace Spe_obs.Trace.Session "session" (fun () ->
-        run ~parties:session.Session.parties ~programs:session.Session.programs
-          ~max_rounds:(session.Session.rounds + 1) ())
-  in
-  check_session_rounds session result;
-  (session.Session.result (), result)
-
-let run_session_memory ?config ?fault ?(trace = Spe_obs.Trace.disabled ()) session =
-  run_session (run_memory ?config ?fault ~trace) ~trace session
-
-let run_session_socket ?config ?addresses ?fault ?(trace = Spe_obs.Trace.disabled ()) session =
-  run_session (run_socket ?config ?addresses ?fault ~trace) ~trace session
 
 (* --- The shard worker pool ---------------------------------------------------- *)
 
@@ -659,9 +611,7 @@ let run_pool ~who ~make_group ?(config = default_config) ?workers ?faults ?kills
         let tracing = Spe_obs.Trace.enabled trace in
         let session_start = if tracing then Spe_obs.Trace.now trace else 0. in
         incr outstanding;
-        run_group_async ~reactor ~config ~trace ~transports
-          ~parties:session.Session.parties ~programs:session.Session.programs
-          ~max_rounds:(session.Session.rounds + 1)
+        run_group_async ~reactor ~config ~trace ~transports ~session
           ~on_done:(fun res ->
             decr outstanding;
             Hashtbl.remove open_groups s;

@@ -46,8 +46,8 @@ exception Round_timeout of {
   phase : string option;
       (** The pipeline phase owning [round], read from the trace's
           phase map — so a stuck socket run reports ["p4-mask"] rather
-          than a bare round number.  [None] when no phase map was
-          installed (e.g. {!run_memory} on raw programs). *)
+          than a bare round number.  [None] when the trace carries no
+          phase map. *)
   missing : Spe_mpc.Wire.party list;  (** Peers that never completed the round. *)
 }
 (** A registered [Printexc] printer renders the full context:
@@ -90,77 +90,9 @@ val run_party_async :
     the reactor thread, with the outcome or with the failure: a
     [Failure] when the executed round count differs from the declared
     one, {!Round_timeout}, [Transport.Closed], or the contract
-    violations {!run_memory} lists.  The session's result thunk is
+    violations {!run_sessions_memory} lists.  The session's result thunk is
     {e not} called: only the seat that owns the result state can read
     it. *)
-
-val run_memory :
-  ?config:config ->
-  ?fault:Fault.t ->
-  ?trace:Spe_obs.Trace.t ->
-  parties:Spe_mpc.Wire.party array ->
-  programs:Spe_mpc.Runtime.program array ->
-  max_rounds:int ->
-  unit ->
-  result
-(** Drive one program per party over a fresh {!Transport.Memory} group
-    until global quiescence, on a private {!Reactor} driven by the
-    calling thread.  Mirrors the engine's contract: raises [Failure
-    "Endpoint.run: protocol did not terminate"] past [max_rounds],
-    [Invalid_argument] on a forged source or a message to an unknown
-    party, {!Round_timeout} when a peer stays silent.  Any failure
-    closes the whole group, and the error raised is the root cause,
-    not the [Transport.Closed] cascade it triggered (among timeouts,
-    the earliest round).
-
-    [fault] and [trace] are shared with the transports, so fault
-    decisions and transport bytes land in the same event stream.  When
-    [trace] is recording, every endpoint records into it: a [Round]
-    span per charged round (local step in a nested [Compute] span),
-    [Messages]/[Payload_bytes]/[Framed_bytes] counts per data frame
-    first transmitted — byte-for-byte what lands in {!Net_wire.record}s
-    — plus [Retransmits], [Nacks] and [Timeouts] as the loss recovery
-    machinery fires. *)
-
-val run_socket :
-  ?config:config ->
-  ?addresses:Transport.Socket.address array ->
-  ?fault:Fault.t ->
-  ?trace:Spe_obs.Trace.t ->
-  parties:Spe_mpc.Wire.party array ->
-  programs:Spe_mpc.Runtime.program array ->
-  max_rounds:int ->
-  unit ->
-  result
-(** The {!run_memory} contract over a fresh
-    {!Transport.Socket.reactor_group} (fresh Unix-domain sockets in a
-    temporary directory unless [addresses] says otherwise), whose
-    [transport_bytes] include the rendezvous Hellos. *)
-
-val run_session_memory :
-  ?config:config ->
-  ?fault:Fault.t ->
-  ?trace:Spe_obs.Trace.t ->
-  'r Spe_mpc.Session.t ->
-  'r * result
-(** Host a composed {!Spe_mpc.Session} on memory-channel endpoints and
-    read its result.  Like {!Spe_mpc.Session.run}, raises [Failure] if
-    the executed round count differs from the session's declared
-    {!Spe_mpc.Session.rounds}.
-
-    The session's {!Spe_mpc.Session.phases} map is installed on
-    [trace] (even a non-recording one — {!Round_timeout} reads it for
-    its [phase] field) and the whole run is wrapped in a [Session]
-    span. *)
-
-val run_session_socket :
-  ?config:config ->
-  ?addresses:Transport.Socket.address array ->
-  ?fault:Fault.t ->
-  ?trace:Spe_obs.Trace.t ->
-  'r Spe_mpc.Session.t ->
-  'r * result
-(** {!run_session_memory} over fresh Unix-domain sockets. *)
 
 exception Shard_failed of {
   shard : int;  (** Index of the failed session in the pool's array. *)
@@ -195,18 +127,37 @@ val run_sessions_memory :
   ('r * result) array
 (** Drive an array of mutually independent sessions — one {!Plan}
     stage's shards — each on its own fresh {!Transport.Memory} group
-    with the full {!run_session_memory} contract (phase map installed,
-    [Session] span, declared-rounds check).  Every session is a set of
-    machines on one reactor that the calling thread drives; [workers]
-    (default: one per session) bounds how many are in flight, not a
-    thread count.  Results are in session order.  [faults], [kills]
-    and [traces], when given, must have one entry per session
-    ([Invalid_argument] otherwise); a session whose kill flag is set
-    raises {!Worker_killed} instead of running (the chaos harness's
-    worker-death fault).  On any failure the pool cancels the
-    remaining work, closes all open sibling groups, and raises
-    {!Shard_failed} naming the root-cause shard — it never hangs on a
-    stalled shard. *)
+    until global quiescence, and read their results.  Every session is
+    a set of machines on one reactor that the calling thread drives;
+    [workers] (default: one per session) bounds how many are in
+    flight, not a thread count.  Results are in session order.
+    [faults], [kills] and [traces], when given, must have one entry per
+    session ([Invalid_argument] otherwise).
+
+    Each session keeps the engine's contract, and any breach fails it:
+    [Failure "Endpoint.run: protocol did not terminate"] past its
+    declared rounds + 1, [Failure] when it executes a round count other
+    than its declared {!Spe_mpc.Session.rounds}, [Invalid_argument] on a
+    forged source or a message to an unknown party, {!Round_timeout}
+    when a peer stays silent.  A failed session closes its whole group,
+    and its error is the root cause, not the [Transport.Closed] cascade
+    it triggered (among timeouts, the earliest round).  The pool then
+    cancels the remaining work, closes all open sibling groups, and
+    raises {!Shard_failed} naming the root-cause shard — it never hangs
+    on a stalled shard.  A session whose kill flag is set raises
+    {!Worker_killed} instead of running (the chaos harness's
+    worker-death fault).
+
+    A session's fault and trace are shared with its transports, so
+    fault decisions and transport bytes land in the same event stream.
+    Its {!Spe_mpc.Session.phases} map is installed on its trace (even a
+    non-recording one — {!Round_timeout} reads it for its [phase]
+    field), and when the trace is recording it holds a [Session] span,
+    a [Round] span per charged round (local step in a nested [Compute]
+    span), [Messages]/[Payload_bytes]/[Framed_bytes] counts per data
+    frame first transmitted — byte-for-byte what lands in
+    {!Net_wire.record}s — plus [Retransmits], [Nacks] and [Timeouts] as
+    the loss recovery machinery fires. *)
 
 val run_sessions_socket :
   ?config:config ->

@@ -3,7 +3,6 @@ module Runtime = Spe_mpc.Runtime
 module Codec = Spe_mpc.Codec
 
 type t =
-  | Hello of { sender : int }
   | Data of {
       round : int;
       seq : int;
@@ -17,8 +16,8 @@ type t =
 
 let length_prefix_bytes = 4
 
-(* Tags. *)
-let tag_hello = 0
+(* Tags.  0 was the retired socket rendezvous Hello; it now decodes as
+   an unknown tag. *)
 let tag_data = 1
 let tag_eor = 2
 let tag_nack = 3
@@ -128,7 +127,6 @@ let rec payload_encoded_length = function
     List.fold_left (fun acc p -> acc + payload_encoded_length p) (1 + 2) payloads
 
 let encoded_length = function
-  | Hello _ -> 1 + 2
   | Data { payload; _ } -> 1 + 4 + 4 + 2 + 2 + payload_encoded_length payload
   | End_of_round _ -> 1 + 4 + 2 + 4 + 4
   | Nack _ -> 1 + 4 + 2
@@ -219,9 +217,6 @@ let rec get_payload r =
 
 let encode_into t buf ~pos =
   match t with
-  | Hello { sender } ->
-    let pos = put_u8 buf pos tag_hello in
-    put_u16 buf pos sender
   | Data { round; seq; src; dst; payload } ->
     let pos = put_u8 buf pos tag_data in
     let pos = put_u32 buf pos round in
@@ -253,7 +248,6 @@ let decode body =
   let r = { body; pos = 0 } in
   let t =
     match get_u8 r with
-    | k when k = tag_hello -> Hello { sender = get_u16 r }
     | k when k = tag_data ->
       let round = get_u32 r in
       let seq = get_u32 r in
@@ -278,4 +272,4 @@ let framed_length t = length_prefix_bytes + encoded_length t
 
 let payload_length = function
   | Data { payload; _ } -> Runtime.payload_bits payload / 8
-  | Hello _ | End_of_round _ | Nack _ | Fin _ -> 0
+  | End_of_round _ | Nack _ | Fin _ -> 0

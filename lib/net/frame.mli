@@ -1,8 +1,8 @@
 (** The byte-level frame format of the transport subsystem.
 
     Everything an endpoint puts on a real wire is one frame: a payload
-    carrier ([Data]) or a control frame ([Hello], [End_of_round],
-    [Nack], [Fin]).  A frame travels length-prefixed: a 4-byte
+    carrier ([Data]) or a control frame ([End_of_round], [Nack],
+    [Fin]).  A frame travels length-prefixed: a 4-byte
     big-endian body length followed by the body.  The body starts with
     a 1-byte tag; [Data] bodies embed a {!Spe_mpc.Runtime.payload}
     encoded with {!Spe_mpc.Codec} — byte-for-byte the encoding whose
@@ -16,9 +16,6 @@
     form; the test suite asserts it. *)
 
 type t =
-  | Hello of { sender : int }
-      (** Connection preamble on the socket backend: identifies the
-          connecting endpoint.  Never seen above the transport. *)
   | Data of {
       round : int;
       seq : int;  (** Sender-local send index within the round. *)

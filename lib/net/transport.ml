@@ -388,53 +388,13 @@ module Socket = struct
       l
   end
 
-  (* [fds.(i).(j)] is the descriptor endpoint [i] uses to exchange
-     frames with endpoint [j]; each becomes a link whose frames land in
-     endpoint [i]'s inbox. *)
-  let spin_up g fds =
-    let links =
-      Array.mapi
-        (fun owner ->
-          let ib = g.inboxes.(owner) in
-          Array.map
-            (Option.map
-               (Link.create ~reactor:g.reactor
-                  ~on_frame:(fun buf off len ->
-                    Inbox.push ib (Bytes.sub buf off len);
-                    true)
-                  ~on_burst:(fun () -> Inbox.notify ib)
-                  ~on_close:ignore)))
-        fds
-    in
-    let close () =
-      if not g.closed then begin
-        Array.iter (Array.iter (Option.iter Link.close)) links;
-        close_inboxes g
-      end
-    in
-    Array.init g.m (fun self ->
-        (* Frames append, length-prefixed, straight into the link's
-           pending-output slab: no intermediate copy. *)
-        let deliver l body =
-          let len = Bytes.length body in
-          Link.queue l len (fun buf pos -> Bytes.blit body 0 buf pos len)
-        in
-        let write dst bodies =
-          match links.(self).(dst) with
-          | None -> invalid_arg "Transport.send: unknown peer"
-          | Some l ->
-            List.iter
-              (classify g ~self ~dst ~deliver:(deliver l) ~deliver_late:(fun body ->
-                   if Link.alive l then deliver l body))
-              bodies
-        in
-        endpoint g ~self ~write ~close)
-
   (* Every pair joined by a kernel socketpair: no listener, no dial,
-     no Hello exchange and no filesystem path.  The shard pool creates
-     a fresh group per shard session, and at that rate the addressed
-     handshake (~0.7 ms per group) would dominate the very latency
-     overlap sharding exists to buy. *)
+     no handshake and no filesystem path.  The shard pool creates a
+     fresh group per shard session, and at that rate an addressed
+     rendezvous (~0.7 ms per group) would dominate the very latency
+     overlap sharding exists to buy.  [fds.(i).(j)] is the descriptor
+     endpoint [i] uses to exchange frames with endpoint [j]; each
+     becomes a link whose frames land in endpoint [i]'s inbox. *)
   let reactor_group_local ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ())
       ~reactor ~m () =
     Lazy.force ignore_sigpipe;
@@ -456,68 +416,47 @@ module Socket = struct
        done
      with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> give_up ());
     if not (Reactor.selectable !opened) then give_up ();
-    spin_up (make_group ~reactor ~fault ~trace ~m) fds
-
-  let reactor_group ?(fault = Fault.none) ?(trace = Spe_obs.Trace.disabled ()) ~reactor
-      ~addresses () =
-    Lazy.force ignore_sigpipe;
-    let m = Array.length addresses in
-    if m < 2 then invalid_arg "Transport.Socket.reactor_group: need at least two endpoints";
     let g = make_group ~reactor ~fault ~trace ~m in
-    let fds = Array.make_matrix m m None in
-    let domain = function Unix_domain _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET in
-    let listeners =
+    let links =
       Array.mapi
-        (fun i addr ->
-          let sock = Unix.socket (domain addr) Unix.SOCK_STREAM 0 in
-          (match addr with
-          | Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-          | Tcp _ -> Unix.setsockopt sock Unix.SO_REUSEADDR true);
-          Unix.bind sock (sockaddr_of addr);
-          Unix.listen sock m;
-          (i, sock))
-        addresses
+        (fun owner ->
+          let ib = g.inboxes.(owner) in
+          Array.map
+            (Option.map
+               (Link.create ~reactor
+                  ~on_frame:(fun buf off len ->
+                    Inbox.push ib (Bytes.sub buf off len);
+                    true)
+                  ~on_burst:(fun () -> Inbox.notify ib)
+                  ~on_close:ignore)))
+        fds
     in
-    (* Dial first — the listen backlog holds the pending connections —
-       then drain every listener in this same thread.  No handshake
-       threads: setup is a fixed sequence of blocking syscalls before
-       the loop starts.  The dialer introduces itself with a Hello
-       frame, charged like any other. *)
-    for j = 1 to m - 1 do
-      for i = 0 to j - 1 do
-        let fd = Unix.socket (domain addresses.(i)) Unix.SOCK_STREAM 0 in
-        Unix.connect fd (sockaddr_of addresses.(i));
-        let hello = Frame.encode (Frame.Hello { sender = j }) in
-        write_frame fd hello;
-        charge g j (Frame.length_prefix_bytes + Bytes.length hello);
-        fds.(j).(i) <- Some fd
-      done
-    done;
-    Array.iter
-      (fun (i, listener) ->
-        for _ = i + 1 to m - 1 do
-          let fd, _ = Unix.accept listener in
-          match read_frame fd with
-          | Some body -> (
-            match Frame.decode body with
-            | Frame.Hello { sender } -> fds.(i).(sender) <- Some fd
-            | _ -> failwith "Transport.Socket: expected Hello")
-          | None -> failwith "Transport.Socket: peer hung up during handshake"
-        done;
-        Unix.close listener)
-      listeners;
-    (* The rendezvous paths served their purpose; drop them now so a
-       crashed group cannot leave stale sockets behind. *)
-    Array.iter
-      (function
-        | Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-        | Tcp _ -> ())
-      addresses;
-    spin_up g fds
+    let close () =
+      if not g.closed then begin
+        Array.iter (Array.iter (Option.iter Link.close)) links;
+        close_inboxes g
+      end
+    in
+    Array.init m (fun self ->
+        (* Frames append, length-prefixed, straight into the link's
+           pending-output slab: no intermediate copy. *)
+        let deliver l body =
+          let len = Bytes.length body in
+          Link.queue l len (fun buf pos -> Bytes.blit body 0 buf pos len)
+        in
+        let write dst bodies =
+          match links.(self).(dst) with
+          | None -> invalid_arg "Transport.send: unknown peer"
+          | Some l ->
+            List.iter
+              (classify g ~self ~dst ~deliver:(deliver l) ~deliver_late:(fun body ->
+                   if Link.alive l then deliver l body))
+              bodies
+        in
+        endpoint g ~self ~write ~close)
 
-  (* One rendezvous directory per process, group sockets numbered
-     within it — a fresh [Filename.temp_dir] per group costs directory
-     churn on every session.  Mutex-memoised so any thread may call
+  (* One socket directory per process, addresses numbered within it —
+     a fresh [Filename.temp_dir] per roster costs directory churn.  Mutex-memoised so any thread may call
      it ([Lazy] is not thread-safe). *)
   let temp_root = ref None
   let temp_lock = Mutex.create ()

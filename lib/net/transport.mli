@@ -6,8 +6,8 @@
     blocking, with a delivery hook that says when to look.  Two
     backends implement it, both owned by one {!Reactor} — {!Memory}
     (deterministic in-process channels with optional fault injection)
-    and {!Socket} (real Unix-domain or TCP stream sockets, one
-    length-prefixed frame stream per connection).
+    and {!Socket} (kernel stream sockets, one length-prefixed frame
+    stream per connection).
 
     Both backends account [sent_bytes] identically — every frame costs
     [Frame.length_prefix_bytes + body length], which on the socket
@@ -105,47 +105,27 @@ end
 module Socket : sig
   type address =
     | Unix_domain of string  (** Socket file path (created, not unlinked). *)
-    | Tcp of string * int  (** Host, port — loopback in tests. *)
+    | Tcp of string * int  (** Host, port: a daemon mesh over TCP. *)
 
   val reactor_group_local :
     ?fault:Fault.t -> ?trace:Spe_obs.Trace.t -> reactor:Reactor.t -> m:int -> unit -> t array
   (** A fully-connected group over kernel stream sockets, every pair
-      joined by a [socketpair] — no listener, no Hello exchange and no
-      rendezvous path, so [sent_bytes] starts at zero.  Every
-      descriptor is owned by [reactor]: reads happen in a
-      buffer-reusing readiness callback, writes are buffered and
-      drained by a send-flush continuation when the socket is
-      writable.  [fault] and [trace] apply exactly as in
-      {!Memory.create_group}.  The shard pool uses this: one fresh
-      group per shard session makes an addressed handshake a per-shard
-      tax.  Raises {!Descriptor_limit} when the group's descriptors
-      would not fit the reactor.  All operations (including [close])
-      must run on the reactor thread. *)
-
-  val reactor_group :
-    ?fault:Fault.t ->
-    ?trace:Spe_obs.Trace.t ->
-    reactor:Reactor.t ->
-    addresses:address array ->
-    unit ->
-    t array
-  (** {!reactor_group_local} with an addressed rendezvous: endpoint [i]
-      listens on [addresses.(i)], every pair is connected once (the
-      higher index dials the lower and introduces itself with a
-      {!Frame.Hello}), then the connections are handed to [reactor].
-      Setup itself is a fixed blocking syscall sequence, before the
-      loop starts.  When [trace] is recording, every byte written —
-      handshake frames at dial time included — lands on the
-      [Transport_bytes] counter, and [sent_bytes] counts the Hellos
-      too.  Handshake frames are never subject to faults. *)
+      joined by a [socketpair] — no listener, no handshake and no
+      rendezvous path, so [sent_bytes] starts at zero and a socket run
+      transmits exactly the bytes a memory run does.  Every descriptor
+      is owned by [reactor]: each pair's two ends are {!Link}s.  [fault]
+      and [trace] apply exactly as in {!Memory.create_group}.  Raises
+      {!Descriptor_limit} when the group's descriptors would not fit
+      the reactor.  All operations (including [close]) must run on the
+      reactor thread. *)
 
   val temp_unix_addresses : m:int -> address array
   (** Fresh Unix-domain socket paths in a private temporary directory,
-      for tests and the CLI. *)
+      for daemon rosters in tests and benchmarks. *)
 
   (** {2 Connections on a reactor}
 
-      The one socket-connection implementation: the socket groups above
+      The one socket-connection implementation: the socket group above
       and the [Spe_serve] daemon mesh both run every connection through
       it, with one flush policy. *)
 

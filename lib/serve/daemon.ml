@@ -7,8 +7,8 @@
    (spe-serve/2) that checks the protocol version and the workload
    digest.  All later traffic — job control and the session-tagged
    inner protocol frames — multiplexes over those same connections, so
-   the per-session rendezvous/Hello tax of addressed socket groups is
-   paid once per deployment, not once per shard session.
+   the dial and the Hello are paid once per deployment, not once per
+   shard session.
 
    Job flow (coordinator model): clients connect to H and submit specs.
    H owns admission — a bounded scheduler queue feeding up to
@@ -139,7 +139,11 @@ type t = {
   lock : Mutex.t;  (** Guards [clients], [next_client], [stopping], [stopped]. *)
   peers : Link.t option array;
       (** By daemon id; [None] = not connected.  Loop-thread only, like
-          [jobs] and [reap]. *)
+          [lost], [jobs] and [reap]. *)
+  lost : bool array;
+      (** By daemon id: the peer's installed link died and no new one
+          has installed since.  New jobs fail at once on a lost peer
+          instead of waiting for it. *)
   mesh : Link.stats;  (** Cumulative over every mesh link. *)
   clients : (int, conn) Hashtbl.t;
   mutable next_client : int;
@@ -432,18 +436,20 @@ let mesh_complete t =
 
 (* How long a job waits for this daemon's mesh: a peer may still be
    dialing (the dial retries for [dial_timeout]), but a job must not
-   sit out a long round timeout for a peer that is gone. *)
+   sit out a long round timeout for a peer that never comes. *)
 let mesh_deadline t =
   Unix.gettimeofday () +. Float.min t.config.dial_timeout (Float.min 10. t.config.round_timeout)
 
 (* Wait for the mesh without holding the loop: re-check on a short
-   reactor timer until complete or the deadline passes. *)
+   reactor timer until complete or the deadline passes.  Only a peer
+   that has not connected yet is worth the wait (start-up); one whose
+   link died fails the job at once, until it connects again. *)
 let await_mesh_async t ~deadline k =
   let rec check () =
     match mesh_complete t with
     | [] -> k (Ok ())
     | missing ->
-      if Unix.gettimeofday () >= deadline then
+      if List.exists (fun p -> t.lost.(p)) missing || Unix.gettimeofday () >= deadline then
         k
           (Error
              (Printf.sprintf "peer daemon%s %s not connected"
@@ -643,6 +649,7 @@ let link_died t ~peer =
   match t.peers.(peer) with
   | Some link when not (Link.alive link) ->
     t.peers.(peer) <- None;
+    t.lost.(peer) <- true;
     Mux.fail_peer t.mux ~peer
   | _ -> ()
 
@@ -663,6 +670,7 @@ let install_link t ~peer fd =
     in
     let old = t.peers.(peer) in
     t.peers.(peer) <- Some link;
+    t.lost.(peer) <- false;
     Option.iter Link.close old;
     (* Session frames are encoded straight into the link's outbound
        slab and leave with the loop's next poll. *)
@@ -846,6 +854,7 @@ let start config workload =
       reactor = Reactor.create ();
       lock = Mutex.create ();
       peers = Array.make (Array.length config.roster) None;
+      lost = Array.make (Array.length config.roster) false;
       mesh = Link.stats ();
       clients = Hashtbl.create 8;
       next_client = 0;

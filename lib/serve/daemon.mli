@@ -5,8 +5,8 @@
     established once — daemon d dials every lower id and accepts the
     higher ones, one {!Serve_proto.t.Hello} exchange per connection —
     and all later traffic (job control and session-tagged inner
-    protocol frames) multiplexes over it, so the per-session rendezvous
-    tax of addressed socket groups is paid once per deployment.
+    protocol frames) multiplexes over it, so the dial and the Hello
+    are paid once per deployment, not once per session.
 
     Clients connect to H and submit {!Serve_proto.spec}s.  H owns
     admission (a bounded {!Scheduler} past which submissions get the

@@ -139,6 +139,30 @@ let test_schedule_rejects_malformed () =
   reject "truncated document" (String.sub golden 0 (String.length golden / 2));
   reject "not an object" "[1, 2, 3]"
 
+(* A hand-edited replay file whose workload the harness cannot build is
+   refused when read, with a message naming the field, instead of an
+   exception from deep inside the generators. *)
+let rejects_field field ~golden:was ~value () =
+  let entry v = Printf.sprintf "%S: %d" field v in
+  let named = Printf.sprintf "field %S" field in
+  match Schedule.of_string (tamper ~sub:(entry was) ~by:(entry value) golden) with
+  | exception Failure msg ->
+    let n = String.length named in
+    let rec mentions i =
+      i + n <= String.length msg && (String.sub msg i n = named || mentions (i + 1))
+    in
+    if not (mentions 0) then Alcotest.failf "%s: message %S does not name it" field msg
+  | _ -> Alcotest.failf "%s = %d accepted" field value
+
+let qcheck_reader_tests =
+  [
+    QCheck.Test.make ~name:"Schedule.of_string: a value or Failure" ~count:20000
+      (QCheck.make
+         (Util.fuzz_input ~alphabet:Util.json_alphabet
+            ~seeds:[ Bytes.of_string (Util.compact_json golden) ]))
+      (Util.reads_or_fails ~read:Schedule.of_string);
+  ]
+
 (* A replayed schedule pins its own pipeline; a mismatched --target is
    a hard error naming both values, never a silent run of the wrong
    pipeline. *)
@@ -333,7 +357,20 @@ let () =
             test_replay_target_check;
           Alcotest.test_case "compiles events to a fault policy" `Quick
             test_fault_policy_compiles;
-        ] );
+          Alcotest.test_case "refuses shards < 1" `Quick
+            (rejects_field "shards" ~golden:3 ~value:0);
+          Alcotest.test_case "refuses providers < 2" `Quick
+            (rejects_field "providers" ~golden:3 ~value:1);
+          Alcotest.test_case "refuses users < 2" `Quick
+            (rejects_field "users" ~golden:18 ~value:0);
+          Alcotest.test_case "refuses edges past n(n-1)" `Quick
+            (rejects_field "edges" ~golden:50 ~value:(18 * 17 + 1));
+          Alcotest.test_case "refuses actions < 1" `Quick
+            (rejects_field "actions" ~golden:8 ~value:0);
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1907 |]))
+            qcheck_reader_tests );
       ( "oracles",
         [
           Alcotest.test_case "kill attribution" `Quick test_kill_attribution;

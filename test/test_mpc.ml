@@ -7,6 +7,7 @@ module Wire = Spe_mpc.Wire
 module Protocol1 = Spe_mpc.Protocol1
 module Protocol2 = Spe_mpc.Protocol2
 module Protocol3 = Spe_mpc.Protocol3
+module Session = Spe_mpc.Session
 
 let st () = State.create ~seed:61 ()
 
@@ -391,7 +392,7 @@ let test_p1_distributed_matches_central () =
     let modulus = 1 lsl 16 in
     let wd = Wire.create () in
     let rd =
-      Protocol1_distributed.run s ~wire:wd ~parties:(providers m) ~modulus ~inputs
+      Session.run (Protocol1_distributed.make s ~parties:(providers m) ~modulus ~inputs) ~wire:wd
     in
     (* Same reconstruction... *)
     for l = 0 to len - 1 do
@@ -420,12 +421,14 @@ let test_p2_distributed_matches_central () =
     let modulus = 1 lsl 14 in
     let wd = Wire.create () in
     let rd =
-      Protocol2_distributed.run s ~wire:wd ~parties:(providers m) ~third_party:Wire.Host
-        ~modulus ~input_bound:bound ~inputs
+      Session.run
+        (Protocol2_distributed.make s ~parties:(providers m) ~third_party:Wire.Host ~modulus
+           ~input_bound:bound ~inputs)
+        ~wire:wd
     in
     for l = 0 to len - 1 do
       let x = Array.fold_left (fun acc v -> acc + v.(l)) 0 inputs in
-      if rd.Protocol2_distributed.share1.(l) + rd.Protocol2_distributed.share2.(l) <> x then
+      if rd.Protocol2.share1.(l) + rd.Protocol2.share2.(l) <> x then
         Alcotest.failf "distributed integer shares broken at %d" l
     done;
     let wc = Wire.create () in
@@ -444,8 +447,10 @@ let test_p3_distributed_matches_central () =
     let a1 = State.next_int s 1000 and a2 = State.next_int s 1000 in
     let wd = Wire.create () in
     let q =
-      Spe_mpc.Protocol3_distributed.run s ~wire:wd ~p1:(Wire.Provider 0)
-        ~p2:(Wire.Provider 1) ~host:Wire.Host ~a1 ~a2
+      Session.run
+        (Spe_mpc.Protocol3_distributed.make s ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1)
+           ~host:Wire.Host ~a1 ~a2)
+        ~wire:wd
     in
     let expected = if a2 = 0 then 0. else float_of_int a1 /. float_of_int a2 in
     if abs_float (q -. expected) > 1e-9 *. (expected +. 1.) then
@@ -458,18 +463,15 @@ let test_p3_distributed_matches_central () =
 
 let test_p2_distributed_rejects_inside_third () =
   let s = st () in
-  let w = Wire.create () in
   Alcotest.check_raises "third party inside"
     (Invalid_argument "Protocol2_distributed.make: third party must be outside the sharing parties")
     (fun () ->
       ignore
-        (Protocol2_distributed.run s ~wire:w ~parties:(providers 3)
-           ~third_party:(Wire.Provider 2) ~modulus:1024 ~input_bound:10
+        (Protocol2_distributed.make s ~parties:(providers 3) ~third_party:(Wire.Provider 2)
+           ~modulus:1024 ~input_bound:10
            ~inputs:[| [| 1 |]; [| 2 |]; [| 3 |] |]))
 
 (* --- sessions ----------------------------------------------------------------- *)
-
-module Session = Spe_mpc.Session
 
 (* [sender -> receiver] for [rounds] rounds, one Floats message per
    round; the result is [tag]. *)
@@ -545,24 +547,6 @@ let test_session_seq_rejects_cross_boundary () =
     (Invalid_argument "Session.seq: message across phase boundary") (fun () ->
       ignore (Session.run (Session.seq a b) ~wire:(Wire.create ())))
 
-let test_session_par_interleaves () =
-  let a = chat_session ~sender:(Wire.Provider 0) ~receiver:(Wire.Provider 1) ~rounds:2 "A" in
-  let b = chat_session ~sender:(Wire.Provider 2) ~receiver:(Wire.Provider 3) ~rounds:1 "B" in
-  let s = Session.par a b in
-  Alcotest.(check int) "rounds are the max" 2 s.Session.rounds;
-  let w = Wire.create () in
-  let (ta, ca), (tb, cb) = Session.run s ~wire:w in
-  Alcotest.(check (pair string int)) "left result" ("A", 2) (ta, ca);
-  Alcotest.(check (pair string int)) "right result" ("B", 1) (tb, cb);
-  Alcotest.(check int) "messages from both sessions" 3 (Wire.stats w).Wire.messages
-
-let test_session_par_rejects_overlap () =
-  let a = chat_session ~sender:(Wire.Provider 0) ~receiver:(Wire.Provider 1) ~rounds:1 "A" in
-  let b = chat_session ~sender:(Wire.Provider 1) ~receiver:(Wire.Provider 2) ~rounds:1 "B" in
-  Alcotest.check_raises "overlapping parties"
-    (Invalid_argument "Session.par: party sets must be disjoint") (fun () ->
-      ignore (Session.par a b))
-
 let test_session_run_checks_declared_rounds () =
   let quiet =
     Session.make
@@ -575,23 +559,9 @@ let test_session_run_checks_declared_rounds () =
     (Failure "Session.run: declared 2 rounds but executed 0") (fun () ->
       Session.run quiet ~wire:(Wire.create ()))
 
-let test_session_par_labels () =
-  let a =
-    Session.with_label "A"
-      (chat_session ~sender:(Wire.Provider 0) ~receiver:(Wire.Provider 1) ~rounds:2 "A")
-  in
-  let b =
-    Session.with_label "B"
-      (chat_session ~sender:(Wire.Provider 2) ~receiver:(Wire.Provider 3) ~rounds:1 "B")
-  in
-  Alcotest.(check (list (pair string int)))
-    "par keeps both sides' labels"
-    [ ("par(A|B)", 2) ]
-    (Session.par a b).Session.phases
-
 let test_session_all_multiplexes () =
-  (* Overlapping party sets — [par] would reject; [all] owns each
-     global round by exactly one component round. *)
+  (* Overlapping party sets: [all] owns each global round by exactly
+     one component round. *)
   let a =
     Session.with_label "A"
       (chat_session ~sender:(Wire.Provider 0) ~receiver:(Wire.Provider 1) ~rounds:2 "A")
@@ -1033,9 +1003,6 @@ let () =
           Alcotest.test_case "seq rejects overrun" `Quick test_session_seq_rejects_overrun;
           Alcotest.test_case "seq rejects cross-boundary message" `Quick
             test_session_seq_rejects_cross_boundary;
-          Alcotest.test_case "par interleaves" `Quick test_session_par_interleaves;
-          Alcotest.test_case "par rejects overlap" `Quick test_session_par_rejects_overlap;
-          Alcotest.test_case "par preserves phase labels" `Quick test_session_par_labels;
           Alcotest.test_case "all multiplexes overlapping parties" `Quick
             test_session_all_multiplexes;
           Alcotest.test_case "all rejects cross-boundary message" `Quick

@@ -57,7 +57,6 @@ let roundtrip frame =
    corpus, and the seeds the decoder fuzzer mutates. *)
 let sample_frames =
   [
-    Frame.Hello { sender = 3 };
     Frame.Data
       { round = 7; seq = 2; src = Wire.Host; dst = Wire.Provider 4;
         payload = Runtime.Ints { modulus = 1 lsl 40; values = [| 0; 5; (1 lsl 40) - 1 |] } };
@@ -249,7 +248,6 @@ let qcheck_frame_tests =
   let frame_gen =
     Gen.oneof
       [
-        Gen.map (fun s -> Frame.Hello { sender = s }) (Gen.int_range 0 100);
         Gen.map3
           (fun round seq payload ->
             Frame.Data
@@ -481,14 +479,10 @@ let test_memory_transport_delivers () =
 
 let test_socket_transport_delivers () =
   let reactor = Reactor.create () in
-  let group =
-    Transport.Socket.reactor_group ~reactor
-      ~addresses:(Transport.Socket.temp_unix_addresses ~m:3) ()
-  in
-  (* The higher index dials the lower and pays one Hello per
-     connection: endpoint 1 dialled 0, endpoint 2 dialled 0 and 1. *)
-  let hello = Frame.framed_length (Frame.Hello { sender = 0 }) in
-  Alcotest.(check (list int)) "Hello bytes counted by the dialler" [ 0; hello; 2 * hello ]
+  let group = Transport.Socket.reactor_group_local ~reactor ~m:3 () in
+  (* Socketpairs need no handshake: nothing is sent before the first
+     frame, as on the memory backend. *)
+  Alcotest.(check (list int)) "no handshake bytes" [ 0; 0; 0 ]
     (Array.to_list (Array.map (fun (t : Transport.t) -> t.Transport.sent_bytes ()) group));
   group.(2).Transport.send 0 (Bytes.of_string "hello-from-2");
   group.(0).Transport.send 2 (Bytes.of_string "hello-from-0");
@@ -520,11 +514,21 @@ let one_shot_programs parties =
               payload = Runtime.Floats [| float_of_int k |] } ]
         else [])
 
+let raw_session ?(rounds = 2) parties programs =
+  Session.make ~parties ~programs ~rounds ~result:ignore
+
+(* A contract breach fails the session's run, typed inside the pool's
+   [Shard_failed]. *)
+let check_breach label expected session =
+  Alcotest.check_raises label
+    (Endpoint.Shard_failed { shard = 0; phase = None; exn = expected })
+    (fun () -> ignore (Util.run_session ~config:fast `Memory session))
+
 let test_endpoint_quiescent_round_not_charged () =
   let parties = providers 3 in
-  let res =
-    Endpoint.run_memory ~config:fast ~parties ~programs:(one_shot_programs parties)
-      ~max_rounds:5 ()
+  let (), res =
+    Util.run_session ~config:fast `Memory
+      (raw_session ~rounds:1 parties (one_shot_programs parties))
   in
   Array.iter
     (fun (o : Endpoint.outcome) ->
@@ -536,13 +540,10 @@ let test_endpoint_quiescent_round_not_charged () =
   let s = Wire.stats merged in
   Alcotest.(check int) "merged wire: 1 round" 1 s.Wire.rounds;
   Alcotest.(check int) "merged wire: 3 messages" 3 s.Wire.messages;
-  (* The in-process engine agrees, message for message. *)
-  let engine = Runtime.create () in
-  let programs = one_shot_programs parties in
-  Array.iteri (fun k p -> Runtime.add_party engine p programs.(k)) parties;
+  (* The in-process engine agrees, message for message (and checks the
+     same declared round). *)
   let w = Wire.create () in
-  let rounds = Runtime.run engine ~wire:w ~max_rounds:5 in
-  Alcotest.(check int) "engine rounds agree" rounds 1;
+  Session.run (raw_session ~rounds:1 parties (one_shot_programs parties)) ~wire:w;
   Alcotest.(check bool) "engine stats agree" true (Wire.stats w = s)
 
 let test_endpoint_nontermination_detected () =
@@ -553,9 +554,8 @@ let test_endpoint_nontermination_detected () =
           [ { Runtime.src = parties.(k); dst = parties.(1 - k);
               payload = Runtime.Bits [| true |] } ])
   in
-  Alcotest.check_raises "runaway protocol"
-    (Failure "Endpoint.run: protocol did not terminate") (fun () ->
-      ignore (Endpoint.run_memory ~config:fast ~parties ~programs ~max_rounds:3 ()))
+  check_breach "runaway protocol" (Failure "Endpoint.run: protocol did not terminate")
+    (raw_session parties programs)
 
 let test_endpoint_rejects_unknown_destination () =
   let parties = [| Wire.Host; Wire.Provider 0 |] in
@@ -567,9 +567,8 @@ let test_endpoint_rejects_unknown_destination () =
       (fun ~round:_ ~inbox:_ -> []);
     |]
   in
-  Alcotest.check_raises "unknown party"
-    (Invalid_argument "Endpoint.run: message to unknown party") (fun () ->
-      ignore (Endpoint.run_memory ~config:fast ~parties ~programs ~max_rounds:3 ()))
+  check_breach "unknown party" (Invalid_argument "Endpoint.run: message to unknown party")
+    (raw_session parties programs)
 
 let test_endpoint_rejects_forged_source () =
   let parties = [| Wire.Host; Wire.Provider 0 |] in
@@ -581,25 +580,22 @@ let test_endpoint_rejects_forged_source () =
       (fun ~round:_ ~inbox:_ -> []);
     |]
   in
-  Alcotest.check_raises "forged source" (Invalid_argument "Endpoint.run: forged source")
-    (fun () -> ignore (Endpoint.run_memory ~config:fast ~parties ~programs ~max_rounds:3 ()))
+  check_breach "forged source" (Invalid_argument "Endpoint.run: forged source")
+    (raw_session parties programs)
 
 (* --- protocol equality across engines ----------------------------------------- *)
+
+let session_engines = [ ("memory", `Memory); ("socket", `Socket) ]
 
 let p1_reference ~seed ~parties ~modulus ~inputs =
   let s = State.create ~seed () in
   let w = Wire.create () in
-  let r = P1d.run s ~wire:w ~parties ~modulus ~inputs in
+  let r = Session.run (P1d.make s ~parties ~modulus ~inputs) ~wire:w in
   (r, Wire.stats w)
 
-let run_p1_over engine ~seed ~parties ~modulus ~inputs =
-  let s = State.create ~seed () in
-  let session = P1d.make s ~parties ~modulus ~inputs in
-  let res =
-    engine ~parties:session.Session.parties ~programs:session.Session.programs
-      ~max_rounds:P1d.max_rounds ()
-  in
-  (session.Session.result (), res)
+let run_p1_over ?config ?fault engine ~seed ~parties ~modulus ~inputs =
+  Util.run_session ?config ?fault engine
+    (P1d.make (State.create ~seed ()) ~parties ~modulus ~inputs)
 
 let logs_of (res : Endpoint.result) =
   Array.map (fun (o : Endpoint.outcome) -> o.Endpoint.sent) res.Endpoint.outcomes
@@ -626,15 +622,9 @@ let check_p1_engine engine label =
         true (merged_stats = sim_stats))
     [ 2; 3; 4 ]
 
-let mem_engine ?config ?fault () ~parties ~programs ~max_rounds () =
-  Endpoint.run_memory ?config ?fault ~parties ~programs ~max_rounds ()
+let test_p1_memory_matches_sim () = check_p1_engine `Memory "memory"
 
-let sock_engine ~parties ~programs ~max_rounds () =
-  Endpoint.run_socket ~parties ~programs ~max_rounds ()
-
-let test_p1_memory_matches_sim () = check_p1_engine (mem_engine ()) "memory"
-
-let test_p1_socket_matches_sim () = check_p1_engine sock_engine "socket"
+let test_p1_socket_matches_sim () = check_p1_engine `Socket "socket"
 
 let check_p2_engine engine label =
   List.iter
@@ -642,24 +632,17 @@ let check_p2_engine engine label =
       let parties = providers m in
       let modulus = 1 lsl 14 and bound = 1000 in
       let inputs = Array.init m (fun k -> Array.init 4 (fun l -> (k * 31 + l) mod (bound / m))) in
-      let s = State.create ~seed:23 () in
+      let session () =
+        P2d.make (State.create ~seed:23 ()) ~parties ~third_party:Wire.Host ~modulus
+          ~input_bound:bound ~inputs
+      in
       let w = Wire.create () in
-      let reference =
-        P2d.run s ~wire:w ~parties ~third_party:Wire.Host ~modulus ~input_bound:bound ~inputs
-      in
-      let s = State.create ~seed:23 () in
-      let session =
-        P2d.make s ~parties ~third_party:Wire.Host ~modulus ~input_bound:bound ~inputs
-      in
-      let res =
-        engine ~parties:session.Session.parties ~programs:session.Session.programs
-          ~max_rounds:P2d.max_rounds ()
-      in
-      let result = session.Session.result () in
+      let reference = Session.run (session ()) ~wire:w in
+      let result, res = Util.run_session engine (session ()) in
       Alcotest.(check bool) (Printf.sprintf "%s m=%d share1" label m) true
-        (result.Protocol2.share1 = reference.P2d.share1);
+        (result.Protocol2.share1 = reference.Protocol2.share1);
       Alcotest.(check bool) (Printf.sprintf "%s m=%d share2" label m) true
-        (result.Protocol2.share2 = reference.P2d.share2);
+        (result.Protocol2.share2 = reference.Protocol2.share2);
       let merged_stats = Wire.stats (Net_wire.merge (logs_of res)) in
       Alcotest.(check bool)
         (Printf.sprintf "%s m=%d NR/NM/MS identical to the simulated wire" label m)
@@ -667,9 +650,9 @@ let check_p2_engine engine label =
         (merged_stats = Wire.stats w))
     [ 2; 3; 5 ]
 
-let test_p2_memory_matches_sim () = check_p2_engine (mem_engine ()) "memory"
+let test_p2_memory_matches_sim () = check_p2_engine `Memory "memory"
 
-let test_p2_socket_matches_sim () = check_p2_engine sock_engine "socket"
+let test_p2_socket_matches_sim () = check_p2_engine `Socket "socket"
 
 (* Protocol 3: the quotient and the full NR/NM/MS triple are identical
    across the central run, the in-process session, and both transport
@@ -692,8 +675,8 @@ let test_p3_cross_engine () =
       Alcotest.(check bool) (label ^ ": sim NR/NM/MS identical to the central wire") true
         (Wire.stats w = central_stats);
       List.iter
-        (fun (engine_label, run) ->
-          let q, res = run (session ()) in
+        (fun (engine_label, engine) ->
+          let q, res = Util.run_session engine (session ()) in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: quotient bit-identical" label engine_label)
             true (q = central_q);
@@ -701,8 +684,7 @@ let test_p3_cross_engine () =
             (Printf.sprintf "%s %s: NR/NM/MS identical to the central wire" label engine_label)
             true
             (Wire.stats (Net_wire.merge (logs_of res)) = central_stats))
-        [ ("memory", fun s -> Endpoint.run_session_memory s);
-          ("socket", fun s -> Endpoint.run_session_socket s) ])
+        session_engines)
     [ (3, 4); (0, 7); (5, 0) ]
 
 (* --- full pipelines across engines --------------------------------------------- *)
@@ -722,13 +704,6 @@ let check_ms_envelope label ~(central : Wire.stats) ~distributed_bits =
     (distributed_bits >= central.Wire.bits
     && distributed_bits <= (9 * central.Wire.bits) + (8 * central.Wire.messages))
 
-let session_engines = [ ("memory", `Memory); ("socket", `Socket) ]
-
-let run_session_over engine session =
-  match engine with
-  | `Memory -> Endpoint.run_session_memory session
-  | `Socket -> Endpoint.run_session_socket session
-
 (* One pipeline, lowered from its k = 1 Shard plan, on every engine:
    the sim run charges the central NR/NM within the MS envelope, and
    every engine's result equals the central oracle's ([same_result])
@@ -746,7 +721,7 @@ let check_pipeline_cross_engine label ~(central_wire : Wire.stats) ~session ~sam
   check_ms_envelope label ~central:central_wire ~distributed_bits:sim_stats.Wire.bits;
   List.iter
     (fun (engine_label, engine) ->
-      let result, res = run_session_over engine (session ()) in
+      let result, res = Util.run_session engine (session ()) in
       Alcotest.(check bool)
         (Printf.sprintf "%s %s: result identical to the central oracle" label engine_label)
         true (same_result result);
@@ -802,18 +777,14 @@ let test_scores_cross_engine () =
 (* The documented overhead formula (DESIGN.md "Framing overhead"): a
    fault-free run transmits, beyond the data frames, one End_of_round
    per endpoint per peer per executed step (active rounds + the
-   quiescent one) and one Fin per endpoint per peer; the socket backend
-   adds one Hello per connection. *)
-let expected_transport_bytes ~m ~rounds ~data_framed ~hellos =
+   quiescent one) and one Fin per endpoint per peer — on both
+   backends, since a socketpair group dials no handshake. *)
+let expected_transport_bytes ~m ~rounds ~data_framed =
   let eor = Frame.framed_length (Frame.End_of_round { round = 1; sender = 0; total = 0; to_dst = 0 }) in
   let fin = Frame.framed_length (Frame.Fin { sender = 0 }) in
-  let hello = Frame.framed_length (Frame.Hello { sender = 0 }) in
-  data_framed
-  + (m * (rounds + 1) * (m - 1) * eor)
-  + (m * (m - 1) * fin)
-  + if hellos then m * (m - 1) / 2 * hello else 0
+  data_framed + (m * (rounds + 1) * (m - 1) * eor) + (m * (m - 1) * fin)
 
-let check_byte_accounting engine ~hellos label =
+let check_byte_accounting engine label =
   let m = 4 in
   let parties = providers m in
   let modulus = 1 lsl 40 in
@@ -830,14 +801,12 @@ let check_byte_accounting engine ~hellos label =
   let rounds = res.Endpoint.outcomes.(0).Endpoint.rounds in
   Alcotest.(check int)
     (label ^ ": transport bytes = data frames + documented control overhead")
-    (expected_transport_bytes ~m ~rounds ~data_framed:totals.Net_wire.framed_bytes ~hellos)
+    (expected_transport_bytes ~m ~rounds ~data_framed:totals.Net_wire.framed_bytes)
     res.Endpoint.transport_bytes
 
-let test_memory_byte_accounting () =
-  check_byte_accounting (mem_engine ()) ~hellos:false "memory"
+let test_memory_byte_accounting () = check_byte_accounting `Memory "memory"
 
-let test_socket_byte_accounting () =
-  check_byte_accounting sock_engine ~hellos:true "socket"
+let test_socket_byte_accounting () = check_byte_accounting `Socket "socket"
 
 (* --- fault injection ------------------------------------------------------------ *)
 
@@ -850,9 +819,8 @@ let test_dropped_frames_are_retransmitted () =
   (* Drop two early frames: the Nack/retransmit path must recover and
      the protocol outcome must be unchanged. *)
   let result, res =
-    run_p1_over
-      (mem_engine ~config:fast ~fault:(Fault.drop_nth [ 1; 5 ]) ())
-      ~seed:41 ~parties ~modulus ~inputs
+    run_p1_over ~config:fast ~fault:(Fault.drop_nth [ 1; 5 ]) `Memory ~seed:41 ~parties
+      ~modulus ~inputs
   in
   Alcotest.(check bool) "shares survive frame loss" true
     (result.Protocol1.share1 = reference.Protocol1.share1
@@ -860,7 +828,7 @@ let test_dropped_frames_are_retransmitted () =
   Alcotest.(check bool) "wire statistics survive frame loss" true
     (Wire.stats (Net_wire.merge (logs_of res)) = sim_stats);
   (* The retransmissions cost real bytes beyond the fault-free run. *)
-  let _, clean = run_p1_over (mem_engine ~config:fast ()) ~seed:41 ~parties ~modulus ~inputs in
+  let _, clean = run_p1_over ~config:fast `Memory ~seed:41 ~parties ~modulus ~inputs in
   Alcotest.(check bool) "retransmissions are visible in transport bytes" true
     (res.Endpoint.transport_bytes > clean.Endpoint.transport_bytes)
 
@@ -874,9 +842,8 @@ let test_delayed_frame_reorders_and_recovers () =
      late (via the delayed original or a Nacked retransmission), and
      later frames overtake it — the reorder path. *)
   let result, res =
-    run_p1_over
-      (mem_engine ~config:fast ~fault:(Fault.delay_nth [ (2, 0.15) ]) ())
-      ~seed:43 ~parties ~modulus ~inputs
+    run_p1_over ~config:fast ~fault:(Fault.delay_nth [ (2, 0.15) ]) `Memory ~seed:43 ~parties
+      ~modulus ~inputs
   in
   Alcotest.(check bool) "shares survive reordering" true
     (result.Protocol1.share1 = reference.Protocol1.share1
@@ -892,16 +859,14 @@ let test_blackhole_times_out_cleanly () =
   let s = State.create ~seed:47 () in
   let session = P1d.make s ~parties ~modulus ~inputs in
   let t0 = Unix.gettimeofday () in
-  (match
-     Endpoint.run_memory ~config:fast ~fault:(Fault.blackhole ~src:0 ~dst:2)
-       ~parties:session.Session.parties ~programs:session.Session.programs
-       ~max_rounds:P1d.max_rounds ()
-   with
+  (match Util.run_session ~config:fast ~fault:(Fault.blackhole ~src:0 ~dst:2) `Memory session with
   | _ -> Alcotest.fail "a dead link must not let the run complete"
-  | exception Endpoint.Round_timeout { party; round; phase; missing } ->
+  | exception
+      Endpoint.Shard_failed
+        { exn = Endpoint.Round_timeout { party; round; phase; missing }; _ } ->
     Alcotest.(check bool) "starved party raises" true (party = Wire.Provider 2);
     Alcotest.(check int) "at the round the link died" 1 round;
-    Alcotest.(check (option string)) "no phase map on raw programs" None phase;
+    Alcotest.(check (option string)) "names the session's phase" (Some "p1-shares") phase;
     Alcotest.(check bool) "names the silent peer" true (missing = [ Wire.Provider 0 ]));
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool)
@@ -916,7 +881,8 @@ module Protocol5 = Spe_core.Protocol5
 (* Drive a plan on a transport engine, keeping each shard session's
    group size and endpoint result for the accounting checks below. *)
 let run_plan_over engine ~workers (plan : _ Plan.t) =
-  let result, runs = Plan.execute ~workers ~engine plan in
+  let result, acct = Plan.execute ~workers ~engine plan in
+  let runs = match acct.Plan.net with Some net -> net.Plan.runs | None -> [] in
   (result, List.map (fun (r : Plan.run) -> (r.Plan.parties, r.Plan.endpoint)) runs)
 
 (* The payload bytes of a plan's sim run: the MS reference that every
@@ -927,9 +893,7 @@ let sim_payload plan =
   (Wire.stats w).Wire.bits / 8
 
 (* Each shard session runs on its own connection group, so the framing
-   closed form of the accounting tests must hold per group — with no
-   Hello term: pool groups (memory, and socketpair socket groups) have
-   no dial handshake. *)
+   closed form of the accounting tests must hold per group. *)
 let check_plan_accounting label plan groups ~payload_ref =
   List.iteri
     (fun g (m, (res : Endpoint.result)) ->
@@ -939,8 +903,7 @@ let check_plan_accounting label plan groups ~payload_ref =
       let totals = Net_wire.totals (logs_of res) in
       Alcotest.(check int)
         (Printf.sprintf "%s group %d: framing closed form" label g)
-        (expected_transport_bytes ~m ~rounds ~data_framed:totals.Net_wire.framed_bytes
-           ~hellos:false)
+        (expected_transport_bytes ~m ~rounds ~data_framed:totals.Net_wire.framed_bytes)
         res.Endpoint.transport_bytes)
     groups;
   let payload =
@@ -1205,7 +1168,7 @@ let test_links_seeded_faults_memory () =
   in
   let trace = Spe_obs.Trace.create () in
   let (result : Protocol4.result), res =
-    Endpoint.run_session_memory ~config:fast ~fault ~trace (session ())
+    Util.run_session ~config:fast ~fault ~trace `Memory (session ())
   in
   Alcotest.(check bool) "lossy memory links: result bit-identical to the central oracle"
     true
@@ -1225,7 +1188,7 @@ let test_links_seeded_faults_memory () =
   Alcotest.(check bool) "transport bytes at or above the closed form" true
     (res.Endpoint.transport_bytes
     >= expected_transport_bytes ~m:(m + 1) ~rounds
-         ~data_framed:totals.Net_wire.framed_bytes ~hellos:false)
+         ~data_framed:totals.Net_wire.framed_bytes)
 
 (* ------------------------------------------------------------------------------ *)
 

@@ -360,15 +360,12 @@ let test_p3_accounting () =
   List.iter
     (fun (engine, run) ->
       let trace = Trace.create () in
-      let _q, res = run ~trace (session ()) in
+      let _q, res = Util.run_session ~trace run (session ()) in
       let report = check_engine_accounting ("p3 " ^ engine) trace res in
       Alcotest.(check bool) ("p3 " ^ engine ^ ": same NM/MS as the sim engine") true
         (Metrics.equal_accounting report ~messages:sim.Metrics.messages
            ~payload_bytes:sim.Metrics.payload_bytes))
-    [
-      ("memory", fun ~trace s -> Endpoint.run_session_memory ~trace s);
-      ("socket", fun ~trace s -> Endpoint.run_session_socket ~trace s);
-    ]
+    [ ("memory", `Memory); ("socket", `Socket) ]
 
 let pipeline_workload = Util.workload
 
@@ -395,17 +392,14 @@ let check_pipeline_accounting name session =
   List.iter
     (fun (engine, run) ->
       let trace = Trace.create () in
-      let _, res = run ~trace (session ()) in
+      let _, res = Util.run_session ~trace run (session ()) in
       let label = name ^ " " ^ engine in
       let report = check_engine_accounting label trace res in
       Alcotest.(check bool) (label ^ ": same NM/MS as the sim engine") true
         (Metrics.equal_accounting report ~messages:sim.Metrics.messages
            ~payload_bytes:sim.Metrics.payload_bytes);
       check_phase_cover label report)
-    [
-      ("memory", fun ~trace s -> Endpoint.run_session_memory ~trace s);
-      ("socket", fun ~trace s -> Endpoint.run_session_socket ~trace s);
-    ]
+    [ ("memory", `Memory); ("socket", `Socket) ]
 
 let test_links_accounting () =
   let g, logs = pipeline_workload ~seed:171 ~n:24 ~edges:70 ~actions:10 ~m:3 in
@@ -461,7 +455,7 @@ let test_fault_accounting () =
   let fault = Fault.drop_nth [ 1 ] in
   let config = { Endpoint.round_timeout = 0.08; max_retries = 3; linger = 0.5 } in
   let trace = Trace.create () in
-  let _q, res = Endpoint.run_session_memory ~config ~fault ~trace (session ()) in
+  let _q, res = Util.run_session ~config ~fault ~trace `Memory (session ()) in
   let report = check_engine_accounting "p3 lossy memory" trace res in
   Alcotest.(check bool) "the drop was traced" true (report.Metrics.faults_dropped >= 1);
   Alcotest.(check bool) "the recovery was traced" true
@@ -575,6 +569,23 @@ let report_arb =
   in
   QCheck.make ~print:Obs_io.report_to_string gen
 
+(* Hostile bytes into the spe-metrics and spe-bench readers: arbitrary
+   strings and single-byte mutations of real documents. *)
+let qcheck_reader_tests =
+  let fuzz name read doc =
+    QCheck.Test.make ~name ~count:20000
+      (QCheck.make
+         (Util.fuzz_input ~alphabet:Util.json_alphabet
+            ~seeds:[ Bytes.of_string (Util.compact_json doc) ]))
+      (Util.reads_or_fails ~read)
+  in
+  [
+    fuzz "Obs_io.report_of_string: a value or Failure" Obs_io.report_of_string
+      (Obs_io.report_to_string (sample_report ()));
+    fuzz "Obs_io.bench_of_string: a value or Failure" Obs_io.bench_of_string
+      (Obs_io.bench_to_string ~generated_by:"test_obs" [ sample_report () ]);
+  ]
+
 let merge_associates =
   QCheck.Test.make ~name:"Metrics.merge associates" ~count:200
     (QCheck.triple report_arb report_arb report_arb) (fun (a, b, c) ->
@@ -616,7 +627,10 @@ let () =
           Alcotest.test_case "report round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "reads spe-metrics/1" `Quick test_json_reads_v1;
           Alcotest.test_case "json values" `Quick test_json_values;
-        ] );
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1907 |]))
+            qcheck_reader_tests );
       ( "accounting",
         [
           Alcotest.test_case "protocol 3" `Quick test_p3_accounting;

@@ -802,7 +802,9 @@ let expect_typed_failure what client ~within =
    once: the mute P2 is killed only once H shows the job's sessions
    open and its first round sent, so every H seat is waiting on P2's
    frames; at the daemons' default 300 s round timeout only the link's
-   death can answer the client inside the 30 s wall budget. *)
+   death can answer the client inside the 30 s wall budget.  A job
+   submitted after that fails at once too: H does not wait out its
+   mesh deadline (10 s here) for a peer whose link it saw die. *)
 let test_peer_death_fails_promptly () =
   with_mute_p2 ~reach_p1:true (fun client daemons kill ->
       let spec = links_spec ~pseed:(failure_workload.Schedule.wseed + 1) ~shards:2 in
@@ -814,7 +816,9 @@ let test_peer_death_fails_promptly () =
       checkb "the job's sessions opened at H" true (gauge daemons 0 "active_sessions" > 0);
       Thread.delay 0.2;
       kill ();
-      expect_typed_failure "dead peer" client ~within:Harness.wall_budget)
+      expect_typed_failure "dead peer" client ~within:Harness.wall_budget;
+      ignore (Client.submit client spec);
+      expect_typed_failure "job after the peer died" client ~within:2.)
 
 (* A provider that fails a job locally tells H: P1 cannot reach the
    mute P2, waits out its mesh deadline (2 s here), and cancels, so the

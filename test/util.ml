@@ -33,24 +33,56 @@ let workload ~seed ~n ~edges ~actions ~m =
 (* Drive a plan on one of the three engines. *)
 let run_plan ?(workers = 2) engine (plan : _ Plan.t) = fst (Plan.execute ~workers ~engine plan)
 
+(* Run one session on a transport engine: its result and its endpoint
+   result (logs and transport bytes). *)
+let run_session ?config ?fault ?trace engine session =
+  let r, acct =
+    Plan.execute ?config
+      ~faults:(fun _ -> fault)
+      ?traces:(Option.map Fun.const trace)
+      ~engine
+      (Plan.of_session ~label:"session" session)
+  in
+  match acct.Plan.net with
+  | Some { Plan.runs = [ run ]; _ } -> (r, run.Plan.endpoint)
+  | _ -> invalid_arg "Util.run_session: one transport session expected"
+
 (* --- decoder fuzzing ------------------------------------------------------------ *)
 
 (* Fuzz inputs for a decoder: arbitrary short byte strings, and
-   single-byte mutations of the valid encodings in [seeds]. *)
-let fuzz_input ~seeds =
+   single-byte mutations of the valid encodings in [seeds].  With
+   [alphabet] both draw their bytes from it: for a text format, its
+   significant characters reach the decoder's value checks far more
+   often than uniform bytes do. *)
+let fuzz_input ?alphabet ~seeds =
   let seeds = Array.of_list seeds in
   QCheck.Gen.(
+    let byte, text =
+      match alphabet with
+      | None -> (int_range 0 255, string_size (int_range 0 48))
+      | Some cs -> (map Char.code (oneofl cs), string_size ~gen:(oneofl cs) (int_range 0 48))
+    in
     oneof
       [
-        map Bytes.of_string (string_size (int_range 0 48));
-        map3
-          (fun i pos byte ->
-            let b = Bytes.copy seeds.(i) in
-            Bytes.set_uint8 b (pos mod Bytes.length b) byte;
-            b)
-          (int_bound (Array.length seeds - 1))
-          nat (int_range 0 255);
+        map Bytes.of_string text;
+        ( int_bound (Array.length seeds - 1) >>= fun i ->
+          (* Uniform over the whole seed: QCheck's [nat] draws three
+             quarters of its values below 100. *)
+          int_bound (Bytes.length seeds.(i) - 1) >>= fun pos ->
+          map
+            (fun byte ->
+              let b = Bytes.copy seeds.(i) in
+              Bytes.set_uint8 b pos byte;
+              b)
+            byte );
       ])
+
+(* The characters that carry a JSON document's structure and numbers. *)
+let json_alphabet =
+  [ '0'; '1'; '2'; '9'; '-'; '.'; 'e'; '"'; '{'; '}'; '['; ']'; ','; ':'; ' '; 'n'; '\\'; 'u' ]
+
+(* A JSON document without its layout, for compact fuzz seeds. *)
+let compact_json s = Spe_obs.Obs_io.Json.to_string ~pretty:false (Spe_obs.Obs_io.Json.of_string s)
 
 (* The property: hostile bytes either decode to a value that survives
    an encode/decode round trip, or raise the decoder's
@@ -60,6 +92,11 @@ let decodes_or_rejects ~decode ~encode bytes =
   match decode bytes with
   | exception Invalid_argument _ -> true
   | v -> compare (decode (encode v)) v = 0
+
+(* The property for the JSON readers: hostile bytes read to a value or
+   raise [Failure] — never another exception. *)
+let reads_or_fails ~read bytes =
+  match read (Bytes.to_string bytes) with _ -> true | exception Failure _ -> true
 
 (* --- live deployments ------------------------------------------------------- *)
 
