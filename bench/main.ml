@@ -651,11 +651,10 @@ let execute_traced ~protocol ?(workers = 4) engine plan =
   let module Endpoint = Spe_net.Endpoint in
   let module Plan = Spe_core.Plan in
   let module Metrics = Spe_obs.Metrics in
-  (* A full pipeline has long compute rounds; local transports are
-     reliable, so wait out the compute instead of Nacking it. *)
-  let config = { Endpoint.default_config with Endpoint.round_timeout = 300.; linger = 310. } in
   let r, acct =
-    Plan.execute ~config ~workers ~traces:(fun _ -> Spe_obs.Trace.create ()) ~engine plan
+    Plan.execute ~config:Endpoint.reliable_config ~workers
+      ~traces:(fun _ -> Spe_obs.Trace.create ())
+      ~engine plan
   in
   let engine = match engine with `Sim -> "sim" | `Memory -> "memory" | `Socket -> "socket" in
   let reports =
@@ -860,7 +859,7 @@ let serve_reports () =
   let module Client = Spe_serve.Client in
   let module Shard = Spe_core.Shard in
   let module Metrics = Spe_obs.Metrics in
-  let module Transport = Spe_net.Transport in
+  let module Addr = Spe_serve.Addr in
   let jobs = 50 in
   let protocol = "links-50jobs" in
   let workload = { Schedule.wseed = 11; users = 12; edges = 30; actions = 6; providers = 2 } in
@@ -889,8 +888,8 @@ let serve_reports () =
   in
   (* Row 2: one persistent deployment, all 50 jobs pipelined at once
      through H's admission queue. *)
-  let roster = Transport.Socket.temp_unix_addresses ~m:(m + 1) in
-  let maddrs = Transport.Socket.temp_unix_addresses ~m:(m + 1) in
+  Addr.with_temp_roster ~parties:(m + 1) @@ fun roster ->
+  Addr.with_temp_roster ~parties:(m + 1) @@ fun maddrs ->
   let daemons =
     Array.init (m + 1) (fun party ->
         Daemon.start

@@ -399,17 +399,11 @@ let emit_observability ~protocol ~engine (acct : Plan.accounting) trace_file met
   | _ -> ()
 
 (* The one executor: Plan.execute, with one trace per session that
-   records when --trace or --metrics asked for it.  The default 2 s
-   round timeout is tuned for loss detection; a full pipeline has long
-   compute rounds (e.g. decrypting every Protocol 6 bundle under a
-   1024-bit key), during which a busy party looks exactly like a dead
-   one.  Local transports are reliable, so wait out the compute instead
-   of Nacking it. *)
+   records when --trace or --metrics asked for it. *)
 let execute ~trace_file ~metrics ~workers engine plan =
-  let config =
-    { Spe_net.Endpoint.default_config with Spe_net.Endpoint.round_timeout = 300.; linger = 310. }
-  in
-  Plan.execute ~config ~workers ~traces:(fun _ -> obs_trace trace_file metrics) ~engine plan
+  Plan.execute ~config:Spe_net.Endpoint.reliable_config ~workers
+    ~traces:(fun _ -> obs_trace trace_file metrics)
+    ~engine plan
 
 (* A built job's stages as one plan, read through [Job.reply_of]. *)
 let job_plan planned = Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore
@@ -1598,15 +1592,18 @@ let serve_cmd =
             "Bind override (default: this party's roster entry) — e.g. bind 0.0.0.0 \
              while the roster advertises a hostname.")
   in
+  let defaults = Serve_daemon.default_config ~party:0 ~roster:[||] in
   let max_sessions_arg =
     Arg.(
-      value & opt int 4
+      value
+      & opt int defaults.Serve_daemon.max_sessions
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:"Concurrent pipeline jobs at H (admission control bound).")
   in
   let max_queue_arg =
     Arg.(
-      value & opt int 64
+      value
+      & opt int defaults.Serve_daemon.max_queue
       & info [ "max-queue" ] ~docv:"N"
           ~doc:"Jobs allowed to wait past the active set; beyond it submissions get a \
                 typed busy reply.")

@@ -105,7 +105,7 @@ let run ?(jobs = 4) ~seed pipeline =
   let pseed = w.Schedule.wseed + 1 in
   let spec = spec_of ~pseed pipeline in
   let m = w.Schedule.providers in
-  let roster = Spe_net.Transport.Socket.temp_unix_addresses ~m:(m + 1) in
+  Spe_serve.Addr.with_temp_roster ~parties:(m + 1) @@ fun roster ->
   let workload = { Job.graph; logs } in
   let config party =
     {

@@ -145,6 +145,12 @@ let as_bounded key ?(hi = max_int) ~lo j =
     else fail "Schedule: field %S must be in [%d, %d], got %d" key lo hi v;
   v
 
+(* A number the fault compiler turns into a delay or a timeout factor. *)
+let as_number key ~ok ~want j =
+  let v = as_float key j in
+  if not (ok v) then fail "Schedule: field %S must be %s, got %g" key want v;
+  v
+
 let event_to_json ev =
   let link kind session src dst tail =
     Json.Obj
@@ -179,7 +185,7 @@ let event_of_json j =
         session = as_int "session" j;
         src = as_int "src" j;
         dst = as_int "dst" j;
-        nth = as_int "nth" j;
+        nth = as_bounded "nth" ~lo:0 j;
       }
   | "delay" ->
     Delay
@@ -187,8 +193,8 @@ let event_of_json j =
         session = as_int "session" j;
         src = as_int "src" j;
         dst = as_int "dst" j;
-        nth = as_int "nth" j;
-        seconds = as_float "seconds" j;
+        nth = as_bounded "nth" ~lo:0 j;
+        seconds = as_number "seconds" ~ok:(fun s -> s >= 0.) ~want:"at least 0" j;
       }
   | "duplicate" ->
     Duplicate
@@ -196,7 +202,7 @@ let event_of_json j =
         session = as_int "session" j;
         src = as_int "src" j;
         dst = as_int "dst" j;
-        nth = as_int "nth" j;
+        nth = as_bounded "nth" ~lo:0 j;
       }
   | "blackhole" ->
     Blackhole
@@ -204,10 +210,17 @@ let event_of_json j =
         session = as_int "session" j;
         src = as_int "src" j;
         dst = as_int "dst" j;
-        from_nth = as_int "from_nth" j;
+        from_nth = as_bounded "from_nth" ~lo:0 j;
       }
   | "kill" -> Kill { session = as_int "session" j }
-  | "skew" -> Skew { factor = as_float "factor" j }
+  | "skew" ->
+    Skew
+      {
+        factor =
+          as_number "factor"
+            ~ok:(fun f -> Float.is_finite f && f > 0.)
+            ~want:"a finite number above 0" j;
+      }
   | kind -> fail "Schedule: unknown event kind %S" kind
 
 let to_json t =
@@ -271,7 +284,7 @@ let of_json j =
     pipeline;
     engine;
     shards = as_bounded "shards" ~lo:1 j;
-    workers = as_int "workers" j;
+    workers = as_bounded "workers" ~lo:1 j;
     workload;
     events;
   }

@@ -5,6 +5,7 @@ module Session = Spe_mpc.Session
 type config = { round_timeout : float; max_retries : int; linger : float }
 
 let default_config = { round_timeout = 2.0; max_retries = 3; linger = 5.0 }
+let reliable_config = { default_config with round_timeout = 300.; linger = 310. }
 
 exception
   Round_timeout of {

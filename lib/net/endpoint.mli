@@ -40,6 +40,14 @@ val default_config : config
     round timeout so a quiescent endpoint outlives a lossy peer's first
     Nack). *)
 
+val reliable_config : config
+(** For reliable local transports: 300 s round timeout, 310 s linger.
+    A full pipeline has long compute rounds (H decrypting every
+    Protocol 6 bundle under a 1024-bit key), during which a busy party
+    looks exactly like a dead one, so a run waits out the compute
+    instead of Nacking it; a dead connection shows as EOF instead.  The
+    CLI, the bench and [spe serve] daemons run on it. *)
+
 exception Round_timeout of {
   party : Spe_mpc.Wire.party;
   round : int;

@@ -323,3 +323,13 @@ let run t ~until =
       end
     end
   done
+
+let spawn t ~until =
+  Thread.create
+    (fun () ->
+      let rec go () =
+        match run t ~until with () -> () | exception _ -> if not (until ()) then go ()
+      in
+      go ();
+      destroy t)
+    ()

@@ -10,10 +10,12 @@
 
     {b Threading.}  Exactly one thread may call {!run}; every callback
     (task, timer, descriptor) fires on that thread, so state touched
-    only from callbacks needs no locks.  {!post} alone is thread-safe:
-    other threads (a daemon's acceptor and handshake threads, its
-    client readers and its shutdown thread) hand work to the loop with
-    it, and a self-pipe wakes the loop if it is parked in [select].
+    only from callbacks needs no locks.  {!post} alone is thread-safe,
+    and a self-pipe wakes the loop if it is parked in [select].  A
+    daemon serves every connection on its loop, so only two kinds of
+    caller still post from another thread: [Daemon.start]'s dial,
+    which hands each mesh link it opened to the loop, and
+    [Daemon.stop]'s callers.
 
     {b Determinism.}  Scheduling order is a function of the event
     sequence alone: the ready queue is strictly FIFO, due timers fire
@@ -73,6 +75,13 @@ val run : t -> until:(unit -> bool) -> unit
     registered, the loop parks on its self-pipe — only an external
     {!post} can then make progress.  Callback exceptions propagate out
     of [run]; the endpoint machines never let one escape. *)
+
+val spawn : t -> until:(unit -> bool) -> Thread.t
+(** Run the loop on a thread of its own until [until ()] holds, then
+    {!destroy} the reactor.  A callback exception is dropped and the
+    loop re-entered, so one failing task cannot end a long-lived loop
+    (a daemon's); the tasks of its ready snapshot that had not run yet
+    are lost with it.  The returned thread is the loop thread. *)
 
 val destroy : t -> unit
 (** Release the reactor's self-pipe.  Call once the loop has returned

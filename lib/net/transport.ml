@@ -278,6 +278,7 @@ module Socket = struct
     }
 
     let alive l = l.live
+    let pending l = l.out.Slab.len
 
     let close l =
       if l.live then begin
@@ -454,26 +455,4 @@ module Socket = struct
               bodies
         in
         endpoint g ~self ~write ~close)
-
-  (* One socket directory per process, addresses numbered within it —
-     a fresh [Filename.temp_dir] per roster costs directory churn.  Mutex-memoised so any thread may call
-     it ([Lazy] is not thread-safe). *)
-  let temp_root = ref None
-  let temp_lock = Mutex.create ()
-  let temp_counter = Atomic.make 0
-
-  let temp_unix_addresses ~m =
-    Mutex.lock temp_lock;
-    let dir =
-      match !temp_root with
-      | Some d -> d
-      | None ->
-        let d = Filename.temp_dir "spe-net" "" in
-        temp_root := Some d;
-        d
-    in
-    Mutex.unlock temp_lock;
-    let g = Atomic.fetch_and_add temp_counter 1 in
-    Array.init m (fun i ->
-        Unix_domain (Filename.concat dir (Printf.sprintf "g%d.p%d.sock" g i)))
 end

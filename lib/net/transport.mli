@@ -119,10 +119,6 @@ module Socket : sig
       the reactor.  All operations (including [close]) must run on the
       reactor thread. *)
 
-  val temp_unix_addresses : m:int -> address array
-  (** Fresh Unix-domain socket paths in a private temporary directory,
-      for daemon rosters in tests and benchmarks. *)
-
   (** {2 Connections on a reactor}
 
       The one socket-connection implementation: the socket group above
@@ -177,6 +173,9 @@ module Socket : sig
 
     val alive : t -> bool
 
+    val pending : t -> int
+    (** Queued bytes the kernel has not taken yet. *)
+
     val close : t -> unit
     (** Idempotent; drops pending output.  Runs [on_close] the first
         time. *)
@@ -185,8 +184,9 @@ module Socket : sig
   (** {2 Blocking frame I/O}
 
       The same length-prefixed frames, for connections that are not on
-      a reactor: the [Spe_serve] Hello handshakes and client
-      connections. *)
+      a reactor: the mesh dial of [Spe_serve.Daemon.start], which
+      connects and exchanges its Hellos before the daemon serves, and
+      [Spe_serve.Client]. *)
 
   val sockaddr_of : address -> Unix.sockaddr
   (** The [Unix] address for {!address}.  Raises [Failure] on a TCP

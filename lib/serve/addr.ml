@@ -111,3 +111,19 @@ let roster_to_string roster =
   Array.to_list roster
   |> List.mapi (fun id addr -> Printf.sprintf "%s=%s" (party_name id) (to_string addr))
   |> String.concat ","
+
+(* One private directory per call, removed with whatever sockets are
+   left in it: a daemon killed mid-run never unlinks its listener's. *)
+let with_temp_roster ~parties f =
+  let dir = Filename.temp_dir "spe-net" "" in
+  let roster =
+    Array.init parties (fun id ->
+        Spe_net.Transport.Socket.Unix_domain (Filename.concat dir (party_name id ^ ".sock")))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        (try Sys.readdir dir with Sys_error _ -> [||]);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () -> f roster)

@@ -39,3 +39,10 @@ val roster_of_string : string -> (t array, string) result
 
 val roster_to_string : t array -> string
 (** Inverse of {!roster_of_string}. *)
+
+val with_temp_roster : parties:int -> (t array -> 'a) -> 'a
+(** [with_temp_roster ~parties f] runs [f] on [parties] Unix-domain
+    addresses (H first) in a fresh private directory under the
+    temporary directory, for in-process and forked deployments in
+    tests, the bench and the chaos harness.  The directory, and any
+    socket left in it, is removed when [f] returns or raises. *)

@@ -26,14 +26,18 @@
    returns).  A provider that fails a job locally broadcasts
    [Job_cancel] too, so H and the other providers never wait on it.
 
-   Threads: the acceptor, one short-lived handshake thread per inbound
-   connection, and the dialer exchange the Hellos with blocking I/O;
-   the socket then becomes a [Transport.Socket.Link] on the reactor,
-   which reads it, writes it and dispatches its frames.  Client
-   connections stay blocking, one reader thread each: they carry one
-   frame per job each way. *)
+   Threads: one, the reactor loop.  It accepts every connection,
+   reads its Hello under a [dial_timeout] timer and answers it, and
+   then serves it as a [Transport.Socket.Link]: a mesh link, or a
+   client link whose submissions are handled on the loop and whose
+   replies are queued and flushed, so a client that stops reading
+   never blocks the loop.  Shutdown is a chain of loop tasks.  Two
+   other threads touch a daemon: [start]'s caller, which dials the
+   lower ids with blocking I/O before the daemon serves, and the scrape
+   endpoint's, which reads the gauges. *)
 
 module Endpoint = Spe_net.Endpoint
+module Frame = Spe_net.Frame
 module Transport = Spe_net.Transport
 module Link = Spe_net.Transport.Socket.Link
 module Mux = Spe_net.Mux
@@ -58,72 +62,16 @@ let default_config ~party ~roster =
     party;
     roster;
     listen = None;
-    (* Jobs are reactor task chains, not worker threads, so the
-       concurrency cap is bookkeeping rather than a thread budget —
-       high enough that a pipelined burst (the 500-job stress smoke)
-       queues on admission, not on artificial session scarcity. *)
-    max_sessions = 16;
-    max_queue = 1024;
+    max_sessions = 4;
+    max_queue = 64;
     metrics_addr = None;
-    (* Compute-friendly like the CLI pipelines: local connections are
-       reliable, and a busy party decrypting bundles looks exactly like
-       a dead one.  Dead *connections* are detected by link EOF, not
-       by this timeout. *)
-    round_timeout = 300.;
-    linger = 310.;
+    round_timeout = Endpoint.reliable_config.Endpoint.round_timeout;
+    linger = Endpoint.reliable_config.Endpoint.linger;
     dial_timeout = 30.;
   }
 
-(* A blocking client connection (and an inbound connection before its
-   Hello is through): the loop and the client's reader thread both
-   write to it, so writes are serialised.  Only the thread that reads
-   the connection closes its descriptor; any other thread hangs up. *)
-type conn = {
-  fd : Unix.file_descr;
-  mx : Mutex.t;
-  mutable alive : bool;
-  mutable closed : bool;
-}
-
-let conn_of fd = { fd; mx = Mutex.create (); alive = true; closed = false }
-
-(* A dead client raises [Transport.Closed]. *)
-let send conn frame =
-  Mutex.lock conn.mx;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock conn.mx)
-    (fun () ->
-      if not conn.alive then raise Transport.Closed;
-      try Serve_proto.write conn.fd frame
-      with Unix.Unix_error _ | Sys_error _ -> raise Transport.Closed)
-
-(* Refuse further writes and shut the socket down, which wakes its
-   reader with EOF, but leave the descriptor open: closed under a reader
-   that is between two reads, its number could be reused by the next
-   connection the process opens — another daemon's, in an in-process
-   deployment — and the reader would consume that connection's
-   frames. *)
-let hang_up conn =
-  Mutex.lock conn.mx;
-  if conn.alive then begin
-    conn.alive <- false;
-    try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-  end;
-  Mutex.unlock conn.mx
-
-(* For the reading thread only (or the handshake thread before any
-   reader exists): reads happen on that thread, writes and the shutdown
-   under [mx], so once this returns no thread touches [fd] again. *)
-let close_conn conn =
-  hang_up conn;
-  Mutex.lock conn.mx;
-  if not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end;
-  Mutex.unlock conn.mx
-
-type host_job = { client : conn; client_job : int; spec : Serve_proto.spec }
+(* [client] names the submitting client's link in [clients]. *)
+type host_job = { client : int; client_job : int; spec : Serve_proto.spec }
 
 type t = {
   config : config;
@@ -133,29 +81,27 @@ type t = {
   reactor : Reactor.t;
       (** The daemon's one event loop: every job — host and provider
           side — runs on it as a task chain, every session seat as an
-          endpoint machine, every mesh link as a descriptor callback.
-          The handshake, client-reader and shutdown threads hand work
-          to it with [Reactor.post]. *)
-  lock : Mutex.t;  (** Guards [clients], [next_client], [stopping], [stopped]. *)
-  peers : Link.t option array;
-      (** By daemon id; [None] = not connected.  Loop-thread only, like
-          [lost], [jobs] and [reap]. *)
+          endpoint machine, every connection as a descriptor callback.
+          Every mutable field below is the loop's alone. *)
+  loop : Thread.t;  (** The thread driving [reactor]. *)
+  listener : Unix.file_descr;
+  greetings : (Unix.file_descr, Reactor.timer) Hashtbl.t;
+      (** Accepted connections still short of their Hello, each with
+          the timer that closes it at [dial_timeout]. *)
+  peers : Link.t option array;  (** By daemon id; [None] = not connected. *)
   lost : bool array;
       (** By daemon id: the peer's installed link died and no new one
           has installed since.  New jobs fail at once on a lost peer
           instead of waiting for it. *)
   mesh : Link.stats;  (** Cumulative over every mesh link. *)
-  clients : (int, conn) Hashtbl.t;
+  clients : (int, Link.t) Hashtbl.t;  (** Live client links by connection number. *)
   mutable next_client : int;
   scheduler : host_job Scheduler.t;  (** Meaningful at H only. *)
-  next_job : int Atomic.t;  (** Global job numbers (H assigns). *)
+  mutable next_job : int;  (** Global job numbers (H assigns). *)
   jobs : (int, int list) Hashtbl.t;  (** Running job -> its sids (cancel). *)
-  listener : Unix.file_descr;
-  mutable scrape : Spe_obs.Scrape.t option;
+  mutable scrape : Spe_obs.Scrape.t option;  (** Set by [start] before the loop serves. *)
   mutable stopping : bool;
-  mutable stopped : bool;
-  loop : Thread.t option ref;  (** The thread driving [reactor]. *)
-  acceptor : Thread.t option ref;
+  stopped : bool Atomic.t;  (** Set by the last shutdown task; ends the loop. *)
   (* Gauges. *)
   hellos_sent : int Atomic.t;
   hellos_received : int Atomic.t;
@@ -173,16 +119,12 @@ type t = {
   (* Rank-job gauges: completed rank jobs and the power iterations they ran. *)
   rank_jobs_completed : int Atomic.t;
   rank_iterations_run : int Atomic.t;
-  (* Cumulative spe-metrics/2 state (when metrics_addr is set). *)
-  reports_lock : Mutex.t;
-  mutable reports : Metrics.report list;
+  reports : Metrics.report list Atomic.t;
+      (** Cumulative spe-metrics/2 state (when metrics_addr is set):
+          the loop prepends, the scrape thread and {!report} read. *)
   (* Deferred sid cleanup: (reap-after, sids) in completion order. *)
   reap : (float * int list) Queue.t;
 }
-
-let with_lock lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let m_of t = Array.length t.config.roster - 1
 
@@ -191,14 +133,13 @@ let listen_addr config =
 
 (* --- metrics ------------------------------------------------------------ *)
 
-let record_report t report =
-  with_lock t.reports_lock (fun () -> t.reports <- report :: t.reports)
+let record_report t report = Atomic.set t.reports (report :: Atomic.get t.reports)
 
 let tracing t = t.config.metrics_addr <> None
 
 (* The scrape gauges.  Called from the scrape thread and from tests
-   while the loop runs: every value is an atomic, a scheduler stat
-   read under its lock, or a loop-written counter whose read may lag. *)
+   while the loop runs: every value is an atomic or a loop-written
+   counter (the scheduler's among them) whose read may lag. *)
 let gauges t =
   let sched = Scheduler.stats t.scheduler in
   [
@@ -237,7 +178,7 @@ let gauges t =
 let render_scrape t () =
   let module Json = Spe_obs.Obs_io.Json in
   let report =
-    match with_lock t.reports_lock (fun () -> t.reports) with
+    match Atomic.get t.reports with
     | [] -> Json.Null
     | reports ->
       Json.of_string (Spe_obs.Obs_io.report_to_string (Metrics.merge (List.rev reports)))
@@ -413,19 +354,22 @@ let failure_of_exn = function
 
 (* --- host side ----------------------------------------------------------- *)
 
+(* One control frame onto a link, written now as far as the kernel
+   takes it; the rest leaves when the link is writable, so a slow
+   reader holds the frame in memory, never the loop.  A dead link
+   drops it. *)
+let send_frame link frame =
+  let body = Serve_proto.encode frame in
+  let n = Bytes.length body in
+  try
+    Link.queue link n (fun buf pos -> Bytes.blit body 0 buf pos n);
+    Link.flush link
+  with Transport.Closed -> ()
+
 (* Job control leaves at once rather than with the next poll: H builds
    its own plan right after broadcasting a submit, and the providers'
    builds should not queue behind it. *)
-let broadcast t frame =
-  let body = Serve_proto.encode frame in
-  let n = Bytes.length body in
-  Array.iter
-    (Option.iter (fun link ->
-         try
-           Link.queue link n (fun buf pos -> Bytes.blit body 0 buf pos n);
-           Link.flush link
-         with Transport.Closed -> ()))
-    t.peers
+let broadcast t frame = Array.iter (Option.iter (fun link -> send_frame link frame)) t.peers
 
 let mesh_complete t =
   let missing = ref [] in
@@ -459,14 +403,16 @@ let await_mesh_async t ~deadline k =
   in
   check ()
 
-let reply_to client ~job reply =
-  try send client (Serve_proto.Job_result { job; reply }) with Transport.Closed -> ()
+(* A client that has hung up is not answered. *)
+let send_client t ~client frame =
+  Option.iter (fun link -> send_frame link frame) (Hashtbl.find_opt t.clients client)
+
+let reply_to t ~client ~job reply = send_client t ~client (Serve_proto.Job_result { job; reply })
 
 (* The host's job pump: claim queued jobs while active slots are free
-   and launch each as a task chain on the loop.  Runs on the loop
-   thread; re-entered from every job conclusion and from a post after
-   every accepted submission — the reactor replaces the fixed pool of
-   [max_sessions] worker threads with this one loop. *)
+   and launch each as a task chain on the loop.  Re-entered from every
+   job conclusion and from a post after every accepted submission, so
+   [max_sessions] bounds the jobs in flight. *)
 let rec pump t =
   match Scheduler.take_opt t.scheduler with
   | None -> ()
@@ -482,7 +428,7 @@ and start_host_job t { client; client_job; spec } =
   in
   let fail kind detail =
     Atomic.incr t.jobs_failed;
-    reply_to client ~job:client_job (Serve_proto.Failed { kind; detail });
+    reply_to t ~client ~job:client_job (Serve_proto.Failed { kind; detail });
     conclude ()
   in
   match Job.validate spec t.workload with
@@ -493,7 +439,8 @@ and start_host_job t { client; client_job; spec } =
       (function
         | Error detail -> fail Serve_proto.Peer_down detail
         | Ok () -> (
-          let g = Atomic.fetch_and_add t.next_job 1 in
+          let g = t.next_job in
+          t.next_job <- g + 1;
           match
             broadcast t (Serve_proto.Job_submit { job = g; spec });
             Job.build spec t.workload
@@ -508,7 +455,7 @@ and start_host_job t { client; client_job; spec } =
                 match Job.reply_of planned with
                 | reply ->
                   Atomic.incr t.jobs_completed;
-                  reply_to client ~job:client_job reply;
+                  reply_to t ~client ~job:client_job reply;
                   conclude ()
                 | exception e ->
                   broadcast t (Serve_proto.Job_cancel { job = g });
@@ -566,65 +513,13 @@ let cancel_job t ~job =
     List.iter (fun sid -> Mux.abort t.mux ~sid) sids;
     defer_reap t sids
 
-(* --- shutdown ------------------------------------------------------------ *)
-
-(* Runs on the shutdown thread.  The mesh links belong to the loop,
-   which closes them once [stopped] ends [Reactor.run]. *)
-let close_everything t =
-  (match t.scrape with Some s -> (try Spe_obs.Scrape.stop s with _ -> ()) | None -> ());
-  (match listen_addr t.config with
-  | Spe_net.Transport.Socket.Unix_domain path -> (
-    try Unix.unlink path with Unix.Unix_error _ -> ())
-  | _ -> ());
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (* Each client's reader closes its own descriptor once it sees the
-     EOF this causes. *)
-  let clients = with_lock t.lock (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.clients []) in
-  List.iter hang_up clients
-
-let initiate_shutdown t =
-  let first = with_lock t.lock (fun () ->
-      if t.stopping then false
-      else begin
-        t.stopping <- true;
-        true
-      end)
-  in
-  if first then
-    ignore
-      (Thread.create
-         (fun () ->
-           (* Refuse the queued jobs with a typed reply, drain the
-              running ones, then tear the connections down. *)
-           let queued = Scheduler.stop t.scheduler in
-           List.iter
-             (fun { client; client_job; _ } ->
-               Atomic.incr t.jobs_failed;
-               reply_to client ~job:client_job
-                 (Serve_proto.Failed
-                    { kind = Serve_proto.Rejected; detail = "daemon shutting down" }))
-             queued;
-           let deadline = Unix.gettimeofday () +. 60. in
-           ignore (Scheduler.drain t.scheduler ~deadline);
-           let rec wait_provider () =
-             if Atomic.get t.active_jobs > 0 && Unix.gettimeofday () < deadline then begin
-               Thread.delay 0.01;
-               wait_provider ()
-             end
-           in
-           wait_provider ();
-           close_everything t;
-           with_lock t.lock (fun () -> t.stopped <- true);
-           (* The loop may be parked with nothing left to do; a no-op
-              post wakes it to observe [stopped] and exit. *)
-           Reactor.post t.reactor ignore)
-         ())
-
 (* --- connection plumbing -------------------------------------------------- *)
+
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* One inbound mesh frame, sliced in place out of the link's read slab
    on the loop thread.  [false] (a malformed frame) kills the link. *)
-let on_mesh_frame t buf off len =
+let rec on_mesh_frame t buf off len =
   match Serve_proto.decode_slice buf off len with
   | exception Invalid_argument _ -> false
   | Serve_proto.Session_frame { sid; body } ->
@@ -638,9 +533,87 @@ let on_mesh_frame t buf off len =
     cancel_job t ~job;
     true
   | Serve_proto.Shutdown ->
-    initiate_shutdown t;
+    stop t;
     true
   | Serve_proto.Hello _ | Serve_proto.Job_result _ | Serve_proto.Busy _ -> true
+
+(* One client frame, on the loop thread; [false] (a malformed frame)
+   closes the client's link. *)
+and on_client_frame t ~client buf off len =
+  match Serve_proto.decode_slice buf off len with
+  | exception Invalid_argument _ -> false
+  | Serve_proto.Job_submit { job; spec } ->
+    (if t.config.party <> 0 then
+       reply_to t ~client ~job
+         (Serve_proto.Failed
+            { kind = Serve_proto.Rejected; detail = "only the host daemon accepts jobs" })
+     else
+       match Scheduler.submit t.scheduler { client; client_job = job; spec } with
+       | Scheduler.Accepted -> Reactor.post t.reactor (fun () -> pump t)
+       | Scheduler.Busy { queued; max_queue } ->
+         send_client t ~client (Serve_proto.Busy { job; queued; max_queue }));
+    true
+  | Serve_proto.Shutdown ->
+    stop t;
+    true
+  | Serve_proto.Session_frame _ | Serve_proto.Hello _ | Serve_proto.Job_result _
+  | Serve_proto.Busy _ | Serve_proto.Job_cancel _ -> true
+
+(* --- shutdown ------------------------------------------------------------ *)
+
+(* Graceful shutdown, as loop tasks paced by a 10 ms reactor timer:
+   refuse the queued jobs with a typed reply, let the running ones
+   finish (up to 60 s), close the listener and the connections still
+   short of their Hello, give the client links until the same deadline
+   to take their replies, then close every connection and end the
+   loop. *)
+and initiate_shutdown t =
+  if not t.stopping then begin
+    t.stopping <- true;
+    List.iter
+      (fun { client; client_job; _ } ->
+        Atomic.incr t.jobs_failed;
+        reply_to t ~client ~job:client_job
+          (Serve_proto.Failed { kind = Serve_proto.Rejected; detail = "daemon shutting down" }))
+      (Scheduler.stop t.scheduler);
+    let deadline = Unix.gettimeofday () +. 60. in
+    let rec wait_while busy k =
+      if busy () && Unix.gettimeofday () < deadline then
+        ignore (Reactor.at t.reactor (Unix.gettimeofday () +. 0.01) (fun () -> wait_while busy k))
+      else k ()
+    in
+    let clients () = Hashtbl.fold (fun _ link acc -> link :: acc) t.clients [] in
+    wait_while
+      (fun () -> Scheduler.active t.scheduler > 0 || Atomic.get t.active_jobs > 0)
+      (fun () ->
+        Reactor.forget_fd t.reactor t.listener;
+        (match listen_addr t.config with
+        | Transport.Socket.Unix_domain path -> (
+          try Unix.unlink path with Unix.Unix_error _ -> ())
+        | _ -> ());
+        close_fd t.listener;
+        List.iter (drop_greeting t) (Hashtbl.fold (fun fd _ acc -> fd :: acc) t.greetings []);
+        wait_while
+          (fun () -> List.exists (fun link -> Link.pending link > 0) (clients ()))
+          (fun () ->
+            List.iter Link.close (clients ());
+            Array.iter (Option.iter Link.close) t.peers;
+            Option.iter (fun s -> try Spe_obs.Scrape.stop s with _ -> ()) t.scrape;
+            Atomic.set t.stopped true))
+  end
+
+and stop t = Reactor.post t.reactor (fun () -> initiate_shutdown t)
+
+(* An accepted connection leaves the greeting table either closed or
+   handed to a link; both cancel its timer and its read interest. *)
+and settle_greeting t fd =
+  Option.iter (Reactor.cancel t.reactor) (Hashtbl.find_opt t.greetings fd);
+  Hashtbl.remove t.greetings fd;
+  Reactor.forget_fd t.reactor fd
+
+and drop_greeting t fd =
+  settle_greeting t fd;
+  close_fd fd
 
 (* A link died (EOF, socket error or malformed frame).  If it was still
    the peer's current link, every session seated with that peer fails
@@ -659,9 +632,7 @@ let link_died t ~peer =
    select's limit cannot join the loop; refusing it leaves the peer
    missing, which jobs then report as [Peer_down]. *)
 let install_link t ~peer fd =
-  let stopped = with_lock t.lock (fun () -> t.stopped) in
-  if stopped || not (Reactor.selectable [ fd ]) then
-    try Unix.close fd with Unix.Unix_error _ -> ()
+  if Atomic.get t.stopped || not (Reactor.selectable [ fd ]) then close_fd fd
   else begin
     let link =
       Link.create ~reactor:t.reactor ~stats:t.mesh ~on_frame:(on_mesh_frame t)
@@ -680,96 +651,91 @@ let install_link t ~peer fd =
     Atomic.incr t.hellos_received
   end
 
-let client_reader t ~id conn =
-  let rec loop () =
-    match (try Serve_proto.read conn.fd with _ -> None) with
-    | None ->
-      close_conn conn;
-      with_lock t.lock (fun () -> Hashtbl.remove t.clients id)
-    | Some frame ->
-      (match frame with
-      | Serve_proto.Job_submit { job; spec } ->
-        if t.config.party <> 0 then
-          reply_to conn ~job
-            (Serve_proto.Failed
-               {
-                 kind = Serve_proto.Rejected;
-                 detail = "only the host daemon accepts jobs";
-               })
-        else begin
-          match Scheduler.submit t.scheduler { client = conn; client_job = job; spec } with
-          | Scheduler.Accepted -> Reactor.post t.reactor (fun () -> pump t)
-          | Scheduler.Busy { queued; max_queue } -> (
-            try send conn (Serve_proto.Busy { job; queued; max_queue })
-            with Transport.Closed -> ())
-        end
-      | Serve_proto.Shutdown -> initiate_shutdown t
-      | Serve_proto.Session_frame _ | Serve_proto.Hello _ | Serve_proto.Job_result _
-      | Serve_proto.Busy _ | Serve_proto.Job_cancel _ -> ());
-      loop ()
-  in
-  loop ()
-
 let my_hello t = Serve_proto.Hello
     { role = Serve_proto.Party t.config.party; version = Serve_proto.version;
       workload = t.wdigest }
 
-(* One inbound connection, on a thread of its own so a silent or slow
-   connection never holds the acceptor: its Hello must arrive within
-   [dial_timeout].  A peer's socket then goes to the loop; a client's
-   thread stays on as its reader. *)
-let handshake t fd =
-  let conn = conn_of fd in
-  match Serve_proto.read ~deadline:(Unix.gettimeofday () +. t.config.dial_timeout) fd with
-  | Some (Serve_proto.Hello { role = Serve_proto.Party peer; version; workload })
-    when version = Serve_proto.version && peer >= 0 && peer <= m_of t
-         && peer <> t.config.party && workload = t.wdigest -> (
-    match send conn (my_hello t) with
+(* Every Hello encodes to the same 13 bytes (a client's carries id 0),
+   so an inbound Hello frame is exactly this long. *)
+let hello_frame_length =
+  Frame.length_prefix_bytes
+  + Bytes.length
+      (Serve_proto.encode
+         (Serve_proto.Hello { role = Serve_proto.Client; version = Serve_proto.version; workload = 0 }))
+
+(* The Hello is in: answer with ours in one non-blocking write (a fresh
+   socket's send buffer takes it whole), then serve the connection as a
+   mesh link or a client link.  A peer that loaded another workload
+   gets our Hello too before we close, so its dial reports the
+   mismatch at once instead of retrying until its timeout. *)
+let on_hello t fd buf =
+  let answered () =
+    match Serve_proto.write fd (my_hello t) with
     | () ->
       Atomic.incr t.hellos_sent;
-      Reactor.post t.reactor (fun () -> install_link t ~peer fd)
-    | exception Transport.Closed -> close_conn conn)
-  | Some (Serve_proto.Hello { role = Serve_proto.Client; version; _ })
-    when version = Serve_proto.version -> (
+      true
+    | exception Unix.Unix_error _ -> false
+  in
+  match
+    Serve_proto.decode_slice buf Frame.length_prefix_bytes
+      (hello_frame_length - Frame.length_prefix_bytes)
+  with
+  | Serve_proto.Hello { role = Serve_proto.Party peer; version; workload }
+    when version = Serve_proto.version && peer >= 0 && peer <= m_of t
+         && peer <> t.config.party ->
+    if answered () && workload = t.wdigest then install_link t ~peer fd else close_fd fd
+  | Serve_proto.Hello { role = Serve_proto.Client; version; _ }
+    when version = Serve_proto.version ->
     Atomic.incr t.clients_accepted;
-    match send conn (my_hello t) with
-    | () ->
-      let id = with_lock t.lock (fun () ->
-          let id = t.next_client in
-          t.next_client <- id + 1;
-          Hashtbl.replace t.clients id conn;
-          id)
-      in
-      client_reader t ~id conn
-    | exception Transport.Closed -> close_conn conn)
-  | _ | (exception _) -> close_conn conn
+    if answered () then begin
+      let client = t.next_client in
+      t.next_client <- client + 1;
+      Hashtbl.replace t.clients client
+        (Link.create ~reactor:t.reactor ~on_frame:(on_client_frame t ~client)
+           ~on_close:(fun () -> Hashtbl.remove t.clients client)
+           fd)
+    end
+    else close_fd fd
+  | _ | (exception Invalid_argument _) -> close_fd fd
 
-let accept_loop t () =
-  (* Closing an fd does not wake a thread blocked in accept(2), so poll
-     with select and re-check the stopping flag between waits. *)
-  let rec await_readable () =
-    if with_lock t.lock (fun () -> t.stopping) then None
-    else
-      match Unix.select [ t.listener ] [] [] 0.25 with
-      | [], _, _ -> await_readable ()
-      | _ -> Some ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_readable ()
-      | exception Unix.Unix_error _ -> None
-  in
-  let rec loop () =
-    match await_readable () with
-    | None -> ()
-    | Some () ->
-    match Unix.accept t.listener with
-    | fd, _ ->
-      ignore (Thread.create (handshake t) fd);
-      loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ ->
-      if not (with_lock t.lock (fun () -> t.stopping)) then loop ()
-    | exception _ -> ()
-  in
-  loop ()
+(* An accepted connection must send exactly one Hello frame within
+   [dial_timeout].  Reads stop at its end, so a peer's first mesh
+   frames stay in the socket for its link, and a length prefix that
+   announces anything else closes the connection at once. *)
+let greet t fd =
+  let buf = Bytes.create hello_frame_length and got = ref 0 in
+  Hashtbl.replace t.greetings fd
+    (Reactor.at t.reactor
+       (Unix.gettimeofday () +. t.config.dial_timeout)
+       (fun () -> drop_greeting t fd));
+  Reactor.on_readable t.reactor fd (fun () ->
+      match Unix.read fd buf !got (hello_frame_length - !got) with
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+      | 0 | (exception Unix.Unix_error _) -> drop_greeting t fd
+      | n ->
+        got := !got + n;
+        if
+          !got >= Frame.length_prefix_bytes
+          && Int32.to_int (Bytes.get_int32_be buf 0)
+             <> hello_frame_length - Frame.length_prefix_bytes
+        then drop_greeting t fd
+        else if !got = hello_frame_length then begin
+          settle_greeting t fd;
+          on_hello t fd buf
+        end)
+
+(* The listener is non-blocking: take the whole backlog.  A descriptor
+   past select's limit cannot join the loop and is closed. *)
+let rec accept_all t =
+  match Unix.accept t.listener with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+    if Reactor.selectable [ fd ] then begin
+      Unix.set_nonblock fd;
+      greet t fd
+    end
+    else close_fd fd;
+    accept_all t
 
 let dial_peer t ~peer =
   let addr = Addr.sockaddr t.config.roster.(peer) in
@@ -795,19 +761,19 @@ let dial_peer t ~peer =
     with
     | `Done -> Ok ()
     | `Mismatch ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      close_fd fd;
       Error
         (Printf.sprintf "workload mismatch with %s (%s): daemons must load identical \
                          --graph/--log inputs"
            (Addr.party_name peer)
            (Addr.to_string t.config.roster.(peer)))
     | `Retry | (exception Unix.Unix_error _) | (exception Failure _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      close_fd fd;
       if Unix.gettimeofday () >= deadline then
         Error
           (Printf.sprintf "cannot reach %s at %s" (Addr.party_name peer)
              (Addr.to_string t.config.roster.(peer)))
-      else if with_lock t.lock (fun () -> t.stopping) then Error "shutting down"
+      else if Atomic.get t.stopped then Error "shutting down"
       else begin
         Thread.delay 0.1;
         attempt ()
@@ -816,6 +782,22 @@ let dial_peer t ~peer =
   attempt ()
 
 (* --- lifecycle ------------------------------------------------------------ *)
+
+let wait ?timeout t =
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+  let rec poll () =
+    if Atomic.get t.stopped then (try Thread.join t.loop with _ -> ())
+    else
+      match deadline with
+      | Some d when Unix.gettimeofday () >= d ->
+        failwith
+          (Printf.sprintf "daemon %s did not stop within %g s"
+             (Addr.party_name t.config.party) (Option.get timeout))
+      | _ ->
+        Thread.delay 0.02;
+        poll ()
+  in
+  poll ()
 
 let start config workload =
   if Array.length config.roster < 3 then
@@ -841,32 +823,36 @@ let start config workload =
   | _ -> ());
   (try
      Unix.bind listener sockaddr;
-     Unix.listen listener 64
+     Unix.listen listener 64;
+     Unix.set_nonblock listener
    with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
+     close_fd listener;
      raise e);
+  let reactor = Reactor.create () and stopped = Atomic.make false in
+  (* A task that escapes with an exception must not kill the daemon:
+     the loop re-enters until shutdown. *)
+  let loop = Reactor.spawn reactor ~until:(fun () -> Atomic.get stopped) in
   let t =
     {
       config;
       workload;
       wdigest = Job.digest workload;
       mux = Mux.create ~self:config.party;
-      reactor = Reactor.create ();
-      lock = Mutex.create ();
+      reactor;
+      loop;
+      listener;
+      greetings = Hashtbl.create 8;
       peers = Array.make (Array.length config.roster) None;
       lost = Array.make (Array.length config.roster) false;
       mesh = Link.stats ();
       clients = Hashtbl.create 8;
       next_client = 0;
-      scheduler = Scheduler.create ~max_queue:config.max_queue ~max_active:config.max_sessions ();
-      next_job = Atomic.make 1;
+      scheduler = Scheduler.create ~max_queue:config.max_queue ~max_active:config.max_sessions;
+      next_job = 1;
       jobs = Hashtbl.create 16;
-      listener;
       scrape = None;
       stopping = false;
-      stopped = false;
-      loop = ref None;
-      acceptor = ref None;
+      stopped;
       hellos_sent = Atomic.make 0;
       hellos_received = Atomic.make 0;
       clients_accepted = Atomic.make 0;
@@ -879,32 +865,24 @@ let start config workload =
       last_epoch = Atomic.make (-1);
       rank_jobs_completed = Atomic.make 0;
       rank_iterations_run = Atomic.make 0;
-      reports_lock = Mutex.create ();
-      reports = [];
+      reports = Atomic.make [];
       reap = Queue.create ();
     }
   in
-  t.acceptor := Some (Thread.create (accept_loop t) ());
-  (* The loop thread: every daemon needs one — the host pumps jobs on
-     it, providers run their seats on it.  A task that escapes with an
-     exception must not kill the daemon (the blocking host caught
-     per-job exceptions the same way), so re-enter the loop until
-     shutdown. *)
-  t.loop :=
-    Some
-      (Thread.create
-         (fun () ->
-           let until () = with_lock t.lock (fun () -> t.stopped) in
-           let rec go () =
-             match Reactor.run t.reactor ~until with
-             | () -> ()
-             | exception _ -> if not (until ()) then go ()
-           in
-           go ();
-           (* The mesh links are the loop's to close. *)
-           Array.iter (Option.iter Link.close) t.peers;
-           Reactor.destroy t.reactor)
-         ());
+  let abort e =
+    stop t;
+    wait t;
+    raise e
+  in
+  (match config.metrics_addr with
+  | None -> ()
+  | Some maddr -> (
+    match Spe_obs.Scrape.start ~addr:(Addr.sockaddr maddr) ~render:(render_scrape t) with
+    | scrape -> t.scrape <- Some scrape
+    | exception e -> abort e));
+  (* From here on the loop serves; [scrape] was set before it could
+     shut down. *)
+  Reactor.post reactor (fun () -> Reactor.on_readable reactor listener (fun () -> accept_all t));
   (* Establish the mesh: dial every lower id (they dialed us if higher).
      Dial failures are fatal at start — a daemon that can never reach
      its peers should say so, not limp. *)
@@ -912,37 +890,10 @@ let start config workload =
     if p < config.party then (
       match dial_peer t ~peer:p with
       | Ok () -> dial (p + 1)
-      | Error msg ->
-        initiate_shutdown t;
-        failwith msg)
+      | Error msg -> abort (Failure msg))
   in
   dial 0;
-  (match config.metrics_addr with
-  | None -> ()
-  | Some maddr -> t.scrape <- Some (Spe_obs.Scrape.start ~addr:(Addr.sockaddr maddr)
-                                      ~render:(render_scrape t)));
   t
-
-let stop t = initiate_shutdown t
-
-let wait ?timeout t =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
-  let rec poll () =
-    if with_lock t.lock (fun () -> t.stopped) then begin
-      (match !(t.acceptor) with Some th -> (try Thread.join th with _ -> ()) | None -> ());
-      match !(t.loop) with Some th -> (try Thread.join th with _ -> ()) | None -> ()
-    end
-    else
-      match deadline with
-      | Some d when Unix.gettimeofday () >= d ->
-        failwith
-          (Printf.sprintf "daemon %s did not stop within %g s"
-             (Addr.party_name t.config.party) (Option.get timeout))
-      | _ ->
-        Thread.delay 0.02;
-        poll ()
-  in
-  poll ()
 
 let run config workload =
   let t = start config workload in
@@ -970,6 +921,6 @@ let spawn config workload =
   | pid -> pid
 
 let report t =
-  match with_lock t.reports_lock (fun () -> t.reports) with
+  match Atomic.get t.reports with
   | [] -> None
   | reports -> Some (Metrics.merge (List.rev reports))

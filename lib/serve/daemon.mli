@@ -37,17 +37,24 @@ val default_config : party:int -> roster:Addr.t array -> config
 type t
 
 val start : config -> Job.workload -> t
-(** Bind, start accepting, start the loop, and dial the mesh (retrying
-    up to [dial_timeout]).  Links are installed on the loop after their
-    Hello exchange, so [hellos_received] in {!gauges} reaches the
-    number of peers once the mesh is usable.  Raises [Failure] with a
-    clean message if a peer cannot be reached or loaded a different
-    workload. *)
+(** Bind, start the daemon's loop thread, start the scrape endpoint when
+    [metrics_addr] is set, and dial the lower ids from the calling
+    thread with blocking I/O (retrying up to [dial_timeout]).  The loop
+    then serves every connection: it accepts, reads each one's Hello
+    under a [dial_timeout] timer, and runs it as a mesh or client link.
+    Links are installed on the loop after their Hello exchange, so
+    [hellos_received] in {!gauges} reaches the number of peers once the
+    mesh is usable.  Raises [Failure] with a clean message, once the
+    daemon has stopped again, if a peer cannot be reached or loaded a
+    different workload; a peer answers a mismatched Hello with its own,
+    so the mismatch is reported at once. *)
 
 val stop : t -> unit
-(** Begin graceful shutdown: refuse the queued jobs with typed replies,
-    drain the running ones, then close every connection.  Idempotent;
-    returns immediately — {!wait} observes completion. *)
+(** Begin graceful shutdown on the loop: refuse the queued jobs with
+    typed replies, drain the running ones (up to 60 s), let the clients
+    take their replies (to the same deadline), then close every
+    connection.  Thread-safe and idempotent; returns immediately —
+    {!wait} observes completion. *)
 
 val wait : ?timeout:float -> t -> unit
 (** Block until the daemon has fully shut down (someone sent the wire

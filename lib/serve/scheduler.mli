@@ -1,58 +1,45 @@
-(** The daemon's session/job scheduler: a bounded FIFO feeding a fixed
-    worker pool, with typed admission control.
+(** The host daemon's job scheduler: a bounded FIFO with typed
+    admission control, driven from H's reactor loop.
 
-    At most [max_active] jobs run concurrently (the daemon starts that
-    many worker threads, each looping {!take} / {!finish}); up to
-    [max_queue] more wait in FIFO order; past that, {!submit} refuses
-    with {!admission.Busy} — which the daemon turns into the protocol's
-    typed [Busy] reply, the backpressure signal clients act on.  The
-    module is deliberately free of I/O so admission behaviour is
-    unit-testable without a daemon. *)
+    At most [max_active] jobs hold an active slot at once ({!take_opt}
+    claims one, {!finish} releases it); up to [max_queue] more wait in
+    FIFO order; past that, {!submit} refuses with {!admission.Busy} —
+    which the daemon turns into the protocol's typed [Busy] reply, the
+    backpressure signal clients act on.  Every operation belongs to the
+    loop thread; the scrape gauges read {!depth}, {!active} and
+    {!stats} from another thread and may see them lag.  The module is
+    deliberately free of I/O so admission behaviour is unit-testable
+    without a daemon. *)
 
 type 'a t
 
 type admission = Accepted | Busy of { queued : int; max_queue : int }
 
-val create : ?max_queue:int -> max_active:int -> unit -> 'a t
-(** [max_queue] defaults to 64.  [Invalid_argument] if either bound is
-    below 1. *)
+val create : max_queue:int -> max_active:int -> 'a t
+(** [Invalid_argument] if either bound is below 1. *)
 
 val submit : 'a t -> 'a -> admission
 (** Enqueue, or refuse when the queue is full or the scheduler has
     stopped (both count toward the [rejected] statistic). *)
 
-val take : 'a t -> 'a option
-(** Block until a job is available ([Some], claiming an active slot the
-    caller must release with {!finish}) or the scheduler stops
-    ([None]). *)
-
 val take_opt : 'a t -> 'a option
-(** Non-blocking claim: a job only when one is queued {e and} an
-    active slot is free; [None] otherwise (including when stopped).
-    The reactor host's pump loop calls this until it returns [None],
-    so [max_active] bounds the jobs in flight without a worker pool to
-    embody the bound.  A [Some] claims an active slot exactly like
-    {!take}. *)
+(** A job only when one is queued {e and} an active slot is free,
+    claiming that slot until the matching {!finish}; [None] otherwise
+    (including when stopped).  The host's pump calls this until it
+    returns [None], so [max_active] bounds the jobs in flight. *)
 
 val finish : 'a t -> unit
-(** Release the active slot claimed by the matching {!take} or
-    {!take_opt}. *)
+(** Release the active slot claimed by the matching {!take_opt}. *)
 
 val stop : 'a t -> 'a list
-(** Stop admitting, wake every blocked {!take} with [None], and return
-    the still-queued jobs so each can be refused with a typed reply. *)
-
-val drain : 'a t -> deadline:float -> bool
-(** Wait until every active job has finished; [false] on deadline. *)
+(** Stop admitting and claiming, and return the still-queued jobs so
+    each can be refused with a typed reply. *)
 
 val depth : 'a t -> int
 (** Jobs currently queued (the [queue_depth] gauge). *)
 
 val active : 'a t -> int
-(** Jobs currently running (the [active_jobs] gauge). *)
-
-val max_active : 'a t -> int
-val max_queue : 'a t -> int
+(** Jobs currently holding a slot (part of the [active_jobs] gauge). *)
 
 type stats = { submitted : int; rejected : int; completed : int }
 

@@ -143,7 +143,7 @@ let test_schedule_rejects_malformed () =
    refused when read, with a message naming the field, instead of an
    exception from deep inside the generators. *)
 let rejects_field field ~golden:was ~value () =
-  let entry v = Printf.sprintf "%S: %d" field v in
+  let entry v = Printf.sprintf "%S: %s" field v in
   let named = Printf.sprintf "field %S" field in
   match Schedule.of_string (tamper ~sub:(entry was) ~by:(entry value) golden) with
   | exception Failure msg ->
@@ -152,7 +152,7 @@ let rejects_field field ~golden:was ~value () =
       i + n <= String.length msg && (String.sub msg i n = named || mentions (i + 1))
     in
     if not (mentions 0) then Alcotest.failf "%s: message %S does not name it" field msg
-  | _ -> Alcotest.failf "%s = %d accepted" field value
+  | _ -> Alcotest.failf "%s = %s accepted" field value
 
 let qcheck_reader_tests =
   [
@@ -358,15 +358,27 @@ let () =
           Alcotest.test_case "compiles events to a fault policy" `Quick
             test_fault_policy_compiles;
           Alcotest.test_case "refuses shards < 1" `Quick
-            (rejects_field "shards" ~golden:3 ~value:0);
+            (rejects_field "shards" ~golden:"3" ~value:"0");
           Alcotest.test_case "refuses providers < 2" `Quick
-            (rejects_field "providers" ~golden:3 ~value:1);
+            (rejects_field "providers" ~golden:"3" ~value:"1");
           Alcotest.test_case "refuses users < 2" `Quick
-            (rejects_field "users" ~golden:18 ~value:0);
+            (rejects_field "users" ~golden:"18" ~value:"0");
           Alcotest.test_case "refuses edges past n(n-1)" `Quick
-            (rejects_field "edges" ~golden:50 ~value:(18 * 17 + 1));
+            (rejects_field "edges" ~golden:"50" ~value:(string_of_int ((18 * 17) + 1)));
           Alcotest.test_case "refuses actions < 1" `Quick
-            (rejects_field "actions" ~golden:8 ~value:0);
+            (rejects_field "actions" ~golden:"8" ~value:"0");
+          Alcotest.test_case "refuses skew factor <= 0 or not finite" `Quick (fun () ->
+              List.iter
+                (fun value -> rejects_field "factor" ~golden:"1.25" ~value ())
+                [ "0"; "-1"; "1e999" ]);
+          Alcotest.test_case "refuses delay seconds < 0" `Quick
+            (rejects_field "seconds" ~golden:"0.0625" ~value:"-0.5");
+          Alcotest.test_case "refuses nth < 0" `Quick
+            (rejects_field "nth" ~golden:"1" ~value:"-1");
+          Alcotest.test_case "refuses from_nth < 0" `Quick
+            (rejects_field "from_nth" ~golden:"2" ~value:"-1");
+          Alcotest.test_case "refuses workers < 1" `Quick
+            (rejects_field "workers" ~golden:"2" ~value:"0");
         ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1907 |]))

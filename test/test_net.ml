@@ -371,6 +371,21 @@ let test_reactor_cancel_releases_closures () =
   Alcotest.(check int) "no timer pending" 0 (Reactor.pending_timers r);
   Reactor.destroy r
 
+(* A spawned loop outlives a task that raises: work queued behind it
+   still runs, and once [until] holds the loop ends and destroys the
+   reactor, so a late post is dropped. *)
+let test_reactor_spawn_survives_raising_task () =
+  let r = Reactor.create () in
+  let ran = Atomic.make false in
+  let loop = Reactor.spawn r ~until:(fun () -> Atomic.get ran) in
+  Reactor.post r (fun () ->
+      Reactor.post r (fun () -> Atomic.set ran true);
+      failwith "a failing task");
+  Thread.join loop;
+  Alcotest.(check bool) "the task queued behind the failure ran" true (Atomic.get ran);
+  Reactor.post r ignore;
+  Alcotest.(check int) "a post after the loop ended is dropped" 0 (Reactor.ready_depth r)
+
 (* --- transports ------------------------------------------------------------- *)
 
 (* The reactor connection: every frame queued in one loop turn leaves
@@ -1212,6 +1227,8 @@ let () =
         [
           Alcotest.test_case "cancel releases timer closures" `Quick
             test_reactor_cancel_releases_closures;
+          Alcotest.test_case "spawned loop survives a raising task" `Quick
+            test_reactor_spawn_survives_raising_task;
         ] );
       ( "transport",
         [

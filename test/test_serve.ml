@@ -99,6 +99,29 @@ let test_addr_roster () =
       "H=127.0.0.1:9000,P1=nonsense";  (* bad address *)
     ]
 
+
+(* A temp roster's directory goes away with every socket left in it
+   (here a listener nobody unlinked), whether its function returns or
+   raises. *)
+let test_temp_roster_removed ~raises () =
+  let path = function
+    | Transport.Socket.Unix_domain p -> p
+    | Transport.Socket.Tcp _ -> Alcotest.fail "a temp roster is unix-domain"
+  in
+  let dir = ref "" in
+  let body roster =
+    dir := Filename.dirname (path roster.(1));
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.bind fd (Addr.sockaddr roster.(1));
+    Unix.close fd;
+    checkb "socket left in the directory" true (Sys.file_exists (path roster.(1)));
+    if raises then raise Exit
+  in
+  (match Addr.with_temp_roster ~parties:3 body with
+  | () -> checkb "returned" false raises
+  | exception Exit -> checkb "raised through" true raises);
+  checkb "directory removed" false (Sys.file_exists !dir)
+
 (* --- the spe-serve/2 codec -------------------------------------------------- *)
 
 let sample_spec =
@@ -314,24 +337,25 @@ let qcheck_decoder_tests =
 (* --- scheduler admission ---------------------------------------------------- *)
 
 let test_scheduler_admission () =
-  let s = Scheduler.create ~max_queue:2 ~max_active:1 () in
+  let s = Scheduler.create ~max_queue:2 ~max_active:1 in
   checkb "1st accepted" true (Scheduler.submit s 1 = Scheduler.Accepted);
   checkb "2nd accepted" true (Scheduler.submit s 2 = Scheduler.Accepted);
   (match Scheduler.submit s 3 with
   | Scheduler.Busy { queued = 2; max_queue = 2 } -> ()
   | _ -> Alcotest.fail "3rd submit should be Busy {queued=2}");
   check Alcotest.int "depth" 2 (Scheduler.depth s);
-  (* A worker claims one; a queue slot frees up. *)
-  (match Scheduler.take s with
+  (* The pump claims one; a queue slot frees up. *)
+  (match Scheduler.take_opt s with
   | Some 1 -> ()
-  | _ -> Alcotest.fail "take should yield the first job");
+  | _ -> Alcotest.fail "take_opt should yield the first job");
   check Alcotest.int "active" 1 (Scheduler.active s);
+  checkb "no claim while the one slot is taken" true (Scheduler.take_opt s = None);
   checkb "refill accepted" true (Scheduler.submit s 4 = Scheduler.Accepted);
   Scheduler.finish s;
   check Alcotest.int "active after finish" 0 (Scheduler.active s);
   let drained = Scheduler.stop s in
   checkb "stop returns the queue in order" true (drained = [ 2; 4 ]);
-  checkb "take after stop" true (Scheduler.take s = None);
+  checkb "take_opt after stop" true (Scheduler.take_opt s = None);
   (match Scheduler.submit s 5 with
   | Scheduler.Busy _ -> ()
   | _ -> Alcotest.fail "submit after stop should be Busy");
@@ -753,7 +777,7 @@ let failure_workload = { Schedule.wseed = 11; users = 12; edges = 30; actions = 
 let with_mute_p2 ?(dial_timeout = 15.) ~reach_p1 f =
   let graph, logs = Harness.workload_inputs failure_workload in
   let workload = { Job.graph; logs } in
-  let roster = Transport.Socket.temp_unix_addresses ~m:3 in
+  Addr.with_temp_roster ~parties:3 @@ fun roster ->
   let daemons =
     Array.init 2 (fun party ->
         Daemon.start { (Daemon.default_config ~party ~roster) with Daemon.dial_timeout } workload)
@@ -918,6 +942,130 @@ let test_hostile_length_prefix () =
           fresh_client_job ~seconds:15. roster ~graph ~logs;
           expect_closed_by_daemon hostile))
 
+(* A client that submits and never reads cannot stall H: 30 links jobs
+   whose replies (about 9.6 KB each) overflow the client's socket, and
+   H still answers a second client's job while its loop keeps turning. *)
+let test_unread_client_does_not_stall () =
+  let workload = { Schedule.wseed = 97; users = 60; edges = 600; actions = 8; providers = 2 } in
+  with_deployment ~workload (fun _client daemons roster ~graph ~logs ->
+      let pseed = workload.Schedule.wseed + 1 in
+      let spec = links_spec ~pseed ~shards:2 in
+      let unread = Client.connect roster.(0) in
+      Fun.protect
+        ~finally:(fun () -> Client.close unread)
+        (fun () ->
+          for _ = 1 to 30 do
+            ignore (Client.submit unread spec)
+          done;
+          let settle = Unix.gettimeofday () +. 20. in
+          while gauge daemons 0 "jobs_completed" < 30 && Unix.gettimeofday () < settle do
+            Thread.delay 0.01
+          done;
+          check Alcotest.int "H ran all 30 jobs of the unread client" 30
+            (gauge daemons 0 "jobs_completed");
+          let iterations = gauge daemons 0 "reactor_iterations" in
+          let second = Client.connect roster.(0) in
+          Fun.protect
+            ~finally:(fun () -> Client.close second)
+            (fun () ->
+              match Client.run_jobs second [ spec ] ~deadline:(Unix.gettimeofday () +. 20.) with
+              | [ Client.Result reply ] ->
+                checkb "second client's job bit-identical" true
+                  (reply = Proto.Strengths (links_oracle ~pseed ~graph ~logs))
+              | _ -> Alcotest.fail "second client's job did not complete"
+              | exception Client.Connection_lost msg -> Alcotest.fail ("second client: " ^ msg));
+          checkb "H's loop kept turning" true (gauge daemons 0 "reactor_iterations" > iterations)))
+
+(* A provider whose workload differs from H's fails its start at once,
+   naming the mismatch: H answers its Hello before closing, so the dial
+   does not retry out its 5 s timeout as if H were unreachable. *)
+let test_workload_mismatch_fails_fast () =
+  let graph, logs = Harness.workload_inputs failure_workload in
+  let other_graph, other_logs =
+    Harness.workload_inputs { failure_workload with Schedule.wseed = 12 }
+  in
+  Addr.with_temp_roster ~parties:3 @@ fun roster ->
+  let config party = { (Daemon.default_config ~party ~roster) with Daemon.dial_timeout = 5. } in
+  let h = Daemon.start (config 0) { Job.graph; logs } in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop h;
+      Daemon.wait ~timeout:30. h)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      match Daemon.start (config 1) { Job.graph = other_graph; logs = other_logs } with
+      | p1 ->
+        Daemon.stop p1;
+        Daemon.wait ~timeout:30. p1;
+        Alcotest.fail "P1 started against H's other workload"
+      | exception Failure msg ->
+        let took = Unix.gettimeofday () -. t0 in
+        let want = "workload mismatch with H" in
+        checkb
+          (Printf.sprintf "%S names the mismatch" msg)
+          true
+          (String.length msg >= String.length want
+          && String.sub msg 0 (String.length want) = want);
+        checkb (Printf.sprintf "fails at once (%.2f s)" took) true (took < 2.))
+
+(* Connections are descriptors on H's loop, not threads: 8 clients and
+   8 connections that never send a Hello leave the thread count as it
+   was. *)
+let test_connections_cost_no_threads () =
+  let tasks = "/proc/self/task" in
+  if not (Sys.file_exists tasks) then Alcotest.skip ();
+  with_deployment (fun _client daemons roster ~graph:_ ~logs:_ ->
+      let threads () = Array.length (Sys.readdir tasks) in
+      let before = threads () and accepted = gauge daemons 0 "clients_accepted" in
+      let silent = List.init 8 (fun _ -> raw_connect roster.(0)) in
+      let clients = List.init 8 (fun _ -> Client.connect roster.(0)) in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter Client.close clients;
+          List.iter Unix.close silent)
+        (fun () ->
+          (* H takes its backlog in order: with the clients in, so are
+             the silent connections ahead of them. *)
+          check Alcotest.int "H accepted the 8 clients" (accepted + 8)
+            (gauge daemons 0 "clients_accepted");
+          check Alcotest.int "no thread gained" before (threads ())))
+
+(* Shutdown drains before it hangs up: with one active slot and 8 jobs
+   admitted, a shutdown requested from a second connection answers
+   every job exactly once (its result, or a typed Rejected for a job
+   still queued) before the submitting client sees EOF. *)
+let test_shutdown_answers_every_job () =
+  with_deployment ~max_sessions:1 (fun client daemons roster ~graph ~logs ->
+      let pseed = links_workload.Schedule.wseed + 1 in
+      let expected = Proto.Strengths (links_oracle ~pseed ~graph ~logs) in
+      let jobs = List.init 8 (fun _ -> Client.submit client (links_spec ~pseed ~shards:2)) in
+      let admitted = Unix.gettimeofday () +. 10. in
+      while gauge daemons 0 "jobs_submitted" < 8 && Unix.gettimeofday () < admitted do
+        Thread.delay 0.005
+      done;
+      check Alcotest.int "all 8 admitted" 8 (gauge daemons 0 "jobs_submitted");
+      checkb "H confirmed the shutdown" true (Client.shutdown_daemon roster.(0));
+      let replies = Hashtbl.create 8 in
+      let rec collect () =
+        match Client.next_reply client ~deadline:(Unix.gettimeofday () +. 10.) with
+        | exception Client.Connection_lost _ -> ()
+        | None -> Alcotest.fail "the client saw no EOF after the shutdown"
+        | Some (job, outcome) ->
+          Hashtbl.add replies job outcome;
+          collect ()
+      in
+      collect ();
+      List.iter
+        (fun job ->
+          match Hashtbl.find_all replies job with
+          | [ Client.Result (Proto.Failed { kind = Proto.Rejected; _ }) ] -> ()
+          | [ Client.Result reply ] ->
+            checkb (Printf.sprintf "job %d bit-identical" job) true (reply = expected)
+          | [] -> Alcotest.failf "job %d: no reply before EOF" job
+          | [ Client.Busy _ ] -> Alcotest.failf "job %d: Busy after admission" job
+          | _ -> Alcotest.failf "job %d answered more than once" job)
+        jobs)
+
 (* Whole-party chaos: SIGKILL one provider daemon mid-burst; every
    client reply stays typed, survivors match the oracle, the host keeps
    serving, and every forked daemon is reaped. *)
@@ -935,6 +1083,10 @@ let () =
           Alcotest.test_case "parses tcp and unix addresses" `Quick test_addr_parse;
           Alcotest.test_case "parses party names" `Quick test_addr_party;
           Alcotest.test_case "parses rosters" `Quick test_addr_roster;
+          Alcotest.test_case "temp roster removed on return" `Quick
+            (test_temp_roster_removed ~raises:false);
+          Alcotest.test_case "temp roster removed on raise" `Quick
+            (test_temp_roster_removed ~raises:true);
         ] );
       ( "protocol",
         [
@@ -964,6 +1116,10 @@ let () =
           Alcotest.test_case "metrics scrape" `Slow test_daemon_scrape;
           Alcotest.test_case "packed scores job" `Slow test_daemon_scores_pack_slots;
           Alcotest.test_case "stream job bit-identical" `Slow test_daemon_stream_job;
+          Alcotest.test_case "open connections cost no threads" `Slow
+            test_connections_cost_no_threads;
+          Alcotest.test_case "shutdown answers every job before EOF" `Slow
+            test_shutdown_answers_every_job;
         ] );
       ( "failure",
         [
@@ -975,6 +1131,10 @@ let () =
             test_silent_connection;
           Alcotest.test_case "hostile length prefix is bounded" `Slow
             test_hostile_length_prefix;
+          Alcotest.test_case "an unread client does not stall H" `Slow
+            test_unread_client_does_not_stall;
+          Alcotest.test_case "workload mismatch fails start at once" `Slow
+            test_workload_mismatch_fails_fast;
         ] );
       ( "chaos",
         [

@@ -115,8 +115,8 @@ let with_deployment ?(workload = links_workload) ?(max_sessions = 4) ?(max_queue
     ?(dial_timeout = 15.) ?metrics_addr ?(trace_all = false) f =
   let graph, logs = Harness.workload_inputs workload in
   let m = Array.length logs in
-  let roster = Transport.Socket.temp_unix_addresses ~m:(m + 1) in
-  let maddrs = if trace_all then Some (Transport.Socket.temp_unix_addresses ~m:(m + 1)) else None in
+  Spe_serve.Addr.with_temp_roster ~parties:(m + 1) @@ fun roster ->
+  Spe_serve.Addr.with_temp_roster ~parties:(m + 1) @@ fun maddrs ->
   let daemons =
     Array.init (m + 1) (fun party ->
         Daemon.start
@@ -125,9 +125,9 @@ let with_deployment ?(workload = links_workload) ?(max_sessions = 4) ?(max_queue
             Daemon.max_sessions;
             max_queue;
             metrics_addr =
-              (match maddrs with
-              | Some a -> Some a.(party)
-              | None -> if party = 0 then metrics_addr else None);
+              (if trace_all then Some maddrs.(party)
+               else if party = 0 then metrics_addr
+               else None);
             round_timeout = 60.;
             linger = 61.;
             dial_timeout;
