@@ -1687,7 +1687,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run one party as a long-lived daemon (spe-serve/3): connections to the peer \
+         "Run one party as a long-lived daemon (spe-serve/4): connections to the peer \
           daemons are established once and reused across every submitted pipeline job; \
           the host daemon owns admission control.  Submit work with spe \
           links|scores|rank|stream --connect.")

@@ -124,63 +124,103 @@ let pairs t = t.pairs
 
 let releases t = List.rev t.releases
 
-(* One group's recomputation: a fresh Protocol 2 share of the group's
-   counters — the user's a_i plus every pair sourced at i, so the
-   multiplicative mask r_i keeps cancelling in the release quotients —
-   then the Protocol 3 mask rounds, writing the masked shares into the
-   host caches at the group's indices.  All randomness comes from the
-   (group, version)-keyed generator, nothing from a shared stream, so
-   groups recompute independently and replays are exact. *)
-let group_session t ~group:g ~flat_inputs =
+(* One session for all of an epoch's recomputed groups.  The unit of
+   recomputation stays the counter group — the user's a_i plus every
+   pair sourced at i, so the multiplicative mask r_i keeps cancelling in
+   the release quotients — and each group still draws its Protocol 1/2
+   batch and then its Protocol 3 mask from its own (group,
+   version)-keyed generator, nothing from a shared stream, so replays
+   are exact.  The drawn batches are joined block-diagonally: one
+   verdict-less core and one verdict run over the joined batch, and the
+   third party sees each group's block under that group's own
+   permutation.  The mask rounds then carry every group's masked shares
+   in one vector per player, written into the host caches at the
+   groups' indices. *)
+let groups_session t ~groups ~flat_inputs =
   let config = t.config in
   let h = config.Protocol4.h in
   let w = width config in
-  let ks = t.sourced.(g) in
-  let q_g = Array.length ks in
-  let len = 1 + (q_g * w) in
   let n = Array.length t.ma1 in
+  let modulus = config.Protocol4.modulus in
   let parties = Array.init t.m (fun k -> Wire.Provider k) in
   let third_party = if t.m > 2 then Wire.Provider 2 else Wire.Host in
   let p0 = parties.(0) and p1 = parties.(1) in
-  let st_g =
-    State.create ~seed:(mix ~seed:t.group_seed ~group:g ~version:t.versions.(g)) ()
+  (* Group [groups.(b)]'s block starts at [offsets.(b)] in the joined
+     batch (its a_i, then [w] counters per sourced pair), and its floats
+     at [slots.(b)] in a player's masked vector (its masked a_i, then
+     one masked numerator per sourced pair). *)
+  let nb = Array.length groups in
+  let offsets = Array.make (nb + 1) 0 and slots = Array.make (nb + 1) 0 in
+  Array.iteri
+    (fun b g ->
+      let q_g = Array.length t.sourced.(g) in
+      offsets.(b + 1) <- offsets.(b) + 1 + (q_g * w);
+      slots.(b + 1) <- slots.(b) + 1 + q_g)
+    groups;
+  let total = offsets.(nb) in
+  let drawn =
+    Array.map
+      (fun g ->
+        let st_g =
+          State.create ~seed:(mix ~seed:t.group_seed ~group:g ~version:t.versions.(g)) ()
+        in
+        let r =
+          Protocol2_distributed.draw st_g ~m:t.m ~modulus ~input_bound:t.num_actions
+            ~length:(1 + (Array.length t.sourced.(g) * w))
+        in
+        (r, Dist.mask_pair st_g))
+      groups
   in
+  let joined = Protocol2_distributed.concat (Array.to_list (Array.map fst drawn)) in
   let inputs =
     Array.map
       (fun flat () ->
-        Array.init len (fun i ->
-            if i = 0 then flat.(g)
-            else
-              let j = (i - 1) / w and l = (i - 1) mod w in
-              flat.(n + (ks.(j) * w) + l)))
+        let v = Array.make total 0 in
+        Array.iteri
+          (fun b g ->
+            v.(offsets.(b)) <- flat.(g);
+            Array.iteri
+              (fun j k -> Array.blit flat (n + (k * w)) v (offsets.(b) + 1 + (j * w)) w)
+              t.sourced.(g))
+          groups;
+        v)
       flat_inputs
   in
-  let share_session, handle =
-    Protocol2_distributed.make_lazy st_g ~parties ~third_party
-      ~modulus:config.Protocol4.modulus ~input_bound:t.num_actions ~length:len ~inputs
+  let core =
+    Protocol2_distributed.make_core ~parties ~third_party
+      ~slice:(Protocol2_distributed.slice joined ~start:0 ~len:total)
+      ~inputs
   in
-  let mask = Dist.mask_pair st_g in
-  let numerator_share sh j =
+  let verdict =
+    Protocol2_distributed.make_verdict ~p1 ~third_party ~modulus ~input_bound:t.num_actions
+      ~y_of:core.Protocol2_distributed.y ~apply:core.Protocol2_distributed.apply_wraps
+  in
+  let numerator_share sh i =
     match config.Protocol4.estimator with
-    | Protocol4.Eq1 -> float_of_int sh.(1 + j)
+    | Protocol4.Eq1 -> float_of_int sh.(i)
     | Protocol4.Eq2 wts ->
       let wts = (wts :> float array) in
       let acc = ref 0. in
       for l = 0 to h - 1 do
-        acc := !acc +. (wts.(l) *. float_of_int sh.(1 + (j * h) + l))
+        acc := !acc +. (wts.(l) *. float_of_int sh.(i + l))
       done;
       !acc
   in
   let player me other share_of ~round ~inbox:_ =
     match round with
-    | 1 | 2 -> [ { Runtime.src = me; dst = other; payload = Runtime.Floats [| 0. |] } ]
+    | 1 | 2 ->
+      [ { Runtime.src = me; dst = other; payload = Runtime.Floats (Array.make nb 0.) } ]
     | 3 ->
       let sh = share_of () in
-      let masked =
-        Array.init (1 + q_g) (fun i ->
-            if i = 0 then mask *. float_of_int sh.(0)
-            else mask *. numerator_share sh (i - 1))
-      in
+      let masked = Array.make slots.(nb) 0. in
+      Array.iteri
+        (fun b g ->
+          let mask = snd drawn.(b) and off = offsets.(b) and pos = slots.(b) in
+          masked.(pos) <- mask *. float_of_int sh.(off);
+          Array.iteri
+            (fun j _ -> masked.(pos + 1 + j) <- mask *. numerator_share sh (off + 1 + (j * w)))
+            t.sourced.(g))
+        groups;
       [ { Runtime.src = me; dst = Wire.Host; payload = Runtime.Floats masked } ]
     | _ -> []
   in
@@ -188,10 +228,13 @@ let group_session t ~group:g ~flat_inputs =
     List.iter
       (fun msg ->
         match msg.Runtime.payload with
-        | Runtime.Floats v when Array.length v = 1 + q_g ->
+        | Runtime.Floats v when Array.length v = slots.(nb) ->
           let write ma mn =
-            ma.(g) <- v.(0);
-            Array.iteri (fun j k -> mn.(k) <- v.(1 + j)) ks
+            Array.iteri
+              (fun b g ->
+                ma.(g) <- v.(slots.(b));
+                Array.iteri (fun j k -> mn.(k) <- v.(slots.(b) + 1 + j)) t.sourced.(g))
+              groups
           in
           if msg.Runtime.src = p0 then write t.ma1 t.mn1
           else if msg.Runtime.src = p1 then write t.ma2 t.mn2
@@ -205,8 +248,8 @@ let group_session t ~group:g ~flat_inputs =
          ~parties:[| p0; p1; Wire.Host |]
          ~programs:
            [|
-             player p0 p1 handle.Protocol2_distributed.share1;
-             player p1 p0 handle.Protocol2_distributed.share2;
+             player p0 p1 core.Protocol2_distributed.share1;
+             player p1 p0 core.Protocol2_distributed.share2;
              host_program;
            |]
          ~rounds:3
@@ -215,7 +258,8 @@ let group_session t ~group:g ~flat_inputs =
   Session.map
     (fun _ -> ())
     (Session.seq
-       (Session.with_label "p2-group" (Session.map ignore share_session))
+       (Session.with_label "p2-group"
+          (Session.seq core.Protocol2_distributed.session verdict.Protocol2_distributed.session))
        mask_session)
 
 (* The per-epoch release: the host folds the caches into the quotient
@@ -299,11 +343,6 @@ let epoch_stages t ~mode ei =
     Array.map (fun input -> Protocol4.flatten_input t.config.Protocol4.estimator input) ei.inputs
   in
   let groups = recompute_groups t ~mode ei in
-  let sessions =
-    Array.map
-      (fun g -> Session.with_epoch ei.epoch (group_session t ~group:g ~flat_inputs))
-      groups
-  in
   let publish_stages =
     if ei.epoch = 0 then begin
       let n = Array.length t.ma1 in
@@ -318,8 +357,11 @@ let epoch_stages t ~mode ei =
     else []
   in
   let group_stages =
-    if Array.length sessions = 0 then []
-    else [ Plan.stage ~epoch:ei.epoch ~label:"delta-groups" sessions ]
+    if Array.length groups = 0 then []
+    else
+      [ Plan.stage ~epoch:ei.epoch ~label:"delta-groups"
+          [| Session.with_epoch ei.epoch (groups_session t ~groups ~flat_inputs) |];
+      ]
   in
   publish_stages @ group_stages
   @ [
@@ -329,11 +371,3 @@ let epoch_stages t ~mode ei =
             (release_session t ~epoch:ei.epoch ~recomputed:(Array.length groups));
         |];
     ]
-
-let epoch_plan t ~mode ei =
-  let epoch = ei.epoch in
-  let stages = epoch_stages t ~mode ei in
-  Plan.make ~shards:1 ~stages ~result:(fun () ->
-      match t.releases with
-      | r :: _ when r.epoch = epoch -> r
-      | _ -> failwith "Delta.epoch_plan: release was not produced")

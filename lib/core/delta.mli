@@ -34,6 +34,17 @@
     never-touched all-zero groups, is the whole bit-identity argument;
     the test suite pins it per epoch via the release {!release.digest}.
 
+    {2 One session per epoch}
+
+    An epoch's recomputed groups run as one session of the same rounds
+    a single group would take: the groups' separately drawn Protocol 2
+    batches are joined block-diagonally
+    ({!Spe_mpc.Protocol2_distributed.concat}), one verdict-less core and
+    one verdict cover the joined batch, and one 3-round mask phase
+    carries every group's masked shares.  Batching changes no draw and
+    no released bit; the third party still sees each group's block
+    under that group's own permutation.
+
     This per-group keying is a different randomness architecture from
     the batch pipeline ([Shard]), so delta releases are {e not}
     bit-comparable to [Shard.links_exclusive] — the invariant is
@@ -64,9 +75,12 @@ type epoch_input = {
   dirty_users : int list;  (** From {!Spe_influence.Stream.dirty_users}. *)
   dirty_pairs : int list;  (** From {!Spe_influence.Stream.dirty_pairs}. *)
   inputs : Protocol4.provider_input array;
-      (** Per provider, the full windowed counter snapshot against
-          {!pairs} — evaluated eagerly, so epochs can be planned ahead
-          while the accumulators keep moving. *)
+      (** Per provider, the full windowed counters against {!pairs}.
+          {!epoch_stages} reads them during the call only and copies
+          what it needs, so a caller may pass an accumulator's live
+          arrays ({!Spe_influence.Stream.activity},
+          {!Spe_influence.Stream.lag_counters}) and keep ingesting while
+          the epoch's stages wait to run. *)
 }
 
 type t
@@ -88,19 +102,17 @@ val pairs : t -> (int * int) array
 (** The published pair order every dirty index refers to. *)
 
 val epoch_stages : t -> mode:mode -> epoch_input -> Plan.stage list
-(** Plan one epoch: a publish stage (epoch 0 only), one concurrent
-    stage of per-group recomputation sessions (absent when nothing is
-    dirty in Delta mode), and the release stage.  Stages carry the
-    epoch in {!Plan.stage.epoch} and phase labels are prefixed
-    [e<epoch>/].  Mutates the instance (versions, epoch cursor), so
-    feed each epoch exactly once, in order; the returned stages must
-    be executed before the next epoch's stages are {e run} (building
-    ahead is fine — inputs are snapshots).  Raises [Invalid_argument]
-    on a non-consecutive epoch or malformed inputs. *)
-
-val epoch_plan : t -> mode:mode -> epoch_input -> release Plan.t
-(** {!epoch_stages} wrapped as a single-epoch plan whose result is the
-    epoch's {!release} — what [spe stream] drives per epoch. *)
+(** Plan one epoch: a publish stage (epoch 0 only), a
+    ["delta-groups"] stage holding one session that recomputes every
+    group of the epoch (absent when nothing is dirty in Delta mode),
+    and the release stage.  Stages carry the epoch in
+    {!Plan.stage.epoch} and phase labels are prefixed [e<epoch>/].
+    Mutates the instance (versions, epoch cursor), so feed each epoch
+    exactly once, in order; the returned stages must be executed
+    before the next epoch's stages are {e run} (building ahead is fine
+    — the inputs are not read after the call returns).  Raises
+    [Invalid_argument] on a non-consecutive epoch or malformed
+    inputs. *)
 
 val releases : t -> release list
 (** Every release produced so far, ascending by epoch. *)

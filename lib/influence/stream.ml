@@ -192,3 +192,7 @@ let snapshot t =
     h = t.h;
     pairs = t.pairs;
   }
+
+let activity t = t.a
+
+let lag_counters t = t.c

@@ -97,3 +97,12 @@ val snapshot : t -> Counters.t
     ingesting).  Equal to [Counters.compute] over the same records
     restricted to the window — asserted by the test suite on random
     out-of-order streams. *)
+
+val activity : t -> int array
+(** The live activity counters [a], by user: the accumulator's own
+    array, not a copy.  Read it, never write it; the next {!add} or
+    {!advance} changes it.  Equal to [(snapshot t).a] when read. *)
+
+val lag_counters : t -> int array array
+(** The live per-pair lag counters [c], with the same contract as
+    {!activity}.  Equal to [(snapshot t).c] when read. *)

@@ -38,6 +38,33 @@ let draw st ~m ~modulus ~input_bound ~length =
   let perm = Perm.random st len in
   { modulus; input_bound; rpieces; masks; perm }
 
+let concat = function
+  | [] -> invalid_arg "Protocol2_distributed.concat: need at least one batch"
+  | first :: _ as batches ->
+    let m = Array.length first.rpieces in
+    List.iter
+      (fun r ->
+        if
+          r.modulus <> first.modulus || r.input_bound <> first.input_bound
+          || Array.length r.rpieces <> m
+        then invalid_arg "Protocol2_distributed.concat: batches drawn for different parameters")
+      batches;
+    let rpieces =
+      Array.init m (fun k ->
+          Array.init m (fun j -> Array.concat (List.map (fun r -> r.rpieces.(k).(j)) batches)))
+    in
+    let masks = Array.concat (List.map (fun r -> r.masks) batches) in
+    (* Block-diagonal: batch b's counters keep their own permutation,
+       shifted to the block that starts at b's offset. *)
+    let perm = Array.make (Array.length masks) 0 in
+    ignore
+      (List.fold_left
+         (fun off r ->
+           Array.iteri (fun i p -> perm.(off + i) <- off + p) (r.perm :> int array);
+           off + Array.length r.masks)
+         0 batches);
+    { first with rpieces; masks; perm = Perm.of_array perm }
+
 type slice = {
   randomness : randomness;
   start : int;

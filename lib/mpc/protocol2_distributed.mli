@@ -62,6 +62,17 @@ val draw :
     permutation.  Raises [Invalid_argument] unless [m >= 2] and
     [0 <= input_bound < modulus]. *)
 
+val concat : randomness list -> randomness
+(** Join separately drawn batches block-diagonally, in list order: the
+    pieces and masks are concatenated, and batch [b]'s permutation is
+    shifted by its offset, so the joined permutation maps every block
+    onto itself.  A core and verdict over the joined batch give each
+    block exactly the shares, y and leak views of its own
+    {!make_lazy} run; the third party sees each block under that
+    block's own permutation.  Raises [Invalid_argument] on an empty
+    list, or on batches drawn for different moduli, input bounds or
+    party counts. *)
+
 type slice = {
   randomness : randomness;
       (** The slice's own copies of pieces and masks, with the {e

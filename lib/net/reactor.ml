@@ -247,15 +247,45 @@ let take_snapshot t =
   Mutex.unlock t.lock;
   batch
 
+(* Put the unrun tail of a ready snapshot back at the head of the
+   queue, ahead of anything posted while the snapshot ran. *)
+let requeue_tasks t tasks =
+  Mutex.lock t.lock;
+  let later = Queue.create () in
+  Queue.transfer t.ready later;
+  List.iter (fun task -> Queue.push task t.ready) tasks;
+  Queue.transfer later t.ready;
+  Mutex.unlock t.lock
+
+(* Run [f] over [items] in order.  If one raises, the items after it
+   go back through [requeue], in order, before the exception leaves:
+   a failing task must not take its siblings with it. *)
+let run_each f items ~requeue =
+  let rec go = function
+    | [] -> ()
+    | x :: rest ->
+      (match f x with
+      | () -> ()
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        requeue rest;
+        Printexc.raise_with_backtrace e bt);
+      go rest
+  in
+  go items
+
 let run t ~until =
   while not (until ()) do
     Atomic.incr t.iterations;
-    (* 1. Due timers, in (deadline, seq) order. *)
-    List.iter (fire t) (due_timers t (Unix.gettimeofday ()));
+    (* 1. Due timers, in (deadline, seq) order.  Unfired ones go back
+       on the heap with their (deadline, seq), so they fire first on
+       the next iteration and stay counted as pending. *)
+    run_each (fire t)
+      (due_timers t (Unix.gettimeofday ()))
+      ~requeue:(List.iter (Heap.push t.timers));
     if not (until ()) then begin
       (* 2. One ready snapshot. *)
-      let batch = take_snapshot t in
-      List.iter (fun task -> task ()) batch;
+      run_each (fun task -> task ()) (take_snapshot t) ~requeue:(requeue_tasks t);
       if not (until ()) then begin
         (* 3. Park in select until a descriptor, a timer deadline or a
            cross-thread post needs us.  With work already queued the

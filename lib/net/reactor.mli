@@ -74,14 +74,17 @@ val run : t -> until:(unit -> bool) -> unit
     steps).  With nothing ready, no timer pending and no descriptor
     registered, the loop parks on its self-pipe — only an external
     {!post} can then make progress.  Callback exceptions propagate out
-    of [run]; the endpoint machines never let one escape. *)
+    of [run]; the endpoint machines never let one escape.  Before one
+    does, the tasks of its ready snapshot that had not run yet go back
+    to the head of the ready queue, and its due timers that had not
+    fired go back on the heap, both in their order: the next [run]
+    runs them first. *)
 
 val spawn : t -> until:(unit -> bool) -> Thread.t
 (** Run the loop on a thread of its own until [until ()] holds, then
     {!destroy} the reactor.  A callback exception is dropped and the
     loop re-entered, so one failing task cannot end a long-lived loop
-    (a daemon's); the tasks of its ready snapshot that had not run yet
-    are lost with it.  The returned thread is the loop thread. *)
+    (a daemon's).  The returned thread is the loop thread. *)
 
 val destroy : t -> unit
 (** Release the reactor's self-pipe.  Call once the loop has returned

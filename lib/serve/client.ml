@@ -1,4 +1,4 @@
-(* The submission side of spe-serve/2: what `spe links --connect` and
+(* The submission side of spe-serve: what `spe links --connect` and
    `spe scores --connect` run.
 
    A client talks to the host daemon only — H coordinates the provider
@@ -36,7 +36,8 @@ let rec dial ?(retry_for = 0.) (addr : Addr.t) =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise
       (Connection_lost
-         (Printf.sprintf "%s did not answer the spe-serve/2 hello" (Addr.to_string addr)))
+         (Printf.sprintf "%s did not answer the %s hello" (Addr.to_string addr)
+            Serve_proto.protocol))
   | exception Unix.Unix_error (err, _, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     if Unix.gettimeofday () < deadline then begin

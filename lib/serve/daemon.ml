@@ -4,7 +4,7 @@
    listening on its roster address.  The connection mesh is established
    once: daemon d dials every peer with a lower id and accepts the
    higher ones, each connection opening with exactly one Hello exchange
-   (spe-serve/2) that checks the protocol version and the workload
+   (Serve_proto) that checks the protocol version and the workload
    digest.  All later traffic — job control and the session-tagged
    inner protocol frames — multiplexes over those same connections, so
    the dial and the Hello are paid once per deployment, not once per
@@ -113,8 +113,9 @@ type t = {
   (* Stream-job gauges: advanced as epoch-tagged stages quiesce. *)
   epochs_released : int Atomic.t;
   epoch_sessions_run : int Atomic.t;
-      (** Per-group recomputation sessions across all released epochs —
-          the quantity the delta path keeps small. *)
+      (** Sessions of the publish and recompute stages across all
+          released epochs: per stream job, one publish session plus
+          one recompute session per epoch that dirtied a group. *)
   last_epoch : int Atomic.t;  (** Highest released epoch, -1 before any. *)
   (* Rank-job gauges: completed rank jobs and the power iterations they ran. *)
   rank_jobs_completed : int Atomic.t;

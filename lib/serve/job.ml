@@ -129,18 +129,18 @@ let links_config (spec : Serve_proto.spec) =
 
 (* The one stream ingestion: replay the seeded sources provider by
    provider into windowed accumulators over the instance's published
-   pair order, snapshot each epoch's inputs, and concatenate the
+   pair order, hand each epoch's counters to Delta, and concatenate the
    per-epoch Delta stages into one plan.  Every daemon replays the
    identical ingestion (the sources are pure functions of the spec seed
    and the shared workload), so the plan agreement invariant carries
-   over unchanged — epoch inputs are eager snapshots, which is exactly
-   what [Delta.epoch_stages] permits for building ahead of execution. *)
+   over unchanged.  The epoch inputs are the accumulators' live arrays,
+   not copies: [Delta.epoch_stages] reads them during the call only,
+   which is what lets the plan be built ahead of execution. *)
 let build_stream ~mode (spec : Serve_proto.spec) workload =
   let module State = Spe_rng.State in
   let module Log = Spe_actionlog.Log in
   let module Source = Spe_actionlog.Source in
   let module Stream = Spe_influence.Stream in
-  let module Counters = Spe_influence.Counters in
   let module Protocol4 = Spe_core.Protocol4 in
   let module Delta = Spe_core.Delta in
   let config = links_config spec in
@@ -197,9 +197,7 @@ let build_stream ~mode (spec : Serve_proto.spec) workload =
     in
     let inputs =
       Array.map
-        (fun acc ->
-          let c = Stream.snapshot acc in
-          { Protocol4.a = c.Counters.a; c = c.Counters.c })
+        (fun acc -> { Protocol4.a = Stream.activity acc; c = Stream.lag_counters acc })
         streams
     in
     Array.iter Stream.clear_dirty streams;

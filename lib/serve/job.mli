@@ -46,7 +46,7 @@ val build_stream :
 (** The one stream ingestion, for a [Stream] spec: per-provider seeded
     {!Spe_actionlog.Source}s (seed [spec.seed + 101 + k]) feed windowed
     {!Spe_influence.Stream} accumulators over the {!Spe_core.Delta}
-    instance's published pair order, and each epoch's snapshot becomes
+    instance's published pair order, and each epoch's counters become
     that epoch's [Delta] stages in [mode].  Returns the [Stream_plan]
     and the records that arrived in each epoch.  {!build} is the
     [Delta]-mode plan; a [Full]-mode plan from the same spec releases

@@ -1,4 +1,4 @@
-(* The spe-serve/2 control protocol: what flows on a daemon-mesh or
+(* The spe-serve control protocol: what flows on a daemon-mesh or
    client connection, around and between the inner Spe_net.Frame
    streams.
 
@@ -15,8 +15,8 @@
 
 module Frame = Spe_net.Frame
 
-let version = 3
-let protocol = "spe-serve/3"
+let version = 4
+let protocol = "spe-serve/4"
 
 type role = Party of int | Client
 

@@ -1,4 +1,4 @@
-(** The versioned [spe-serve/3] control protocol.
+(** The versioned [spe-serve/4] control protocol.
 
     Everything a daemon-mesh or client connection carries: the opening
     {!t.Hello} handshake, session-tagged inner endpoint frames
@@ -13,15 +13,19 @@
     inner frame. *)
 
 val version : int
-(** 3 — carried in every {!t.Hello}; a daemon refuses mismatched peers.
+(** 4 — carried in every {!t.Hello}; a daemon refuses mismatched peers.
     Bumped from 1 when the spec grew the packing and streaming fields,
     and from 2 when it grew the rank pipeline (its spec fields, the
     [Rank] code and the [Rank_summary] reply): the field list is
     fixed-layout, so old and new binaries must refuse each other
-    cleanly rather than misparse. *)
+    cleanly rather than misparse.  Bumped from 3 when a stream job's
+    plan moved to one recompute session per epoch: the wire format is
+    unchanged, but daemons agree on session ids only by building the
+    same plan, so a version-3 daemon would give a session id to a
+    different session. *)
 
 val protocol : string
-(** ["spe-serve/3"]. *)
+(** ["spe-serve/4"]. *)
 
 type role =
   | Party of int  (** A daemon introducing itself: 0 = H, [k] = P[k]. *)

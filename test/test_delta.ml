@@ -4,96 +4,54 @@
 
 module State = Spe_rng.State
 module Generate = Spe_graph.Generate
-module Digraph = Spe_graph.Digraph
-module Cascade = Spe_actionlog.Cascade
-module Partition = Spe_actionlog.Partition
-module Source = Spe_actionlog.Source
 module Log = Spe_actionlog.Log
-module Stream = Spe_influence.Stream
 module Counters = Spe_influence.Counters
 module Protocol4 = Spe_core.Protocol4
 module Delta = Spe_core.Delta
 module Plan = Spe_core.Plan
 module Session = Spe_mpc.Session
-module Wire = Spe_mpc.Wire
-module Endpoint = Spe_net.Endpoint
+module Job = Spe_serve.Job
+module Proto = Spe_serve.Serve_proto
 
-let streaming_workload = Util.workload
+let stream_spec ~seed ~epochs ~window =
+  {
+    Proto.default_spec with
+    Proto.pipeline = Proto.Stream;
+    seed;
+    epochs;
+    epoch_ticks = 25;
+    window = Option.value window ~default:0;
+    h = 2;
+    c_factor = 2.;
+    modulus_bits = 40;
+    rate = 0.5;
+    burstiness = 0.4;
+    jitter = 2;
+  }
 
-let union_sorted lists = List.sort_uniq compare (List.concat lists)
+let workload ~seed ~m =
+  let graph, logs = Util.workload ~seed ~n:18 ~edges:50 ~actions:8 ~m in
+  { Job.graph; logs }
 
-let run_plan engine (plan : _ Plan.t) = Util.run_plan ~workers:2 engine plan
+let delta_of = function
+  | Job.Stream_plan { delta; _ } -> delta
+  | _ -> invalid_arg "not a stream plan"
 
-(* Drive [epochs] epochs of the streaming pipeline: a shared replayable
-   source per provider, windowed accumulators over the published pair
-   order, dirty sets unioned across providers, one Delta plan per
-   epoch.  Returns the releases in epoch order, plus the final provider
-   inputs for the plaintext check. *)
-let run_epochs ~seed ~mode ~engine ~epochs ~epoch_ticks ~window (g, logs) config =
-  let m = Array.length logs in
-  let num_actions = Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs in
-  let d =
-    Delta.create
-      (State.create ~seed:(seed + 1) ())
-      ~graph:g ~m ~num_actions ~group_seed:(seed + 2) config
-  in
-  let pairs = Delta.pairs d in
-  let sources =
-    Array.mapi
-      (fun k l ->
-        Source.create
-          (State.create ~seed:(seed + 10 + k) ())
-          l ~rate:0.5 ~burstiness:0.4 ~jitter:2 ())
-      logs
-  in
-  let streams =
-    Array.map
-      (fun _ ->
-        Stream.create ?window ~num_users:(Digraph.n g) ~num_actions
-          ~h:config.Protocol4.h ~pairs ())
-      logs
-  in
-  let last_inputs = ref [||] in
-  for e = 0 to epochs - 1 do
-    let horizon = (e + 1) * epoch_ticks in
-    Array.iteri
-      (fun k src ->
-        List.iter
-          (fun (r : Log.record) ->
-            let acc = streams.(k) in
-            Stream.advance acc ~now:(max (Stream.now acc) r.Log.time);
-            Stream.add acc r)
-          (Source.take_until src ~arrival:horizon))
-      sources;
-    let dirty_users =
-      union_sorted (Array.to_list (Array.map Stream.dirty_users streams))
-    in
-    let dirty_pairs =
-      union_sorted (Array.to_list (Array.map Stream.dirty_pairs streams))
-    in
-    let inputs =
-      Array.map
-        (fun acc ->
-          let c = Stream.snapshot acc in
-          { Protocol4.a = c.Counters.a; c = c.Counters.c })
-        streams
-    in
-    Array.iter Stream.clear_dirty streams;
-    last_inputs := inputs;
-    let plan =
-      Delta.epoch_plan d ~mode { Delta.epoch = e; dirty_users; dirty_pairs; inputs }
-    in
-    let release = run_plan engine plan in
-    Alcotest.(check int) "release epoch" e release.Delta.epoch
-  done;
-  (Delta.releases d, !last_inputs, pairs)
-
-let default_params = (`Seed 331, `Epochs 6, `Ticks 25)
-
-let releases_of ~seed ~mode ~engine ?(epochs = 6) ?(window = Some 6) () =
-  let workload = streaming_workload ~seed ~n:18 ~edges:50 ~actions:8 ~m:3 in
-  let config = Protocol4.default_config ~h:2 in
-  run_epochs ~seed ~mode ~engine ~epochs ~epoch_ticks:25 ~window workload config
+(* Drive [epochs] epochs of the streaming pipeline through the one
+   stream ingestion ([Job.build_stream]) and run every stage on
+   [engine].  Returns the releases in epoch order, the instance and the
+   records that arrived per epoch. *)
+let releases_of ~seed ~mode ~engine ?(m = 3) ?(epochs = 6) ?(window = Some 6) () =
+  let wl = workload ~seed ~m in
+  let planned, arrivals = Job.build_stream ~mode (stream_spec ~seed ~epochs ~window) wl in
+  Util.run_plan ~workers:2 engine
+    (Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore);
+  let delta = delta_of planned in
+  let releases = Delta.releases delta in
+  Alcotest.(check (list int))
+    "one release per epoch, in order" (List.init epochs Fun.id)
+    (List.map (fun (r : Delta.release) -> r.Delta.epoch) releases);
+  (releases, delta, arrivals, wl)
 
 let check_bit_identical label (delta : Delta.release list) (full : Delta.release list) =
   Alcotest.(check int) (label ^ ": epoch count") (List.length full) (List.length delta);
@@ -114,8 +72,8 @@ let check_bit_identical label (delta : Delta.release list) (full : Delta.release
 let test_delta_matches_full_sim () =
   List.iter
     (fun seed ->
-      let delta, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim () in
-      let full, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim () in
+      let delta, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim () in
+      let full, _, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim () in
       check_bit_identical (Printf.sprintf "seed %d" seed) delta full;
       (* The delta path must actually save work somewhere: with a short
          window over a bursty stream, some epoch leaves most groups
@@ -131,8 +89,8 @@ let test_delta_matches_full_sim () =
 
 let test_delta_matches_full_qcheck () =
   let prop seed =
-    let delta, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~epochs:4 () in
-    let full, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim ~epochs:4 () in
+    let delta, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~epochs:4 () in
+    let full, _, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim ~epochs:4 () in
     List.length delta = List.length full
     && List.for_all2
          (fun (d : Delta.release) (f : Delta.release) ->
@@ -145,29 +103,50 @@ let test_delta_matches_full_qcheck () =
 
 let test_engines_bit_identical () =
   let seed = 457 in
-  let sim, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~epochs:4 () in
+  let sim, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~epochs:4 () in
   List.iter
     (fun (label, engine) ->
-      let rs, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine ~epochs:4 () in
+      let rs, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine ~epochs:4 () in
       check_bit_identical label rs sim)
     [ ("memory", `Memory); ("socket", `Socket) ]
 
 (* The masked quotients must sit within rounding of the plaintext
-   estimates computed from the same windowed inputs. *)
+   estimates of the final window.  The expected counters come from the
+   batch [Counters.compute] over each provider's log filtered to that
+   window, not from the accumulators: once every record has arrived, a
+   provider's window holds exactly its records later than its last
+   record time minus the window. *)
 let test_estimates_match_plaintext () =
-  let seed = 523 in
-  let releases, inputs, pairs = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim () in
+  let seed = 523 and window = 6 in
+  let releases, delta, arrivals, wl =
+    releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~window:(Some window) ()
+  in
+  Alcotest.(check int)
+    "every record arrived by the last epoch"
+    (Array.fold_left (fun acc l -> acc + Log.size l) 0 wl.Job.logs)
+    (Array.fold_left ( + ) 0 arrivals);
+  let pairs = Delta.pairs delta in
+  let counters =
+    Array.map
+      (fun log ->
+        let now = Log.max_time log in
+        let in_window =
+          Log.of_records ~num_users:(Log.num_users log) ~num_actions:(Log.num_actions log)
+            (List.filter (fun (r : Log.record) -> r.Log.time > now - window) (Log.records log))
+        in
+        Counters.compute in_window ~h:2 ~pairs)
+      wl.Job.logs
+  in
   let last = List.nth releases (List.length releases - 1) in
+  Alcotest.(check bool) "some pair has a nonzero estimate" true
+    (Array.exists (fun x -> x > 0.5) last.Delta.estimates);
   Array.iteri
     (fun k (i, _) ->
-      let den =
-        Array.fold_left (fun acc input -> acc + input.Protocol4.a.(i)) 0 inputs
-      in
+      let den = Array.fold_left (fun acc c -> acc + c.Counters.a.(i)) 0 counters in
       let num =
         Array.fold_left
-          (fun acc input ->
-            acc + Array.fold_left ( + ) 0 input.Protocol4.c.(k))
-          0 inputs
+          (fun acc c -> acc + Array.fold_left ( + ) 0 c.Counters.c.(k))
+          0 counters
       in
       let expect = if den = 0 then 0. else float_of_int num /. float_of_int den in
       let got = last.Delta.estimates.(k) in
@@ -182,10 +161,10 @@ let test_empty_epochs_release () =
      Delta mode runs only the release stage, and the released bits
      freeze. *)
   let seed = 619 in
-  let releases, _, _ =
+  let releases, _, _, _ =
     releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~epochs:10 ()
   in
-  let full, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim ~epochs:10 () in
+  let full, _, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim ~epochs:10 () in
   check_bit_identical "empty epochs" releases full;
   let last_two =
     match List.rev releases with
@@ -198,11 +177,11 @@ let test_empty_epochs_release () =
 let test_unwindowed_stream_delta () =
   (* window = None: nothing expires, dirty sets still shrink epochs. *)
   let seed = 733 in
-  let delta, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~window:None () in
-  let full, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim ~window:None () in
+  let delta, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~window:None () in
+  let full, _, _, _ = releases_of ~seed ~mode:Delta.Full ~engine:`Sim ~window:None () in
   check_bit_identical "unwindowed" delta full
 
-let test_epoch_plan_validates () =
+let test_epoch_stages_validate () =
   let g = Generate.erdos_renyi_gnm (State.create ~seed:7 ()) ~n:6 ~m:10 in
   let config = Protocol4.default_config ~h:1 in
   let d =
@@ -216,11 +195,83 @@ let test_epoch_plan_validates () =
   Alcotest.check_raises "non-consecutive epoch"
     (Invalid_argument "Delta.epoch_stages: epochs must be consecutive from 0") (fun () ->
       ignore
-        (Delta.epoch_plan d ~mode:Delta.Delta
+        (Delta.epoch_stages d ~mode:Delta.Delta
            { Delta.epoch = 3; dirty_users = []; dirty_pairs = []; inputs = [| input (); input () |] }))
 
+(* Every epoch's recomputed groups run as one session, of the rounds one
+   group took on its own: a 2-round core (3 at m >= 3, where provider 2
+   is also the third party), the 1-round verdict and the 3-round mask
+   phase. *)
+let test_one_session_per_epoch () =
+  List.iter
+    (fun (m, rounds) ->
+      let seed = 811 + m in
+      let planned, _ =
+        Job.build_stream ~mode:Delta.Delta
+          (stream_spec ~seed ~epochs:6 ~window:(Some 6))
+          (workload ~seed ~m)
+      in
+      let groups =
+        List.filter (fun (st : Plan.stage) -> st.Plan.label = "delta-groups") (Job.stages planned)
+      in
+      Alcotest.(check bool) (Printf.sprintf "m = %d: some epoch recomputes" m) true (groups <> []);
+      List.iter
+        (fun (st : Plan.stage) ->
+          match st.Plan.sessions with
+          | [| session |] ->
+            Alcotest.(check int)
+              (Printf.sprintf "m = %d: rounds of the epoch's session" m)
+              rounds session.Session.rounds
+          | sessions ->
+            Alcotest.failf "m = %d: %d sessions in one delta-groups stage" m
+              (Array.length sessions))
+        groups;
+      Util.run_plan `Sim (Plan.make ~shards:1 ~stages:(Job.stages planned) ~result:ignore);
+      Alcotest.(check bool)
+        (Printf.sprintf "m = %d: one session covered several groups" m)
+        true
+        (List.exists
+           (fun (r : Delta.release) -> r.Delta.recomputed > 1)
+           (Delta.releases (delta_of planned))))
+    [ (2, 6); (3, 7) ]
+
+(* [epoch_stages] reads its inputs during the call only: overwriting the
+   arrays afterwards, before the stages run, leaves the release as it
+   is. *)
+let test_inputs_read_during_call () =
+  let seed = 907 in
+  let g, logs = Util.workload ~seed ~n:18 ~edges:50 ~actions:8 ~m:2 in
+  let config = Protocol4.default_config ~h:2 in
+  let num_actions = Array.fold_left (fun acc l -> max acc (Log.num_actions l)) 0 logs in
+  let release ~overwrite =
+    let d =
+      Delta.create (State.create ~seed ()) ~graph:g ~m:2 ~num_actions ~group_seed:(seed + 1)
+        config
+    in
+    let inputs =
+      Array.map
+        (fun l -> Protocol4.provider_input_of_log l ~h:2 ~pairs:(Delta.pairs d))
+        logs
+    in
+    let stages =
+      Delta.epoch_stages d ~mode:Delta.Full
+        { Delta.epoch = 0; dirty_users = []; dirty_pairs = []; inputs }
+    in
+    if overwrite then
+      Array.iter
+        (fun input ->
+          Array.fill input.Protocol4.a 0 (Array.length input.Protocol4.a) 0;
+          Array.iter (fun row -> Array.fill row 0 (Array.length row) 1) input.Protocol4.c)
+        inputs;
+    Util.run_plan `Sim (Plan.make ~shards:1 ~stages ~result:ignore);
+    List.hd (Delta.releases d)
+  in
+  let kept = release ~overwrite:false and overwritten = release ~overwrite:true in
+  Alcotest.(check bool) "the release is not all zero" true
+    (Array.exists (fun x -> x <> 0.) kept.Delta.estimates);
+  check_bit_identical "inputs overwritten after the call" [ overwritten ] [ kept ]
+
 let () =
-  ignore default_params;
   Alcotest.run "spe_delta"
     [
       ( "delta",
@@ -232,6 +283,9 @@ let () =
             test_estimates_match_plaintext;
           Alcotest.test_case "empty epochs still release" `Quick test_empty_epochs_release;
           Alcotest.test_case "unwindowed delta" `Quick test_unwindowed_stream_delta;
-          Alcotest.test_case "epoch validation" `Quick test_epoch_plan_validates;
+          Alcotest.test_case "epoch validation" `Quick test_epoch_stages_validate;
+          Alcotest.test_case "one session per epoch" `Quick test_one_session_per_epoch;
+          Alcotest.test_case "inputs read during the call only" `Quick
+            test_inputs_read_during_call;
         ] );
     ]

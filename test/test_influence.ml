@@ -676,7 +676,10 @@ let qcheck_tests =
             ~num_actions:(Log.num_actions log)
             (List.filter (fun (r : Log.record) -> r.Log.time > now - w) (Log.records log))
         in
-        counters_equal (Counters.compute windowed ~h:3 ~pairs) (Stream.snapshot acc));
+        let expected = Counters.compute windowed ~h:3 ~pairs in
+        counters_equal expected (Stream.snapshot acc)
+        && Stream.activity acc = expected.Counters.a
+        && Stream.lag_counters acc = expected.Counters.c);
     Test.make ~name:"score denominator uses a_i" ~count:40 small_nat
       (fun seed ->
         let s = State.create ~seed () in

@@ -777,6 +777,77 @@ let qcheck_tests =
         && sl.Protocol2_distributed.randomness.Protocol2_distributed.masks = Array.sub r.Protocol2_distributed.masks start len
         && sl.Protocol2_distributed.randomness.Protocol2_distributed.rpieces
            = Array.map (Array.map (fun row -> Array.sub row start len)) r.Protocol2_distributed.rpieces);
+    (* Joined batches: one core and one verdict over [concat] of k
+       separately drawn batches give each batch exactly its own
+       [make_lazy] run's shares, y and leak views — at a share modulus
+       small enough that the wrap verdicts vary. *)
+    Test.make ~name:"core and verdict over concat match each batch's make_lazy" ~count:100
+      (triple small_nat (int_range 1 5) (int_range 2 4))
+      (fun (seed, k, m) ->
+        let modulus = 64 and input_bound = 9 in
+        let parties = providers m in
+        let third_party = if m > 2 then Wire.Provider 2 else Wire.Host in
+        let gen = State.create ~seed () in
+        let batches =
+          Array.init k (fun b ->
+              let len = 1 + State.next_int gen 12 in
+              let inputs =
+                Array.init m (fun _ ->
+                    Array.init len (fun _ -> State.next_int gen ((input_bound / m) + 1)))
+              in
+              ((seed * 31) + b, len, inputs))
+        in
+        let own =
+          Array.map
+            (fun (bseed, len, inputs) ->
+              let session, _ =
+                Protocol2_distributed.make_lazy (State.create ~seed:bseed ()) ~parties
+                  ~third_party ~modulus ~input_bound ~length:len
+                  ~inputs:(Array.map (fun v () -> v) inputs)
+              in
+              Session.run session ~wire:(Wire.create ()))
+            batches
+        in
+        let joined =
+          Protocol2_distributed.concat
+            (Array.to_list
+               (Array.map
+                  (fun (bseed, len, _) ->
+                    Protocol2_distributed.draw (State.create ~seed:bseed ()) ~m ~modulus
+                      ~input_bound ~length:len)
+                  batches))
+        in
+        let total = Array.fold_left (fun acc (_, len, _) -> acc + len) 0 batches in
+        let core =
+          Protocol2_distributed.make_core ~parties ~third_party
+            ~slice:(Protocol2_distributed.slice joined ~start:0 ~len:total)
+            ~inputs:
+              (Array.init m (fun p () ->
+                   Array.concat (Array.to_list (Array.map (fun (_, _, inputs) -> inputs.(p)) batches))))
+        in
+        let verdict =
+          Protocol2_distributed.make_verdict ~p1:parties.(1) ~third_party ~modulus ~input_bound
+            ~y_of:core.Protocol2_distributed.y ~apply:core.Protocol2_distributed.apply_wraps
+        in
+        ignore
+          (Session.run
+             (Session.seq core.Protocol2_distributed.session verdict.Protocol2_distributed.session)
+             ~wire:(Wire.create ()));
+        let off = ref 0 in
+        Array.for_all2
+          (fun (_, len, _) (r : Protocol2.result) ->
+            let block a = Array.sub a !off len in
+            let ok =
+              block (core.Protocol2_distributed.share1 ()) = r.Protocol2.share1
+              && block (core.Protocol2_distributed.share2 ()) = r.Protocol2.share2
+              && block (core.Protocol2_distributed.p2_leaks ()) = r.Protocol2.views.Protocol2.p2_leaks
+              && block (verdict.Protocol2_distributed.p3_y ()) = r.Protocol2.views.Protocol2.p3_y
+              && block (verdict.Protocol2_distributed.p3_leaks ())
+                 = r.Protocol2.views.Protocol2.p3_leaks
+            in
+            off := !off + len;
+            ok)
+          batches own);
     (* At a share modulus barely above A the wrap verdicts differ from
        counter to counter (at 2^40 nearly all of them wrap), so the
        third party must scatter each shard's y through its slots in

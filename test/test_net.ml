@@ -386,6 +386,36 @@ let test_reactor_spawn_survives_raising_task () =
   Reactor.post r ignore;
   Alcotest.(check int) "a post after the loop ended is dropped" 0 (Reactor.ready_depth r)
 
+(* A raising task or timer must not drop the ones dispatched with it:
+   the task behind a failure in the same ready snapshot, and a timer
+   sharing the failing timer's deadline, still run, and no popped timer
+   stays counted as pending.  Each wait is bounded, so a lost task
+   fails the test instead of hanging it. *)
+let test_reactor_raise_keeps_siblings () =
+  let run_case label arm =
+    let r = Reactor.create () in
+    let ran = Atomic.make false and stop = Atomic.make false in
+    arm r (fun () -> Atomic.set ran true);
+    let loop = Reactor.spawn r ~until:(fun () -> Atomic.get stop) in
+    let deadline = Unix.gettimeofday () +. 1. in
+    while (not (Atomic.get ran)) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    let ran = Atomic.get ran and pending = Reactor.pending_timers r in
+    Atomic.set stop true;
+    Reactor.post r ignore;
+    Thread.join loop;
+    Alcotest.(check bool) (label ^ ": the sibling ran within 1 s") true ran;
+    Alcotest.(check int) (label ^ ": no timer left pending") 0 pending
+  in
+  run_case "ready snapshot" (fun r sibling ->
+      Reactor.post r (fun () -> failwith "a failing task");
+      Reactor.post r sibling);
+  run_case "due timers" (fun r sibling ->
+      let deadline = Unix.gettimeofday () +. 0.05 in
+      ignore (Reactor.at r deadline (fun () -> failwith "a failing timer"));
+      ignore (Reactor.at r deadline sibling))
+
 (* --- transports ------------------------------------------------------------- *)
 
 (* The reactor connection: every frame queued in one loop turn leaves
@@ -1229,6 +1259,8 @@ let () =
             test_reactor_cancel_releases_closures;
           Alcotest.test_case "spawned loop survives a raising task" `Quick
             test_reactor_spawn_survives_raising_task;
+          Alcotest.test_case "a raising task keeps its siblings" `Quick
+            test_reactor_raise_keeps_siblings;
         ] );
       ( "transport",
         [

@@ -209,7 +209,7 @@ let test_rank_validation () =
         { config with Protocol_rank.modulus = 1 lsl 10 })
 
 (* A live 4-daemon deployment serving the Rank job kind: the
-   spe-serve/3 reply must be bit-identical to the plaintext oracle,
+   spe-serve/4 reply must be bit-identical to the plaintext oracle,
    and the rank scrape gauges must advance. *)
 let test_rank_daemon_job () =
   Util.with_deployment (fun client daemons _roster ~graph ~logs ->

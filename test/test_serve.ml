@@ -1008,6 +1008,34 @@ let test_workload_mismatch_fails_fast () =
           && String.sub msg 0 (String.length want) = want);
         checkb (Printf.sprintf "fails at once (%.2f s)" took) true (took < 2.))
 
+(* A Hello from the previous protocol version is refused, whether it
+   comes from a client or from a party with H's own workload: the
+   daemon closes the connection without answering.  Version 3 daemons
+   built per-group stream plans, so their session ids name other
+   sessions. *)
+let test_refuses_version_3_hello () =
+  let graph, logs = Harness.workload_inputs failure_workload in
+  let workload = { Job.graph; logs } in
+  Addr.with_temp_roster ~parties:3 @@ fun roster ->
+  let h = Daemon.start (Daemon.default_config ~party:0 ~roster) workload in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop h;
+      Daemon.wait ~timeout:30. h)
+    (fun () ->
+      List.iter
+        (fun (label, role, digest) ->
+          let fd = raw_connect roster.(0) in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Proto.write fd (Proto.Hello { role; version = 3; workload = digest });
+              match Proto.read ~deadline:(Unix.gettimeofday () +. 5.) fd with
+              | None -> ()
+              | Some _ -> Alcotest.failf "%s: the daemon answered a version 3 Hello" label
+              | exception Failure msg -> Alcotest.failf "%s: no close within 5 s (%s)" label msg))
+        [ ("client", Proto.Client, 0); ("party", Proto.Party 1, Job.digest workload) ])
+
 (* Connections are descriptors on H's loop, not threads: 8 clients and
    8 connections that never send a Hello leave the thread count as it
    was. *)
@@ -1135,6 +1163,7 @@ let () =
             test_unread_client_does_not_stall;
           Alcotest.test_case "workload mismatch fails start at once" `Slow
             test_workload_mismatch_fails_fast;
+          Alcotest.test_case "refuses a version 3 Hello" `Quick test_refuses_version_3_hello;
         ] );
       ( "chaos",
         [
