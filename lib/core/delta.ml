@@ -1,9 +1,10 @@
 module State = Spe_rng.State
-module Dist = Spe_rng.Dist
 module Wire = Spe_mpc.Wire
 module Runtime = Spe_mpc.Runtime
 module Session = Spe_mpc.Session
 module Protocol2_distributed = Spe_mpc.Protocol2_distributed
+module Protocol3 = Spe_mpc.Protocol3
+module Protocol3_distributed = Spe_mpc.Protocol3_distributed
 module Digraph = Spe_graph.Digraph
 module Obfuscate = Spe_graph.Obfuscate
 
@@ -41,10 +42,8 @@ type t = {
   (* The host's caches of the latest masked shares, written in place by
      each recomputed group's session: the release quotients always read
      the full arrays, delta or not. *)
-  ma1 : float array;
-  ma2 : float array;
-  mn1 : float array;
-  mn2 : float array;
+  masked1 : Protocol3.shares;
+  masked2 : Protocol3.shares;
   mutable next_epoch : int;
   mutable releases : release list;  (* newest first *)
 }
@@ -112,10 +111,8 @@ let create st ~graph ~m ~num_actions ~group_seed config =
     config;
     group_seed;
     versions = Array.make n 0;
-    ma1 = Array.make n 0.;
-    ma2 = Array.make n 0.;
-    mn1 = Array.make q 0.;
-    mn2 = Array.make q 0.;
+    masked1 = { Protocol3.den = Array.make n 0.; num = Array.make q 0. };
+    masked2 = { Protocol3.den = Array.make n 0.; num = Array.make q 0. };
     next_epoch = 0;
     releases = [];
   }
@@ -138,9 +135,8 @@ let releases t = List.rev t.releases
    groups' indices. *)
 let groups_session t ~groups ~flat_inputs =
   let config = t.config in
-  let h = config.Protocol4.h in
   let w = width config in
-  let n = Array.length t.ma1 in
+  let n = Array.length t.masked1.Protocol3.den in
   let modulus = config.Protocol4.modulus in
   let parties = Array.init t.m (fun k -> Wire.Provider k) in
   let third_party = if t.m > 2 then Wire.Provider 2 else Wire.Host in
@@ -168,7 +164,7 @@ let groups_session t ~groups ~flat_inputs =
           Protocol2_distributed.draw st_g ~m:t.m ~modulus ~input_bound:t.num_actions
             ~length:(1 + (Array.length t.sourced.(g) * w))
         in
-        (r, Dist.mask_pair st_g))
+        (r, Protocol3_distributed.draw st_g ~groups:1))
       groups
   in
   let joined = Protocol2_distributed.concat (Array.to_list (Array.map fst drawn)) in
@@ -195,65 +191,43 @@ let groups_session t ~groups ~flat_inputs =
     Protocol2_distributed.make_verdict ~p1 ~third_party ~modulus ~input_bound:t.num_actions
       ~y_of:core.Protocol2_distributed.y ~apply:core.Protocol2_distributed.apply_wraps
   in
-  let numerator_share sh i =
-    match config.Protocol4.estimator with
-    | Protocol4.Eq1 -> float_of_int sh.(i)
-    | Protocol4.Eq2 wts ->
-      let wts = (wts :> float array) in
-      let acc = ref 0. in
-      for l = 0 to h - 1 do
-        acc := !acc +. (wts.(l) *. float_of_int sh.(i + l))
-      done;
-      !acc
+  (* A player's vector: per recomputed group [b], its activity share
+     then one numerator per sourced pair, all under the group's own
+     mask, [masks.(b)]. *)
+  let entries share_of () =
+    let sh = share_of () in
+    let values = Array.make slots.(nb) 0. and index = Array.make slots.(nb) 0 in
+    Array.iteri
+      (fun b g ->
+        let off = offsets.(b) and pos = slots.(b) in
+        values.(pos) <- float_of_int sh.(off);
+        Array.iteri
+          (fun j _ ->
+            values.(pos + 1 + j) <-
+              Protocol4_distributed.numerator_share config.Protocol4.estimator sh
+                ~at:(off + 1 + (j * w)))
+          t.sourced.(g);
+        Array.fill index pos (slots.(b + 1) - pos) b)
+      groups;
+    (values, index)
   in
-  let player me other share_of ~round ~inbox:_ =
-    match round with
-    | 1 | 2 ->
-      [ { Runtime.src = me; dst = other; payload = Runtime.Floats (Array.make nb 0.) } ]
-    | 3 ->
-      let sh = share_of () in
-      let masked = Array.make slots.(nb) 0. in
+  let write (into : Protocol3.shares) v =
+    if Array.length v = slots.(nb) then
       Array.iteri
         (fun b g ->
-          let mask = snd drawn.(b) and off = offsets.(b) and pos = slots.(b) in
-          masked.(pos) <- mask *. float_of_int sh.(off);
-          Array.iteri
-            (fun j _ -> masked.(pos + 1 + j) <- mask *. numerator_share sh (off + 1 + (j * w)))
-            t.sourced.(g))
-        groups;
-      [ { Runtime.src = me; dst = Wire.Host; payload = Runtime.Floats masked } ]
-    | _ -> []
-  in
-  let host_program ~round:_ ~inbox =
-    List.iter
-      (fun msg ->
-        match msg.Runtime.payload with
-        | Runtime.Floats v when Array.length v = slots.(nb) ->
-          let write ma mn =
-            Array.iteri
-              (fun b g ->
-                ma.(g) <- v.(slots.(b));
-                Array.iteri (fun j k -> mn.(k) <- v.(slots.(b) + 1 + j)) t.sourced.(g))
-              groups
-          in
-          if msg.Runtime.src = p0 then write t.ma1 t.mn1
-          else if msg.Runtime.src = p1 then write t.ma2 t.mn2
-        | _ -> ())
-      inbox;
-    []
+          into.Protocol3.den.(g) <- v.(slots.(b));
+          Array.iteri (fun j k -> into.Protocol3.num.(k) <- v.(slots.(b) + 1 + j)) t.sourced.(g))
+        groups
   in
   let mask_session =
     Session.with_label "p4-mask"
-      (Session.make
-         ~parties:[| p0; p1; Wire.Host |]
-         ~programs:
-           [|
-             player p0 p1 core.Protocol2_distributed.share1;
-             player p1 p0 core.Protocol2_distributed.share2;
-             host_program;
-           |]
-         ~rounds:3
-         ~result:(fun () -> ()))
+      (Protocol3_distributed.mask_phase ~p1:p0 ~p2:p1 ~host:Wire.Host
+         ~masks:(Array.concat (Array.to_list (Array.map snd drawn)))
+         ~agree:nb ~shares1:(entries core.Protocol2_distributed.share1)
+         ~shares2:(entries core.Protocol2_distributed.share2)
+         ~deliver:(fun v1 v2 ->
+           write t.masked1 v1;
+           write t.masked2 v2))
   in
   Session.map
     (fun _ -> ())
@@ -272,8 +246,7 @@ let release_session t ~epoch ~recomputed =
     match round with
     | 1 ->
       let estimates =
-        Protocol4.pair_estimates_of_masked ~pairs:t.pairs ~masked_a1:t.ma1
-          ~masked_a2:t.ma2 ~masked_num1:t.mn1 ~masked_num2:t.mn2
+        Protocol3.quotients ~groups:(Array.map fst t.pairs) t.masked1 t.masked2
       in
       let digest = digest_of_estimates estimates in
       let strengths = Protocol4.strengths_of_estimates ~graph:t.graph ~pairs:t.pairs estimates in
@@ -297,7 +270,7 @@ let release_session t ~epoch ~recomputed =
 
 let validate_inputs t inputs =
   if Array.length inputs <> t.m then invalid_arg "Delta.epoch_stages: provider count mismatch";
-  let n = Array.length t.ma1 and q = Array.length t.pairs in
+  let n = Array.length t.masked1.Protocol3.den and q = Array.length t.pairs in
   Array.iter
     (fun input ->
       if Array.length input.Protocol4.a <> n then
@@ -345,7 +318,7 @@ let epoch_stages t ~mode ei =
   let groups = recompute_groups t ~mode ei in
   let publish_stages =
     if ei.epoch = 0 then begin
-      let n = Array.length t.ma1 in
+      let n = Array.length t.masked1.Protocol3.den in
       let publish, _received =
         Protocol4_distributed.publish_slice_session ~node_modulus:(max 2 n) ~pairs:t.pairs
           ~m:t.m ~lo:0 ~hi:(Array.length t.pairs)

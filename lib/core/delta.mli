@@ -41,6 +41,7 @@
     batches are joined block-diagonally
     ({!Spe_mpc.Protocol2_distributed.concat}), one verdict-less core and
     one verdict cover the joined batch, and one 3-round mask phase
+    ({!Spe_mpc.Protocol3_distributed.mask_phase}, one mask per group)
     carries every group's masked shares.  Batching changes no draw and
     no released bit; the third party still sees each group's block
     under that group's own permutation.

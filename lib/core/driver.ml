@@ -3,6 +3,7 @@ module Dist = Spe_rng.Dist
 module Wire = Spe_mpc.Wire
 module Runtime = Spe_mpc.Runtime
 module Protocol2 = Spe_mpc.Protocol2
+module Protocol3 = Spe_mpc.Protocol3
 module Digraph = Spe_graph.Digraph
 module Log = Spe_actionlog.Log
 module Partition = Spe_actionlog.Partition
@@ -151,20 +152,19 @@ let user_scores_exclusive ?(trace = Spe_obs.Trace.disabled ()) st ~graph ~logs ~
       ~inputs:a_inputs
   in
   let share_rounds = rounds_so_far () - p6_rounds in
-  (* Joint per-user masks (two exchange rounds, as in Protocol 4). *)
-  Wire.round wire (fun () ->
-      Wire.send wire ~src:parties.(0) ~dst:parties.(1) ~bits:(n * Wire.float_bits);
-      Wire.send wire ~src:parties.(1) ~dst:parties.(0) ~bits:(n * Wire.float_bits));
-  Wire.round wire (fun () ->
-      Wire.send wire ~src:parties.(0) ~dst:parties.(1) ~bits:(n * Wire.float_bits);
-      Wire.send wire ~src:parties.(1) ~dst:parties.(0) ~bits:(n * Wire.float_bits));
-  let masks = Array.init n (fun _ -> Dist.mask_pair st) in
-  let masked1 = Array.init n (fun i -> masks.(i) *. float_of_int share1.(i)) in
-  let masked2 = Array.init n (fun i -> masks.(i) *. float_of_int share2.(i)) in
+  (* Protocol 3 over the denominators alone: one joint mask per user,
+     as in Protocol 4. *)
+  let shares_of share = { Protocol3.den = Array.map float_of_int share; num = [||] } in
+  let { Protocol3.masks; masked1; masked2 } =
+    Protocol3.run st ~wire ~p1:parties.(0) ~p2:parties.(1) ~groups:[||] (shares_of share1)
+      (shares_of share2)
+  in
   Wire.round wire (fun () ->
       Wire.send wire ~src:parties.(0) ~dst:Wire.Host ~bits:(n * Wire.float_bits);
       Wire.send wire ~src:parties.(1) ~dst:Wire.Host ~bits:(n * Wire.float_bits));
-  let masked_denominators = Array.init n (fun i -> masked1.(i) +. masked2.(i)) in
+  let masked_denominators =
+    Array.init n (fun i -> masked1.Protocol3.den.(i) +. masked2.Protocol3.den.(i))
+  in
   (* Blinded unmasking round-trip (see the interface documentation):
      host -> player 1 -> host. *)
   let blinds = Array.init n (fun _ -> Dist.mask_pair st) in

@@ -1,7 +1,7 @@
 module State = Spe_rng.State
-module Dist = Spe_rng.Dist
 module Wire = Spe_mpc.Wire
 module Protocol2 = Spe_mpc.Protocol2
+module Protocol3 = Spe_mpc.Protocol3
 module Digraph = Spe_graph.Digraph
 module Obfuscate = Spe_graph.Obfuscate
 module Log = Spe_actionlog.Log
@@ -62,12 +62,11 @@ let flatten_input estimator input =
   in
   Array.append input.a numer
 
-(* One player's Steps 7-8 arithmetic: the local weighted combination of
-   the numerator shares (float once the Eq. 2 weights enter; exact
-   integers under Eq. 1), then the per-user mask multiplies.  Shared
-   with the distributed twin so both paths produce bit-identical
-   floats. *)
-let masked_shares_of_flat estimator ~h ~n ~pairs ~masks shares =
+(* One player's Protocol 3 inputs: its activity shares (the
+   denominators, one group per user) and one numerator share per
+   published pair — the window share under Eq. 1, the local weighted
+   combination of the h lag shares under Eq. 2. *)
+let player_shares estimator ~h ~n ~q shares =
   let numerator_share k =
     match estimator with
     | Eq1 -> float_of_int shares.(n + k)
@@ -79,19 +78,8 @@ let masked_shares_of_flat estimator ~h ~n ~pairs ~masks shares =
       done;
       !acc
   in
-  let masked_a = Array.init n (fun i -> masks.(i) *. float_of_int shares.(i)) in
-  let masked_num =
-    Array.init (Array.length pairs) (fun k ->
-        let i, _ = pairs.(k) in
-        masks.(i) *. numerator_share k)
-  in
-  (masked_a, masked_num)
-
-let pair_estimates_of_masked ~pairs ~masked_a1 ~masked_a2 ~masked_num1 ~masked_num2 =
-  Array.init (Array.length pairs) (fun k ->
-      let i, _ = pairs.(k) in
-      let den = masked_a1.(i) +. masked_a2.(i) in
-      if den = 0. then 0. else (masked_num1.(k) +. masked_num2.(k)) /. den)
+  { Protocol3.den = Array.init n (fun i -> float_of_int shares.(i));
+    num = Array.init q numerator_share }
 
 let strengths_of_estimates ~graph ~pairs estimates =
   let strengths = ref [] in
@@ -102,10 +90,7 @@ let strengths_of_estimates ~graph ~pairs estimates =
   !strengths
 
 type masked_shares = {
-  masked_a1 : float array;
-  masked_a2 : float array;
-  masked_num1 : float array;
-  masked_num2 : float array;
+  masked : Protocol3.outcome;
   share_p2_leaks : Protocol2.leak array;
   share_p3_leaks : Protocol2.leak array;
 }
@@ -128,34 +113,14 @@ let share_and_mask st ~wire ~n ~num_actions ~pairs ~inputs config =
     Protocol2.run st ~wire ~parties ~third_party ~modulus:config.modulus
       ~input_bound:num_actions ~inputs:flat_inputs
   in
-  (* Steps 5-6: players 1 and 2 jointly draw M_i then r_i per user.
-     The joint generation is one exchange of random contributions per
-     step (semi-honest; DESIGN.md), accounted as in Table 1. *)
-  Wire.round wire (fun () ->
-      Wire.send wire ~src:parties.(0) ~dst:parties.(1) ~bits:(n * Wire.float_bits);
-      Wire.send wire ~src:parties.(1) ~dst:parties.(0) ~bits:(n * Wire.float_bits));
-  Wire.round wire (fun () ->
-      Wire.send wire ~src:parties.(0) ~dst:parties.(1) ~bits:(n * Wire.float_bits);
-      Wire.send wire ~src:parties.(1) ~dst:parties.(0) ~bits:(n * Wire.float_bits));
-  let masks = Array.init n (fun _ -> Dist.mask_pair st) in
-  let masked_a1, masked_num1 =
-    masked_shares_of_flat config.estimator ~h:config.h ~n ~pairs ~masks share1
+  (* Steps 5-8 up to the sends: Protocol 3 with one joint mask r_i per
+     user, over a_i and every pair sourced at i. *)
+  let shares_of = player_shares config.estimator ~h:config.h ~n ~q in
+  let masked =
+    Protocol3.run st ~wire ~p1:parties.(0) ~p2:parties.(1) ~groups:(Array.map fst pairs)
+      (shares_of share1) (shares_of share2)
   in
-  let masked_a2, masked_num2 =
-    masked_shares_of_flat config.estimator ~h:config.h ~n ~pairs ~masks share2
-  in
-  {
-    masked_a1;
-    masked_a2;
-    masked_num1;
-    masked_num2;
-    share_p2_leaks = views.Protocol2.p2_leaks;
-    share_p3_leaks = views.Protocol2.p3_leaks;
-  }
-
-let estimates_of_masked ms ~pairs =
-  pair_estimates_of_masked ~pairs ~masked_a1:ms.masked_a1 ~masked_a2:ms.masked_a2
-    ~masked_num1:ms.masked_num1 ~masked_num2:ms.masked_num2
+  { masked; share_p2_leaks = views.Protocol2.p2_leaks; share_p3_leaks = views.Protocol2.p3_leaks }
 
 let run st ~wire ~graph ~num_actions ~pairs ~inputs config =
   let n = Digraph.n graph in
@@ -166,7 +131,10 @@ let run st ~wire ~graph ~num_actions ~pairs ~inputs config =
       Wire.send wire ~src:(Wire.Provider 0) ~dst:Wire.Host ~bits:((n + q) * Wire.float_bits);
       Wire.send wire ~src:(Wire.Provider 1) ~dst:Wire.Host ~bits:((n + q) * Wire.float_bits));
   (* Step 9: the host reconstructs the quotients. *)
-  let pair_estimates = estimates_of_masked ms ~pairs in
+  let pair_estimates =
+    Protocol3.quotients ~groups:(Array.map fst pairs) ms.masked.Protocol3.masked1
+      ms.masked.Protocol3.masked2
+  in
   {
     strengths = strengths_of_estimates ~graph ~pairs pair_estimates;
     pairs;

@@ -15,10 +15,12 @@
       [q] window counters [b^h] (Eq. 1) or the [q*h] lag counters [c^l]
       (Eq. 2) — ending with integer additive shares at players 1 and 2
       (Steps 3-4);
-    + players 1 and 2 jointly draw one mask [r_i] per user (Steps 5-6,
-      Protocol 3's heavy-tailed distribution), multiply their shares —
-      for Eq. 2 each lag share enters the local weighted combination
-      first — and send the masked shares to the host (Steps 7-8);
+    + players 1 and 2 run the batched Protocol 3 ([Spe_mpc.Protocol3]):
+      one joint mask [r_i] per user (Steps 5-6), multiplying the
+      activity share [a_i] and the numerator share of every pair
+      sourced at [i] — for Eq. 2 each lag share enters the local
+      weighted combination first — and send the masked shares to the
+      host (Steps 7-8);
     + the host sums share pairs, divides, and keeps the real arcs
       (Step 9). *)
 
@@ -62,30 +64,7 @@ val flatten_input : estimator -> provider_input -> int array
 (** The counters one provider feeds the batched Protocol 2, flattened
     as [a_0..a_(n-1)] followed by the per-pair numerator counters — the
     window counters [b^h] under Eq. 1, the [h] lag counters per pair
-    under Eq. 2.  Shared with [Protocol4_distributed]. *)
-
-val masked_shares_of_flat :
-  estimator ->
-  h:int ->
-  n:int ->
-  pairs:(int * int) array ->
-  masks:float array ->
-  int array ->
-  float array * float array
-(** [(masked_a, masked_num)] of one player's flat share vector: the
-    Steps 7-8 local weighted combination and per-user mask multiplies.
-    Shared with [Protocol4_distributed] so both paths produce
-    bit-identical floats. *)
-
-val pair_estimates_of_masked :
-  pairs:(int * int) array ->
-  masked_a1:float array ->
-  masked_a2:float array ->
-  masked_num1:float array ->
-  masked_num2:float array ->
-  float array
-(** Step 9, the host side: [(num1_k + num2_k) / (a1_i + a2_i)] per
-    published pair, [0] on a zero denominator. *)
+    under Eq. 2.  Shared with [Shard] and [Delta]. *)
 
 val strengths_of_estimates :
   graph:Spe_graph.Digraph.t ->
@@ -110,10 +89,10 @@ type result = {
 }
 
 type masked_shares = {
-  masked_a1 : float array;  (** Player 1's masked activity shares. *)
-  masked_a2 : float array;
-  masked_num1 : float array;  (** Player 1's masked numerator shares, per pair. *)
-  masked_num2 : float array;
+  masked : Spe_mpc.Protocol3.outcome;
+      (** The per-user joint masks and both players' masked shares:
+          activity shares as the denominators, one numerator per
+          published pair in the group of its source user. *)
   share_p2_leaks : Spe_mpc.Protocol2.leak array;
   share_p3_leaks : Spe_mpc.Protocol2.leak array;
 }
@@ -127,11 +106,11 @@ val share_and_mask :
   inputs:provider_input array ->
   config ->
   masked_shares
-(** Steps 3-6 of Protocol 4 (batched Protocol 2 + joint masking),
-    without the host-directed sends — the shared building block of
-    {!run}, [Protocol4_multi_host] and the estimator variants.  The
-    host computes [(num1_k + num2_k) / (a1_i + a2_i)] for a pair [k]
-    with source [i]. *)
+(** Steps 3-6 of Protocol 4 (batched Protocol 2, then the central
+    [Spe_mpc.Protocol3.run] with one group per user), without the
+    host-directed sends — the shared building block of {!run} and
+    [Protocol4_multi_host].  The host's estimate for pair [k] is
+    [Spe_mpc.Protocol3.quotients ~groups:(Array.map fst pairs)]. *)
 
 val run :
   Spe_rng.State.t ->

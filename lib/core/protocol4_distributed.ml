@@ -50,3 +50,14 @@ let publish_pairs_phase st ~graph ~m ~c_factor =
   let node_modulus = max 2 (Digraph.n graph) in
   let session, received_of = publish_slice_session ~node_modulus ~pairs ~m ~lo:0 ~hi:q in
   (Session.map (fun () -> pairs) session, pairs, received_of)
+
+let numerator_share estimator shares ~at =
+  match estimator with
+  | Protocol4.Eq1 -> float_of_int shares.(at)
+  | Protocol4.Eq2 w ->
+    let w = (w :> float array) in
+    let acc = ref 0. in
+    for l = 0 to Array.length w - 1 do
+      acc := !acc +. (w.(l) *. float_of_int shares.(at + l))
+    done;
+    !acc

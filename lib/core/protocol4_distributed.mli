@@ -1,10 +1,12 @@
-(** The Protocol 4 pair publication (Steps 1-2) as one-round
-    {!Spe_mpc.Session}s: the host broadcasts the obfuscated pair set
+(** The session side of Protocol 4 outside its Protocol 2 and
+    Protocol 3 phases.  The pair publication (Steps 1-2) is a one-round
+    {!Spe_mpc.Session}: the host broadcasts the obfuscated pair set
     [Omega_E'] to every provider, who decodes it at its finishing call.
     [Shard] builds the links pipelines' publish phase from
     {!publish_slice_session}, one slice per shard; [Delta] publishes its
     epoch-0 pair set the same way, and [Protocol6_distributed] starts
-    from {!publish_pairs_phase}. *)
+    from {!publish_pairs_phase}.  Both of the former mask the
+    {!numerator_share} of each pair in their Protocol 3 phase. *)
 
 val publish_slice_session :
   node_modulus:int ->
@@ -34,3 +36,11 @@ val publish_pairs_phase :
     host-side published set (also the session result) and
     [received_of k] reads provider [k]'s decoded copy — valid once the
     phase has executed.  Used by [Protocol6_distributed]. *)
+
+val numerator_share : Protocol4.estimator -> int array -> at:int -> float
+(** A player's Step 7 numerator for one published pair whose shared
+    counters start at [shares.(at)]: the window share under Eq. 1, the
+    weighted sum [sum_l w_l * shares.(at + l)] of the lag shares under
+    Eq. 2 — the value [Shard] and [Delta] mask in their Protocol 3
+    phases, computed by the same operations as the central
+    [Protocol4]. *)

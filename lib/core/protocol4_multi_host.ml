@@ -1,5 +1,6 @@
 module State = Spe_rng.State
 module Wire = Spe_mpc.Wire
+module Protocol3 = Spe_mpc.Protocol3
 module Digraph = Spe_graph.Digraph
 module Log = Spe_actionlog.Log
 
@@ -63,8 +64,13 @@ let run st ~wire ~graphs ~logs config =
       logs
   in
   let ms = Protocol4.share_and_mask st ~wire ~n ~num_actions ~pairs:union_pairs ~inputs config in
+  let estimates =
+    Protocol3.quotients ~groups:(Array.map fst union_pairs)
+      ms.Protocol4.masked.Protocol3.masked1 ms.Protocol4.masked.Protocol3.masked2
+  in
   (* Per host: players 1 and 2 ship the masked activity vector plus the
-     masked numerators of that host's pairs only. *)
+     masked numerators of that host's pairs only, from which the host
+     computes those pairs' quotients. *)
   Array.mapi
     (fun j pairs ->
       let qj = Array.length pairs in
@@ -76,15 +82,8 @@ let run st ~wire ~graphs ~logs config =
       let strengths = ref [] in
       Array.iter
         (fun ((u, v) as pair) ->
-          if Digraph.mem_edge graphs.(j) u v then begin
-            let k = Hashtbl.find union_index pair in
-            let den = ms.Protocol4.masked_a1.(u) +. ms.Protocol4.masked_a2.(u) in
-            let p =
-              if den = 0. then 0.
-              else (ms.Protocol4.masked_num1.(k) +. ms.Protocol4.masked_num2.(k)) /. den
-            in
-            strengths := ((u, v), p) :: !strengths
-          end)
+          if Digraph.mem_edge graphs.(j) u v then
+            strengths := ((u, v), estimates.(Hashtbl.find union_index pair)) :: !strengths)
         pairs;
       { host = j; strengths = List.rev !strengths })
     published

@@ -1,7 +1,7 @@
 module State = Spe_rng.State
-module Dist = Spe_rng.Dist
 module Wire = Spe_mpc.Wire
 module Protocol2 = Spe_mpc.Protocol2
+module Protocol3 = Spe_mpc.Protocol3
 module Ot = Spe_mpc.Ot
 module Digraph = Spe_graph.Digraph
 module Log = Spe_actionlog.Log
@@ -58,30 +58,26 @@ let run st ~wire ~graph ~num_actions ~logs ~modulus ~h ~key_bits =
   let { Protocol2.share1; share2; views = _ } =
     Protocol2.run st ~wire ~parties ~third_party ~modulus ~input_bound:num_actions ~inputs
   in
-  (* Per-user masks, jointly drawn as in Protocol 4. *)
-  Wire.round wire (fun () ->
-      Wire.send wire ~src:parties.(0) ~dst:parties.(1) ~bits:(n * Wire.float_bits);
-      Wire.send wire ~src:parties.(1) ~dst:parties.(0) ~bits:(n * Wire.float_bits));
-  Wire.round wire (fun () ->
-      Wire.send wire ~src:parties.(0) ~dst:parties.(1) ~bits:(n * Wire.float_bits);
-      Wire.send wire ~src:parties.(1) ~dst:parties.(0) ~bits:(n * Wire.float_bits));
-  let masks = Array.init n (fun _ -> Dist.mask_pair st) in
-  let masked shares idx =
-    let i, _ = pairs.(idx) in
-    masks.(i) *. float_of_int shares.(n + idx)
+  (* Protocol 3 with per-user masks, as in Protocol 4. *)
+  let shares_of shares =
+    { Protocol3.den = Array.init n (fun i -> float_of_int shares.(i));
+      num = Array.init q (fun k -> float_of_int shares.(n + k)) }
+  in
+  let { Protocol3.masked1; masked2; _ } =
+    Protocol3.run st ~wire ~p1:parties.(0) ~p2:parties.(1) ~groups:(Array.map fst pairs)
+      (shares_of share1) (shares_of share2)
   in
   (* Masked activity denominators travel in the clear (per user). *)
-  let masked_a shares i = masks.(i) *. float_of_int shares.(i) in
   Wire.round wire (fun () ->
       Wire.send wire ~src:parties.(0) ~dst:Wire.Host ~bits:(n * Wire.float_bits);
       Wire.send wire ~src:parties.(1) ~dst:Wire.Host ~bits:(n * Wire.float_bits));
   (* The host retrieves the masked numerator shares of its real arcs
      by oblivious transfer; the providers never learn the indices. *)
   let transfers = ref 0 in
-  let fetch shares idx ~sender =
+  let fetch (masked : Protocol3.shares) idx ~sender =
     let messages_hi = Array.make q 0 and messages_lo = Array.make q 0 in
     for k = 0 to q - 1 do
-      let hi, lo = float_halves (masked shares k) in
+      let hi, lo = float_halves masked.Protocol3.num.(k) in
       messages_hi.(k) <- hi;
       messages_lo.(k) <- lo
     done;
@@ -102,8 +98,8 @@ let run st ~wire ~graph ~num_actions ~logs ~modulus ~h ~key_bits =
   let strengths =
     Digraph.fold_edges graph ~init:[] ~f:(fun acc u v ->
         let idx = Hashtbl.find index (u, v) in
-        let num = fetch share1 idx ~sender:parties.(0) +. fetch share2 idx ~sender:parties.(1) in
-        let den = masked_a share1 u +. masked_a share2 u in
+        let num = fetch masked1 idx ~sender:parties.(0) +. fetch masked2 idx ~sender:parties.(1) in
+        let den = masked1.Protocol3.den.(u) +. masked2.Protocol3.den.(u) in
         let p = if den = 0. then 0. else num /. den in
         ((u, v), p) :: acc)
     |> List.rev

@@ -3,6 +3,8 @@ module Wire = Spe_mpc.Wire
 module Runtime = Spe_mpc.Runtime
 module Session = Spe_mpc.Session
 module Protocol2_distributed = Spe_mpc.Protocol2_distributed
+module Protocol3 = Spe_mpc.Protocol3
+module Protocol3_distributed = Spe_mpc.Protocol3_distributed
 module Digraph = Spe_graph.Digraph
 module Obfuscate = Spe_graph.Obfuscate
 module Log = Spe_actionlog.Log
@@ -54,7 +56,7 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
     Protocol2_distributed.draw st ~m ~modulus:config.Protocol4.modulus
       ~input_bound:num_actions ~length:len
   in
-  let masks = Array.init n (fun _ -> Dist.mask_pair st) in
+  let masks = Protocol3_distributed.draw st ~groups:n in
   (* Cut the n + q counter groups (user counters have width 1, pair
      groups width [w] in the flat Protocol 2 vector) into k contiguous
      chunks. *)
@@ -140,81 +142,42 @@ let links_plan st ~graph ~num_actions ~m ~provider_input_of ~pre_stages ~shards 
      arrays: the host's merge is a plain disjoint-range scatter, so the
      final quotients run over exactly the arrays the unsharded host
      collects. *)
-  let ma1 = Array.make n 0. and ma2 = Array.make n 0. in
-  let mn1 = Array.make q 0. and mn2 = Array.make q 0. in
+  let masked1 = { Protocol3.den = Array.make n 0.; num = Array.make q 0. } in
+  let masked2 = { Protocol3.den = Array.make n 0.; num = Array.make q 0. } in
   let mask_session r =
     let n_s = r.u1 - r.u0 and q_s = r.a1 - r.a0 in
-    (* Shard-local copy of [Protocol4.masked_shares_of_flat]'s
-       arithmetic: same operations in the same order on the same
-       values, so the floats are bit-identical — the whole-array helper
-       indexes masks globally for users but per-pair for numerators, so
-       it cannot be applied to a slice directly. *)
-    let numerator_share sh j =
-      match config.Protocol4.estimator with
-      | Protocol4.Eq1 -> float_of_int sh.(n_s + j)
-      | Protocol4.Eq2 wts ->
-        let wts = (wts :> float array) in
-        let acc = ref 0. in
-        for l = 0 to h - 1 do
-          acc := !acc +. (wts.(l) *. float_of_int sh.(n_s + (j * h) + l))
-        done;
-        !acc
+    (* A player's vector: the activity shares of the shard's users,
+       then one numerator per shard pair in the group of its source. *)
+    let entries share_of received () =
+      let sh = share_of () and pr = received () in
+      let values = Array.make (n_s + q_s) 0. and index = Array.make (n_s + q_s) 0 in
+      for i = 0 to n_s - 1 do
+        values.(i) <- float_of_int sh.(i);
+        index.(i) <- r.u0 + i
+      done;
+      for j = 0 to q_s - 1 do
+        values.(n_s + j) <-
+          Protocol4_distributed.numerator_share config.Protocol4.estimator sh ~at:(n_s + (j * w));
+        index.(n_s + j) <- fst pr.(j)
+      done;
+      (values, index)
     in
-    let player me other share_of my_pairs ~round ~inbox:_ =
-      match round with
-      | 1 | 2 ->
-        [ { Runtime.src = me; dst = other; payload = Runtime.Floats (Array.make n_s 0.) } ]
-      | 3 ->
-        let sh = share_of () in
-        let pr = my_pairs () in
-        let masked_a =
-          Array.init n_s (fun i -> masks.(r.u0 + i) *. float_of_int sh.(i))
-        in
-        let masked_num =
-          Array.init q_s (fun j ->
-              let i, _ = pr.(j) in
-              masks.(i) *. numerator_share sh j)
-        in
-        [ { Runtime.src = me; dst = Wire.Host;
-            payload = Runtime.Floats (Array.append masked_a masked_num) } ]
-      | _ -> []
-    in
-    let host_program ~round:_ ~inbox =
-      List.iter
-        (fun msg ->
-          match msg.Runtime.payload with
-          | Runtime.Floats v when Array.length v = n_s + q_s ->
-            let write ma mn =
-              for i = 0 to n_s - 1 do
-                ma.(r.u0 + i) <- v.(i)
-              done;
-              for j = 0 to q_s - 1 do
-                mn.(r.a0 + j) <- v.(n_s + j)
-              done
-            in
-            if msg.Runtime.src = p0 then write ma1 mn1
-            else if msg.Runtime.src = p1 then write ma2 mn2
-          | _ -> ())
-        inbox;
-      []
+    let write (into : Protocol3.shares) v =
+      if Array.length v = n_s + q_s then begin
+        Array.blit v 0 into.Protocol3.den r.u0 n_s;
+        Array.blit v n_s into.Protocol3.num r.a0 q_s
+      end
     in
     Session.with_label "p4-mask"
-      (Session.make
-         ~parties:[| p0; p1; Wire.Host |]
-         ~programs:
-           [|
-             player p0 p1 r.core.Protocol2_distributed.share1 (fun () -> r.received_of 0);
-             player p1 p0 r.core.Protocol2_distributed.share2 (fun () -> r.received_of 1);
-             host_program;
-           |]
-         ~rounds:3
-         ~result:(fun () -> ()))
+      (Protocol3_distributed.mask_phase ~p1:p0 ~p2:p1 ~host:Wire.Host ~masks ~agree:n_s
+         ~shares1:(entries r.core.Protocol2_distributed.share1 (fun () -> r.received_of 0))
+         ~shares2:(entries r.core.Protocol2_distributed.share2 (fun () -> r.received_of 1))
+         ~deliver:(fun v1 v2 ->
+           write masked1 v1;
+           write masked2 v2))
   in
   let result () =
-    let est =
-      Protocol4.pair_estimates_of_masked ~pairs ~masked_a1:ma1 ~masked_a2:ma2
-        ~masked_num1:mn1 ~masked_num2:mn2
-    in
+    let est = Protocol3.quotients ~groups:(Array.map fst pairs) masked1 masked2 in
     {
       Protocol4.strengths = Protocol4.strengths_of_estimates ~graph ~pairs est;
       pairs;
@@ -306,78 +269,62 @@ let links_non_exclusive st ~graph ~logs ~spec ~obfuscation ~shards config =
 
 type scores = { scores : float array; graphs : Propagation.t array }
 
-(* The final unmasking phase: mask agreement (rounds 1-2), masked
-   denominators to the host (round 3), then the blinded round-trip
-   host -> player 1 -> host (rounds 4-5), the host dividing at its
-   finishing call.  [share1]/[share2] read the players' Protocol 2
-   activity shares and [numerators_of] the Protocol 6 sphere totals;
-   all three are forced only once the phase is executing (the
-   numerators inside the host program at round 4), after every earlier
-   stage has delivered.  The session result is the score vector. *)
+(* The final unmasking phase: Protocol 3's mask phase over the
+   activity shares (rounds 1-3: mask agreement, masked denominators to
+   the host), then the blinded round-trip host -> player 1 -> host
+   (rounds 4-5), the host dividing at its finishing call.
+   [share1]/[share2] read the players' Protocol 2 activity shares and
+   [numerators_of] the Protocol 6 sphere totals; all three are forced
+   only once the phase is executing (the numerators inside the host
+   program at round 4), after every earlier stage has delivered.  The
+   session result is the score vector. *)
 let scores_final_phase ~n ~p0 ~p1 ~masks ~blinds ~share1 ~share2 ~numerators_of =
-  let scores_ref = ref [||] in
-  let player me other share_of is_player1 ~round ~inbox =
-    match round with
-    | 1 | 2 ->
-      [ { Runtime.src = me; dst = other; payload = Runtime.Floats (Array.make n 0.) } ]
-    | 3 ->
-      let share = share_of () in
-      [ { Runtime.src = me; dst = Wire.Host;
-          payload =
-            Runtime.Floats (Array.init n (fun i -> masks.(i) *. float_of_int share.(i))) } ]
-    | 5 when is_player1 -> (
-      match
-        List.find_map
-          (fun msg ->
-            match msg.Runtime.payload with
-            | Runtime.Floats v when msg.Runtime.src = Wire.Host -> Some v
-            | _ -> None)
-          inbox
-      with
-      | Some to_p1 ->
-        [ { Runtime.src = me; dst = Wire.Host;
-            payload = Runtime.Floats (Array.init n (fun i -> to_p1.(i) *. masks.(i))) } ]
-      | None -> [])
+  let masked_denominators = ref None in
+  let entries share_of () = (Array.map float_of_int (share_of ()), Array.init n Fun.id) in
+  let mask =
+    Protocol3_distributed.mask_phase ~p1:p0 ~p2:p1 ~host:Wire.Host ~masks ~agree:n
+      ~shares1:(entries share1) ~shares2:(entries share2)
+      ~deliver:(fun a b ->
+        masked_denominators := Some (Array.init n (fun i -> a.(i) +. b.(i))))
+  in
+  let floats_from party inbox =
+    List.find_map
+      (fun msg ->
+        match msg.Runtime.payload with
+        | Runtime.Floats v when msg.Runtime.src = party -> Some v
+        | _ -> None)
+      inbox
+  in
+  let player1 ~round ~inbox =
+    match (round, floats_from Wire.Host inbox) with
+    | 2, Some to_p1 ->
+      [ { Runtime.src = p0; dst = Wire.Host;
+          payload = Runtime.Floats (Array.init n (fun i -> to_p1.(i) *. masks.(i))) } ]
     | _ -> []
   in
-  let v1 = ref None and v2 = ref None in
+  let scores_ref = ref [||] in
   let host_program ~round ~inbox =
-    let floats_from party =
-      List.find_map
-        (fun msg ->
-          match msg.Runtime.payload with
-          | Runtime.Floats v when msg.Runtime.src = party -> Some v
-          | _ -> None)
-        inbox
-    in
-    match round with
-    | 4 -> (
-      (match floats_from p0 with Some v -> v1 := Some v | None -> ());
-      (match floats_from p1 with Some v -> v2 := Some v | None -> ());
-      match (!v1, !v2) with
-      | Some a, Some b ->
-        let masked_denominators = Array.init n (fun i -> a.(i) +. b.(i)) in
-        let numerators = numerators_of () in
-        let to_p1 =
-          Array.init n (fun i ->
-              if masked_denominators.(i) = 0. then 0.
-              else blinds.(i) *. float_of_int numerators.(i) /. masked_denominators.(i))
-        in
-        [ { Runtime.src = Wire.Host; dst = p0; payload = Runtime.Floats to_p1 } ]
-      | _ -> [])
-    | 6 ->
-      (match floats_from p0 with
+    match (round, !masked_denominators) with
+    | 1, Some masked_denominators ->
+      let numerators = numerators_of () in
+      let to_p1 =
+        Array.init n (fun i ->
+            if masked_denominators.(i) = 0. then 0.
+            else blinds.(i) *. float_of_int numerators.(i) /. masked_denominators.(i))
+      in
+      [ { Runtime.src = Wire.Host; dst = p0; payload = Runtime.Floats to_p1 } ]
+    | 3, _ ->
+      (match floats_from p0 inbox with
       | Some from_p1 -> scores_ref := Array.init n (fun i -> from_p1.(i) /. blinds.(i))
       | None -> ());
       []
     | _ -> []
   in
-  Session.with_label "scores-final"
-    (Session.make
-       ~parties:[| p0; p1; Wire.Host |]
-       ~programs:[| player p0 p1 share1 true; player p1 p0 share2 false; host_program |]
-       ~rounds:5
-       ~result:(fun () -> !scores_ref))
+  let blinded =
+    Session.make ~parties:[| p0; Wire.Host |] ~programs:[| player1; host_program |] ~rounds:2
+      ~result:(fun () -> !scores_ref)
+  in
+  Session.with_label "scores-final" (Session.map snd (Session.seq mask blinded))
 
 let user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards config =
   let m = Array.length logs in
@@ -402,7 +349,7 @@ let user_scores_exclusive st ~graph ~logs ~tau ~modulus ~shards config =
       ~input_bound:num_actions ~length:n
       ~inputs:(Array.init m (fun k () -> Log.user_activity logs.(k)))
   in
-  let masks = Array.init n (fun _ -> Dist.mask_pair st) in
+  let masks = Protocol3_distributed.draw st ~groups:n in
   let blinds = Array.init n (fun _ -> Dist.mask_pair st) in
   let p0 = parties.(0) and p1 = parties.(1) in
   let final_phase =

@@ -25,10 +25,13 @@
       slice; one full-batch verdict session ([p2-verdict]) then
       announces all wraps in a single [Bits] message, byte-identical to
       the unsharded announcement;
-    + {e mask} — players 1 and 2 exchange the two joint-mask agreement
+    + {e mask} — per shard, the session form of the batched Protocol 3
+      ({!Spe_mpc.Protocol3_distributed.mask_phase}, labelled
+      [p4-mask]): players 1 and 2 exchange the two joint-mask agreement
       rounds, combine and mask their shares and ship the masked reals;
-      the host reconstructs the quotients (Steps 5-9).  Per-shard
-      masking sessions scatter into the host's masked arrays.
+      the host reconstructs the quotients (Steps 5-9) with
+      {!Spe_mpc.Protocol3.quotients}.  Per-shard masking sessions
+      scatter into the host's masked arrays.
 
     The non-exclusive pipeline first runs one Protocol 5 session per
     action class ([p5-classes]), built in class order with the central
@@ -40,10 +43,11 @@
     pair publication and the key broadcast ([p6-setup]), then the
     encrypted bundle relay with the {e action} range cut into shards
     ([p6-bundles]); then the batched Protocol 2 over the activity
-    counters and the five-round unmasking ([scores-share]): mask
-    agreement, masked denominators to the host, and the blinded
-    round-trip host -> player 1 -> host, the host dividing out its
-    blinds at the finishing call.
+    counters and the five-round unmasking ([scores-share]; the
+    unmasking is its [scores-final] phase): Protocol 3's mask phase over
+    the activity shares (mask agreement, masked denominators to the
+    host), then the blinded round-trip host -> player 1 -> host, the
+    host dividing out its blinds at the finishing call.
 
     {2 Draw order and permute-then-shard}
 

@@ -4,10 +4,14 @@
     multi-party protocol — the parties, one {!Runtime.program} per
     party, the exact number of charged rounds, and a thunk that reads
     the result out of the party closures once an engine has driven the
-    programs to quiescence.  [Protocol1_distributed],
-    [Protocol2_distributed] and [Protocol3_distributed] build one each,
-    and the Protocol 4/5/6 pipelines in [Spe_core] are built by {e
-    composing} sessions with the combinators below.
+    programs to quiescence.  [Protocol1_distributed] and
+    [Protocol2_distributed] build one each, [Protocol3_distributed]
+    builds the mask phase of the batched secure division, and the
+    Protocol 4/5/6 pipelines in [Spe_core] are built by {e composing}
+    these sessions with the combinators below — the links and stream
+    pipelines' [p4-mask] phases are Protocol 3's mask phase relabelled,
+    and the scores pipeline's [scores-final] phase is it {!seq}'d with a
+    blinded round-trip.
 
     Any engine can host a session: the in-process {!Runtime.run} (via
     {!run}), or the [Spe_net] endpoints, which carry the same party

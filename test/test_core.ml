@@ -401,40 +401,76 @@ let test_scores_zero_activity_user () =
   Alcotest.(check (float 0.)) "user 0 (inactive) scores 0" 0. r.Driver.scores.(0);
   Alcotest.(check bool) "user 1 scores 1" true (abs_float (r.Driver.scores.(1) -. 1.) < 1e-3)
 
-(* --- secure Jaccard variant ----------------------------------------------------------- *)
+(* --- Protocol 4's batched Protocol 3 ------------------------------------------------- *)
 
-module Protocol4_jaccard = Spe_core.Protocol4_jaccard
+module Protocol3 = Spe_mpc.Protocol3
 
-let test_jaccard_protocol_matches_plaintext () =
-  let s = st () in
-  for m = 2 to 4 do
-    let g, log = workload ~n:25 ~num_actions:15 s in
-    let logs = Partition.exclusive s log ~m in
-    let wire = Wire.create () in
-    let r =
-      Protocol4_jaccard.run_with_logs s ~wire ~graph:g ~logs ~h:3 ~c_factor:2.
-        ~modulus:(1 lsl 40)
-    in
-    let ct = Counters.compute log ~h:3 ~pairs:r.Protocol4_jaccard.pairs in
-    let expected =
-      Link_strength.restrict_to_graph ct (Link_strength.all_jaccard ct) g
-    in
-    List.iter2
-      (fun ((u, v), p_exp) ((u', v'), p_got) ->
-        if u <> u' || v <> v' then Alcotest.fail "arc mismatch";
-        if abs_float (p_exp -. p_got) > 1e-3 *. (p_exp +. 1.) then
-          Alcotest.failf "jaccard(%d,%d): secure %.6f <> plaintext %.6f" u v p_got p_exp)
-      expected r.Protocol4_jaccard.strengths
-  done
-
-let test_jaccard_protocol_modulus_check () =
-  let s = st () in
-  let g, log = workload ~n:10 ~num_actions:15 s in
-  let logs = Partition.exclusive s log ~m:2 in
+(* Steps 1-6 of Protocol 4 with [m = 3], stopping where [Protocol4.run]
+   and [Protocol4_multi_host] part: before the host-directed sends. *)
+let share_and_mask_of s ~g ~log config =
   let wire = Wire.create () in
-  Alcotest.check_raises "S must exceed 2A"
-    (Invalid_argument "Protocol4_jaccard.run_with_logs: modulus must exceed 2A") (fun () ->
-      ignore (Protocol4_jaccard.run_with_logs s ~wire ~graph:g ~logs ~h:3 ~c_factor:2. ~modulus:20))
+  let m = 3 in
+  let logs = Partition.exclusive s log ~m in
+  let pairs =
+    Protocol4.publish_pairs s ~wire ~graph:g ~m ~c_factor:config.Protocol4.c_factor
+  in
+  let inputs =
+    Array.map (fun l -> Protocol4.provider_input_of_log l ~h:config.Protocol4.h ~pairs) logs
+  in
+  let ms =
+    Protocol4.share_and_mask s ~wire ~n:(Digraph.n g) ~num_actions:(Log.num_actions log)
+      ~pairs ~inputs config
+  in
+  (wire, pairs, ms.Protocol4.masked)
+
+(* One group per user: the activity share is the denominator, and every
+   published pair (decoys included) is one numerator in the group of its
+   source.  The host's quotient over all pairs is the plaintext
+   estimate. *)
+let check_groups ~g ~pairs ~expected (o : Protocol3.outcome) =
+  let n = Digraph.n g and q = Array.length pairs in
+  Alcotest.(check int) "one mask per user" n (Array.length o.Protocol3.masks);
+  Array.iter
+    (fun r -> if not (Float.is_finite r && r > 0.) then Alcotest.failf "mask %g" r)
+    o.Protocol3.masks;
+  List.iter
+    (fun (who, (sh : Protocol3.shares)) ->
+      Alcotest.(check int) (who ^ ": one denominator per user") n (Array.length sh.den);
+      Alcotest.(check int) (who ^ ": one numerator per pair") q (Array.length sh.num))
+    [ ("player 1", o.Protocol3.masked1); ("player 2", o.Protocol3.masked2) ];
+  let got =
+    Protocol3.quotients ~groups:(Array.map fst pairs) o.Protocol3.masked1 o.Protocol3.masked2
+  in
+  Array.iteri
+    (fun k (u, v) ->
+      if abs_float (got.(k) -. expected.(k)) > 1e-3 *. (expected.(k) +. 1.) then
+        Alcotest.failf "p(%d,%d): masked %.9f <> plaintext %.9f" u v got.(k) expected.(k))
+    pairs
+
+let test_share_and_mask_eq1 () =
+  let s = st () in
+  let g, log = workload ~n:20 ~num_actions:12 s in
+  let config = Protocol4.default_config ~h:2 in
+  let wire, pairs, o = share_and_mask_of s ~g ~log config in
+  let expected = Link_strength.all_eq1 (Counters.compute log ~h:2 ~pairs) in
+  check_groups ~g ~pairs ~expected o;
+  List.iter
+    (fun (msg : Wire.message) ->
+      match (msg.src, msg.dst) with
+      | Wire.Provider (0 | 1), Wire.Host -> Alcotest.fail "a player already sent to the host"
+      | _ -> ())
+    (Wire.messages wire)
+
+let test_share_and_mask_eq2 () =
+  (* Each player folds its h lag shares into one numerator before the
+     mask, so Eq. 2 masks q numerators, not q * h. *)
+  let s = st () in
+  let g, log = workload ~n:20 ~num_actions:12 s in
+  let w = Link_strength.linear_decay_weights ~h:3 in
+  let config = { (Protocol4.default_config ~h:3) with Protocol4.estimator = Protocol4.Eq2 w } in
+  let _, pairs, o = share_and_mask_of s ~g ~log config in
+  let expected = Link_strength.all_eq2 (Counters.compute log ~h:3 ~pairs) w in
+  check_groups ~g ~pairs ~expected o
 
 (* --- robustness / degenerate inputs -------------------------------------------------- *)
 
@@ -606,21 +642,6 @@ let qcheck_tests =
                 abs_float (p -. expected) < 1e-3 *. (expected +. 1.))
               r.Spe_core.Protocol4_multi_host.strengths)
           results);
-    Test.make ~name:"secure jaccard equals plaintext on random workloads" ~count:8 small_nat
-      (fun seed ->
-        let s = State.create ~seed () in
-        let g, log = workload ~n:14 ~num_actions:8 s in
-        let logs = Partition.exclusive s log ~m:2 in
-        let wire = Wire.create () in
-        let r =
-          Spe_core.Protocol4_jaccard.run_with_logs s ~wire ~graph:g ~logs ~h:2 ~c_factor:2.
-            ~modulus:(1 lsl 40)
-        in
-        let ct = Counters.compute log ~h:2 ~pairs:r.Spe_core.Protocol4_jaccard.pairs in
-        let expected = Link_strength.restrict_to_graph ct (Link_strength.all_jaccard ct) g in
-        List.for_all2
-          (fun (_, p_exp) (_, p_got) -> abs_float (p_exp -. p_got) < 1e-3 *. (p_exp +. 1.))
-          expected r.Spe_core.Protocol4_jaccard.strengths);
   ]
 
 let () =
@@ -664,10 +685,10 @@ let () =
           Alcotest.test_case "match plaintext" `Quick test_scores_match_plaintext;
           Alcotest.test_case "zero-activity user" `Quick test_scores_zero_activity_user;
         ] );
-      ( "jaccard-protocol",
+      ( "batched-division",
         [
-          Alcotest.test_case "matches plaintext" `Quick test_jaccard_protocol_matches_plaintext;
-          Alcotest.test_case "modulus check" `Quick test_jaccard_protocol_modulus_check;
+          Alcotest.test_case "one group per user (Eq1)" `Quick test_share_and_mask_eq1;
+          Alcotest.test_case "lags folded before the mask (Eq2)" `Quick test_share_and_mask_eq2;
         ] );
       ( "robustness",
         [

@@ -101,9 +101,13 @@ let test_delta_matches_full_qcheck () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:8 ~name:"delta digest = full digest per epoch" arb prop)
 
+(* Seed 331 dirties groups in every epoch, so each epoch's mask phase
+   runs on every engine; the count below keeps it that way. *)
 let test_engines_bit_identical () =
-  let seed = 457 in
+  let seed = 331 in
   let sim, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine:`Sim ~epochs:4 () in
+  Alcotest.(check bool) "at least 3 of 4 epochs recompute a group" true
+    (List.length (List.filter (fun (r : Delta.release) -> r.Delta.recomputed > 0) sim) >= 3);
   List.iter
     (fun (label, engine) ->
       let rs, _, _, _ = releases_of ~seed ~mode:Delta.Delta ~engine ~epochs:4 () in

@@ -249,77 +249,94 @@ let test_p2_third_party_distinct () =
 
 (* --- Protocol 3 ------------------------------------------------------------ *)
 
+let p1 = Wire.Provider 0 and p2 = Wire.Provider 1
+
+let quotients_of groups (o : Protocol3.outcome) =
+  Protocol3.quotients ~groups o.Protocol3.masked1 o.Protocol3.masked2
+
+(* The paper's Protocol 3 as a batch of one-numerator groups: player 1
+   holds each numerator [a1], player 2 each denominator [a2], and the
+   other share is zero. *)
+let paper_shape pairs =
+  let of_int sel = Array.map (fun pr -> float_of_int (sel pr)) pairs in
+  let zeros = Array.map (fun _ -> 0.) pairs in
+  ( { Protocol3.den = zeros; num = of_int fst },
+    { Protocol3.den = of_int snd; num = zeros },
+    Array.init (Array.length pairs) Fun.id )
+
 let test_p3_exact_quotient () =
   let s = st () in
-  for _ = 1 to 2000 do
-    let a1 = State.next_int s 1000 and a2 = 1 + State.next_int s 999 in
-    let w = Wire.create () in
-    let o =
-      Protocol3.run s ~wire:w ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1) ~host:Wire.Host ~a1
-        ~a2
-    in
-    let expected = float_of_int a1 /. float_of_int a2 in
-    if abs_float (o.Protocol3.quotient -. expected) > 1e-9 *. expected +. 1e-12 then
-      Alcotest.failf "quotient %f <> %f" o.Protocol3.quotient expected
+  for _ = 1 to 20 do
+    let pairs = Array.init 100 (fun _ -> (State.next_int s 1000, 1 + State.next_int s 999)) in
+    let s1, s2, groups = paper_shape pairs in
+    let q = quotients_of groups (Protocol3.run s ~wire:(Wire.create ()) ~p1 ~p2 ~groups s1 s2) in
+    Array.iteri
+      (fun k (a1, a2) ->
+        let expected = float_of_int a1 /. float_of_int a2 in
+        if abs_float (q.(k) -. expected) > 1e-9 *. expected +. 1e-12 then
+          Alcotest.failf "quotient %f <> %f" q.(k) expected)
+      pairs
   done
 
 let test_p3_zero_denominator () =
   let s = st () in
-  let w = Wire.create () in
-  let o =
-    Protocol3.run s ~wire:w ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1) ~host:Wire.Host ~a1:7
-      ~a2:0
-  in
-  Alcotest.(check (float 0.)) "q = 0 on zero denominator" 0. o.Protocol3.quotient
+  let s1, s2, groups = paper_shape [| (7, 0); (3, 4) |] in
+  let q = quotients_of groups (Protocol3.run s ~wire:(Wire.create ()) ~p1 ~p2 ~groups s1 s2) in
+  Alcotest.(check (float 0.)) "q = 0 on zero denominator" 0. q.(0);
+  Alcotest.(check (float 1e-12)) "the next group still divides" 0.75 q.(1)
 
 let test_p3_host_view_masked () =
-  (* The host's view r*a must differ across runs on the same input. *)
+  (* Two batches drawn on the same input give the host different views. *)
   let s = st () in
+  let _, _, groups, s1, s2 = Util.p3_batch s ~groups:5 ~per:2 in
   let view () =
-    let w = Wire.create () in
-    let o =
-      Protocol3.run s ~wire:w ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1) ~host:Wire.Host ~a1:5
-        ~a2:3
-    in
-    fst o.Protocol3.host_view
+    Util.p3_flat (Protocol3.run s ~wire:(Wire.create ()) ~p1 ~p2 ~groups s1 s2).Protocol3.masked1
   in
   Alcotest.(check bool) "mask varies" true (view () <> view ())
 
 let test_p3_wire () =
   let s = st () in
   let w = Wire.create () in
-  let _ =
-    Protocol3.run s ~wire:w ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1) ~host:Wire.Host ~a1:1
-      ~a2:2
-  in
+  let _, _, groups, s1, s2 = Util.p3_batch s ~groups:6 ~per:3 in
+  ignore (Protocol3.run s ~wire:w ~p1 ~p2 ~groups s1 s2);
   let stats = Wire.stats w in
-  Alcotest.(check int) "1 round" 1 stats.Wire.rounds;
-  Alcotest.(check int) "2 messages" 2 stats.Wire.messages;
-  Alcotest.(check int) "2 floats" (2 * Wire.float_bits) stats.Wire.bits
+  Alcotest.(check int) "2 agreement rounds" 2 stats.Wire.rounds;
+  Alcotest.(check int) "4 messages" 4 stats.Wire.messages;
+  Alcotest.(check int) "one float per group and message" (4 * 6 * Wire.float_bits) stats.Wire.bits
 
 let test_divide_shares () =
+  (* Several numerators under each mask — Protocol 4's shape — from
+     integer additive shares; each batch's last group has a zero
+     denominator. *)
   let s = st () in
-  for _ = 1 to 1000 do
-    let num = State.next_int s 1000 and den = 1 + State.next_int s 999 in
-    let s1n = State.next_int s 100000 in
-    let s2n = num - s1n in
-    let s1d = State.next_int s 100000 in
-    let s2d = den - s1d in
-    let mask = Spe_rng.Dist.mask_pair s in
-    let q = Protocol3.divide_shares ~mask ~num:(s1n, s2n) ~den:(s1d, s2d) in
-    let expected = float_of_int num /. float_of_int den in
-    if abs_float (q -. expected) > 1e-6 *. (expected +. 1.) then
-      Alcotest.failf "share division %f <> %f" q expected
+  for _ = 1 to 50 do
+    let g = 1 + State.next_int s 20 in
+    let per = 1 + State.next_int s 4 in
+    let den, num, groups, s1, s2 = Util.p3_batch s ~groups:g ~per in
+    let q = quotients_of groups (Protocol3.run s ~wire:(Wire.create ()) ~p1 ~p2 ~groups s1 s2) in
+    Array.iteri
+      (fun k g ->
+        let expected =
+          if den.(g) = 0 then 0. else float_of_int num.(k) /. float_of_int den.(g)
+        in
+        if abs_float (q.(k) -. expected) > 1e-6 *. (expected +. 1.) then
+          Alcotest.failf "share division %f <> %f" q.(k) expected)
+      groups
   done
 
 let test_divide_shares_zero_den () =
   (* den = 0 must cancel exactly despite the mask. *)
   let s = st () in
   for _ = 1 to 200 do
-    let s1d = State.next_int s 100000 in
-    let mask = Spe_rng.Dist.mask_pair s in
-    let q = Protocol3.divide_shares ~mask ~num:(3, 4) ~den:(s1d, -s1d) in
-    Alcotest.(check (float 0.)) "zero denominator detected" 0. q
+    let s1d = float_of_int (State.next_int s 100000) in
+    let o =
+      Protocol3.run s ~wire:(Wire.create ()) ~p1 ~p2 ~groups:[| 0; 0 |]
+        { Protocol3.den = [| s1d |]; num = [| 3.; 5. |] }
+        { Protocol3.den = [| -.s1d |]; num = [| 4.; -1. |] }
+    in
+    Array.iter
+      (Alcotest.(check (float 0.)) "zero denominator detected" 0.)
+      (quotients_of [| 0; 0 |] o)
   done
 
 (* --- message-passing runtime ---------------------------------------------------- *)
@@ -443,22 +460,20 @@ let test_p2_distributed_matches_central () =
 
 let test_p3_distributed_matches_central () =
   let s = st () in
-  for _ = 1 to 100 do
-    let a1 = State.next_int s 1000 and a2 = State.next_int s 1000 in
-    let wd = Wire.create () in
-    let q =
-      Session.run
-        (Spe_mpc.Protocol3_distributed.make s ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1)
-           ~host:Wire.Host ~a1 ~a2)
-        ~wire:wd
-    in
-    let expected = if a2 = 0 then 0. else float_of_int a1 /. float_of_int a2 in
-    if abs_float (q -. expected) > 1e-9 *. (expected +. 1.) then
-      Alcotest.failf "distributed quotient %f <> %f" q expected;
-    let sd = Wire.stats wd in
-    Alcotest.(check int) "one round" 1 sd.Wire.rounds;
-    Alcotest.(check int) "two messages" 2 sd.Wire.messages;
-    Alcotest.(check int) "two floats" (2 * Wire.float_bits) sd.Wire.bits
+  for _ = 1 to 20 do
+    let g = 1 + State.next_int s 12 in
+    let per = State.next_int s 4 in
+    let _, _, groups, s1, s2 = Util.p3_batch s ~groups:g ~per in
+    let seed = State.next_int s 1_000_000 in
+    let wc = Wire.create () and wd = Wire.create () in
+    let central = Util.p3_central (State.create ~seed ()) ~wire:wc ~groups s1 s2 in
+    let session = Session.run (Util.p3_session (State.create ~seed ()) ~groups s1 s2) ~wire:wd in
+    let bits (v1, v2) = (Util.float_bits v1, Util.float_bits v2) in
+    Alcotest.(check bool) "host view bit-identical" true (bits session = bits central);
+    Alcotest.(check bool) "quotients bit-identical" true
+      (Util.float_bits (Util.p3_quotients ~groups g session)
+      = Util.float_bits (Util.p3_quotients ~groups g central));
+    Alcotest.(check bool) "NR/NM/MS identical" true (Wire.stats wd = Wire.stats wc)
   done
 
 let test_p2_distributed_rejects_inside_third () =
@@ -1007,15 +1022,15 @@ let qcheck_tests =
       (pair small_nat (pair (int_range 1 1000) (int_range 1 1000)))
       (fun (seed, (a1, a2)) ->
         let s = State.create ~seed () in
-        let w = Wire.create () in
-        let o =
-          Protocol3.run s ~wire:w ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1) ~host:Wire.Host
-            ~a1 ~a2
-        in
-        (* Both masked values share the mask, so their ratio is exact —
-           but each in isolation must be positive and finite. *)
-        let m1, m2 = o.Protocol3.host_view in
-        m1 >= 0. && m2 > 0. && Float.is_finite m1 && Float.is_finite m2);
+        let s1, s2, groups = paper_shape [| (a1, a2); (a2, a1) |] in
+        let o = Protocol3.run s ~wire:(Wire.create ()) ~p1 ~p2 ~groups s1 s2 in
+        (* Within a group both masked values share the mask, so their
+           ratio is exact — but each in isolation must be positive and
+           finite, as must every mask. *)
+        let positive x = x > 0. && Float.is_finite x in
+        Array.for_all positive o.Protocol3.masks
+        && Array.for_all positive o.Protocol3.masked1.Protocol3.num
+        && Array.for_all positive o.Protocol3.masked2.Protocol3.den);
   ]
 
 let () =

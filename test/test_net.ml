@@ -11,10 +11,8 @@ module Codec = Spe_mpc.Codec
 module Session = Spe_mpc.Session
 module Protocol1 = Spe_mpc.Protocol1
 module Protocol2 = Spe_mpc.Protocol2
-module Protocol3 = Spe_mpc.Protocol3
 module P1d = Spe_mpc.Protocol1_distributed
 module P2d = Spe_mpc.Protocol2_distributed
-module P3d = Spe_mpc.Protocol3_distributed
 module Nat = Spe_bignum.Nat
 module Generate = Spe_graph.Generate
 module Cascade = Spe_actionlog.Cascade
@@ -699,38 +697,45 @@ let test_p2_memory_matches_sim () = check_p2_engine `Memory "memory"
 
 let test_p2_socket_matches_sim () = check_p2_engine `Socket "socket"
 
-(* Protocol 3: the quotient and the full NR/NM/MS triple are identical
-   across the central run, the in-process session, and both transport
-   engines — the distributed twin charges the same two Floats sends. *)
+(* Protocol 3: the host's masked view, the quotients and the full
+   NR/NM/MS triple are identical across the central form (with the
+   round of sends to the host its pipelines charge), the in-process
+   session form, and both transport engines — on a lone
+   zero-denominator group, on Protocol 4's shape, and on the scores
+   path's denominators alone. *)
 let test_p3_cross_engine () =
-  let p1 = Wire.Provider 0 and p2 = Wire.Provider 1 and host = Wire.Host in
   List.iter
-    (fun (a1, a2) ->
-      let label = Printf.sprintf "p3 a1=%d a2=%d" a1 a2 in
-      let central_q, central_stats =
-        let s = State.create ~seed:71 () in
-        let w = Wire.create () in
-        let o = Protocol3.run s ~wire:w ~p1 ~p2 ~host ~a1 ~a2 in
-        (o.Protocol3.quotient, Wire.stats w)
-      in
-      let session () = P3d.make (State.create ~seed:71 ()) ~p1 ~p2 ~host ~a1 ~a2 in
+    (fun (g, per) ->
+      let label = Printf.sprintf "p3 %d group(s) x %d" g per in
+      let _, _, groups, s1, s2 = Util.p3_batch (State.create ~seed:71 ()) ~groups:g ~per in
       let w = Wire.create () in
-      let sim_q = Session.run (session ()) ~wire:w in
-      Alcotest.(check bool) (label ^ ": sim quotient bit-identical") true (sim_q = central_q);
-      Alcotest.(check bool) (label ^ ": sim NR/NM/MS identical to the central wire") true
-        (Wire.stats w = central_stats);
+      let central = Util.p3_central (State.create ~seed:72 ()) ~wire:w ~groups s1 s2 in
+      let central_stats = Wire.stats w in
+      let bits (v1, v2) = (Util.float_bits v1, Util.float_bits v2) in
+      let check engine_label view stats =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: host view bit-identical" label engine_label)
+          true
+          (bits view = bits central);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: quotients bit-identical" label engine_label)
+          true
+          (Util.float_bits (Util.p3_quotients ~groups g view)
+          = Util.float_bits (Util.p3_quotients ~groups g central));
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: NR/NM/MS identical to the central wire" label engine_label)
+          true (stats = central_stats)
+      in
+      let session () = Util.p3_session (State.create ~seed:72 ()) ~groups s1 s2 in
+      let w = Wire.create () in
+      let sim = Session.run (session ()) ~wire:w in
+      check "sim" sim (Wire.stats w);
       List.iter
         (fun (engine_label, engine) ->
-          let q, res = Util.run_session engine (session ()) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %s: quotient bit-identical" label engine_label)
-            true (q = central_q);
-          Alcotest.(check bool)
-            (Printf.sprintf "%s %s: NR/NM/MS identical to the central wire" label engine_label)
-            true
-            (Wire.stats (Net_wire.merge (logs_of res)) = central_stats))
+          let view, res = Util.run_session engine (session ()) in
+          check engine_label view (Wire.stats (Net_wire.merge (logs_of res))))
         session_engines)
-    [ (3, 4); (0, 7); (5, 0) ]
+    [ (1, 3); (4, 3); (5, 0) ]
 
 (* --- full pipelines across engines --------------------------------------------- *)
 

@@ -10,7 +10,6 @@
 module State = Spe_rng.State
 module Wire = Spe_mpc.Wire
 module Session = Spe_mpc.Session
-module P3d = Spe_mpc.Protocol3_distributed
 module Generate = Spe_graph.Generate
 module Cascade = Spe_actionlog.Cascade
 module Partition = Spe_actionlog.Partition
@@ -349,10 +348,8 @@ let check_sim_accounting label trace (w : Wire.t) =
   report
 
 let test_p3_accounting () =
-  let session () =
-    P3d.make (State.create ~seed:71 ()) ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1)
-      ~host:Wire.Host ~a1:3 ~a2:4
-  in
+  let _, _, groups, s1, s2 = Util.p3_batch (State.create ~seed:71 ()) ~groups:4 ~per:3 in
+  let session () = Util.p3_session (State.create ~seed:72 ()) ~groups s1 s2 in
   let sim_trace = Trace.create () in
   let w = Wire.create () in
   let _q = Session.run ~trace:sim_trace (session ()) ~wire:w in
@@ -448,10 +445,8 @@ let test_central_accounting () =
 (* Loss recovery shows up in the trace — and first-transmission
    accounting still matches Net_wire exactly. *)
 let test_fault_accounting () =
-  let session () =
-    P3d.make (State.create ~seed:79 ()) ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1)
-      ~host:Wire.Host ~a1:5 ~a2:2
-  in
+  let _, _, groups, s1, s2 = Util.p3_batch (State.create ~seed:79 ()) ~groups:2 ~per:1 in
+  let session () = Util.p3_session (State.create ~seed:80 ()) ~groups s1 s2 in
   let fault = Fault.drop_nth [ 1 ] in
   let config = { Endpoint.round_timeout = 0.08; max_retries = 3; linger = 0.5 } in
   let trace = Trace.create () in

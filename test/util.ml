@@ -9,6 +9,10 @@ module State = Spe_rng.State
 module Generate = Spe_graph.Generate
 module Cascade = Spe_actionlog.Cascade
 module Partition = Spe_actionlog.Partition
+module Wire = Spe_mpc.Wire
+module Session = Spe_mpc.Session
+module Protocol3 = Spe_mpc.Protocol3
+module Protocol3_distributed = Spe_mpc.Protocol3_distributed
 module Plan = Spe_core.Plan
 module Transport = Spe_net.Transport
 module Schedule = Spe_chaos.Schedule
@@ -46,6 +50,65 @@ let run_session ?config ?fault ?trace engine session =
   match acct.Plan.net with
   | Some { Plan.runs = [ run ]; _ } -> (r, run.Plan.endpoint)
   | _ -> invalid_arg "Util.run_session: one transport session expected"
+
+(* --- the batched Protocol 3 ---------------------------------------------------- *)
+
+(* A random batch in Protocol 4's shape: [groups] denominators below
+   1000, the last one zero, and [per] numerators per group no larger
+   than its denominator, each split into two players' integer additive
+   shares as Protocol 2 leaves them — a random first share and the
+   (possibly negative) rest.  Returns the plaintext denominators and
+   numerators, each numerator's group, and the two players' shares. *)
+let p3_batch s ~groups ~per =
+  let den = Array.init groups (fun g -> if g = groups - 1 then 0 else State.next_int s 1000) in
+  let group_of = Array.init (groups * per) (fun k -> k / per) in
+  let num = Array.map (fun g -> State.next_int s (den.(g) + 1)) group_of in
+  let split xs =
+    let first = Array.map (fun _ -> State.next_int s 100_000) xs in
+    (Array.map float_of_int first, Array.mapi (fun i x -> float_of_int (x - first.(i))) xs)
+  in
+  let d1, d2 = split den in
+  let n1, n2 = split num in
+  (den, num, group_of, { Protocol3.den = d1; num = n1 }, { Protocol3.den = d2; num = n2 })
+
+(* One player's shares as a single vector: denominators, then
+   numerators — the layout the session form below sends. *)
+let p3_flat (m : Protocol3.shares) = Array.append m.Protocol3.den m.Protocol3.num
+
+(* The central form on a batch, plus the round of sends to the host that
+   its pipelines charge; returns the two masked vectors the host
+   receives. *)
+let p3_central st ~wire ~groups s1 s2 =
+  let o = Protocol3.run st ~wire ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1) ~groups s1 s2 in
+  let v1 = p3_flat o.Protocol3.masked1 and v2 = p3_flat o.Protocol3.masked2 in
+  Wire.round wire (fun () ->
+      Wire.send wire ~src:(Wire.Provider 0) ~dst:Wire.Host
+        ~bits:(Array.length v1 * Wire.float_bits);
+      Wire.send wire ~src:(Wire.Provider 1) ~dst:Wire.Host
+        ~bits:(Array.length v2 * Wire.float_bits));
+  (v1, v2)
+
+(* The session form on the same batch, its masks drawn from [st] where
+   the central form draws them; the session result is the two vectors
+   its host delivered. *)
+let p3_session st ~groups (s1 : Protocol3.shares) s2 =
+  let g = Array.length s1.Protocol3.den in
+  let masks = Protocol3_distributed.draw st ~groups:g in
+  let entries s () = (p3_flat s, Array.append (Array.init g Fun.id) groups) in
+  let delivered = ref None in
+  Session.map
+    (fun () -> Option.get !delivered)
+    (Protocol3_distributed.mask_phase ~p1:(Wire.Provider 0) ~p2:(Wire.Provider 1)
+       ~host:Wire.Host ~masks ~agree:g ~shares1:(entries s1) ~shares2:(entries s2)
+       ~deliver:(fun v1 v2 -> delivered := Some (v1, v2)))
+
+(* The host's quotients from the two vectors of a [g]-group batch. *)
+let p3_quotients ~groups g (v1, v2) =
+  let split v = { Protocol3.den = Array.sub v 0 g; num = Array.sub v g (Array.length v - g) } in
+  Protocol3.quotients ~groups (split v1) (split v2)
+
+(* IEEE bit patterns, for bit-for-bit comparison of float vectors. *)
+let float_bits v = Array.map Int64.bits_of_float v
 
 (* --- decoder fuzzing ------------------------------------------------------------ *)
 
