@@ -949,12 +949,38 @@ let serve_reports () =
   ignore (Client.shutdown_roster ~timeout:15. roster);
   Array.iter (fun d -> Daemon.wait ~timeout:30. d) daemons;
   assert (reports <> []);
-  let daemon_row =
-    { (Metrics.merge reports) with Metrics.protocol; engine = "daemon"; wall_s = daemon_wall }
+  (* Each daemon counts the rounds in which it sent, so summing them
+     counts a round in which two daemons send twice.  A job's daemons
+     run its rounds in lockstep, and in every links phase one daemon
+     sends in each of the phase's rounds, so the deployment's rounds
+     per phase are its busiest daemon's; the respawn row, whose parties
+     share one trace per session, checks this below. *)
+  let merged = Metrics.merge reports in
+  let phases =
+    List.map
+      (fun (p : Metrics.phase_row) ->
+        let rounds_of (r : Metrics.report) =
+          match List.find_opt (fun (q : Metrics.phase_row) -> q.phase = p.phase) r.phases with
+          | Some q -> q.rounds
+          | None -> 0
+        in
+        { p with rounds = List.fold_left (fun acc r -> max acc (rounds_of r)) 0 reports })
+      merged.Metrics.phases
   in
-  (* Every job moves the same payload, so the deployment's cumulative
-     bytes equal the per-job respawn total. *)
+  let daemon_row =
+    {
+      merged with
+      Metrics.protocol;
+      engine = "daemon";
+      wall_s = daemon_wall;
+      rounds = List.fold_left (fun acc (p : Metrics.phase_row) -> acc + p.rounds) 0 phases;
+      phases;
+    }
+  in
+  (* Every job moves the same payload in the same rounds, so the
+     deployment's cumulative counts equal the per-job respawn totals. *)
   assert (daemon_row.Metrics.payload_bytes = respawn.Metrics.payload_bytes);
+  assert (daemon_row.Metrics.rounds = respawn.Metrics.rounds);
   Printf.printf
     "serve ablation (%d links jobs, m = %d): per-job spawn %.2f s (%.0f ms/job),\n\
      persistent daemons %.2f s (%.0f ms/job, %.1fx); %d mesh hellos total for the\n\

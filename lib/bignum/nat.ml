@@ -196,18 +196,27 @@ let test_bit (a : t) i =
   let limb = i / limb_bits and bit = i mod limb_bits in
   limb < Array.length a && (a.(limb) lsr bit) land 1 = 1
 
-(* Division by a single limb; returns (quotient, remainder-as-int). *)
-let divmod_small (u : t) d =
-  if d <= 0 || d >= base then invalid_arg "Nat.divmod_small: divisor out of limb range";
-  let n = Array.length u in
-  let q = Array.make n 0 in
+(* Division by a single limb, most significant limb first: returns the
+   remainder, and writes the quotient's limbs into [q] unless [q] is
+   empty. *)
+let short_division (u : t) d q =
+  if d <= 0 || d >= base then invalid_arg "Nat: divisor out of limb range";
+  let store = Array.length q > 0 in
   let r = ref 0 in
-  for i = n - 1 downto 0 do
+  for i = Array.length u - 1 downto 0 do
     let cur = (!r lsl limb_bits) lor u.(i) in
-    q.(i) <- cur / d;
+    if store then q.(i) <- cur / d;
     r := cur mod d
   done;
-  (norm q, !r)
+  !r
+
+(* Returns (quotient, remainder-as-int). *)
+let divmod_small (u : t) d =
+  let q = Array.make (Array.length u) 0 in
+  let r = short_division u d q in
+  (norm q, r)
+
+let rem_small (u : t) d = short_division u d [||]
 
 (* Knuth TAOCP vol. 2, Algorithm 4.3.1-D.  [v] has >= 2 limbs. *)
 let divmod_knuth (u : t) (v : t) =

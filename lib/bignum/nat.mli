@@ -64,6 +64,11 @@ val divmod : t -> t -> t * t
 val div : t -> t -> t
 val rem : t -> t -> t
 
+val rem_small : t -> int -> int
+(** [rem_small a d] is [a mod d] as a native [int], read off the limbs
+    without allocating.  Raises [Invalid_argument] unless
+    [0 < d < 2^30]. *)
+
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 

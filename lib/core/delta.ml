@@ -28,6 +28,9 @@ type epoch_input = {
 type t = {
   graph : Digraph.t;
   pairs : (int * int) array;
+  (* sources.(k): the source of pair [k], the group its quotient
+     divides by. *)
+  sources : int array;
   (* sourced.(i): the published pair indices with source [i], ascending —
      the pair half of counter group [i]. *)
   sourced : int array array;
@@ -105,6 +108,7 @@ let create st ~graph ~m ~num_actions ~group_seed config =
   {
     graph;
     pairs;
+    sources = Array.map fst pairs;
     sourced = Array.map (fun l -> Array.of_list (List.rev l)) buckets;
     m;
     num_actions;
@@ -193,10 +197,19 @@ let groups_session t ~groups ~flat_inputs =
   in
   (* A player's vector: per recomputed group [b], its activity share
      then one numerator per sourced pair, all under the group's own
-     mask, [masks.(b)]. *)
+     mask, [masks.(b)].  Which group an entry belongs to depends only on
+     the epoch's groups, so both players share one index vector. *)
+  let index =
+    lazy
+      (let index = Array.make slots.(nb) 0 in
+       for b = 0 to nb - 1 do
+         Array.fill index slots.(b) (slots.(b + 1) - slots.(b)) b
+       done;
+       index)
+  in
   let entries share_of () =
     let sh = share_of () in
-    let values = Array.make slots.(nb) 0. and index = Array.make slots.(nb) 0 in
+    let values = Array.make slots.(nb) 0. in
     Array.iteri
       (fun b g ->
         let off = offsets.(b) and pos = slots.(b) in
@@ -206,10 +219,9 @@ let groups_session t ~groups ~flat_inputs =
             values.(pos + 1 + j) <-
               Protocol4_distributed.numerator_share config.Protocol4.estimator sh
                 ~at:(off + 1 + (j * w)))
-          t.sourced.(g);
-        Array.fill index pos (slots.(b + 1) - pos) b)
+          t.sourced.(g))
       groups;
-    (values, index)
+    (values, Lazy.force index)
   in
   let write (into : Protocol3.shares) v =
     if Array.length v = slots.(nb) then
@@ -246,7 +258,7 @@ let release_session t ~epoch ~recomputed =
     match round with
     | 1 ->
       let estimates =
-        Protocol3.quotients ~groups:(Array.map fst t.pairs) t.masked1 t.masked2
+        Protocol3.quotients ~groups:t.sources t.masked1 t.masked2
       in
       let digest = digest_of_estimates estimates in
       let strengths = Protocol4.strengths_of_estimates ~graph:t.graph ~pairs:t.pairs estimates in

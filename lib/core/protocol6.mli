@@ -39,7 +39,9 @@ type config = {
           packing (bit-identical to the unpacked protocol). *)
   accel : bool;
       (** Crypto hot-path accelerations (hoisted Montgomery contexts,
-          CRT decryption, fixed-base randomness).  On by default;
+          CRT decryption, fixed-base randomness, and for RSA one
+          exponentiation per distinct value, see {!Spe_crypto.Cipher}).
+          On by default;
           [false] reproduces the pre-acceleration baseline for
           ablation benchmarks. *)
 }

@@ -11,7 +11,18 @@
     schemes — hoisted Montgomery contexts, CRT decryption, and (for
     Paillier) the fixed-base randomness table; see PERFORMANCE.md.
     They can be disabled with [~accel:false] to reproduce the
-    pre-acceleration baseline in ablation benchmarks. *)
+    pre-acceleration baseline in ablation benchmarks.
+
+    Accelerated RSA also keeps, per key, every plaintext it encrypted
+    and every ciphertext it decrypted: textbook RSA maps a plaintext to
+    one ciphertext, so a repeated value returns the first call's result
+    (the same [Nat.t]) without an exponentiation.  A call that raises
+    stores nothing and raises again on a repeat.  The tables grow with
+    the distinct values one key sees; Protocol 6 draws a key per job,
+    so they are bounded by the distinct time differences of that job.
+    They are not locked: use an accelerated RSA [t] from one thread at
+    a time, as plans are built and run on a daemon's loop.  Paillier
+    is randomized and keeps nothing. *)
 
 type public = {
   encrypt_int : int -> Spe_bignum.Nat.t;
@@ -31,7 +42,8 @@ val rsa : ?plain_bits:int -> ?accel:bool -> Spe_rng.State.t -> bits:int -> t
 (** Textbook RSA of the given modulus size (the paper's recommended
     deployment uses 1024).  [?plain_bits] is forwarded to
     {!Rsa.generate}: keys too small to hold the declared plaintext
-    width raise {!Rsa.Key_too_small} here, at key-generation time. *)
+    width raise {!Rsa.Key_too_small} here, at key-generation time.
+    With [accel] (the default) both closures memoize, as above. *)
 
 val paillier : ?plain_bits:int -> ?accel:bool -> Spe_rng.State.t -> bits:int -> t
 (** Probabilistic Paillier; ciphertexts are twice the modulus size.

@@ -19,21 +19,21 @@ let small_primes =
   done;
   Array.of_list (List.rev !primes)
 
-(* [None] = passes trial division; [Some b] = verdict [b]. *)
+(* [None] = passes trial division; [Some b] = verdict [b].  Each
+   remainder is a native int read off the limbs, so no divisor
+   allocates. *)
 let trial_division n =
-  match Nat.to_int n with
-  | Some v when v < 2 -> Some false
-  | _ ->
-    let exception Verdict of bool in
-    (try
-       Array.iter
-         (fun p ->
-           let np = Nat.of_int p in
-           if Nat.compare n np = 0 then raise (Verdict true)
-           else if Nat.is_zero (Nat.rem n np) then raise (Verdict false))
-         small_primes;
-       None
-     with Verdict b -> Some b)
+  (* [max_int] when [n] exceeds an int: it equals no small prime. *)
+  let v = Option.value (Nat.to_int n) ~default:max_int in
+  let rec scan i =
+    if i = Array.length small_primes then None
+    else
+      let p = small_primes.(i) in
+      if v = p then Some true
+      else if Nat.rem_small n p = 0 then Some false
+      else scan (i + 1)
+  in
+  if v < 2 then Some false else scan 0
 
 let miller_rabin_round st ctx n =
   (* n odd, n > 3.  Write n - 1 = 2^s * d with d odd. *)

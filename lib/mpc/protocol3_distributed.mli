@@ -31,8 +31,9 @@ val mask_phase :
     its values with each value's group; the phase masks that vector in
     place, entry [e] becoming [masks.(groups.(e)) *. values.(e)], and
     sends it, so a caller lays out denominators and numerators in
-    whatever order its host expects.  At its finishing call the host
-    hands the two vectors it received, player 1's first, to
-    [deliver].  The phase is labelled [p3-mask];
+    whatever order its host expects.  The phase only reads the group
+    vector, so the two players may return the same one.  At its
+    finishing call the host hands the two vectors it received, player
+    1's first, to [deliver].  The phase is labelled [p3-mask];
     pipelines relabel it.  Raises [Invalid_argument] unless the three
     parties are distinct. *)

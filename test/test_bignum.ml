@@ -518,6 +518,9 @@ let qcheck_tests =
         Nat.equal
           (Spe_bignum.Montgomery.pow ctx ~base ~exp:e)
           (Spe_bignum.Fixed_base.pow t e));
+    Test.make ~name:"rem_small = rem by a one-limb divisor" ~count:300
+      (pair (arb_nat 500) (int_range 1 ((1 lsl 30) - 1)))
+      (fun (a, d) -> Nat.equal (Nat.of_int (Nat.rem_small a d)) (Nat.rem a (Nat.of_int d)));
   ]
 
 let () =

@@ -384,6 +384,47 @@ let test_cipher_rejects_negative () =
     (Invalid_argument "Cipher.encrypt_int: negative plaintext")
     (fun () -> ignore (c.Cipher.public.Cipher.encrypt_int (-1)))
 
+(* The accelerated RSA facade keeps each key's results: a repeat returns
+   the first call's value without an exponentiation, and a call that
+   raises stores nothing, so it raises again. *)
+let test_cipher_rsa_memo_repeat () =
+  let c = Cipher.rsa (st ()) ~bits:128 in
+  let first = c.Cipher.public.Cipher.encrypt_int 7 in
+  Alcotest.(check bool) "second encryption is the first ciphertext" true
+    (c.Cipher.public.Cipher.encrypt_int 7 == first);
+  Alcotest.(check int) "decrypts" 7 (c.Cipher.decrypt_int first);
+  Alcotest.(check int) "decrypts again" 7 (c.Cipher.decrypt_int first)
+
+let twice what exn f =
+  Alcotest.check_raises (what ^ ", first call") exn f;
+  Alcotest.check_raises (what ^ ", second call") exn f
+
+let test_cipher_rsa_memo_raises_again () =
+  let seed = 29 in
+  let c = Cipher.rsa (State.create ~seed ()) ~bits:32 in
+  let kp = Rsa.generate (State.create ~seed ()) ~bits:32 in
+  let n = Nat.to_int_exn kp.Rsa.public.Rsa.n in
+  let encrypt m () = ignore (c.Cipher.public.Cipher.encrypt_int m) in
+  twice "negative plaintext" (Invalid_argument "Cipher.encrypt_int: negative plaintext")
+    (encrypt (-1));
+  twice "plaintext = n" (Invalid_argument "Rsa.encrypt: plaintext exceeds modulus") (encrypt n);
+  Alcotest.(check int) "n - 1 round-trips" (n - 1)
+    (c.Cipher.decrypt_int (c.Cipher.public.Cipher.encrypt_int (n - 1)))
+
+let test_cipher_rsa_memo_wide_plaintext () =
+  let seed = 31 in
+  let c = Cipher.rsa (State.create ~seed ()) ~bits:128 in
+  let kp = Rsa.generate (State.create ~seed ()) ~bits:128 in
+  let wide = Rsa.encrypt kp.Rsa.public (Nat.shift_left Nat.one 100) in
+  twice "plaintext past max_int" (Failure "Nat.to_int_exn: value exceeds max_int") (fun () ->
+      ignore (c.Cipher.decrypt_int wide))
+
+let test_cipher_paillier_randomized () =
+  let c = Cipher.paillier (st ()) ~bits:128 in
+  let a = c.Cipher.public.Cipher.encrypt_int 7 and b = c.Cipher.public.Cipher.encrypt_int 7 in
+  Alcotest.(check bool) "two encryptions of 7 differ" false (Nat.equal a b);
+  Alcotest.(check (pair int int)) "both decrypt" (7, 7) (c.Cipher.decrypt_int a, c.Cipher.decrypt_int b)
+
 (* --- QCheck properties -------------------------------------------------- *)
 
 let qcheck_tests =
@@ -426,6 +467,19 @@ let qcheck_tests =
         let c = Shift_cipher.create ~key:(key_seed mod period) ~period in
         let e1 = Shift_cipher.encrypt c t1 and e2 = Shift_cipher.encrypt c t2 in
         (e2 - e1 + period) mod period = (t2 - t1 + period) mod period);
+    (* Plaintexts from a small range, so most lists repeat values. *)
+    Test.make ~name:"memoized rsa facade = Rsa encryptor and decryptor" ~count:40
+      (pair small_nat (list_of_size (Gen.int_range 1 60) (int_range 0 9)))
+      (fun (seed, plains) ->
+        let c = Cipher.rsa (State.create ~seed ()) ~bits:128 in
+        let kp = Rsa.generate (State.create ~seed ()) ~bits:128 in
+        let encrypt = Rsa.encryptor kp.Rsa.public and decrypt = Rsa.decryptor kp.Rsa.secret in
+        List.for_all
+          (fun m ->
+            let ct = c.Cipher.public.Cipher.encrypt_int m in
+            Nat.equal ct (encrypt (Nat.of_int m))
+            && c.Cipher.decrypt_int ct = Nat.to_int_exn (decrypt ct))
+          plains);
   ]
 
 let () =
@@ -476,6 +530,13 @@ let () =
           Alcotest.test_case "paillier facade" `Quick test_cipher_paillier;
           Alcotest.test_case "accel off" `Quick test_cipher_accel_off_roundtrips;
           Alcotest.test_case "negative plaintext" `Quick test_cipher_rejects_negative;
+          Alcotest.test_case "rsa repeat skips the exponentiation" `Quick
+            test_cipher_rsa_memo_repeat;
+          Alcotest.test_case "rsa bad plaintext raises on every call" `Quick
+            test_cipher_rsa_memo_raises_again;
+          Alcotest.test_case "rsa wide plaintext raises on every call" `Quick
+            test_cipher_rsa_memo_wide_plaintext;
+          Alcotest.test_case "paillier stays randomized" `Quick test_cipher_paillier_randomized;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4242 |])) qcheck_tests);
     ]
