@@ -625,6 +625,8 @@ let ablation_plan_build () =
     Frame.Data { round = 2; seq = 0; src = Wire.Provider 0; dst = Wire.Host; payload }
   in
   row "Frame.encode, 11000 residues" (fun () -> Frame.encode frame);
+  let body = Frame.encode frame in
+  row "Frame.decode, 11000 residues" (fun () -> Frame.decode body);
   Printf.printf
     "\nEvery daemon pays Job.build for every job.  PERFORMANCE.md (\"Plan build\")\n\
      has the before/after table and the traced serve-links layers.\n"

@@ -19,7 +19,13 @@ let rec payload_bits = function
       Array.fold_left (fun acc modulus -> acc + Codec.residue_bytes ~modulus) 0 moduli
     in
     8 * row_bytes * Array.length rows
-  | Batch payloads -> List.fold_left (fun acc p -> acc + payload_bits p) 0 payloads
+  | Batch payloads -> List.fold_left (fun acc p -> acc + payload_bits (batch_part p)) 0 payloads
+
+(* Nothing builds a batch of batches, and refusing one keeps every
+   decoder one level deep. *)
+and batch_part = function
+  | Batch _ -> invalid_arg "Runtime: a batch inside a batch"
+  | p -> p
 
 type message = { src : Wire.party; dst : Wire.party; payload : payload }
 

@@ -31,14 +31,18 @@ type payload =
       (** Several payloads in one message; charged the sum of the
           parts.  Lets a distributed protocol keep the central one-round
           one-message structure when a logical message mixes encodings
-          (e.g. Protocol 6's action labels + ciphertext bundles). *)
+          (e.g. Protocol 6's action labels + ciphertext bundles).  A
+          part is never itself a [Batch]. *)
 
 val payload_bits : payload -> int
 (** Exact encoded size, as charged on the wire, computed from the
     payload's shape without encoding it.  Raises the {!Codec} encoders'
     [Invalid_argument] where they would: a residue outside
     [[0, modulus)], a modulus below 2, a [Nats] width below 1 or a value
-    wider than it. *)
+    wider than it, or a [Batch] inside a [Batch]. *)
+
+val batch_part : payload -> payload
+(** The identity, except [Invalid_argument] on a [Batch]. *)
 
 type message = { src : Wire.party; dst : Wire.party; payload : payload }
 

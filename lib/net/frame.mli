@@ -13,7 +13,11 @@
     [sum over frames of (framed_length f - payload_length f)]; the
     delta between a socket run's measured bytes and the simulated MS
     statistic.  DESIGN.md ("Framing overhead") derives the closed
-    form; the test suite asserts it. *)
+    form; the test suite asserts it.
+
+    The byte writers, the bounded reader and the vector encodings are
+    {!Spe_mpc.Codec}'s; this module holds only the frame layout.  A
+    [Batch] payload never holds a [Batch]. *)
 
 type t =
   | Data of {
@@ -52,8 +56,9 @@ val encode_into : t -> bytes -> pos:int -> int
     suite asserts a zero minor-allocation delta). *)
 
 val decode : bytes -> t
-(** Inverse of {!encode}.  Raises [Invalid_argument] on a malformed or
-    truncated body. *)
+(** Inverse of {!encode}, reading the vectors straight out of [body].
+    Raises {!Spe_mpc.Codec.Malformed}, and nothing else, on a body that
+    {!encode} cannot write. *)
 
 val length_prefix_bytes : int
 (** Size of the length prefix every transport adds: 4. *)

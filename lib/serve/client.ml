@@ -32,7 +32,7 @@ let rec dial ?(retry_for = 0.) (addr : Addr.t) =
   | Some (Serve_proto.Hello { role = Serve_proto.Party p; version; _ })
     when version = Serve_proto.version ->
     (fd, p)
-  | Some _ | None | (exception (Failure _ | Invalid_argument _)) ->
+  | Some _ | None | (exception (Failure _ | Spe_mpc.Codec.Malformed _)) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise
       (Connection_lost
@@ -86,7 +86,8 @@ type outcome =
   | Busy of { queued : int; max_queue : int }
 
 (* Block for the next reply frame, up to [deadline].  [None] = timed
-   out; [Connection_lost] = the daemon went away (EOF or error). *)
+   out; [Connection_lost] = the daemon went away (EOF, error or a torn
+   stream) or spoke a malformed frame. *)
 let next_reply t ~deadline =
   let rec loop () =
     let remaining = deadline -. Unix.gettimeofday () in
@@ -96,9 +97,9 @@ let next_reply t ~deadline =
       | [], _, _ -> None
       | _ -> (
         match
-          try Serve_proto.read t.fd
-          with Unix.Unix_error (err, _, _) ->
-            raise (Connection_lost (Unix.error_message err))
+          try Serve_proto.read t.fd with
+          | Unix.Unix_error (err, _, _) -> raise (Connection_lost (Unix.error_message err))
+          | Failure msg | Spe_mpc.Codec.Malformed msg -> raise (Connection_lost msg)
         with
         | None -> raise (Connection_lost "the host daemon closed the connection")
         | Some (Serve_proto.Job_result { job; reply }) -> Some (job, Result reply)

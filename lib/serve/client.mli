@@ -1,5 +1,5 @@
-(** The submission side of spe-serve/2 — what [spe links --connect]
-    and [spe scores --connect] run.
+(** The submission side of spe-serve ({!Serve_proto.protocol}) — what
+    [spe links --connect] and [spe scores --connect] run.
 
     A client talks to the host daemon only; H coordinates the provider
     daemons over the mesh.  Jobs are pipelined — submit any number,
@@ -9,8 +9,9 @@
     from admission control. *)
 
 exception Connection_lost of string
-(** The daemon is unreachable, spoke something other than spe-serve/2,
-    or died mid-conversation.  The payload is a clean human message —
+(** The daemon is unreachable, spoke something other than
+    {!Serve_proto.protocol} (a malformed frame included), or died
+    mid-conversation (a torn stream included).  The payload is a clean human message —
     the CLI prints it and exits nonzero, never a raw [Unix_error]. *)
 
 type t

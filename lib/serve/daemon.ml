@@ -38,6 +38,7 @@
 
 module Endpoint = Spe_net.Endpoint
 module Frame = Spe_net.Frame
+module Codec = Spe_mpc.Codec
 module Transport = Spe_net.Transport
 module Link = Spe_net.Transport.Socket.Link
 module Mux = Spe_net.Mux
@@ -355,15 +356,17 @@ let failure_of_exn = function
 
 (* --- host side ----------------------------------------------------------- *)
 
+let queue_frame link frame =
+  Link.queue link (Serve_proto.encoded_length frame) (fun buf pos ->
+      ignore (Serve_proto.encode_into frame buf ~pos))
+
 (* One control frame onto a link, written now as far as the kernel
    takes it; the rest leaves when the link is writable, so a slow
    reader holds the frame in memory, never the loop.  A dead link
    drops it. *)
 let send_frame link frame =
-  let body = Serve_proto.encode frame in
-  let n = Bytes.length body in
   try
-    Link.queue link n (fun buf pos -> Bytes.blit body 0 buf pos n);
+    queue_frame link frame;
     Link.flush link
   with Transport.Closed -> ()
 
@@ -522,7 +525,7 @@ let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
    on the loop thread.  [false] (a malformed frame) kills the link. *)
 let rec on_mesh_frame t buf off len =
   match Serve_proto.decode_slice buf off len with
-  | exception Invalid_argument _ -> false
+  | exception Codec.Malformed _ -> false
   | Serve_proto.Session_frame { sid; body } ->
     Mux.deliver t.mux ~sid body;
     true
@@ -542,7 +545,7 @@ let rec on_mesh_frame t buf off len =
    closes the client's link. *)
 and on_client_frame t ~client buf off len =
   match Serve_proto.decode_slice buf off len with
-  | exception Invalid_argument _ -> false
+  | exception Codec.Malformed _ -> false
   | Serve_proto.Job_submit { job; spec } ->
     (if t.config.party <> 0 then
        reply_to t ~client ~job
@@ -647,8 +650,7 @@ let install_link t ~peer fd =
     (* Session frames are encoded straight into the link's outbound
        slab and leave with the loop's next poll. *)
     Mux.set_writer t.mux ~peer (fun ~sid body ->
-        Link.queue link (Serve_proto.session_frame_length body) (fun buf pos ->
-            Serve_proto.put_session_frame buf pos ~sid body));
+        queue_frame link (Serve_proto.Session_frame { sid; body }));
     Atomic.incr t.hellos_received
   end
 
@@ -660,9 +662,8 @@ let my_hello t = Serve_proto.Hello
    so an inbound Hello frame is exactly this long. *)
 let hello_frame_length =
   Frame.length_prefix_bytes
-  + Bytes.length
-      (Serve_proto.encode
-         (Serve_proto.Hello { role = Serve_proto.Client; version = Serve_proto.version; workload = 0 }))
+  + Serve_proto.encoded_length
+      (Serve_proto.Hello { role = Serve_proto.Client; version = Serve_proto.version; workload = 0 })
 
 (* The Hello is in: answer with ours in one non-blocking write (a fresh
    socket's send buffer takes it whole), then serve the connection as a
@@ -697,7 +698,7 @@ let on_hello t fd buf =
            fd)
     end
     else close_fd fd
-  | _ | (exception Invalid_argument _) -> close_fd fd
+  | _ | (exception Codec.Malformed _) -> close_fd fd
 
 (* An accepted connection must send exactly one Hello frame within
    [dial_timeout].  Reads stop at its end, so a peer's first mesh
@@ -768,7 +769,7 @@ let dial_peer t ~peer =
                          --graph/--log inputs"
            (Addr.party_name peer)
            (Addr.to_string t.config.roster.(peer)))
-    | `Retry | (exception Unix.Unix_error _) | (exception Failure _) ->
+    | `Retry | (exception (Unix.Unix_error _ | Failure _ | Codec.Malformed _)) ->
       close_fd fd;
       if Unix.gettimeofday () >= deadline then
         Error

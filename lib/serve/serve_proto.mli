@@ -6,11 +6,13 @@
     {!Spe_net.Frame} encoding, multiplexed by session id), and the job
     control frames (submit / result / busy / cancel / shutdown).
     Frames are length-prefixed on the wire with the same discipline as
-    the inner protocol ({!Spe_net.Transport.Socket.write_frame}); the
-    decoder is strict — unknown tags, unknown enum codes, length fields
-    past the frame and trailing bytes all raise [Invalid_argument].
-    Tags live at 64+ so a serve frame can never be confused with an
-    inner frame. *)
+    the inner protocol ({!Spe_net.Transport.Socket.write_frame}).  The
+    byte writers and the bounded reader are {!Spe_mpc.Codec}'s; this
+    module holds only the frame layout.  The decoder is strict —
+    unknown tags, unknown enum codes, length fields past the frame and
+    trailing bytes all raise {!Spe_mpc.Codec.Malformed}, and nothing
+    else does.  Tags live at 64+ so a serve frame can never be confused
+    with an inner frame. *)
 
 val version : int
 (** 4 — carried in every {!t.Hello}; a daemon refuses mismatched peers.
@@ -114,7 +116,18 @@ type t =
       (** H -> P: abort the (global) job's sessions. *)
   | Shutdown
 
+val encoded_length : t -> int
+(** The size of {!encode}'s result, computed without encoding. *)
+
+val encode_into : t -> bytes -> pos:int -> int
+(** [encode_into t buf ~pos] writes the frame body at [pos] and returns
+    [pos + encoded_length t]; the caller guarantees capacity.  The
+    mesh's send path, straight into a link's outbound slab.  Raises
+    [Invalid_argument] on a field its width cannot hold. *)
+
 val encode : t -> bytes
+(** An exact-size buffer filled by {!encode_into}. *)
+
 val decode : bytes -> t
 
 val decode_slice : bytes -> int -> int -> t
@@ -122,16 +135,8 @@ val decode_slice : bytes -> int -> int -> t
     [buf.[off .. off + len - 1]] in place, exactly as strictly as
     {!decode} decodes a body of its own; a [Session_frame]'s body is
     the one copy made.  The daemon mesh slices frames out of its links'
-    read slabs with it. *)
-
-val session_frame_length : bytes -> int
-(** [session_frame_length body]: the encoded length of a
-    [Session_frame] carrying [body]. *)
-
-val put_session_frame : bytes -> int -> sid:int -> bytes -> unit
-(** [put_session_frame buf pos ~sid body] writes the bytes of
-    [encode (Session_frame { sid; body })] at [buf.[pos]] — the mesh's
-    send path, straight into a link's outbound slab. *)
+    read slabs with it.  Raises [Invalid_argument] if the slice is
+    outside [buf]. *)
 
 val write : Unix.file_descr -> t -> unit
 (** One length-prefixed frame; the caller serialises writes per
@@ -140,4 +145,4 @@ val write : Unix.file_descr -> t -> unit
 val read : ?deadline:float -> Unix.file_descr -> t option
 (** [None] on clean EOF; [Failure] on a torn stream or a missed
     [deadline] (see {!Spe_net.Transport.Socket.read_frame});
-    [Invalid_argument] on a malformed frame. *)
+    {!Spe_mpc.Codec.Malformed} on a malformed frame. *)

@@ -630,13 +630,16 @@ let test_session_all_rejects_cross_boundary () =
 module Codec = Spe_mpc.Codec
 module Nat = Spe_bignum.Nat
 
+(* A whole buffer through one of Codec's readers. *)
+let decode get buf = Codec.read ~what:"decode" buf 0 (Bytes.length buf) get
+
 let test_codec_residues () =
   let s = st () in
   for _ = 1 to 100 do
     let modulus = 2 + State.next_int s 1_000_000 in
     let count = State.next_int s 20 in
     let values = Array.init count (fun _ -> State.next_int s modulus) in
-    let decoded = Codec.decode_residues ~modulus ~count (Codec.encode_residues ~modulus values) in
+    let decoded = decode (Codec.get_residues ~modulus ~count) (Codec.encode_residues ~modulus values) in
     Alcotest.(check (array int)) "round trip" values decoded
   done
 
@@ -653,7 +656,7 @@ let test_codec_sizes_match_wire_formula () =
 
 let test_codec_floats () =
   let values = [| 0.; -1.5; Float.pi; 1e300; -0.; Float.min_float |] in
-  let decoded = Codec.decode_floats ~count:(Array.length values) (Codec.encode_floats values) in
+  let decoded = decode (Codec.get_floats ~count:(Array.length values)) (Codec.encode_floats values) in
   Array.iteri
     (fun i v ->
       if not (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float decoded.(i))) then
@@ -667,7 +670,7 @@ let test_codec_nats () =
     let width_bits = 8 + State.next_int s 512 in
     let values = Array.init 5 (fun _ -> Nat.random_bits s width_bits) in
     let decoded =
-      Codec.decode_nats ~width_bits ~count:5 (Codec.encode_nats ~width_bits values)
+      decode (Codec.get_nats ~width_bits ~count:5) (Codec.encode_nats ~width_bits values)
     in
     Array.iteri
       (fun i v ->
@@ -683,7 +686,7 @@ let test_codec_bitset () =
   for _ = 1 to 50 do
     let count = State.next_int s 40 in
     let flags = Array.init count (fun _ -> State.next_bool s) in
-    let decoded = Codec.decode_bitset ~count (Codec.encode_bitset flags) in
+    let decoded = decode (Codec.get_bitset ~count) (Codec.encode_bitset flags) in
     Alcotest.(check bool) "round trip" true (flags = decoded)
   done;
   Alcotest.(check int) "one bit per flag, byte padded" 2
@@ -929,14 +932,14 @@ let qcheck_tests =
       (fun (seed, modulus, count) ->
         let s = State.create ~seed () in
         let values = Array.init count (fun _ -> State.next_int s modulus) in
-        Codec.decode_residues ~modulus ~count (Codec.encode_residues ~modulus values)
+        decode (Codec.get_residues ~modulus ~count) (Codec.encode_residues ~modulus values)
         = values);
     Test.make ~name:"codec float round trip is bit exact" ~count:500
       (list_of_size (Gen.int_range 0 30) float)
       (fun xs ->
         let values = Array.of_list xs in
         let decoded =
-          Codec.decode_floats ~count:(Array.length values) (Codec.encode_floats values)
+          decode (Codec.get_floats ~count:(Array.length values)) (Codec.encode_floats values)
         in
         Array.for_all2
           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
@@ -947,7 +950,7 @@ let qcheck_tests =
         let s = State.create ~seed () in
         let values = Array.init count (fun _ -> Nat.random_bits s width_bits) in
         let decoded =
-          Codec.decode_nats ~width_bits ~count (Codec.encode_nats ~width_bits values)
+          decode (Codec.get_nats ~width_bits ~count) (Codec.encode_nats ~width_bits values)
         in
         Array.for_all2 Nat.equal values decoded);
     Test.make ~name:"codec nat limb-wise bytes match a bitwise oracle" ~count:300
@@ -977,12 +980,12 @@ let qcheck_tests =
           values;
         let encoded = Codec.encode_nats ~width_bits values in
         Bytes.equal oracle encoded
-        && Array.for_all2 Nat.equal values (Codec.decode_nats ~width_bits ~count encoded));
+        && Array.for_all2 Nat.equal values (decode (Codec.get_nats ~width_bits ~count) encoded));
     Test.make ~name:"codec bitset round trip" ~count:500
       (list_of_size (Gen.int_range 0 100) bool)
       (fun flags ->
         let flags = Array.of_list flags in
-        Codec.decode_bitset ~count:(Array.length flags) (Codec.encode_bitset flags) = flags);
+        decode (Codec.get_bitset ~count:(Array.length flags)) (Codec.encode_bitset flags) = flags);
     Test.make ~name:"pack round trip" ~count:300
       (triple small_nat (int_range 1 20) (int_range 0 60))
       (fun (seed, slot_bits, q) ->
@@ -1031,6 +1034,63 @@ let qcheck_tests =
         Array.for_all positive o.Protocol3.masks
         && Array.for_all positive o.Protocol3.masked1.Protocol3.num
         && Array.for_all positive o.Protocol3.masked2.Protocol3.den);
+    (* Codec's vector readers on hostile arguments: a random count, a
+       random modulus or width (valid or not), and bytes that are
+       random, a valid encoding of that shape, or one with a byte set,
+       cut or added.  Each reader returns a value that re-encodes to
+       the very bytes it read, or raises [Malformed], and reads the
+       same inside a zero-padded slice: it never reads past its
+       slice. *)
+    Test.make ~name:"codec readers return a value or Malformed" ~count:4000
+      (let edge = Gen.oneofl [ min_int; -1; 0; 1; 2; 1 lsl 32; max_int ] in
+       quad (int_range 0 3)
+         (make (Gen.oneof [ Gen.int_range 1 70; Gen.map (fun b -> 1 lsl b) (Gen.int_range 1 61); edge ]))
+         (make (Gen.oneof [ Gen.int_range 0 12; edge ]))
+         (pair small_nat (int_range 0 4)))
+      (fun (kind, param, count, (seed, mode)) ->
+        let s = State.create ~seed () in
+        let n = if count >= 0 && count <= 12 then count else 3 in
+        let valid =
+          match kind with
+          | 0 when param >= 2 ->
+            Codec.encode_residues ~modulus:param (Array.init n (fun _ -> State.next_int s param))
+          | 1 -> Codec.encode_floats (Array.init n (fun _ -> Int64.float_of_bits (State.next_int64 s)))
+          | 2 when param >= 1 && param <= 600 ->
+            Codec.encode_nats ~width_bits:param (Array.init n (fun _ -> Nat.random_bits s param))
+          | 3 -> Codec.encode_bitset (Array.init n (fun _ -> State.next_bool s))
+          | _ -> Bytes.empty
+        in
+        let len = Bytes.length valid in
+        let bytes =
+          match mode with
+          | 0 -> Bytes.init (State.next_int s 49) (fun _ -> Char.chr (State.next_int s 256))
+          | 1 -> valid
+          | 2 when len > 0 ->
+            let b = Bytes.copy valid in
+            Bytes.set_uint8 b (State.next_int s len) (State.next_int s 256);
+            b
+          | 3 when len > 0 -> Bytes.sub valid 0 (len - 1)
+          | _ -> Bytes.extend valid 0 1
+        in
+        (* Whole and inside a zero-padded slice, the reader agrees; what
+           it accepts re-encodes byte for byte. *)
+        let reads get encode =
+          let outcome f = match f () with v -> Some v | exception Codec.Malformed _ -> None in
+          let padded = Bytes.make (Bytes.length bytes + 6) '\000' in
+          Bytes.blit bytes 0 padded 3 (Bytes.length bytes);
+          let whole = outcome (fun () -> decode get bytes) in
+          compare whole (outcome (fun () -> Codec.read ~what:"slice" padded 3 (Bytes.length bytes) get))
+          = 0
+          && match whole with None -> true | Some v -> Bytes.equal (encode v) bytes
+        in
+        match kind with
+        | 0 -> reads (Codec.get_residues ~modulus:param ~count) (Codec.encode_residues ~modulus:param)
+        | 1 -> reads (Codec.get_floats ~count) Codec.encode_floats
+        | 2 ->
+          reads
+            (fun r -> Array.map Nat.to_string (Codec.get_nats r ~width_bits:param ~count))
+            (fun v -> Codec.encode_nats ~width_bits:param (Array.map Nat.of_string v))
+        | _ -> reads (Codec.get_bitset ~count) Codec.encode_bitset);
   ]
 
 let () =

@@ -94,14 +94,39 @@ let sample_frames =
 let test_frame_roundtrips () = List.iter roundtrip sample_frames
 
 let test_frame_rejects_garbage () =
-  Alcotest.check_raises "unknown tag" (Invalid_argument "Frame.decode: unknown tag 200")
+  Alcotest.check_raises "unknown tag" (Codec.Malformed "Frame.decode: unknown tag 200")
     (fun () -> ignore (Frame.decode (Bytes.make 1 '\200')));
-  Alcotest.check_raises "truncated" (Invalid_argument "Frame.decode: truncated frame")
+  Alcotest.check_raises "truncated" (Codec.Malformed "Frame.decode: truncated")
     (fun () -> ignore (Frame.decode (Bytes.sub (Frame.encode (Frame.Nack { round = 1; sender = 0 })) 0 3)));
   let full = Frame.encode (Frame.Fin { sender = 1 }) in
   let padded = Bytes.extend full 0 2 in
-  Alcotest.check_raises "trailing bytes" (Invalid_argument "Frame.decode: trailing bytes")
+  Alcotest.check_raises "trailing bytes" (Codec.Malformed "Frame.decode: trailing bytes")
     (fun () -> ignore (Frame.decode padded))
+
+(* Nothing builds a batch of batches, so no encoder writes one and no
+   decoder reads one: a decoder that followed the nesting would pay one
+   stack frame per 3-byte header.  The bytes nest [depth] batch headers
+   around an empty float vector. *)
+let test_frame_refuses_nested_batch () =
+  let nested = Runtime.Batch [ Runtime.Batch [ Runtime.Floats [||] ] ] in
+  let data payload = Frame.Data { round = 1; seq = 0; src = Wire.Host; dst = Wire.Provider 0; payload } in
+  let refused = Invalid_argument "Runtime: a batch inside a batch" in
+  Alcotest.check_raises "encoded_length" refused (fun () ->
+      ignore (Frame.encoded_length (data nested)));
+  Alcotest.check_raises "encode_into" refused (fun () ->
+      ignore (Frame.encode_into (data nested) (Bytes.create 64) ~pos:0));
+  let header = Frame.encode (data (Runtime.Floats [||])) in
+  (* The 13-byte Data header, then [depth] times kind 5 with one part. *)
+  let depth = 100_000 in
+  let body = Bytes.make (13 + (3 * depth) + 5) '\000' in
+  Bytes.blit header 0 body 0 13;
+  for i = 0 to depth - 1 do
+    Bytes.set_uint8 body (13 + (3 * i)) 5;
+    Bytes.set_uint16_be body (13 + (3 * i) + 1) 1
+  done;
+  Bytes.set_uint8 body (13 + (3 * depth)) 1;
+  Alcotest.check_raises "decode" (Codec.Malformed "Frame.decode: a batch inside a batch") (fun () ->
+      ignore (Frame.decode body))
 
 let test_frame_payload_length_matches_runtime () =
   let payloads =
@@ -155,7 +180,8 @@ let test_frame_payload_length_matches_runtime () =
       ("Wire.bits_for_int_mod: modulus must exceed 1", Runtime.Ints { modulus = 1; values = [||] });
       ("Codec.encode_nats: value exceeds width",
        Runtime.Batch [ Runtime.Nats { width_bits = 8; values = [| Nat.of_int 256 |] } ]);
-      ("Codec.encode_nats: width must be positive", Runtime.Nats { width_bits = 0; values = [||] }) ]
+      ("Codec.encode_nats: width must be positive", Runtime.Nats { width_bits = 0; values = [||] });
+      ("Runtime: a batch inside a batch", Runtime.Batch [ Runtime.Batch [] ]) ]
 
 let test_frame_encode_into_zero_alloc () =
   (* The transport hot path: encoding an integer-payload frame into a
@@ -1257,6 +1283,7 @@ let () =
             test_montgomery_pow_alloc_flat;
           Alcotest.test_case "rsa-256 decryption allocation bound" `Quick
             test_rsa_decrypt_alloc_bound;
+          Alcotest.test_case "refuses a batch of batches" `Quick test_frame_refuses_nested_batch;
         ] );
       ( "reactor",
         [

@@ -24,6 +24,7 @@ module State = Spe_rng.State
 module Json = Spe_obs.Obs_io.Json
 module Frame = Spe_net.Frame
 module Runtime = Spe_mpc.Runtime
+module Codec = Spe_mpc.Codec
 module Wire = Spe_mpc.Wire
 module Session = Spe_mpc.Session
 module Nat = Spe_bignum.Nat
@@ -223,29 +224,35 @@ let test_proto_slices () =
       checkb "slice decodes like the whole buffer" true
         (Proto.encode (Proto.decode_slice padded 3 n) = enc))
     frames;
-  let body = Bytes.of_string "\x00\x01\xff" in
-  let sid = 65537 in
-  let direct = Bytes.make (Proto.session_frame_length body + 2) '\x00' in
-  Proto.put_session_frame direct 2 ~sid body;
-  checkb "in-place session frame = encode" true
-    (Bytes.sub direct 2 (Proto.session_frame_length body)
-    = Proto.encode (Proto.Session_frame { sid; body }));
-  let expect_invalid what buf off len =
+  (* In place at an offset: exactly [encoded_length] bytes, those of
+     [encode], and nothing around them. *)
+  List.iter
+    (fun frame ->
+      let enc = Proto.encode frame in
+      let n = Proto.encoded_length frame in
+      let buf = Bytes.make (n + 5) '\xee' in
+      check Alcotest.int "encode_into's end position" (2 + n) (Proto.encode_into frame buf ~pos:2);
+      checkb "in-place bytes = encode" true (Bytes.sub buf 2 n = enc);
+      checkb "bytes around the frame untouched" true
+        (Bytes.sub_string buf 0 2 = "\xee\xee" && Bytes.sub_string buf (2 + n) 3 = "\xee\xee\xee"))
+    sample_frames;
+  let rejects what exn buf off len =
     match Proto.decode_slice buf off len with
     | _ -> Alcotest.fail (what ^ " should have been rejected")
-    | exception Invalid_argument _ -> ()
+    | exception e -> checkb (what ^ ": " ^ Printexc.to_string e) true (exn e)
   in
-  let enc = Proto.encode (Proto.Session_frame { sid; body }) in
+  let malformed = function Codec.Malformed _ -> true | _ -> false in
+  let enc = Proto.encode (Proto.Session_frame { sid = 65537; body = Bytes.of_string "\x00\x01\xff" }) in
   let n = Bytes.length enc in
-  expect_invalid "session body past the slice" enc 0 (n - 1);
-  expect_invalid "trailing byte in the slice" (Bytes.extend enc 0 1) 0 (n + 1);
-  expect_invalid "slice outside the buffer" enc 1 n
+  rejects "session body past the slice" malformed enc 0 (n - 1);
+  rejects "trailing byte in the slice" malformed (Bytes.extend enc 0 1) 0 (n + 1);
+  rejects "slice outside the buffer" (function Invalid_argument _ -> true | _ -> false) enc 1 n
 
 let test_proto_rejects_malformed () =
   let expect_invalid what bytes =
     match Proto.decode bytes with
     | _ -> Alcotest.fail (what ^ " should have been rejected")
-    | exception Invalid_argument _ -> ()
+    | exception Codec.Malformed _ -> ()
   in
   expect_invalid "empty frame" (Bytes.create 0);
   expect_invalid "unknown tag" (Bytes.make 4 '\x00');
@@ -277,7 +284,7 @@ let test_decode_allocation_bound () =
     let before = Gc.allocated_bytes () in
     (match decode bytes with
     | _ -> Alcotest.fail (what ^ ": a claim the frame cannot hold was accepted")
-    | exception Invalid_argument _ -> ());
+    | exception Codec.Malformed _ -> ());
     let spent = Gc.allocated_bytes () -. before in
     checkb (Printf.sprintf "%s: %.0f bytes allocated" what spent) true (spent < 65536.)
   in
@@ -300,13 +307,17 @@ let test_decode_allocation_bound () =
         fun b at -> Bytes.set_uint16_be b at 0xFFFF );
     ];
   (* Data: tag, u32 round, u32 seq, u16 src, u16 dst, then the payload:
-     kind, and for tuples a u16 arity and one u63 modulus per column. *)
+     kind, a u63 modulus or width for residues and nats, and for tuples
+     a u16 arity and one u63 modulus per column. *)
   let data payload =
     Frame.encode (Frame.Data { round = 1; seq = 0; src = Wire.Provider 0; dst = Wire.Host; payload })
   in
   List.iter
     (fun (what, payload, at) -> bounded what Frame.decode (patched (data payload) ~at u32))
     [
+      ("ints", Runtime.Ints { modulus = 1 lsl 20; values = [| 5 |] }, 22);
+      ("floats", Runtime.Floats [| 0.5 |], 14);
+      ("bits", Runtime.Bits [| true |], 14);
       ("arity-0 tuples", Runtime.Tuples { moduli = [||]; rows = [||] }, 16);
       ("tuples", Runtime.Tuples { moduli = [| 4; 1 lsl 20 |]; rows = [| [| 3; 5 |] |] }, 32);
       ("nats", Runtime.Nats { width_bits = 12; values = [| Nat.of_int 5 |] }, 22);
@@ -327,7 +338,7 @@ let qcheck_decoder_tests =
         let n = Bytes.length bytes in
         let buf = Bytes.make (pre + n + post) '\xee' in
         Bytes.blit bytes 0 buf pre n;
-        let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+        let outcome f = match f () with v -> Some v | exception Codec.Malformed _ -> None in
         compare
           (outcome (fun () -> Proto.decode_slice buf pre n))
           (outcome (fun () -> Proto.decode bytes))
@@ -1036,6 +1047,109 @@ let test_refuses_version_3_hello () =
               | exception Failure msg -> Alcotest.failf "%s: no close within 5 s (%s)" label msg))
         [ ("client", Proto.Client, 0); ("party", Proto.Party 1, Job.digest workload) ])
 
+(* --- fake peers ----------------------------------------------------------------- *)
+
+(* A fake daemon listening at [addr]: a thread accepts connections one
+   at a time and runs [serve fd] on each until [f ()] returns. *)
+let with_fake_peer addr serve f =
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Addr.sockaddr addr);
+  Unix.listen listener 8;
+  let stop = Atomic.make false in
+  let rec loop () =
+    if not (Atomic.get stop) then begin
+      (match Unix.select [ listener ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+        let fd, _ = Unix.accept listener in
+        (try serve fd with _ -> ());
+        try Unix.close fd with Unix.Unix_error _ -> ());
+      loop ()
+    end
+  in
+  let th = Thread.create loop () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join th;
+      Unix.close listener)
+    f
+
+let accepts addr =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match Unix.connect fd (Addr.sockaddr addr) with
+      | () -> true
+      | exception Unix.Unix_error _ -> false)
+
+(* A provider whose dial meets a malformed answer treats the host as
+   unreachable: it retries until its dial timeout (1 s here), then
+   fails its start and closes its listener.  The fake H answers each
+   Hello with a valid Hello plus one trailing byte. *)
+let test_dial_refuses_malformed_hello () =
+  let graph, logs = Harness.workload_inputs failure_workload in
+  let workload = { Job.graph; logs } in
+  Addr.with_temp_roster ~parties:3 @@ fun roster ->
+  let answer fd =
+    ignore (Proto.read fd);
+    let hello =
+      Proto.encode
+        (Proto.Hello { role = Proto.Party 0; version = Proto.version; workload = Job.digest workload })
+    in
+    Transport.Socket.write_frame fd (Bytes.extend hello 0 1)
+  in
+  with_fake_peer roster.(0) answer @@ fun () ->
+  match Daemon.start { (Daemon.default_config ~party:1 ~roster) with Daemon.dial_timeout = 1. } workload with
+  | p1 ->
+    Daemon.stop p1;
+    Daemon.wait ~timeout:30. p1;
+    Alcotest.fail "P1 started on a malformed Hello"
+  | exception Failure msg ->
+    let want = "cannot reach H" in
+    checkb
+      (Printf.sprintf "%S reports H unreachable" msg)
+      true
+      (String.length msg >= String.length want && String.sub msg 0 (String.length want) = want);
+    checkb "P1's listener is closed" false (accepts roster.(1))
+
+(* A client whose host answers its submission with [reply] bytes, then
+   waits for the client to hang up. *)
+let client_against_fake_host reply =
+  Addr.with_temp_roster ~parties:1 @@ fun roster ->
+  let serve fd =
+    ignore (Proto.read fd);
+    Proto.write fd (Proto.Hello { role = Proto.Party 0; version = Proto.version; workload = 0 });
+    ignore (Proto.read fd);
+    reply fd
+  in
+  with_fake_peer roster.(0) serve @@ fun () ->
+  let client = Client.connect roster.(0) in
+  Fun.protect
+    ~finally:(fun () -> Client.close client)
+    (fun () ->
+      match Client.run_jobs client [ Proto.default_spec ] ~deadline:(Unix.gettimeofday () +. 10.) with
+      | _ -> Alcotest.fail "the client took a reply the host never sent"
+      | exception Client.Connection_lost _ -> ())
+
+(* A malformed reply (a Job_result with reply kind 9) is a lost
+   connection, not an exception from the decoder. *)
+let test_client_malformed_reply () =
+  client_against_fake_host (fun fd ->
+      let reply = Proto.encode (Proto.Job_result { job = 0; reply = Proto.Scores [||] }) in
+      Bytes.set_uint8 reply 9 9;
+      Transport.Socket.write_frame fd reply;
+      ignore (Unix.read fd (Bytes.create 1) 0 1))
+
+(* A stream torn inside a frame (a 100-byte length prefix, 10 bytes,
+   then EOF) is a lost connection too. *)
+let test_client_torn_reply () =
+  client_against_fake_host (fun fd ->
+      let torn = Bytes.make 14 'x' in
+      Bytes.set_int32_be torn 0 100l;
+      ignore (Unix.write fd torn 0 14))
+
 (* Connections are descriptors on H's loop, not threads: 8 clients and
    8 connections that never send a Hello leave the thread count as it
    was. *)
@@ -1164,6 +1278,12 @@ let () =
           Alcotest.test_case "workload mismatch fails start at once" `Slow
             test_workload_mismatch_fails_fast;
           Alcotest.test_case "refuses a version 3 Hello" `Quick test_refuses_version_3_hello;
+          Alcotest.test_case "a malformed Hello answer fails the dial" `Quick
+            test_dial_refuses_malformed_hello;
+          Alcotest.test_case "a malformed reply loses the connection" `Quick
+            test_client_malformed_reply;
+          Alcotest.test_case "a torn reply stream loses the connection" `Quick
+            test_client_torn_reply;
         ] );
       ( "chaos",
         [

@@ -148,12 +148,12 @@ let json_alphabet =
 let compact_json s = Spe_obs.Obs_io.Json.to_string ~pretty:false (Spe_obs.Obs_io.Json.of_string s)
 
 (* The property: hostile bytes either decode to a value that survives
-   an encode/decode round trip, or raise the decoder's
-   Invalid_argument — never another exception.  [compare], not [=], so
-   NaN payloads compare equal to themselves. *)
+   an encode/decode round trip, or raise [Codec.Malformed] — never
+   another exception.  [compare], not [=], so NaN payloads compare
+   equal to themselves. *)
 let decodes_or_rejects ~decode ~encode bytes =
   match decode bytes with
-  | exception Invalid_argument _ -> true
+  | exception Spe_mpc.Codec.Malformed _ -> true
   | v -> compare (decode (encode v)) v = 0
 
 (* The property for the JSON readers: hostile bytes read to a value or
