@@ -12,10 +12,10 @@
     (task, timer, descriptor) fires on that thread, so state touched
     only from callbacks needs no locks.  {!post} alone is thread-safe,
     and a self-pipe wakes the loop if it is parked in [select].  A
-    daemon serves every connection on its loop, so only two kinds of
-    caller still post from another thread: [Daemon.start]'s dial,
-    which hands each mesh link it opened to the loop, and
-    [Daemon.stop]'s callers.
+    daemon serves every connection on its loop and dials its peers
+    there too, so only two kinds of caller still post from another
+    thread: [Daemon.start]'s setup, which posts the listener and the
+    dials, and [Daemon.stop]'s callers.
 
     {b Determinism.}  Scheduling order is a function of the event
     sequence alone: the ready queue is strictly FIFO, due timers fire

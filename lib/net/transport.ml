@@ -267,7 +267,8 @@ module Socket = struct
     type t = {
       reactor : Reactor.t;
       fd : Unix.file_descr;
-      stats : stats;
+      mutable stats : stats;
+      mutable max_frame : int;
       inbuf : Slab.s;
       out : Slab.s;
       on_frame : bytes -> int -> int -> bool;
@@ -279,6 +280,8 @@ module Socket = struct
 
     let alive l = l.live
     let pending l = l.out.Slab.len
+    let bound l n = l.max_frame <- n
+    let count_into l stats = l.stats <- stats
 
     let close l =
       if l.live then begin
@@ -351,7 +354,7 @@ module Socket = struct
         let rec slice () =
           if l.live && s.Slab.len >= Frame.length_prefix_bytes then begin
             let flen = Int32.to_int (Bytes.get_int32_be s.Slab.buf s.Slab.off) in
-            if flen < 0 then close l
+            if flen < 0 || flen > l.max_frame then close l
             else if s.Slab.len >= Frame.length_prefix_bytes + flen then begin
               l.stats.frames_received <- l.stats.frames_received + 1;
               let ok = l.on_frame s.Slab.buf (s.Slab.off + Frame.length_prefix_bytes) flen in
@@ -369,13 +372,14 @@ module Socket = struct
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> close l
 
-    let create ~reactor ?(stats = stats ()) ?(on_burst = ignore) ~on_frame ~on_close fd =
+    let create ~reactor ?(on_burst = ignore) ~on_frame ~on_close fd =
       Unix.set_nonblock fd;
       let l =
         {
           reactor;
           fd;
-          stats;
+          stats = stats ();
+          max_frame = max_int;
           inbuf = Slab.create ();
           out = Slab.create ();
           on_frame;

@@ -122,8 +122,8 @@ module Socket : sig
   (** {2 Connections on a reactor}
 
       The one socket-connection implementation: the socket group above
-      and the [Spe_serve] daemon mesh both run every connection through
-      it, with one flush policy. *)
+      and every [Spe_serve] daemon socket, accepted or dialed, run
+      through it from their first byte, with one flush policy. *)
 
   module Link : sig
     type stats = {
@@ -147,7 +147,6 @@ module Socket : sig
 
     val create :
       reactor:Reactor.t ->
-      ?stats:stats ->
       ?on_burst:(unit -> unit) ->
       on_frame:(bytes -> int -> int -> bool) ->
       on_close:(unit -> unit) ->
@@ -157,9 +156,16 @@ module Socket : sig
         body arrives as [on_frame buf off len], valid only during the
         call; returning [false] marks it malformed and kills the link.
         [on_burst] runs once after a read delivered any frame.  EOF, a
-        socket error, a negative length prefix or a malformed frame
-        closes the link, and [on_close] runs exactly once.
-        Reactor-thread only, like every function below. *)
+        socket error, a negative length prefix or one past {!bound}, or
+        a malformed frame closes the link, and [on_close] runs exactly
+        once.  Reactor-thread only, like every function below. *)
+
+    val bound : t -> int -> unit
+    (** [bound l n]: a later length prefix announcing more than [n]
+        bytes closes the link at once.  Links start unbounded. *)
+
+    val count_into : t -> stats -> unit
+    (** Count the link's later traffic into [stats], not its own record. *)
 
     val queue : t -> int -> (bytes -> int -> unit) -> unit
     (** [queue l n write] appends one frame of [n] body bytes: the
@@ -183,10 +189,8 @@ module Socket : sig
 
   (** {2 Blocking frame I/O}
 
-      The same length-prefixed frames, for connections that are not on
-      a reactor: the mesh dial of [Spe_serve.Daemon.start], which
-      connects and exchanges its Hellos before the daemon serves, and
-      [Spe_serve.Client]. *)
+      The same length-prefixed frames, for a connection that is not on
+      a reactor: [Spe_serve.Client]'s, the one library caller. *)
 
   val sockaddr_of : address -> Unix.sockaddr
   (** The [Unix] address for {!address}.  Raises [Failure] on a TCP

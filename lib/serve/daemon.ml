@@ -26,18 +26,16 @@
    returns).  A provider that fails a job locally broadcasts
    [Job_cancel] too, so H and the other providers never wait on it.
 
-   Threads: one, the reactor loop.  It accepts every connection,
-   reads its Hello under a [dial_timeout] timer and answers it, and
-   then serves it as a [Transport.Socket.Link]: a mesh link, or a
-   client link whose submissions are handled on the loop and whose
-   replies are queued and flushed, so a client that stops reading
-   never blocks the loop.  Shutdown is a chain of loop tasks.  Two
-   other threads touch a daemon: [start]'s caller, which dials the
-   lower ids with blocking I/O before the daemon serves, and the scrape
-   endpoint's, which reads the gauges. *)
+   Threads: one, the reactor loop.  Every socket, accepted or dialed,
+   is a [Transport.Socket.Link] on it from its first byte, whose Hello
+   makes it a mesh link or a client link; a client's replies are queued
+   and flushed, so one that stops reading never blocks the loop.  The
+   dial and shutdown are chains of loop tasks and timers.  Two other
+   threads touch a daemon: [start]'s caller, which posts the dials and
+   waits for their results, and the scrape endpoint's, which reads the
+   gauges. *)
 
 module Endpoint = Spe_net.Endpoint
-module Frame = Spe_net.Frame
 module Codec = Spe_mpc.Codec
 module Transport = Spe_net.Transport
 module Link = Spe_net.Transport.Socket.Link
@@ -71,8 +69,13 @@ let default_config ~party ~roster =
     dial_timeout = 30.;
   }
 
-(* [client] names the submitting client's link in [clients]. *)
+(* [client] names the submitting client's link in [links]. *)
 type host_job = { client : int; client_job : int; spec : Serve_proto.spec }
+
+(* What a daemon socket serves, once its Hello has settled it. *)
+type role = Greeting | Mesh of int  (** The peer daemon's id. *) | Client
+
+type conn = { link : Link.t; mutable role : role }
 
 type t = {
   config : config;
@@ -86,17 +89,17 @@ type t = {
           Every mutable field below is the loop's alone. *)
   loop : Thread.t;  (** The thread driving [reactor]. *)
   listener : Unix.file_descr;
-  greetings : (Unix.file_descr, Reactor.timer) Hashtbl.t;
-      (** Accepted connections still short of their Hello, each with
-          the timer that closes it at [dial_timeout]. *)
+  links : (int, conn) Hashtbl.t;
+      (** Every open socket but the listener, by connection number; a
+          client link's number names the client. *)
+  mutable next_conn : int;
+  mutable dialing : int;  (** Mesh dials that have not given their result yet. *)
   peers : Link.t option array;  (** By daemon id; [None] = not connected. *)
   lost : bool array;
       (** By daemon id: the peer's installed link died and no new one
           has installed since.  New jobs fail at once on a lost peer
           instead of waiting for it. *)
-  mesh : Link.stats;  (** Cumulative over every mesh link. *)
-  clients : (int, Link.t) Hashtbl.t;  (** Live client links by connection number. *)
-  mutable next_client : int;
+  mesh : Link.stats;  (** Cumulative over every mesh link, from its Hello on. *)
   scheduler : host_job Scheduler.t;  (** Meaningful at H only. *)
   mutable next_job : int;  (** Global job numbers (H assigns). *)
   jobs : (int, int list) Hashtbl.t;  (** Running job -> its sids (cancel). *)
@@ -107,6 +110,7 @@ type t = {
   hellos_sent : int Atomic.t;
   hellos_received : int Atomic.t;
   clients_accepted : int Atomic.t;
+  clients_dropped : int Atomic.t;
   active_jobs : int Atomic.t;  (** Provider-side jobs in flight. *)
   jobs_completed : int Atomic.t;
   jobs_failed : int Atomic.t;
@@ -121,9 +125,9 @@ type t = {
   (* Rank-job gauges: completed rank jobs and the power iterations they ran. *)
   rank_jobs_completed : int Atomic.t;
   rank_iterations_run : int Atomic.t;
-  reports : Metrics.report list Atomic.t;
-      (** Cumulative spe-metrics/2 state (when metrics_addr is set):
-          the loop prepends, the scrape thread and {!report} read. *)
+  report : Metrics.report option Atomic.t;
+      (** Every seat's report folded into one (with tracing): the loop
+          writes it, the scrape thread and {!report} read it. *)
   (* Deferred sid cleanup: (reap-after, sids) in completion order. *)
   reap : (float * int list) Queue.t;
 }
@@ -133,9 +137,20 @@ let m_of t = Array.length t.config.roster - 1
 let listen_addr config =
   match config.listen with Some a -> a | None -> config.roster.(config.party)
 
+(* A unix-domain listener's path goes before the bind and after the close. *)
+let unlink_listener config =
+  match listen_addr config with
+  | Transport.Socket.Unix_domain path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Transport.Socket.Tcp _ -> ()
+
 (* --- metrics ------------------------------------------------------------ *)
 
-let record_report t report = Atomic.set t.reports (report :: Atomic.get t.reports)
+(* Fold each seat's report into one as it is recorded, so a traced
+   daemon's memory does not grow with its jobs.  A daemon's report is
+   not one sharded run, so its [shards] stay empty. *)
+let record_report t r =
+  let total = Option.fold (Atomic.get t.report) ~none:r ~some:(fun t -> Metrics.merge [ t; r ]) in
+  Atomic.set t.report (Some { total with Metrics.shards = [] })
 
 let tracing t = t.config.metrics_addr <> None
 
@@ -157,6 +172,7 @@ let gauges t =
     ("hellos_sent", Atomic.get t.hellos_sent);
     ("hellos_received", Atomic.get t.hellos_received);
     ("clients_accepted", Atomic.get t.clients_accepted);
+    ("clients_dropped", Atomic.get t.clients_dropped);
     ("sessions_run", Atomic.get t.sessions_run);
     (* Stream gauges: per-epoch release progress of stream jobs. *)
     ("epochs_released", Atomic.get t.epochs_released);
@@ -180,10 +196,7 @@ let gauges t =
 let render_scrape t () =
   let module Json = Spe_obs.Obs_io.Json in
   let report =
-    match Atomic.get t.reports with
-    | [] -> Json.Null
-    | reports ->
-      Json.of_string (Spe_obs.Obs_io.report_to_string (Metrics.merge (List.rev reports)))
+    match Atomic.get t.report with None -> Json.Null | Some r -> Spe_obs.Obs_io.report_to_json r
   in
   Json.to_string
     (Json.Obj
@@ -204,12 +217,6 @@ let endpoint_config t =
     Endpoint.round_timeout = t.config.round_timeout;
     linger = t.config.linger;
   }
-
-let pipeline_label = function
-  | Serve_proto.Links -> "links"
-  | Serve_proto.Scores -> "scores"
-  | Serve_proto.Stream -> "stream"
-  | Serve_proto.Rank -> "rank"
 
 (* One seat of one session as an endpoint machine on the daemon's
    reactor.  [on_done] fires on the loop thread, exactly once. *)
@@ -260,43 +267,27 @@ let run_stage_async t ~protocol ~all_sids seats ~on_done =
         errors.(i) <- Some e;
         abort_all ());
       decr remaining;
-      if !remaining = 0 then begin
+      if !remaining = 0 then
         (* Prefer a root cause over the Closed echo the abort caused. *)
-        let root, any =
-          Array.fold_left
-            (fun (root, any) e ->
-              match e with
-              | None -> (root, any)
-              | Some Transport.Closed -> (root, if any = None then e else any)
-              | Some _ ->
-                ((if root = None then e else root), if any = None then e else any))
-            (None, None) errors
-        in
-        on_done (match (root, any) with Some _, _ -> root | None, _ -> any)
-      end
+        on_done
+          (match Array.find_map (function Some Transport.Closed -> None | e -> e) errors with
+          | None -> Array.find_map Fun.id errors
+          | root -> root)
     in
     List.iteri (fun i seat -> run_seat_async t ~protocol seat ~on_done:(seat_done i)) seats
 
-(* This daemon's seats of one job, stage after stage.  Registers the
-   job for [Job_cancel], defers the sids to the reaper on the way out
-   (late retransmits can trail a session by up to the linger), and
-   reports [None] or the root-cause failure to [on_done]. *)
 (* Epoch gauge bookkeeping: the plan's stages carry their epoch
    ([Plan.stage.epoch]), so as each epoch-tagged stage quiesces we can
    advance the stream gauges — a "release"-labelled stage marks the
    epoch as released, and the sessions of the recompute stages count
-   toward [epoch_sessions_run]. *)
+   toward [epoch_sessions_run].  Only the loop writes the gauges. *)
 let note_stage_done t (stage : Spe_core.Plan.stage) =
   match stage.Spe_core.Plan.epoch with
   | None -> ()
   | Some epoch ->
     if stage.Spe_core.Plan.label = "release" then begin
       Atomic.incr t.epochs_released;
-      let rec raise_to e =
-        let cur = Atomic.get t.last_epoch in
-        if e > cur && not (Atomic.compare_and_set t.last_epoch cur e) then raise_to e
-      in
-      raise_to epoch
+      if epoch > Atomic.get t.last_epoch then Atomic.set t.last_epoch epoch
     end
     else
       ignore
@@ -308,8 +299,12 @@ let note_stage_done t (stage : Spe_core.Plan.stage) =
 let defer_reap t sids =
   Queue.push (Unix.gettimeofday () +. (2. *. t.config.linger), sids) t.reap
 
+(* This daemon's seats of one job, stage after stage.  Registers the
+   job for [Job_cancel], defers the sids to the reaper on the way out
+   (late retransmits can trail a session by up to the linger), and
+   reports [None] or the root-cause failure to [on_done]. *)
 let run_job_async t ~job ~spec planned ~on_done =
-  let protocol = pipeline_label spec.Serve_proto.pipeline in
+  let protocol = Serve_proto.pipeline_name spec.Serve_proto.pipeline in
   let per_stage, all_sids = Job.seats ~job ~party:t.config.party planned in
   Hashtbl.replace t.jobs job all_sids;
   let conclude res =
@@ -351,7 +346,6 @@ let failure_of_exn = function
   | Endpoint.Round_timeout _ as e ->
     (Serve_proto.Round_timeout, Printexc.to_string e)
   | Transport.Closed -> (Serve_proto.Peer_down, "a peer daemon's connection died")
-  | Endpoint.Shard_failed _ as e -> (Serve_proto.Shard_failed, Printexc.to_string e)
   | e -> (Serve_proto.Shard_failed, Printexc.to_string e)
 
 (* --- host side ----------------------------------------------------------- *)
@@ -376,11 +370,9 @@ let send_frame link frame =
 let broadcast t frame = Array.iter (Option.iter (fun link -> send_frame link frame)) t.peers
 
 let mesh_complete t =
-  let missing = ref [] in
-  for p = m_of t downto 0 do
-    if p <> t.config.party && Option.is_none t.peers.(p) then missing := p :: !missing
-  done;
-  !missing
+  List.filter
+    (fun p -> p <> t.config.party && Option.is_none t.peers.(p))
+    (List.init (m_of t + 1) Fun.id)
 
 (* How long a job waits for this daemon's mesh: a peer may still be
    dialing (the dial retries for [dial_timeout]), but a job must not
@@ -407,9 +399,21 @@ let await_mesh_async t ~deadline k =
   in
   check ()
 
-(* A client that has hung up is not answered. *)
+(* Past this many reply bytes that the kernel has not taken, H drops a
+   client and its replies: far above what a reading client leaves (CI's
+   500-job stress smoke replies under 0.9 MB in all). *)
+let max_unread = 4 lsl 20
+
+(* A client that has hung up, or was dropped, is not answered. *)
 let send_client t ~client frame =
-  Option.iter (fun link -> send_frame link frame) (Hashtbl.find_opt t.clients client)
+  match Hashtbl.find_opt t.links client with
+  | Some { link; role = Client } ->
+    send_frame link frame;
+    if Link.pending link > max_unread then begin
+      Atomic.incr t.clients_dropped;
+      Link.close link
+    end
+  | _ -> ()
 
 let reply_to t ~client ~job reply = send_client t ~client (Serve_proto.Job_result { job; reply })
 
@@ -435,6 +439,13 @@ and start_host_job t { client; client_job; spec } =
     reply_to t ~client ~job:client_job (Serve_proto.Failed { kind; detail });
     conclude ()
   in
+  (* Tear job [g] down everywhere, then answer typed.  A failed stage
+     has already aborted the job's sessions here. *)
+  let abandon g e =
+    broadcast t (Serve_proto.Job_cancel { job = g });
+    let kind, detail = failure_of_exn e in
+    fail kind detail
+  in
   match Job.validate spec t.workload with
   | Error detail -> fail Serve_proto.Rejected detail
   | Ok () ->
@@ -449,29 +460,17 @@ and start_host_job t { client; client_job; spec } =
             broadcast t (Serve_proto.Job_submit { job = g; spec });
             Job.build spec t.workload
           with
-          | exception e ->
-            broadcast t (Serve_proto.Job_cancel { job = g });
-            let kind, detail = failure_of_exn e in
-            fail kind detail
+          | exception e -> abandon g e
           | planned ->
             run_job_async t ~job:g ~spec planned ~on_done:(function
+              | Some e -> abandon g e
               | None -> (
                 match Job.reply_of planned with
                 | reply ->
                   Atomic.incr t.jobs_completed;
                   reply_to t ~client ~job:client_job reply;
                   conclude ()
-                | exception e ->
-                  broadcast t (Serve_proto.Job_cancel { job = g });
-                  let kind, detail = failure_of_exn e in
-                  fail kind detail)
-              | Some e ->
-                (* Tear the job down everywhere, then answer typed. *)
-                broadcast t (Serve_proto.Job_cancel { job = g });
-                let _, all_sids = Job.seats ~job:g ~party:t.config.party planned in
-                List.iter (fun sid -> Mux.abort t.mux ~sid) all_sids;
-                let kind, detail = failure_of_exn e in
-                fail kind detail)))
+                | exception e -> abandon g e))))
 
 (* --- provider side ------------------------------------------------------- *)
 
@@ -501,10 +500,7 @@ let start_provider_job t ~job spec =
             | None ->
               Atomic.incr t.jobs_completed;
               Atomic.decr t.active_jobs
-            | Some _ ->
-              let _, all_sids = Job.seats ~job ~party:t.config.party planned in
-              List.iter (fun sid -> Mux.abort t.mux ~sid) all_sids;
-              fail ())))
+            | Some _ -> fail ())))
 
 let cancel_job t ~job =
   match Hashtbl.find_opt t.jobs job with
@@ -567,10 +563,10 @@ and on_client_frame t ~client buf off len =
 
 (* Graceful shutdown, as loop tasks paced by a 10 ms reactor timer:
    refuse the queued jobs with a typed reply, let the running ones
-   finish (up to 60 s), close the listener and the connections still
-   short of their Hello, give the client links until the same deadline
-   to take their replies, then close every connection and end the
-   loop. *)
+   finish (up to 60 s), close the listener and the links still short of
+   their Hello, give the client links until the same deadline to take
+   their replies (and a dial still running the 0.1 s it takes to give
+   up), then close every link and end the loop. *)
 and initiate_shutdown t =
   if not t.stopping then begin
     t.stopping <- true;
@@ -586,38 +582,29 @@ and initiate_shutdown t =
         ignore (Reactor.at t.reactor (Unix.gettimeofday () +. 0.01) (fun () -> wait_while busy k))
       else k ()
     in
-    let clients () = Hashtbl.fold (fun _ link acc -> link :: acc) t.clients [] in
+    let links role =
+      Hashtbl.fold (fun _ c acc -> if role c.role then c.link :: acc else acc) t.links []
+    in
     wait_while
       (fun () -> Scheduler.active t.scheduler > 0 || Atomic.get t.active_jobs > 0)
       (fun () ->
         Reactor.forget_fd t.reactor t.listener;
-        (match listen_addr t.config with
-        | Transport.Socket.Unix_domain path -> (
-          try Unix.unlink path with Unix.Unix_error _ -> ())
-        | _ -> ());
+        unlink_listener t.config;
         close_fd t.listener;
-        List.iter (drop_greeting t) (Hashtbl.fold (fun fd _ acc -> fd :: acc) t.greetings []);
+        List.iter Link.close (links (( = ) Greeting));
         wait_while
-          (fun () -> List.exists (fun link -> Link.pending link > 0) (clients ()))
           (fun () ->
-            List.iter Link.close (clients ());
-            Array.iter (Option.iter Link.close) t.peers;
+            t.dialing > 0
+            || List.exists (fun link -> Link.pending link > 0) (links (( = ) Client)))
+          (fun () ->
+            List.iter Link.close (links (fun _ -> true));
             Option.iter (fun s -> try Spe_obs.Scrape.stop s with _ -> ()) t.scrape;
             Atomic.set t.stopped true))
   end
 
 and stop t = Reactor.post t.reactor (fun () -> initiate_shutdown t)
 
-(* An accepted connection leaves the greeting table either closed or
-   handed to a link; both cancel its timer and its read interest. *)
-and settle_greeting t fd =
-  Option.iter (Reactor.cancel t.reactor) (Hashtbl.find_opt t.greetings fd);
-  Hashtbl.remove t.greetings fd;
-  Reactor.forget_fd t.reactor fd
-
-and drop_greeting t fd =
-  settle_greeting t fd;
-  close_fd fd
+(* --- every socket one link: the Hello, the accept and the dial ------------- *)
 
 (* A link died (EOF, socket error or malformed frame).  If it was still
    the peer's current link, every session seated with that peer fails
@@ -630,101 +617,91 @@ let link_died t ~peer =
     Mux.fail_peer t.mux ~peer
   | _ -> ()
 
-(* On the loop thread, once the Hello exchange on [fd] is through: the
-   peer joins the mesh.  [hellos_received] counts installed links, so
-   [hellos_received = m] means the mesh is usable.  A descriptor past
-   select's limit cannot join the loop; refusing it leaves the peer
-   missing, which jobs then report as [Peer_down]. *)
-let install_link t ~peer fd =
-  if Atomic.get t.stopped || not (Reactor.selectable [ fd ]) then close_fd fd
-  else begin
-    let link =
-      Link.create ~reactor:t.reactor ~stats:t.mesh ~on_frame:(on_mesh_frame t)
-        ~on_close:(fun () -> link_died t ~peer)
-        fd
-    in
-    let old = t.peers.(peer) in
-    t.peers.(peer) <- Some link;
-    t.lost.(peer) <- false;
-    Option.iter Link.close old;
-    (* Session frames are encoded straight into the link's outbound
-       slab and leave with the loop's next poll. *)
-    Mux.set_writer t.mux ~peer (fun ~sid body ->
-        queue_frame link (Serve_proto.Session_frame { sid; body }));
-    Atomic.incr t.hellos_received
-  end
+let my_hello t =
+  Serve_proto.Hello
+    { role = Serve_proto.Party t.config.party; version = Serve_proto.version; workload = t.wdigest }
 
-let my_hello t = Serve_proto.Hello
-    { role = Serve_proto.Party t.config.party; version = Serve_proto.version;
-      workload = t.wdigest }
+(* Our Hello, flushed at once; [false] if the link died writing it. *)
+let send_hello t link =
+  send_frame link (my_hello t);
+  if Link.alive link then Atomic.incr t.hellos_sent;
+  Link.alive link
 
-(* Every Hello encodes to the same 13 bytes (a client's carries id 0),
-   so an inbound Hello frame is exactly this long. *)
-let hello_frame_length =
-  Frame.length_prefix_bytes
-  + Serve_proto.encoded_length
-      (Serve_proto.Hello { role = Serve_proto.Client; version = Serve_proto.version; workload = 0 })
+type hello = Peer of int | Mismatch of int | Client_hello | Refused
 
-(* The Hello is in: answer with ours in one non-blocking write (a fresh
-   socket's send buffer takes it whole), then serve the connection as a
-   mesh link or a client link.  A peer that loaded another workload
-   gets our Hello too before we close, so its dial reports the
-   mismatch at once instead of retrying until its timeout. *)
-let on_hello t fd buf =
-  let answered () =
-    match Serve_proto.write fd (my_hello t) with
-    | () ->
-      Atomic.incr t.hellos_sent;
-      true
-    | exception Unix.Unix_error _ -> false
-  in
-  match
-    Serve_proto.decode_slice buf Frame.length_prefix_bytes
-      (hello_frame_length - Frame.length_prefix_bytes)
-  with
-  | Serve_proto.Hello { role = Serve_proto.Party peer; version; workload }
-    when version = Serve_proto.version && peer >= 0 && peer <= m_of t
-         && peer <> t.config.party ->
-    if answered () && workload = t.wdigest then install_link t ~peer fd else close_fd fd
+(* The one check of a link's first frame, on either end of it: our
+   protocol version, then a client, or a party whose id is in the
+   roster and not ours, with our workload digest or another. *)
+let check_hello t buf off len =
+  match Serve_proto.decode_slice buf off len with
+  | Serve_proto.Hello { role = Serve_proto.Party p; version; workload }
+    when version = Serve_proto.version && p >= 0 && p <= m_of t && p <> t.config.party ->
+    if workload = t.wdigest then Peer p else Mismatch p
   | Serve_proto.Hello { role = Serve_proto.Client; version; _ }
     when version = Serve_proto.version ->
-    Atomic.incr t.clients_accepted;
-    if answered () then begin
-      let client = t.next_client in
-      t.next_client <- client + 1;
-      Hashtbl.replace t.clients client
-        (Link.create ~reactor:t.reactor ~on_frame:(on_client_frame t ~client)
-           ~on_close:(fun () -> Hashtbl.remove t.clients client)
-           fd)
-    end
-    else close_fd fd
-  | _ | (exception Codec.Malformed _) -> close_fd fd
+    Client_hello
+  | _ | (exception Codec.Malformed _) -> Refused
 
-(* An accepted connection must send exactly one Hello frame within
-   [dial_timeout].  Reads stop at its end, so a peer's first mesh
-   frames stay in the socket for its link, and a length prefix that
-   announces anything else closes the connection at once. *)
-let greet t fd =
-  let buf = Bytes.create hello_frame_length and got = ref 0 in
-  Hashtbl.replace t.greetings fd
-    (Reactor.at t.reactor
-       (Unix.gettimeofday () +. t.config.dial_timeout)
-       (fun () -> drop_greeting t fd));
-  Reactor.on_readable t.reactor fd (fun () ->
-      match Unix.read fd buf !got (hello_frame_length - !got) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | 0 | (exception Unix.Unix_error _) -> drop_greeting t fd
-      | n ->
-        got := !got + n;
-        if
-          !got >= Frame.length_prefix_bytes
-          && Int32.to_int (Bytes.get_int32_be buf 0)
-             <> hello_frame_length - Frame.length_prefix_bytes
-        then drop_greeting t fd
-        else if !got = hello_frame_length then begin
-          settle_greeting t fd;
-          on_hello t fd buf
-        end)
+(* A link whose Hello names [peer] joins the mesh, replacing any older
+   one, and counts into the mesh stats from now on (Hellos stay out).
+   [hellos_received = m] means the mesh is usable. *)
+let join_mesh t c ~peer =
+  c.role <- Mesh peer;
+  Link.count_into c.link t.mesh;
+  let old = t.peers.(peer) in
+  t.peers.(peer) <- Some c.link;
+  t.lost.(peer) <- false;
+  Option.iter Link.close old;
+  (* Session frames are encoded straight into the link's outbound
+     slab and leave with the loop's next poll. *)
+  Mux.set_writer t.mux ~peer (fun ~sid body ->
+      queue_frame c.link (Serve_proto.Session_frame { sid; body }));
+  Atomic.incr t.hellos_received
+
+(* Every daemon socket, accepted or dialed, is one link from its first
+   byte.  Its first frame must be the peer's Hello, before [deadline]
+   and no longer than a Hello's 13 bytes, so a silent connection and a
+   hostile length prefix both close.  [on_hello] settles the role, and
+   the frames behind the Hello go to it; a link left [Greeting] closes,
+   and [on_lost] runs if a link closes while [Greeting]. *)
+let open_link t fd ~deadline ~on_hello ~on_lost =
+  let id = t.next_conn in
+  t.next_conn <- id + 1;
+  let self = ref None in
+  let conn () = Option.get !self in
+  let timer = Reactor.at t.reactor deadline (fun () -> Link.close (conn ()).link) in
+  let on_frame buf off len =
+    let c = conn () in
+    match c.role with
+    | Greeting ->
+      Reactor.cancel t.reactor timer;
+      on_hello c (check_hello t buf off len);
+      if c.role <> Greeting then Link.bound c.link max_int;
+      c.role <> Greeting
+    | Mesh _ -> on_mesh_frame t buf off len
+    | Client -> on_client_frame t ~client:id buf off len
+  in
+  let on_close () =
+    Hashtbl.remove t.links id;
+    Reactor.cancel t.reactor timer;
+    match (conn ()).role with Greeting -> on_lost () | Mesh peer -> link_died t ~peer | Client -> ()
+  in
+  let c = { link = Link.create ~reactor:t.reactor ~on_frame ~on_close fd; role = Greeting } in
+  self := Some c;
+  Link.bound c.link (Serve_proto.encoded_length (my_hello t));
+  Hashtbl.replace t.links id c;
+  c
+
+(* An accepted link's Hello.  A party or a client of our version gets
+   our Hello back; so does a party that loaded another workload, before
+   its link closes, so that its dial reports the mismatch at once. *)
+let on_accepted_hello t c = function
+  | Peer peer -> if send_hello t c.link then join_mesh t c ~peer
+  | Mismatch _ -> ignore (send_hello t c.link)
+  | Client_hello ->
+    Atomic.incr t.clients_accepted;
+    if send_hello t c.link then c.role <- Client
+  | Refused -> ()
 
 (* The listener is non-blocking: take the whole backlog.  A descriptor
    past select's limit cannot join the loop and is closed. *)
@@ -732,55 +709,70 @@ let rec accept_all t =
   match Unix.accept t.listener with
   | exception Unix.Unix_error _ -> ()
   | fd, _ ->
-    if Reactor.selectable [ fd ] then begin
-      Unix.set_nonblock fd;
-      greet t fd
-    end
+    if Reactor.selectable [ fd ] then
+      ignore
+        (open_link t fd
+           ~deadline:(Unix.gettimeofday () +. t.config.dial_timeout)
+           ~on_hello:(on_accepted_hello t) ~on_lost:ignore)
     else close_fd fd;
     accept_all t
 
-let dial_peer t ~peer =
-  let addr = Addr.sockaddr t.config.roster.(peer) in
+let domain_of = function Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
+
+(* Dial [peer] on the loop: a non-blocking connect whose link holds our
+   Hello from the start, so its writability callback finishes the
+   connect.  Anything short of the peer's Hello or a workload mismatch
+   is retried on a 0.1 s timer until [dial_timeout]. *)
+let dial t ~peer ~on_done =
+  let address = t.config.roster.(peer) in
+  let sockaddr = Addr.sockaddr address in
   let deadline = Unix.gettimeofday () +. t.config.dial_timeout in
-  let rec attempt () =
-    let domain =
-      match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
-    in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match
-      Unix.connect fd addr;
-      Serve_proto.write fd (my_hello t);
-      Atomic.incr t.hellos_sent;
-      match Serve_proto.read ~deadline fd with
-      | Some (Serve_proto.Hello { role = Serve_proto.Party p; version; workload })
-        when p = peer && version = Serve_proto.version ->
-        if workload <> t.wdigest then `Mismatch
-        else begin
-          Reactor.post t.reactor (fun () -> install_link t ~peer fd);
-          `Done
-        end
-      | _ -> `Retry
-    with
-    | `Done -> Ok ()
-    | `Mismatch ->
-      close_fd fd;
-      Error
-        (Printf.sprintf "workload mismatch with %s (%s): daemons must load identical \
-                         --graph/--log inputs"
-           (Addr.party_name peer)
-           (Addr.to_string t.config.roster.(peer)))
-    | `Retry | (exception (Unix.Unix_error _ | Failure _ | Codec.Malformed _)) ->
-      close_fd fd;
-      if Unix.gettimeofday () >= deadline then
-        Error
-          (Printf.sprintf "cannot reach %s at %s" (Addr.party_name peer)
-             (Addr.to_string t.config.roster.(peer)))
-      else if Atomic.get t.stopped then Error "shutting down"
-      else begin
-        Thread.delay 0.1;
-        attempt ()
-      end
+  let finished = ref false in
+  let finish result =
+    finished := true;
+    t.dialing <- t.dialing - 1;
+    on_done result
   in
+  let on_hello c = function
+    | Peer p when p = peer ->
+      join_mesh t c ~peer;
+      finish (Ok ())
+    | Mismatch p when p = peer ->
+      finish
+        (Error
+           (Printf.sprintf
+              "workload mismatch with %s (%s): daemons must load identical --graph/--log inputs"
+              (Addr.party_name peer) (Addr.to_string address)))
+    | _ -> ()
+  in
+  let rec attempt () =
+    if t.stopping then finish (Error "shutting down")
+    else
+      match Unix.socket (domain_of sockaddr) Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error _ -> retry ()
+      | fd when not (Reactor.selectable [ fd ]) ->
+        close_fd fd;
+        retry ()
+      | fd -> (
+        match
+          Unix.set_nonblock fd;
+          Unix.connect fd sockaddr
+        with
+        | () | (exception Unix.Unix_error (Unix.EINPROGRESS, _, _)) ->
+          ignore (send_hello t (open_link t fd ~deadline ~on_hello ~on_lost:retry).link)
+        | exception Unix.Unix_error _ ->
+          close_fd fd;
+          retry ())
+  and retry () =
+    if not !finished then
+      if Unix.gettimeofday () >= deadline then
+        finish
+          (Error
+             (Printf.sprintf "cannot reach %s at %s" (Addr.party_name peer)
+                (Addr.to_string address)))
+      else ignore (Reactor.at t.reactor (Unix.gettimeofday () +. 0.1) attempt)
+  in
+  t.dialing <- t.dialing + 1;
   attempt ()
 
 (* --- lifecycle ------------------------------------------------------------ *)
@@ -808,18 +800,11 @@ let start config workload =
     invalid_arg "Daemon.start: party outside the roster";
   if Array.length workload.Job.logs <> Array.length config.roster - 1 then
     invalid_arg "Daemon.start: one provider log per roster provider";
-  Lazy.force
-    (lazy (if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore));
+  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = listen_addr config in
-  (match addr with
-  | Spe_net.Transport.Socket.Unix_domain path -> (
-    try Unix.unlink path with Unix.Unix_error _ -> ())
-  | _ -> ());
+  unlink_listener config;
   let sockaddr = Addr.sockaddr addr in
-  let domain =
-    match sockaddr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
-  in
-  let listener = Unix.socket domain Unix.SOCK_STREAM 0 in
+  let listener = Unix.socket (domain_of sockaddr) Unix.SOCK_STREAM 0 in
   (match addr with
   | Spe_net.Transport.Socket.Tcp _ -> Unix.setsockopt listener Unix.SO_REUSEADDR true
   | _ -> ());
@@ -843,12 +828,12 @@ let start config workload =
       reactor;
       loop;
       listener;
-      greetings = Hashtbl.create 8;
+      links = Hashtbl.create 8;
+      next_conn = 0;
+      dialing = 0;
       peers = Array.make (Array.length config.roster) None;
       lost = Array.make (Array.length config.roster) false;
       mesh = Link.stats ();
-      clients = Hashtbl.create 8;
-      next_client = 0;
       scheduler = Scheduler.create ~max_queue:config.max_queue ~max_active:config.max_sessions;
       next_job = 1;
       jobs = Hashtbl.create 16;
@@ -858,6 +843,7 @@ let start config workload =
       hellos_sent = Atomic.make 0;
       hellos_received = Atomic.make 0;
       clients_accepted = Atomic.make 0;
+      clients_dropped = Atomic.make 0;
       active_jobs = Atomic.make 0;
       jobs_completed = Atomic.make 0;
       jobs_failed = Atomic.make 0;
@@ -867,7 +853,7 @@ let start config workload =
       last_epoch = Atomic.make (-1);
       rank_jobs_completed = Atomic.make 0;
       rank_iterations_run = Atomic.make 0;
-      reports = Atomic.make [];
+      report = Atomic.make None;
       reap = Queue.create ();
     }
   in
@@ -885,16 +871,22 @@ let start config workload =
   (* From here on the loop serves; [scrape] was set before it could
      shut down. *)
   Reactor.post reactor (fun () -> Reactor.on_readable reactor listener (fun () -> accept_all t));
-  (* Establish the mesh: dial every lower id (they dialed us if higher).
-     Dial failures are fatal at start — a daemon that can never reach
-     its peers should say so, not limp. *)
-  let rec dial p =
-    if p < config.party then (
-      match dial_peer t ~peer:p with
-      | Ok () -> dial (p + 1)
-      | Error msg -> abort (Failure msg))
+  (* Establish the mesh on the loop: dial every lower id (they dial us
+     if higher) and wait for the results.  Dial failures are fatal at
+     start — a daemon that can never reach its peers should say so, not
+     limp — and the first one ends the wait. *)
+  let settled = Semaphore.Counting.make 0 and failure = Atomic.make None in
+  let on_done result =
+    Result.iter_error (fun msg -> ignore (Atomic.compare_and_set failure None (Some msg))) result;
+    Semaphore.Counting.release settled
   in
-  dial 0;
+  for peer = 0 to config.party - 1 do
+    Reactor.post reactor (fun () -> dial t ~peer ~on_done)
+  done;
+  for _ = 1 to config.party do
+    Semaphore.Counting.acquire settled;
+    Option.iter (fun msg -> abort (Failure msg)) (Atomic.get failure)
+  done;
   t
 
 let run config workload =
@@ -922,7 +914,4 @@ let spawn config workload =
     Unix._exit code
   | pid -> pid
 
-let report t =
-  match Atomic.get t.reports with
-  | [] -> None
-  | reports -> Some (Metrics.merge (List.rev reports))
+let report t = Atomic.get t.report

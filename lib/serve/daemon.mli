@@ -37,17 +37,17 @@ val default_config : party:int -> roster:Addr.t array -> config
 type t
 
 val start : config -> Job.workload -> t
-(** Bind, start the daemon's loop thread, start the scrape endpoint when
-    [metrics_addr] is set, and dial the lower ids from the calling
-    thread with blocking I/O (retrying up to [dial_timeout]).  The loop
-    then serves every connection: it accepts, reads each one's Hello
-    under a [dial_timeout] timer, and runs it as a mesh or client link.
-    Links are installed on the loop after their Hello exchange, so
-    [hellos_received] in {!gauges} reaches the number of peers once the
-    mesh is usable.  Raises [Failure] with a clean message, once the
-    daemon has stopped again, if a peer cannot be reached or loaded a
-    different workload; a peer answers a mismatched Hello with its own,
-    so the mismatch is reported at once. *)
+(** Bind, start the daemon's loop thread and the scrape endpoint when
+    [metrics_addr] is set, post one dial per lower id to the loop (each
+    retried on a 0.1 s timer up to [dial_timeout]), and wait for their
+    results.  Every socket, accepted or dialed, is a link on the loop
+    whose first frame, within [dial_timeout], is the peer's Hello: it
+    makes the link a mesh or client link.  So [hellos_received] in
+    {!gauges} reaches the number of peers once the mesh is usable.
+    Raises [Failure] with a clean message, once the daemon has stopped
+    again, if a peer cannot be reached or loaded a different workload;
+    a peer answers a mismatched Hello with its own, so the mismatch is
+    reported at once. *)
 
 val stop : t -> unit
 (** Begin graceful shutdown on the loop: refuse the queued jobs with
@@ -73,6 +73,6 @@ val gauges : t -> (string * int) list
 (** The scrape gauges, readable in-process for tests/bench. *)
 
 val report : t -> Spe_obs.Metrics.report option
-(** Cumulative merged spe-metrics/2 report across every session this
-    daemon ran ([None] until tracing produced one; tracing is enabled
-    by [metrics_addr]). *)
+(** Cumulative spe-metrics/2 report across every session this daemon
+    ran, with no [shards] rows ([None] until tracing produced one;
+    tracing is enabled by [metrics_addr]). *)

@@ -7,12 +7,12 @@
    [Session_frame]s — an unmodified inner endpoint frame body tagged
    with its session id — multiplexed with the job-control frames.  The
    codec follows the Frame discipline exactly: length-prefixed bodies
-   on the wire (Transport.Socket write_frame / read_frame for
-   handshakes and clients, Transport.Socket.Link for the mesh),
-   encoded in place with Codec's writers and read by Codec's bounded
-   reader, which rejects unknown tags and trailing bytes.  Tags live at
-   64+ so a serve frame can never be confused with an inner protocol
-   frame. *)
+   on the wire (a daemon's every socket is a Transport.Socket.Link,
+   Hello included; the blocking write_frame / read_frame are the
+   client's), encoded in place with Codec's writers and read by Codec's
+   bounded reader, which rejects unknown tags and trailing bytes.  Tags
+   live at 64+ so a serve frame can never be confused with an inner
+   protocol frame. *)
 
 module Codec = Spe_mpc.Codec
 

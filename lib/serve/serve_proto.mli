@@ -6,7 +6,7 @@
     {!Spe_net.Frame} encoding, multiplexed by session id), and the job
     control frames (submit / result / busy / cancel / shutdown).
     Frames are length-prefixed on the wire with the same discipline as
-    the inner protocol ({!Spe_net.Transport.Socket.write_frame}).  The
+    the inner protocol (on a daemon's links, and {!write}/{!read}).  The
     byte writers and the bounded reader are {!Spe_mpc.Codec}'s; this
     module holds only the frame layout.  The decoder is strict —
     unknown tags, unknown enum codes, length fields past the frame and
@@ -139,8 +139,8 @@ val decode_slice : bytes -> int -> int -> t
     outside [buf]. *)
 
 val write : Unix.file_descr -> t -> unit
-(** One length-prefixed frame; the caller serialises writes per
-    descriptor. *)
+(** One length-prefixed frame, blocking: [Client]'s, as is {!read}; the
+    caller serialises writes per descriptor. *)
 
 val read : ?deadline:float -> Unix.file_descr -> t option
 (** [None] on clean EOF; [Failure] on a torn stream or a missed

@@ -451,11 +451,9 @@ let test_link_batches_and_kills () =
   let a_fd, b_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let stats_a = Link.stats () and stats_b = Link.stats () in
   let got = ref [] and bursts = ref 0 and closed_b = ref 0 in
-  let a =
-    Link.create ~reactor ~stats:stats_a ~on_frame:(fun _ _ _ -> true) ~on_close:ignore a_fd
-  in
+  let a = Link.create ~reactor ~on_frame:(fun _ _ _ -> true) ~on_close:ignore a_fd in
   let b =
-    Link.create ~reactor ~stats:stats_b
+    Link.create ~reactor
       ~on_frame:(fun buf off len ->
         let s = Bytes.sub_string buf off len in
         got := s :: !got;
@@ -464,6 +462,8 @@ let test_link_batches_and_kills () =
       ~on_close:(fun () -> incr closed_b)
       b_fd
   in
+  Link.count_into a stats_a;
+  Link.count_into b stats_b;
   let frames = List.init 50 (Printf.sprintf "frame-%d") in
   List.iter (fun f -> Link.queue a (String.length f) (fun buf pos -> Bytes.blit_string f 0 buf pos (String.length f))) frames;
   Alcotest.(check int) "nothing written before the loop polls" 0 stats_a.Link.writes;
@@ -492,6 +492,21 @@ let test_link_batches_and_kills () =
   Reactor.run reactor ~until:(fun () -> !expired || not (Link.alive d));
   Alcotest.(check bool) "a negative length kills the link" false (Link.alive d);
   Unix.close c_fd;
+  (* A prefix past the link's bound kills it with the body still to
+     come, and what the link reads after [count_into] lands there. *)
+  let e_fd, f_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let counted = Link.stats () in
+  let f = Link.create ~reactor ~on_frame:(fun _ _ _ -> true) ~on_close:ignore f_fd in
+  Link.bound f 4;
+  Link.count_into f counted;
+  let bytes = Bytes.make 10 'x' in
+  Bytes.set_int32_be bytes 0 2l;
+  Bytes.set_int32_be bytes 6 5l;
+  ignore (Unix.write e_fd bytes 0 10);
+  Reactor.run reactor ~until:(fun () -> !expired || not (Link.alive f));
+  Alcotest.(check bool) "a prefix past the bound kills the link" false (Link.alive f);
+  Alcotest.(check int) "the frame within the bound was counted" 1 counted.Link.frames_received;
+  Unix.close e_fd;
   Reactor.destroy reactor
 
 (* Blocking frame reads for handshakes: a hostile length prefix costs

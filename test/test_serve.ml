@@ -536,6 +536,56 @@ let test_daemon_payload_exact () =
         (jobs * (Wire.stats w).Wire.bits / 8)
         merged.Metrics.payload_bytes)
 
+(* A traced daemon folds each seat's report into one as it records it:
+   after N identical jobs its report counts N times one job's messages
+   and payload, and carries no per-seat [shards] table, since a
+   daemon's report is not one sharded run. *)
+let test_daemon_report_folds () =
+  with_deployment ~trace_all:true (fun client daemons _roster ~graph ~logs ->
+      let jobs = 4 in
+      let spec = links_spec ~pseed:(links_workload.Schedule.wseed + 1) ~shards:2 in
+      let planned = Job.build spec { Job.graph; logs } in
+      let seats party = List.length (List.concat (fst (Job.seats ~job:0 ~party planned))) in
+      (* Run [n] more jobs, then wait until every daemon has recorded
+         its seats of all [total] jobs so far: a provider's can trail
+         H's reply. *)
+      let run n ~total =
+        let outcomes =
+          Client.run_jobs client
+            (List.init n (fun _ -> spec))
+            ~deadline:(Unix.gettimeofday () +. 60.)
+        in
+        checkb "every job completed" true
+          (List.for_all (function Client.Result (Proto.Strengths _) -> true | _ -> false) outcomes);
+        let settle = Unix.gettimeofday () +. 10. in
+        Array.iteri
+          (fun party _ ->
+            while
+              gauge daemons party "sessions_run" < total * seats party
+              && Unix.gettimeofday () < settle
+            do
+              Thread.delay 0.002
+            done)
+          daemons
+      in
+      run 1 ~total:1;
+      let one = Array.map (fun d -> Option.get (Daemon.report d)) daemons in
+      run (jobs - 1) ~total:jobs;
+      Array.iteri
+        (fun party d ->
+          let name = Addr.party_name party in
+          match Daemon.report d with
+          | None -> Alcotest.failf "%s has no report" name
+          | Some r ->
+            check Alcotest.int (name ^ " shards") 0 (List.length r.Metrics.shards);
+            check Alcotest.int (name ^ " messages")
+              (jobs * one.(party).Metrics.messages)
+              r.Metrics.messages;
+            check Alcotest.int (name ^ " payload bytes")
+              (jobs * one.(party).Metrics.payload_bytes)
+              r.Metrics.payload_bytes)
+        daemons)
+
 (* Acceptance: a 50-job concurrent burst under admission control, every
    reply bit-identical. *)
 let test_daemon_burst_50 () =
@@ -780,12 +830,21 @@ let peer_death_kind = function
 
 let failure_workload = { Schedule.wseed = 11; users = 12; edges = 30; actions = 6; providers = 2 }
 
+(* One frame as it travels: its length prefix, then its body. *)
+let framed frame =
+  let body = Proto.encode frame in
+  let b = Bytes.create (Frame.length_prefix_bytes + Bytes.length body) in
+  Bytes.set_int32_be b 0 (Int32.of_int (Bytes.length body));
+  Bytes.blit body 0 b Frame.length_prefix_bytes (Bytes.length body);
+  b
+
 (* H and P1 as in-process daemons at their default timeouts, and a mute
    P2: sockets that complete the mesh Hello exchange with H (and with P1
-   when [reach_p1]) and then never speak.  [f client daemons kill] runs
-   once every daemon has installed the links it should have; [kill ()]
+   when [reach_p1]) and then never speak.  Each writes its Hello and
+   [behind_hello] in one [write].  [f client daemons kill] runs once
+   every daemon has installed the links it should have; [kill ()]
    closes the mute sockets. *)
-let with_mute_p2 ?(dial_timeout = 15.) ~reach_p1 f =
+let with_mute_p2 ?(dial_timeout = 15.) ?(behind_hello = Bytes.empty) ~reach_p1 f =
   let graph, logs = Harness.workload_inputs failure_workload in
   let workload = { Job.graph; logs } in
   Addr.with_temp_roster ~parties:3 @@ fun roster ->
@@ -796,8 +855,15 @@ let with_mute_p2 ?(dial_timeout = 15.) ~reach_p1 f =
   let mute_dial party =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.connect fd (Addr.sockaddr roster.(party));
-    Proto.write fd
-      (Proto.Hello { role = Proto.Party 2; version = Proto.version; workload = Job.digest workload });
+    let first =
+      Bytes.cat
+        (framed
+           (Proto.Hello
+              { role = Proto.Party 2; version = Proto.version; workload = Job.digest workload }))
+        behind_hello
+    in
+    check Alcotest.int "one write" (Bytes.length first)
+      (Unix.write fd first 0 (Bytes.length first));
     (match Proto.read fd with
     | Some (Proto.Hello _) -> ()
     | _ -> Alcotest.fail "no Hello back from the daemon");
@@ -855,6 +921,20 @@ let test_peer_death_fails_promptly () =
       ignore (Client.submit client spec);
       expect_typed_failure "job after the peer died" client ~within:2.)
 
+(* Frames behind a Hello in the same read belong to the link it
+   settles: a mute P2's Hello and a session frame arrive in one write,
+   and H installs P2's link and routes the frame to a new session. *)
+let test_frame_behind_hello () =
+  let sid = Job.sid ~job:7 ~gidx:0 in
+  let behind_hello = framed (Proto.Session_frame { sid; body = Bytes.of_string "early" }) in
+  with_mute_p2 ~behind_hello ~reach_p1:false (fun _client daemons _kill ->
+      check Alcotest.int "H installed P2's link" 2 (gauge daemons 0 "hellos_received");
+      let routed = Unix.gettimeofday () +. 5. in
+      while gauge daemons 0 "active_sessions" = 0 && Unix.gettimeofday () < routed do
+        Thread.delay 0.005
+      done;
+      check Alcotest.int "the frame opened a session at H" 1 (gauge daemons 0 "active_sessions"))
+
 (* A provider that fails a job locally tells H: P1 cannot reach the
    mute P2, waits out its mesh deadline (2 s here), and cancels, so the
    client gets a typed failure within seconds instead of after H's
@@ -905,10 +985,11 @@ let fresh_client_job ~seconds roster ~graph ~logs =
     checkb "fresh client's job bit-identical" true (reply = expected)
   | Some (Ok _) -> Alcotest.fail "fresh client's job did not complete"
 
-(* The daemon closes [fd] within its dial timeout (2 s here). *)
-let expect_closed_by_daemon fd =
+(* The daemon closes [fd] before [deadline] (by default 8 s from now,
+   past a 2 s dial timeout). *)
+let expect_closed_by_daemon ?deadline fd =
   let buf = Bytes.create 64 in
-  let deadline = Unix.gettimeofday () +. 8. in
+  let deadline = Option.value deadline ~default:(Unix.gettimeofday () +. 8.) in
   let rec wait () =
     let left = deadline -. Unix.gettimeofday () in
     if left <= 0. then Alcotest.fail "the daemon kept a connection without a Hello"
@@ -940,9 +1021,14 @@ let test_silent_connection () =
           expect_closed_by_daemon silent))
 
 (* A length prefix of 0x7FFFFFF0 followed by 10 bytes: the daemon must
-   neither allocate the claimed length nor wait on it. *)
+   neither allocate the claimed length nor wait on it.  It closes the
+   connection on the prefix, before the 2 s Hello deadline that would
+   close a silent one: the deadline runs from the accept, which comes
+   after [t0]. *)
 let test_hostile_length_prefix () =
-  with_deployment ~dial_timeout:2. (fun _client _daemons roster ~graph ~logs ->
+  let dial_timeout = 2. in
+  with_deployment ~dial_timeout (fun _client _daemons roster ~graph ~logs ->
+      let t0 = Unix.gettimeofday () in
       let hostile = raw_connect roster.(0) in
       Fun.protect
         ~finally:(fun () -> Unix.close hostile)
@@ -950,8 +1036,8 @@ let test_hostile_length_prefix () =
           let bytes = Bytes.make 14 'x' in
           Bytes.set_int32_be bytes 0 0x7FFFFFF0l;
           ignore (Unix.write hostile bytes 0 14);
-          fresh_client_job ~seconds:15. roster ~graph ~logs;
-          expect_closed_by_daemon hostile))
+          expect_closed_by_daemon ~deadline:(t0 +. dial_timeout) hostile;
+          fresh_client_job ~seconds:15. roster ~graph ~logs))
 
 (* A client that submits and never reads cannot stall H: 30 links jobs
    whose replies (about 9.6 KB each) overflow the client's socket, and
@@ -986,6 +1072,108 @@ let test_unread_client_does_not_stall () =
               | _ -> Alcotest.fail "second client's job did not complete"
               | exception Client.Connection_lost msg -> Alcotest.fail ("second client: " ^ msg));
           checkb "H's loop kept turning" true (gauge daemons 0 "reactor_iterations" > iterations)))
+
+(* A client that submits and never reads is dropped once H holds more
+   of its replies than the cap (4 MiB): it reads what the kernel had
+   taken, then EOF, [clients_dropped] reads 1, and a second client's job
+   still completes bit-identical.  Replies here are about 80 KB. *)
+let test_unread_client_dropped () =
+  let workload = { Schedule.wseed = 97; users = 1000; edges = 5000; actions = 4; providers = 2 } in
+  with_deployment ~workload (fun _client daemons roster ~graph ~logs ->
+      let pseed = workload.Schedule.wseed + 1 in
+      let spec = links_spec ~pseed ~shards:2 in
+      let expected = Proto.Strengths (links_oracle ~pseed ~graph ~logs) in
+      let dropped () = gauge daemons 0 "clients_dropped" > 0 in
+      let unread = Client.connect roster.(0) in
+      Fun.protect
+        ~finally:(fun () -> Client.close unread)
+        (fun () ->
+          let rec submit_until_dropped submitted =
+            if not (dropped ()) then begin
+              if submitted >= 200 then Alcotest.fail "H never dropped the unread client";
+              (try
+                 for _ = 1 to 8 do
+                   ignore (Client.submit unread spec)
+                 done
+               with Client.Connection_lost _ -> ());
+              let settle = Unix.gettimeofday () +. 30. in
+              while
+                (not (dropped ()))
+                && gauge daemons 0 "jobs_completed" < submitted + 8
+                && Unix.gettimeofday () < settle
+              do
+                Thread.delay 0.005
+              done;
+              submit_until_dropped (submitted + 8)
+            end
+          in
+          submit_until_dropped 0;
+          check Alcotest.int "H dropped one client" 1 (gauge daemons 0 "clients_dropped");
+          let rec read_to_eof n =
+            match Client.next_reply unread ~deadline:(Unix.gettimeofday () +. 10.) with
+            | exception Client.Connection_lost _ -> n
+            | None -> Alcotest.fail "the dropped client saw no EOF"
+            | Some (_, Client.Result reply) ->
+              checkb "a reply the kernel took is intact" true (reply = expected);
+              read_to_eof (n + 1)
+            | Some (_, Client.Busy _) -> Alcotest.fail "Busy from a 64-slot queue"
+          in
+          let taken = read_to_eof 0 in
+          checkb
+            (Printf.sprintf "EOF after %d replies, short of the jobs H ran" taken)
+            true
+            (taken < gauge daemons 0 "jobs_completed");
+          let second = Client.connect roster.(0) in
+          Fun.protect
+            ~finally:(fun () -> Client.close second)
+            (fun () ->
+              match Client.run_jobs second [ spec ] ~deadline:(Unix.gettimeofday () +. 30.) with
+              | [ Client.Result reply ] ->
+                checkb "second client's job bit-identical" true (reply = expected)
+              | _ -> Alcotest.fail "second client's job did not complete")))
+
+(* A provider whose Daemon.start begins before H and P1 listen keeps
+   dialing on its loop and joins once they do, well within its dial
+   timeout; a job then completes bit-identical. *)
+let test_dial_before_listeners () =
+  let graph, logs = Harness.workload_inputs failure_workload in
+  let workload = { Job.graph; logs } in
+  Addr.with_temp_roster ~parties:3 @@ fun roster ->
+  let config party = { (Daemon.default_config ~party ~roster) with Daemon.dial_timeout = 10. } in
+  let p2 = ref None in
+  let starting =
+    Thread.create
+      (fun () -> p2 := Some (try Ok (Daemon.start (config 2) workload) with e -> Error e))
+      ()
+  in
+  Thread.delay 0.5;
+  checkb "P2 is still dialing" true (Option.is_none !p2);
+  let h = Daemon.start (config 0) workload in
+  let p1 = Daemon.start (config 1) workload in
+  Thread.join starting;
+  let daemons =
+    match !p2 with
+    | Some (Ok p2) -> [| h; p1; p2 |]
+    | Some (Error e) -> Alcotest.failf "P2's start failed: %s" (Printexc.to_string e)
+    | None -> assert false
+  in
+  let client = Client.connect ~retry_for:10. roster.(0) in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      ignore (Client.shutdown_roster ~timeout:15. roster);
+      Array.iter (fun d -> Daemon.wait ~timeout:30. d) daemons)
+    (fun () ->
+      check Alcotest.int "P2 joined the mesh" 2 (gauge daemons 2 "hellos_received");
+      let pseed = failure_workload.Schedule.wseed + 1 in
+      match
+        Client.run_jobs client
+          [ links_spec ~pseed ~shards:2 ]
+          ~deadline:(Unix.gettimeofday () +. 30.)
+      with
+      | [ Client.Result reply ] ->
+        checkb "job bit-identical" true (reply = Proto.Strengths (links_oracle ~pseed ~graph ~logs))
+      | _ -> Alcotest.fail "job did not complete")
 
 (* A provider whose workload differs from H's fails its start at once,
    naming the mismatch: H answers its Hello before closing, so the dial
@@ -1262,6 +1450,7 @@ let () =
             test_connections_cost_no_threads;
           Alcotest.test_case "shutdown answers every job before EOF" `Slow
             test_shutdown_answers_every_job;
+          Alcotest.test_case "a traced daemon folds its reports" `Slow test_daemon_report_folds;
         ] );
       ( "failure",
         [
@@ -1284,6 +1473,11 @@ let () =
             test_client_malformed_reply;
           Alcotest.test_case "a torn reply stream loses the connection" `Quick
             test_client_torn_reply;
+          Alcotest.test_case "a frame behind the Hello is routed" `Slow test_frame_behind_hello;
+          Alcotest.test_case "a client past the unread cap is dropped" `Slow
+            test_unread_client_dropped;
+          Alcotest.test_case "a provider started first dials until its peers listen" `Slow
+            test_dial_before_listeners;
         ] );
       ( "chaos",
         [
